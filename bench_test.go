@@ -327,6 +327,30 @@ func BenchmarkAblationParetoK(b *testing.B) {
 	printOnce(b, out)
 }
 
+// BenchmarkSearchMP times one multicore search end to end (pruning, seeds,
+// hill climbing and the polish pass) on the warm composite-full candidates,
+// for MP throughput under 40W. The Fig and Table benchmarks share one
+// Searcher, so from their second iteration on they replay its frontier;
+// this one runs the climb every iteration.
+func BenchmarkSearchMP(b *testing.B) {
+	db, s := harness(b)
+	cands, err := s.Candidates(context.Background(), explore.OrgCompositeFull)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := explore.SearchSpec{
+		Candidates: cands,
+		Budget:     explore.Budget{PeakW: 40},
+		Objective:  explore.ObjMPThroughput,
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := explore.Search(context.Background(), spec, db.Regions); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAblationUopCache quantifies the micro-op cache's role: the same
 // region with and without it, on the detailed simulator.
 func BenchmarkAblationUopCache(b *testing.B) {

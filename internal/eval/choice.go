@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"strconv"
 
 	"compisa/internal/cpu"
 	"compisa/internal/isa"
@@ -63,15 +64,42 @@ func (d DesignPoint) String() string {
 // and any change to it must bump the checkpoint version.
 func (d DesignPoint) CacheKey() string {
 	c := d.Cfg
-	return fmt.Sprintf("%s|ooo=%t,w=%d,bp=%s,iq=%d,rob=%d,prfi=%d,prff=%d,alu=%d,mul=%d,fpu=%d,lsq=%d,l1i=%s,l1d=%s,l2=%s,uop=%t,fuse=%t",
-		d.ISA.Key(), c.OoO, c.Width, c.Predictor.ShortString(), c.IQ, c.ROB,
-		c.PRFInt, c.PRFFP, c.IntALU, c.IntMul, c.FPALU, c.LSQ,
-		cacheCfgKey(c.L1I), cacheCfgKey(c.L1D), cacheCfgKey(c.L2), c.UopCache, c.Fusion)
+	b := make([]byte, 0, 192)
+	b = append(b, d.ISA.Key()...)
+	b = append(b, "|ooo="...)
+	b = strconv.AppendBool(b, c.OoO)
+	b = appendKeyInt(b, ",w=", c.Width)
+	b = append(b, ",bp="...)
+	b = append(b, c.Predictor.ShortString()...)
+	b = appendKeyInt(b, ",iq=", c.IQ)
+	b = appendKeyInt(b, ",rob=", c.ROB)
+	b = appendKeyInt(b, ",prfi=", c.PRFInt)
+	b = appendKeyInt(b, ",prff=", c.PRFFP)
+	b = appendKeyInt(b, ",alu=", c.IntALU)
+	b = appendKeyInt(b, ",mul=", c.IntMul)
+	b = appendKeyInt(b, ",fpu=", c.FPALU)
+	b = appendKeyInt(b, ",lsq=", c.LSQ)
+	b = appendCacheCfgKey(b, ",l1i=", c.L1I)
+	b = appendCacheCfgKey(b, ",l1d=", c.L1D)
+	b = appendCacheCfgKey(b, ",l2=", c.L2)
+	b = append(b, ",uop="...)
+	b = strconv.AppendBool(b, c.UopCache)
+	b = append(b, ",fuse="...)
+	b = strconv.AppendBool(b, c.Fusion)
+	return string(b)
 }
 
-// cacheCfgKey canonically renders one cache configuration for CacheKey.
-func cacheCfgKey(c cpu.CacheCfg) string {
-	return fmt.Sprintf("%dk/%d/%d", c.SizeKB, c.Assoc, c.Banks)
+// appendKeyInt appends one "name=value" integer field of CacheKey.
+func appendKeyInt(b []byte, name string, v int) []byte {
+	return strconv.AppendInt(append(b, name...), int64(v), 10)
+}
+
+// appendCacheCfgKey canonically renders one cache configuration for
+// CacheKey as size "k/" assoc "/" banks.
+func appendCacheCfgKey(b []byte, name string, c cpu.CacheCfg) []byte {
+	b = appendKeyInt(b, name, c.SizeKB)
+	b = appendKeyInt(b, "k/", c.Assoc)
+	return appendKeyInt(b, "/", c.Banks)
 }
 
 // Area returns the core's total area (mm², including cache shares).

@@ -117,10 +117,14 @@ func (db *DB) EvaluateBatch(ctx context.Context, choice ISAChoice, cfgs []cpu.Co
 	var keys []string
 	missing := make([]int, 0, len(cfgs))
 	if cacheable {
+		// Keys are built before taking db.mu, so concurrent batches
+		// serialize only on the map lookups.
 		keys = make([]string, len(cfgs))
-		db.mu.Lock()
 		for i := range cfgs {
 			keys[i] = DesignPoint{ISA: choice, Cfg: cfgs[i]}.CacheKey()
+		}
+		db.mu.Lock()
+		for i := range cfgs {
 			if c, ok := db.cands[keys[i]]; ok {
 				out[i] = c
 			} else {

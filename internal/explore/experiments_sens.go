@@ -319,20 +319,10 @@ type stepHook func(thread int, region int, core int, speedup float64, migrated b
 func (si *suiteIndex) scheduleMP(cores *[4]*Candidate, regions []workload.Region, hook stepHook) *MPScheduleStats {
 	st := &MPScheduleStats{TimeByBenchCore: map[string][4]float64{}}
 	total := 0.0
-	for _, mix := range si.mixes {
-		maxLen := 0
-		for _, b := range mix {
-			if l := len(si.benchRegions[b]); l > maxLen {
-				maxLen = l
-			}
-		}
+	for m := range si.mixes {
 		prev := [4]int{-1, -1, -1, -1} // thread -> core
-		for t := 0; t < maxLen; t++ {
-			var phase [4]int
-			for i, b := range mix {
-				rs := si.benchRegions[b]
-				phase[i] = rs[t%len(rs)]
-			}
+		for _, ph := range si.steps[si.mixStart[m]:si.mixStart[m+1]] {
+			phase := [4]int{int(ph[0]), int(ph[1]), int(ph[2]), int(ph[3])}
 			best := -1.0e18
 			var bestPerm [4]int
 			for _, perm := range si.perms {

@@ -264,8 +264,9 @@ func TestScheduleMPInstrumentation(t *testing.T) {
 	if len(st.TimeByBenchCore) != 8 {
 		t.Errorf("schedule must visit all 8 benchmarks, got %d", len(st.TimeByBenchCore))
 	}
-	if st.Throughput > cmp.Score*1.0001 || st.Throughput < cmp.Score*0.9999 {
-		t.Errorf("instrumented schedule (%.4f) must match the scoring schedule (%.4f)",
+	// Both walk si.steps and sum in the same order, so they agree exactly.
+	if st.Throughput != cmp.Score {
+		t.Errorf("instrumented schedule (%v) must match the scoring schedule (%v)",
 			st.Throughput, cmp.Score)
 	}
 }

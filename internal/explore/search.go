@@ -73,11 +73,17 @@ func (c CMP) TotalArea() float64 {
 }
 
 // suiteIndex caches the benchmark/region structure used by the schedulers.
+// It is immutable after construction, so concurrent climbs share it.
 type suiteIndex struct {
 	benchRegions [][]int     // per benchmark: flattened region indices
 	weights      [][]float64 // per benchmark: region weights
 	mixes        [][4]int    // all 4-benchmark combinations
 	perms        [][4]int    // all assignments of 4 threads to 4 cores
+	// steps is the multi-programmed schedule: one entry per (mix, phase
+	// step), holding the region each of the four threads runs. Mix m owns
+	// steps[mixStart[m]:mixStart[m+1]].
+	steps    [][4]int32
+	mixStart []int
 }
 
 func newSuiteIndex(regions []workload.Region) *suiteIndex {
@@ -132,48 +138,190 @@ func newSuiteIndex(regions []workload.Region) *suiteIndex {
 		}
 	}
 	permute([]int{0, 1, 2, 3}, nil)
+	// Each mix runs until its longest benchmark has visited every region;
+	// shorter benchmarks wrap around.
+	si.mixStart = make([]int, len(si.mixes)+1)
+	for m, mix := range si.mixes {
+		maxLen := 0
+		for _, b := range mix {
+			maxLen = max(maxLen, len(si.benchRegions[b]))
+		}
+		si.mixStart[m+1] = si.mixStart[m] + maxLen
+	}
+	si.steps = make([][4]int32, si.mixStart[len(si.mixes)])
+	for m, mix := range si.mixes {
+		for t := range si.steps[si.mixStart[m]:si.mixStart[m+1]] {
+			for i, b := range mix {
+				rs := si.benchRegions[b]
+				si.steps[si.mixStart[m]+t][i] = int32(rs[t%len(rs)])
+			}
+		}
+	}
 	return si
+}
+
+// mpValues returns a core's per-region multi-programmed values and the
+// sign that makes higher better: speedups, or normalized EDPs negated.
+// Multiplying by ±1 is exact, and a-b == a+(-b), so sums of signed values
+// equal the subtracting sums bit for bit.
+func mpValues(c *Candidate, edp bool) ([]float64, float64) {
+	if edp {
+		return c.NormEDP, -1
+	}
+	return c.Speedup, 1
+}
+
+// permTree enumerates the 24 thread-to-core permutations as a prefix tree:
+// each entry assigns cores p0 and p1 to threads 0 and 1, and threads 2 and
+// 3 take the remaining cores a and b in either order. Indexing with &3
+// lets the compiler drop the bounds checks.
+var permTree = [12][4]uint8{
+	{0, 1, 2, 3}, {0, 2, 1, 3}, {0, 3, 1, 2},
+	{1, 0, 2, 3}, {1, 2, 0, 3}, {1, 3, 0, 2},
+	{2, 0, 1, 3}, {2, 1, 0, 3}, {2, 3, 0, 1},
+	{3, 0, 1, 2}, {3, 1, 0, 2}, {3, 2, 0, 1},
 }
 
 // scoreMP evaluates a 4-core CMP on the multi-programmed scheduler: every
 // 4-benchmark mix runs with per-phase-step optimal thread-to-core
 // assignment (24 permutations), exactly the contention model of Section VI.
+// Each permutation sums its four threads in thread order, ((t0+t1)+t2)+t3,
+// so the score does not depend on the enumeration order; a step whose
+// permutations are all NaN scores -Inf.
 func (si *suiteIndex) scoreMP(cores *[4]*Candidate, edp bool) float64 {
+	var src [4][]float64
+	var sign float64
+	for k, c := range cores {
+		src[k], sign = mpValues(c, edp)
+	}
+	uniform := cores[0] == cores[1] && cores[1] == cores[2] && cores[2] == cores[3]
 	total := 0.0
-	steps := 0
-	for _, mix := range si.mixes {
-		maxLen := 0
-		for _, b := range mix {
-			if l := len(si.benchRegions[b]); l > maxLen {
-				maxLen = l
+	for i := range si.steps {
+		ph := &si.steps[i]
+		var best float64
+		if uniform {
+			// Every permutation sums the same four values in the same order.
+			v := src[0]
+			best = sign*v[ph[0]] + sign*v[ph[1]] + sign*v[ph[2]] + sign*v[ph[3]]
+			if !(best > math.Inf(-1)) {
+				best = math.Inf(-1)
 			}
-		}
-		for t := 0; t < maxLen; t++ {
-			var phase [4]int
-			for i, b := range mix {
-				rs := si.benchRegions[b]
-				phase[i] = rs[t%len(rs)]
+		} else {
+			var m [4][4]float64 // m[thread][core]
+			for th, r := range ph {
+				m[th] = [4]float64{sign * src[0][r], sign * src[1][r], sign * src[2][r], sign * src[3][r]}
 			}
-			best := math.Inf(-1)
-			for _, perm := range si.perms {
-				v := 0.0
-				for th := 0; th < 4; th++ {
-					core := cores[perm[th]]
-					if edp {
-						v -= core.NormEDP[phase[th]]
-					} else {
-						v += core.Speedup[phase[th]]
-					}
+			best = math.Inf(-1)
+			for j := range permTree {
+				p := &permTree[j]
+				s := m[0][p[0]&3] + m[1][p[1]&3]
+				if v := s + m[2][p[2]&3] + m[3][p[3]&3]; v > best {
+					best = v
 				}
-				if v > best {
+				if v := s + m[2][p[3]&3] + m[3][p[2]&3]; v > best {
 					best = v
 				}
 			}
-			total += best / 4
-			steps++
+		}
+		total += best / 4
+	}
+	return total / float64(len(si.steps))
+}
+
+// screenTol bounds how far screenMP may fall below scoreMP. Let V bound
+// |value| over the cores and n = len(steps), with unit roundoff u = 2^-53.
+// Per step, both functions take the maximum over the same 24 real
+// four-term sums, each computed by recursive summation (the screen as
+// ((x+y)+z)+w over rest's three terms and the candidate's), so each
+// computed sum is within γ3·4V of its real value and the two maxima
+// differ by at most 8γ3·V; after the exact /4 (the screen scales its total
+// instead, which rounds identically), 2γ3·V. Accumulating n such terms
+// errs by at most γ(n-1)·nV on each side, and the final /n adds a relative
+// u to each. Altogether |screen − exact| ≤ (2n+8)·u·V. Setting the
+// acceptance threshold screenTol below the exact one therefore never
+// discards an accepted trial as long as twice that bound stays below
+// screenTol (the other half absorbs the rounding of the threshold itself);
+// screenSound checks this per search. On the suite (n = 520 steps,
+// speedups below 2, normalized EDPs below 130) the bound is at most
+// 2e-13 for throughput and 1.5e-11 for EDP, well inside 1e-9.
+const screenTol = 1e-9
+
+// screenSound reports whether screening is exact enough for a search over
+// cs: every value finite and the screenTol bound met. Otherwise the search
+// scores every trial exactly.
+func (si *suiteIndex) screenSound(cs []*Candidate, edp bool) bool {
+	if len(si.steps) == 0 {
+		return false
+	}
+	vmax := 0.0
+	for _, c := range cs {
+		vals, _ := mpValues(c, edp)
+		for _, v := range vals {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return false
+			}
+			vmax = math.Max(vmax, math.Abs(v))
 		}
 	}
-	return total / float64(steps)
+	const u = 0x1p-53
+	return 2*(2*float64(len(si.steps))+8)*u*vmax <= screenTol
+}
+
+// otherThreads lists, per thread, the three other threads.
+var otherThreads = [4][3]uint8{{1, 2, 3}, {0, 2, 3}, {0, 1, 3}, {0, 1, 2}}
+
+// restTable fills rest[i][th] with the best summed value, at step i, of
+// the three threads other than th on the three cores other than slot: the
+// part of a trial's step score that does not depend on the core in slot.
+// Only screened searches build it, so every value is finite.
+func (si *suiteIndex) restTable(cores *[4]*Candidate, slot int, edp bool, rest [][4]float64) {
+	var src [3][]float64
+	var sign float64
+	n := 0
+	for k, c := range cores {
+		if k != slot {
+			src[n], sign = mpValues(c, edp)
+			n++
+		}
+	}
+	for i := range si.steps {
+		ph := &si.steps[i]
+		var m [4][3]float64 // m[thread][other core]
+		for th, r := range ph {
+			m[th] = [3]float64{sign * src[0][r], sign * src[1][r], sign * src[2][r]}
+		}
+		for th, o := range otherThreads {
+			a, b, c := &m[o[0]&3], &m[o[1]&3], &m[o[2]&3]
+			rest[i][th] = max(a[0]+b[1]+c[2], a[0]+b[2]+c[1], a[1]+b[0]+c[2],
+				a[1]+b[2]+c[0], a[2]+b[0]+c[1], a[2]+b[1]+c[0])
+		}
+	}
+}
+
+// screenMP estimates scoreMP for the trial that puts c in the slot rest
+// was built for: per step, the best thread to run on c plus the best
+// assignment of the others. It equals the exact score up to rounding (see
+// screenTol), at 4 loads, 4 adds and 3 compares per step.
+func (si *suiteIndex) screenMP(c *Candidate, edp bool, rest [][4]float64) float64 {
+	v, sign := mpValues(c, edp)
+	rest = rest[:len(si.steps)]
+	total := 0.0
+	for i := range si.steps {
+		ph, r := &si.steps[i], &rest[i]
+		a, b := sign*v[ph[0]]+r[0], sign*v[ph[1]]+r[1]
+		x, y := sign*v[ph[2]]+r[2], sign*v[ph[3]]+r[3]
+		if b > a {
+			a = b
+		}
+		if y > x {
+			x = y
+		}
+		if x > a {
+			a = x
+		}
+		total += a
+	}
+	return total / 4 / float64(len(si.steps))
 }
 
 // scoreST evaluates single-thread objectives: each benchmark migrates every
@@ -290,7 +438,7 @@ func prune(spec SearchSpec, si *suiteIndex) []*Candidate {
 		}
 		return c.MeanSpeedup()
 	}
-	sort.Slice(ok, func(i, j int) bool { return utility(ok[i]) > utility(ok[j]) })
+	sortByKeyDesc(ok, utility)
 	keep := map[*Candidate]bool{}
 	for i := 0; i < len(ok) && i < max*3/4; i++ {
 		keep[ok[i]] = true
@@ -307,15 +455,15 @@ func prune(spec SearchSpec, si *suiteIndex) []*Candidate {
 	}
 	// Keep the smallest/coolest cores so tight budgets always have a
 	// feasible homogeneous seed and cheap filler cores.
-	keepSortedBy := func(less func(a, b *Candidate) bool, n int) {
+	keepTop := func(key func(*Candidate) float64, n int) {
 		s := append([]*Candidate{}, ok...)
-		sort.Slice(s, func(i, j int) bool { return less(s[i], s[j]) })
+		sortByKeyDesc(s, key)
 		for i := 0; i < len(s) && i < n; i++ {
 			keep[s[i]] = true
 		}
 	}
-	keepSortedBy(func(a, b *Candidate) bool { return a.AreaMM2 < b.AreaMM2 }, 25)
-	keepSortedBy(func(a, b *Candidate) bool { return a.PeakW < b.PeakW }, 25)
+	keepTop(func(c *Candidate) float64 { return -c.AreaMM2 }, 25)
+	keepTop(func(c *Candidate) float64 { return -c.PeakW }, 25)
 	// Efficiency ranks: under power/area budgets the best building blocks
 	// maximize value per watt / per mm², not raw value. For speedup
 	// objectives that is utility/cost; for (negative-valued) EDP
@@ -327,16 +475,13 @@ func prune(spec SearchSpec, si *suiteIndex) []*Candidate {
 		}
 		return utility(c) / cost
 	}
-	keepSortedBy(func(a, b *Candidate) bool {
-		return eff(a, a.PeakW) > eff(b, b.PeakW)
-	}, 80)
-	keepSortedBy(func(a, b *Candidate) bool {
-		return eff(a, a.AreaMM2) > eff(b, b.AreaMM2)
-	}, 80)
+	effPeak := func(c *Candidate) float64 { return eff(c, c.PeakW) }
+	keepTop(effPeak, 80)
+	keepTop(func(c *Candidate) float64 { return eff(c, c.AreaMM2) }, 80)
 	// Per-ISA efficiency heads, mirroring the per-ISA utility heads.
 	perISAEff := map[string]int{}
 	byEff := append([]*Candidate{}, ok...)
-	sort.Slice(byEff, func(i, j int) bool { return eff(byEff[i], byEff[i].PeakW) > eff(byEff[j], byEff[j].PeakW) })
+	sortByKeyDesc(byEff, effPeak)
 	for _, c := range byEff {
 		k := c.DP.ISA.Key()
 		if perISAEff[k] < 6 {
@@ -346,18 +491,18 @@ func prune(spec SearchSpec, si *suiteIndex) []*Candidate {
 	}
 	// Region specialists: best 3 per region per criterion.
 	nRegions := len(ok[0].Speedup)
+	type rc struct {
+		c *Candidate
+		v float64
+	}
+	per := make([]rc, len(ok))
 	for r := 0; r < nRegions; r++ {
-		type rc struct {
-			c *Candidate
-			v float64
-		}
-		var per []rc
-		for _, c := range ok {
+		for i, c := range ok {
 			v := c.Speedup[r]
-			if spec.Objective == ObjMPEDP || spec.Objective == ObjSTEDP {
+			if isEDP {
 				v = -c.NormEDP[r]
 			}
-			per = append(per, rc{c, v})
+			per[i] = rc{c, v}
 		}
 		sort.Slice(per, func(i, j int) bool { return per[i].v > per[j].v })
 		for i := 0; i < 3 && i < len(per); i++ {
@@ -375,6 +520,25 @@ func prune(spec SearchSpec, si *suiteIndex) []*Candidate {
 	return out
 }
 
+// sortByKeyDesc sorts cs by descending key, computing each candidate's key
+// once instead of in every comparison. The comparisons, and so the order,
+// are exactly those of sort.Slice with key(a) > key(b); an ascending sort
+// negates its key, which compares identically for every float64.
+func sortByKeyDesc(cs []*Candidate, key func(*Candidate) float64) {
+	type keyed struct {
+		c *Candidate
+		k float64
+	}
+	ks := make([]keyed, len(cs))
+	for i, c := range cs {
+		ks[i] = keyed{c, key(c)}
+	}
+	sort.Slice(ks, func(i, j int) bool { return ks[i].k > ks[j].k })
+	for i := range ks {
+		cs[i] = ks[i].c
+	}
+}
+
 // Search finds a (locally) optimal 4-core CMP by steepest-ascent hill
 // climbing over single-core replacements — the paper likewise reports local
 // optima to keep its 102.5-trillion-combination search tractable.
@@ -388,6 +552,13 @@ func Search(ctx context.Context, spec SearchSpec, regions []workload.Region) (CM
 	}
 	st := spec.Objective.SingleThread()
 
+	// Every candidate's homogeneous score, once: it does not depend on the
+	// budget, and the seed searches below revisit it at several budgets.
+	hom := make([]float64, len(cands))
+	for i, c := range cands {
+		hom[i] = si.score(&[4]*Candidate{c, c, c, c}, spec.Objective)
+	}
+
 	// Seeds: the best feasible homogeneous CMP at the full budget and at
 	// reduced budgets. A full-budget homogeneous seed saturates the
 	// constraint, leaving hill climbing no slack to upgrade any single
@@ -395,7 +566,7 @@ func Search(ctx context.Context, spec SearchSpec, regions []workload.Region) (CM
 	bestHomogeneous := func(b Budget) (CMP, bool) {
 		var best CMP
 		found := false
-		for _, c := range cands {
+		for i, c := range cands {
 			if ctx.Err() != nil {
 				return best, found
 			}
@@ -403,7 +574,7 @@ func Search(ctx context.Context, spec SearchSpec, regions []workload.Region) (CM
 			if !feasible(&cores, b, st) {
 				continue
 			}
-			s := si.score(&cores, spec.Objective)
+			s := hom[i]
 			if !found || s > best.Score {
 				best = CMP{Cores: cores, Score: s}
 				found = true
@@ -424,15 +595,16 @@ func Search(ctx context.Context, spec SearchSpec, regions []workload.Region) (CM
 	// Maximum-slack seed: four copies of the cheapest core, so the climb
 	// can grow a heterogeneous design bottom-up even when the budget
 	// admits no slack around the best homogeneous design.
-	cheapest := cands[0]
-	for _, c := range cands[1:] {
-		if c.PeakW+c.AreaMM2/10 < cheapest.PeakW+cheapest.AreaMM2/10 {
-			cheapest = c
+	cheapest := 0
+	for i, c := range cands {
+		if c.PeakW+c.AreaMM2/10 < cands[cheapest].PeakW+cands[cheapest].AreaMM2/10 {
+			cheapest = i
 		}
 	}
-	cheapCores := [4]*Candidate{cheapest, cheapest, cheapest, cheapest}
+	cheap := cands[cheapest]
+	cheapCores := [4]*Candidate{cheap, cheap, cheap, cheap}
 	if feasible(&cheapCores, spec.Budget, st) {
-		seeds = append(seeds, CMP{Cores: cheapCores, Score: si.score(&cheapCores, spec.Objective)})
+		seeds = append(seeds, CMP{Cores: cheapCores, Score: hom[cheapest]})
 	}
 	// Per-ISA homogeneous seeds: the best feasible 4x design of each of
 	// the strongest ISA choices, so pairwise ISA mixes are reachable.
@@ -442,7 +614,7 @@ func Search(ctx context.Context, spec SearchSpec, regions []workload.Region) (CM
 			score float64
 		}
 		bestPer := map[string]isaSeed{}
-		for _, c := range cands {
+		for i, c := range cands {
 			if ctx.Err() != nil {
 				break
 			}
@@ -450,7 +622,7 @@ func Search(ctx context.Context, spec SearchSpec, regions []workload.Region) (CM
 			if !feasible(&cores, spec.Budget, st) {
 				continue
 			}
-			s := si.score(&cores, spec.Objective)
+			s := hom[i]
 			k := c.DP.ISA.Key()
 			if cur, ok := bestPer[k]; !ok || s > cur.score {
 				bestPer[k] = isaSeed{CMP{Cores: cores, Score: s}, s}
@@ -492,16 +664,29 @@ func Search(ctx context.Context, spec SearchSpec, regions []workload.Region) (CM
 		return best, nil
 	}
 
+	// Multi-programmed climbs screen each trial against the rest table of
+	// its (climb point, slot) and score exactly only the trials that could
+	// clear the acceptance test (see screenTol).
+	edp := spec.Objective == ObjMPEDP
+	screen := !st && si.screenSound(spec.Candidates, edp)
+
 	// climb hill-climbs one seed over an explicit candidate pool; the pool
 	// is a parameter (not a captured variable) so the polish pass below can
 	// widen it for one call without mutating shared state.
 	climb := func(seed CMP, pool []*Candidate) CMP {
 		best := seed
+		var rest [][4]float64
+		if screen {
+			rest = make([][4]float64, len(si.steps))
+		}
 		// Re-score against the true budget (seed scores already match).
 		for iter := 0; iter < 12; iter++ {
 			improved := false
 			for slot := 0; slot < 4; slot++ {
 				cur := best
+				if screen {
+					si.restTable(&cur.Cores, slot, edp, rest)
+				}
 				for _, c := range pool {
 					if ctx.Err() != nil {
 						return best
@@ -509,6 +694,9 @@ func Search(ctx context.Context, spec SearchSpec, regions []workload.Region) (CM
 					trial := cur.Cores
 					trial[slot] = c
 					if !feasible(&trial, spec.Budget, st) {
+						continue
+					}
+					if screen && si.screenMP(c, edp, rest) <= best.Score+1e-12-screenTol {
 						continue
 					}
 					s := si.score(&trial, spec.Objective)
