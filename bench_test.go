@@ -490,7 +490,7 @@ func jitHotLoopProg(b *testing.B) (*code.Program, *mem.Memory) {
 }
 
 // jitColdExec measures one cold execution of the hot-loop workload through
-// cpu.RunPredecoded — the seam -jit plugs into. Memory cloning, state
+// cpu.RunPredecoded — the seam the JIT plugs into. Memory cloning, state
 // setup, and (on the JIT side) engine construction are untimed, so the JIT
 // iterations pay native compilation plus native execution against the
 // interpreter's execution alone.
@@ -526,10 +526,10 @@ func jitColdExec(b *testing.B, useJIT bool) {
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
 }
 
-// BenchmarkJITCold is the headline number for the -jit flag: a cold run
+// BenchmarkJITCold is the headline number for internal/jit: a cold run
 // of the hot-loop workload through the template JIT, including native
 // compilation. Compare against BenchmarkJITColdInterp — the same run on
-// the interpreter — for the speedup the flag buys; the committed baseline
+// the interpreter — for the speedup the engine buys; the committed baseline
 // records the native side at least 5x faster.
 func BenchmarkJITCold(b *testing.B) { jitColdExec(b, true) }
 
@@ -579,7 +579,7 @@ func BenchmarkJITCompile(b *testing.B) {
 // BenchmarkAnalyzeRegion measures the analysis engine (CFG recovery,
 // dominators, natural loops, both abstract interpretations, Facts
 // derivation) over one compiled region — the cost eval pays per (region,
-// ISA) pair when Facts collection or verification is enabled.
+// ISA) pair when verification is enabled.
 func BenchmarkAnalyzeRegion(b *testing.B) {
 	var reg workload.Region
 	for _, r := range workload.Regions() {

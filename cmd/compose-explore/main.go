@@ -17,9 +17,6 @@
 //	             the retry/quarantine machinery.
 //	-stats       print evaluation-pipeline statistics on exit: per-stage
 //	             counts and timings plus cache hit rates per tier.
-//	-jit         JIT-compile region programs to native code on supported
-//	             hosts (linux/amd64); results are identical to the
-//	             interpreter's, the cold exec stage just runs faster.
 //	-cpuprofile  write a CPU profile for the whole run (pprof format).
 //	-memprofile  write a heap profile at normal exit (after a final GC).
 //
@@ -42,7 +39,6 @@ import (
 	"compisa/internal/eval"
 	"compisa/internal/explore"
 	"compisa/internal/fault"
-	"compisa/internal/jit"
 	"compisa/internal/store"
 )
 
@@ -59,7 +55,6 @@ func main() {
 	injectTransient := flag.Float64("inject-transient", 0, "fraction of injected faults that clear on the first retry")
 	stats := flag.Bool("stats", false, "print evaluation pipeline statistics (stage counts, timings, cache hit rates) on exit")
 	verify := flag.Bool("verify", true, "statically verify every compiled region conforms to its feature set before execution")
-	useJIT := flag.Bool("jit", false, "JIT-compile region programs to native code (linux/amd64; elsewhere the interpreter runs as usual)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at normal exit")
 	flag.Parse()
@@ -86,12 +81,6 @@ func main() {
 	db := explore.NewDB()
 	db.Verify = *verify
 	db.Log = func(format string, args ...any) { log.Printf(format, args...) }
-	if *useJIT {
-		if !jit.Available() {
-			log.Print("[-jit requested but native execution is unavailable on this platform; using the interpreter]")
-		}
-		db.JIT = jit.New(jit.Config{})
-	}
 	// Validate the kind list even when no rate is set, so a typoed
 	// -inject-kinds fails loudly instead of being silently ignored.
 	kinds, err := fault.ParseKinds(*injectKinds)

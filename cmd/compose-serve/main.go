@@ -25,9 +25,6 @@
 //	-warm        compute the reference metrics in the background at boot,
 //	             so the first request doesn't pay for them.
 //	-regions     serve only the first N suite regions (CI smoke runs).
-//	-jit         JIT-compile region programs to native code on supported
-//	             hosts (linux/amd64); profiles are identical to the
-//	             interpreter's, and /metrics gains compisa_serve_jit_*.
 //	-pprof       serve net/http/pprof on a second listener (e.g.
 //	             localhost:6060), kept off the API mux so profiling a
 //	             production server never exposes debug handlers to clients.
@@ -52,7 +49,6 @@ import (
 
 	"compisa/internal/eval"
 	"compisa/internal/explore"
-	"compisa/internal/jit"
 	"compisa/internal/par"
 	"compisa/internal/serve"
 	"compisa/internal/store"
@@ -72,20 +68,19 @@ func main() {
 	verify := flag.Bool("verify", true, "statically verify compiled regions against their feature sets")
 	warm := flag.Bool("warm", false, "compute reference metrics in the background at startup")
 	stats := flag.Bool("stats", false, "print evaluation pipeline statistics on exit")
-	useJIT := flag.Bool("jit", false, "JIT-compile region programs to native code (linux/amd64; elsewhere the interpreter runs as usual)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (empty = disabled); separate from the API listener")
 	flag.Parse()
 	log.SetFlags(0)
 
 	if err := run(*addr, *workers, *queue, *timeout, *drainTimeout, *checkpoint, *checkpointStrict,
-		*storePath, *storeSyncEvery, *regions, *verify, *warm, *stats, *useJIT, *pprofAddr); err != nil {
+		*storePath, *storeSyncEvery, *regions, *verify, *warm, *stats, *pprofAddr); err != nil {
 		log.Fatal(err)
 	}
 }
 
 func run(addr string, workers, queue int, timeout, drainTimeout time.Duration,
 	checkpoint string, checkpointStrict bool, storePath string, storeSyncEvery int,
-	regions int, verify, warm, stats, useJIT bool, pprofAddr string) error {
+	regions int, verify, warm, stats bool, pprofAddr string) error {
 	if pprofAddr != "" {
 		// The API server builds its own mux (serve.Handler), so the
 		// net/http/pprof handlers registered on the DefaultServeMux are
@@ -105,12 +100,6 @@ func run(addr string, workers, queue int, timeout, drainTimeout time.Duration,
 	db := explore.NewDB()
 	db.Verify = verify
 	db.Log = func(format string, args ...any) { log.Printf(format, args...) }
-	if useJIT {
-		if !jit.Available() {
-			log.Print("[-jit requested but native execution is unavailable on this platform; using the interpreter]")
-		}
-		db.JIT = jit.New(jit.Config{})
-	}
 	if regions > 0 && regions < len(db.Regions) {
 		db.Regions = db.Regions[:regions]
 	}
@@ -172,7 +161,6 @@ func run(addr string, workers, queue int, timeout, drainTimeout time.Duration,
 	srv := serve.New(db, serve.Config{
 		Workers: workers, Queue: queue, Timeout: timeout,
 		EvalStats: &db.Stats,
-		JIT:       db.JIT,
 		Store:     breaker,
 		Log:       func(format string, args ...any) { log.Printf(format, args...) },
 	})

@@ -1,12 +1,11 @@
 package check
 
-// Facts is the exported per-region analysis artifact: everything a
-// template JIT's region selector needs that is provable without running
-// the interpreter — loop headers with trip-count bounds where derivable,
-// dominance structure, guardable branch sites, and per-block constant
-// facts. The encoding is deliberately map-free (slices ordered by block /
-// instruction index) so the JSON serialization is byte-identical across
-// runs and processes.
+// Facts is the exported per-region analysis artifact (`compose-lint
+// -facts`): what is provable about a region without running it — loop
+// headers with trip-count bounds where derivable, dominance structure,
+// guardable branch sites, and per-block constant facts. The encoding is
+// deliberately map-free (slices ordered by block / instruction index) so
+// the JSON serialization is byte-identical across runs and processes.
 
 import (
 	"fmt"
@@ -63,8 +62,8 @@ type LoopFacts struct {
 }
 
 // GuardFacts is one guardable branch site: a conditional branch whose
-// outcome is not statically constant, i.e. where a JIT trace would place a
-// side exit.
+// outcome is not statically constant, so its direction is decided only at
+// run time.
 type GuardFacts struct {
 	Index     int     `json:"index"`
 	PC        uint32  `json:"pc,omitempty"`

@@ -12,7 +12,6 @@ import (
 	"compisa/internal/compiler"
 	"compisa/internal/cpu"
 	"compisa/internal/fault"
-	"compisa/internal/jit"
 	"compisa/internal/par"
 	"compisa/internal/workload"
 )
@@ -51,12 +50,6 @@ type DB struct {
 	// NewDB enables it — the stage costs well under a millisecond per
 	// region and turns silent bad codegen into a classified fault.
 	Verify bool
-	// Facts additionally records the analysis engine's per-region Facts
-	// (loop structure, dominators, guardable branches, constant facts)
-	// for every freshly compiled (region, ISA) pair, retrievable via
-	// RegionFacts. Off by default: the artifact is for tooling that wants
-	// the static analysis alongside the evaluation, not for scoring.
-	Facts bool
 	// Policy tunes retries and degradation penalties.
 	Policy Policy
 	// Log, if set, receives fault-tolerance events (retries, quarantines,
@@ -68,14 +61,6 @@ type DB struct {
 	Persist Persister
 	// Stats instruments the pipeline's stages and cache tiers.
 	Stats Stats
-	// JIT, when set, offers each region's functional execution to the
-	// native-code executor first (internal/jit). The interpreter stays the
-	// semantic oracle — native runs reproduce it bit for bit and anything
-	// unsupported deopts back — so profiles are identical either way; the
-	// engine merely makes the cold exec stage several times faster. One
-	// engine is safely shared by all par.Map workers. StatsSnapshot folds
-	// the engine's counters into the pipeline stats.
-	JIT *jit.Engine
 
 	// persistDown tracks the durable tier's health for edge-triggered
 	// logging (a dead disk must not flood the log per evaluation).
@@ -84,10 +69,9 @@ type DB struct {
 	mu         sync.Mutex
 	profiles   map[string][]*cpu.Profile // ISA key -> per-region profiles (nil slot = quarantined)
 	inflight   map[string]*inflightProfiles
-	quarantine map[string]string       // "region|isaKey" -> reason
-	cands      map[string]*Candidate   // DesignPoint.CacheKey() -> candidate
-	facts      map[string]*check.Facts // "region|isaKey" -> analysis Facts (Facts opt-in)
-	ref        []Metric                // memoized reference metrics (normalization basis)
+	quarantine map[string]string     // "region|isaKey" -> reason
+	cands      map[string]*Candidate // DesignPoint.CacheKey() -> candidate
+	ref        []Metric              // memoized reference metrics (normalization basis)
 }
 
 // inflightProfiles is one in-progress per-ISA profile computation; duplicate
@@ -126,15 +110,6 @@ func isReference(c ISAChoice) bool {
 }
 
 func pairKey(region, isaKey string) string { return region + "|" + isaKey }
-
-// RegionFacts returns the analysis-engine Facts recorded for a (region,
-// ISA-choice key) pair, or nil when Facts collection is disabled, the pair
-// has not been profiled yet, or the pair was quarantined.
-func (db *DB) RegionFacts(region, isaKey string) *check.Facts {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.facts[pairKey(region, isaKey)]
-}
 
 // Profiles returns (computing on first use) the per-region profiles for an
 // ISA choice. Vendor choices reuse their x86-ized feature set's compiled
@@ -331,23 +306,7 @@ func (db *DB) profileOnce(ctx context.Context, r workload.Region, c ISAChoice, a
 			return nil, classify(fault.StageVerify, verr)
 		}
 	}
-	if db.Facts {
-		// Facts describe the static program, so they are recorded once the
-		// code has passed verification, independent of execution outcome.
-		if fx, ferr := check.ComputeFacts(prog); ferr == nil {
-			db.Stats.FactsComputed.Inc()
-			db.mu.Lock()
-			if db.facts == nil {
-				db.facts = make(map[string]*check.Facts, 64)
-			}
-			db.facts[key] = fx
-			db.mu.Unlock()
-		}
-	}
 	ropts := cpu.RunOptions{MaxInstrs: MaxRegionInstrs, Interrupt: ctx.Err}
-	if db.JIT != nil {
-		ropts.JIT = db.JIT
-	}
 	switch d.Kind {
 	case fault.KindRunaway:
 		ropts.MaxInstrs = runawayInstrs

@@ -65,20 +65,9 @@ type State struct {
 	Stats StatsSnapshot `json:"stats,omitzero"`
 }
 
-// StatsSnapshot returns the pipeline counters with the native executor's
-// own counters folded in when a JIT engine is wired: the engine keeps the
-// live atomics (it may be shared beyond this DB), while the Stats fields
-// carry only history merged from resumed checkpoints.
+// StatsSnapshot returns a point-in-time copy of the pipeline counters.
 func (db *DB) StatsSnapshot() StatsSnapshot {
-	sn := db.Stats.Snapshot()
-	if db.JIT != nil {
-		js := db.JIT.Stats()
-		sn.JITRegions += js.Regions
-		sn.JITRuns += js.Runs
-		sn.JITDeopts += js.Deopts
-		sn.JITBailouts += js.Bailouts
-	}
-	return sn
+	return db.Stats.Snapshot()
 }
 
 // Export copies both cache tiers, the quarantine list, and the stats for

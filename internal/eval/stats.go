@@ -20,9 +20,6 @@ type Stats struct {
 	// found (every one turns the evaluation into a StageVerify fault, so a
 	// non-zero count on a clean compiler is a codegen bug).
 	VerifyFindings metrics.Counter
-	// FactsComputed counts analysis-engine Facts artifacts recorded (only
-	// when DB.Facts is enabled).
-	FactsComputed metrics.Counter
 	// Scoring stage.
 	ModelEvals metrics.Counter // perfmodel evaluations (one per live region per design point)
 	// Cache tiers.
@@ -35,13 +32,6 @@ type Stats struct {
 	// Durable tier (the write-through Persist hook).
 	Persisted     metrics.Counter // candidates written through to the store
 	PersistErrors metrics.Counter // write-throughs that failed (durability degraded)
-	// Native-code executor (internal/jit). The engine owns the live
-	// atomics; these counters hold history merged from resumed checkpoints,
-	// and DB.StatsSnapshot folds the live engine values on top.
-	JITRegions  metrics.Counter // programs compiled to native code
-	JITRuns     metrics.Counter // executions served natively
-	JITDeopts   metrics.Counter // instructions bounced to the interpreter mid-run
-	JITBailouts metrics.Counter // executions declined entirely (interpreter ran)
 	// Stage timings.
 	CompileTime metrics.Histogram // successful build+compile passes
 	VerifyTime  metrics.Histogram // static-conformance verification passes
@@ -55,7 +45,6 @@ type StatsSnapshot struct {
 	Compiles        int64 `json:"compiles"`
 	Verifies        int64 `json:"verifies,omitempty"`
 	VerifyFindings  int64 `json:"verify_findings,omitempty"`
-	FactsComputed   int64 `json:"facts_computed,omitempty"`
 	Execs           int64 `json:"execs"`
 	ModelEvals      int64 `json:"model_evals"`
 	ProfileHits     int64 `json:"profile_hits"`
@@ -67,10 +56,6 @@ type StatsSnapshot struct {
 	DegradedRegions int64 `json:"degraded_regions"`
 	Persisted       int64 `json:"persisted,omitempty"`
 	PersistErrors   int64 `json:"persist_errors,omitempty"`
-	JITRegions      int64 `json:"jit_regions,omitempty"`
-	JITRuns         int64 `json:"jit_runs,omitempty"`
-	JITDeopts       int64 `json:"jit_deopts,omitempty"`
-	JITBailouts     int64 `json:"jit_bailouts,omitempty"`
 
 	CompileTime metrics.HistogramSnapshot `json:"compile_time"`
 	VerifyTime  metrics.HistogramSnapshot `json:"verify_time,omitempty"`
@@ -84,7 +69,6 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		Compiles:        s.Compiles.Load(),
 		Verifies:        s.Verifies.Load(),
 		VerifyFindings:  s.VerifyFindings.Load(),
-		FactsComputed:   s.FactsComputed.Load(),
 		Execs:           s.Execs.Load(),
 		ModelEvals:      s.ModelEvals.Load(),
 		ProfileHits:     s.ProfileHits.Load(),
@@ -96,10 +80,6 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		DegradedRegions: s.DegradedRegions.Load(),
 		Persisted:       s.Persisted.Load(),
 		PersistErrors:   s.PersistErrors.Load(),
-		JITRegions:      s.JITRegions.Load(),
-		JITRuns:         s.JITRuns.Load(),
-		JITDeopts:       s.JITDeopts.Load(),
-		JITBailouts:     s.JITBailouts.Load(),
 		CompileTime:     s.CompileTime.Snapshot(),
 		VerifyTime:      s.VerifyTime.Snapshot(),
 		ExecTime:        s.ExecTime.Snapshot(),
@@ -112,7 +92,6 @@ func (s *Stats) Merge(sn StatsSnapshot) {
 	s.Compiles.Add(sn.Compiles)
 	s.Verifies.Add(sn.Verifies)
 	s.VerifyFindings.Add(sn.VerifyFindings)
-	s.FactsComputed.Add(sn.FactsComputed)
 	s.Execs.Add(sn.Execs)
 	s.ModelEvals.Add(sn.ModelEvals)
 	s.ProfileHits.Add(sn.ProfileHits)
@@ -124,10 +103,6 @@ func (s *Stats) Merge(sn StatsSnapshot) {
 	s.DegradedRegions.Add(sn.DegradedRegions)
 	s.Persisted.Add(sn.Persisted)
 	s.PersistErrors.Add(sn.PersistErrors)
-	s.JITRegions.Add(sn.JITRegions)
-	s.JITRuns.Add(sn.JITRuns)
-	s.JITDeopts.Add(sn.JITDeopts)
-	s.JITBailouts.Add(sn.JITBailouts)
 	s.CompileTime.Merge(sn.CompileTime)
 	s.VerifyTime.Merge(sn.VerifyTime)
 	s.ExecTime.Merge(sn.ExecTime)
@@ -138,14 +113,13 @@ func (s *Stats) Merge(sn StatsSnapshot) {
 // keep empty stats out of checkpoint files).
 func (sn StatsSnapshot) IsZero() bool {
 	return sn.Compiles == 0 && sn.Verifies == 0 && sn.VerifyFindings == 0 &&
-		sn.FactsComputed == 0 &&
 		sn.Execs == 0 && sn.ModelEvals == 0 &&
 		sn.ProfileHits == 0 && sn.ProfileMisses == 0 &&
 		sn.CandidateHits == 0 && sn.CandidateMisses == 0 &&
 		sn.Retries == 0 && sn.Quarantines == 0 && sn.DegradedRegions == 0 &&
 		sn.Persisted == 0 && sn.PersistErrors == 0 &&
-		sn.JITRuns == 0 && sn.JITBailouts == 0 &&
-		sn.CompileTime.Count == 0 && sn.ExecTime.Count == 0 && sn.ModelTime.Count == 0
+		sn.CompileTime.Count == 0 && sn.VerifyTime.Count == 0 &&
+		sn.ExecTime.Count == 0 && sn.ModelTime.Count == 0
 }
 
 // Format renders the snapshot for `compose-explore -stats`: per-stage
@@ -169,10 +143,6 @@ func (sn StatsSnapshot) Format() string {
 	if sn.Persisted > 0 || sn.PersistErrors > 0 {
 		fmt.Fprintf(&sb, "  durable store:    %8d persisted %6d persist errors\n",
 			sn.Persisted, sn.PersistErrors)
-	}
-	if sn.JITRuns > 0 || sn.JITBailouts > 0 {
-		fmt.Fprintf(&sb, "  jit executor:     %8d native runs %4d compiled %6d deopts %6d bailouts\n",
-			sn.JITRuns, sn.JITRegions, sn.JITDeopts, sn.JITBailouts)
 	}
 	return sb.String()
 }

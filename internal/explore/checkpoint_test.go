@@ -8,8 +8,11 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"compisa/internal/metrics"
 )
 
 // writeCheckpointFile plants raw bytes as a checkpoint.
@@ -144,5 +147,43 @@ func TestSaveCheckpointNoTempDebris(t *testing.T) {
 	}
 	if len(ents) != 1 {
 		t.Fatalf("directory has %d entries, want 1", len(ents))
+	}
+}
+
+// TestCheckpointRetiredStatsCompat: checkpoints written before the native
+// executor and the Facts opt-in were removed still carry jit_* and
+// facts_computed counters in their stats. They must load (not be
+// quarantined as corrupt), with every remaining counter intact.
+func TestCheckpointRetiredStatsCompat(t *testing.T) {
+	path := writeCheckpointFile(t, []byte(`{"version":4,"profiles":{},"stats":{
+		"compiles":1,"verifies":2,"verify_findings":3,"facts_computed":4,
+		"execs":5,"model_evals":6,"profile_hits":7,"profile_misses":8,
+		"candidate_hits":9,"candidate_misses":10,"retries":11,"quarantines":12,
+		"degraded_regions":13,"persisted":14,"persist_errors":15,
+		"jit_regions":16,"jit_runs":17,"jit_deopts":18,"jit_bailouts":19,
+		"compile_time":{"count":1,"sum_ns":100,"buckets":[1]},
+		"verify_time":{"count":2,"sum_ns":200,"buckets":[0,2]},
+		"exec_time":{"count":3,"sum_ns":300,"buckets":[0,0,3]},
+		"model_time":{"count":4,"sum_ns":400,"buckets":[0,0,0,4]}}}`))
+	st, quarantined, err := RecoverCheckpoint(path)
+	if err != nil || quarantined != "" || st == nil {
+		t.Fatalf("RecoverCheckpoint = (%v, %q, %v), want a loaded state", st, quarantined, err)
+	}
+	want := StatsSnapshot{
+		Compiles: 1, Verifies: 2, VerifyFindings: 3, Execs: 5, ModelEvals: 6,
+		ProfileHits: 7, ProfileMisses: 8, CandidateHits: 9, CandidateMisses: 10,
+		Retries: 11, Quarantines: 12, DegradedRegions: 13, Persisted: 14, PersistErrors: 15,
+		CompileTime: metrics.HistogramSnapshot{Count: 1, SumNS: 100, Buckets: []int64{1}},
+		VerifyTime:  metrics.HistogramSnapshot{Count: 2, SumNS: 200, Buckets: []int64{0, 2}},
+		ExecTime:    metrics.HistogramSnapshot{Count: 3, SumNS: 300, Buckets: []int64{0, 0, 3}},
+		ModelTime:   metrics.HistogramSnapshot{Count: 4, SumNS: 400, Buckets: []int64{0, 0, 0, 4}},
+	}
+	if !reflect.DeepEqual(st.Stats, want) {
+		t.Fatalf("loaded stats = %+v\nwant %+v", st.Stats, want)
+	}
+	db := NewDB()
+	st.RestoreDB(db)
+	if got := db.StatsSnapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored stats = %+v\nwant %+v", got, want)
 	}
 }

@@ -52,18 +52,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		pw.Counter("compisa_serve_store_probes_total", "Half-open probe writes attempted.", bs.Probes.Load())
 		pw.Counter("compisa_serve_store_failures_total", "Store writes that failed.", bs.Failures.Load())
 	}
-	if eng := s.cfg.JIT; eng != nil {
-		js := eng.Stats()
-		pw.Counter("compisa_serve_jit_regions_total", "Programs compiled to native code.", js.Regions)
-		pw.Counter("compisa_serve_jit_runs_total", "Executions served natively.", js.Runs)
-		pw.Counter("compisa_serve_jit_deopts_total", "Instructions bounced to the interpreter mid-run.",
-			js.Deopts)
-		pw.Counter("compisa_serve_jit_bailouts_total", "Executions declined entirely (interpreter ran).",
-			js.Bailouts)
-		pw.Counter("compisa_serve_jit_cache_hits_total", "Native runs served from an already-compiled module.",
-			js.CacheHits)
-		pw.Counter("compisa_serve_jit_evictions_total", "Modules evicted from the code cache.", js.Evictions)
-	}
 	if es := s.cfg.EvalStats; es != nil {
 		pw.Counter("compisa_eval_stage_total", "Pipeline stage executions.", es.Compiles.Load(), "stage", "compile")
 		pw.Counter("compisa_eval_stage_total", "Pipeline stage executions.", es.Verifies.Load(), "stage", "verify")
@@ -73,6 +61,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		pw.Counter("compisa_eval_cache_total", "Cache tier outcomes.", es.ProfileMisses.Load(), "tier", "profile", "outcome", "miss")
 		pw.Counter("compisa_eval_cache_total", "Cache tier outcomes.", es.CandidateHits.Load(), "tier", "candidate", "outcome", "hit")
 		pw.Counter("compisa_eval_cache_total", "Cache tier outcomes.", es.CandidateMisses.Load(), "tier", "candidate", "outcome", "miss")
+		pw.Counter("compisa_eval_verify_findings_total", "Conformance violations found by the verify stage.",
+			es.VerifyFindings.Load())
 		pw.Counter("compisa_eval_retries_total", "Faulted stages retried.", es.Retries.Load())
 		pw.Counter("compisa_eval_quarantines_total", "(region, ISA) pairs quarantined.", es.Quarantines.Load())
 		pw.Counter("compisa_eval_degraded_regions_total", "Regions scored at the Policy penalties.",

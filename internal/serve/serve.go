@@ -32,7 +32,6 @@ import (
 
 	"compisa/internal/eval"
 	"compisa/internal/fault"
-	"compisa/internal/jit"
 	"compisa/internal/metrics"
 	"compisa/internal/par"
 )
@@ -70,10 +69,6 @@ type Config struct {
 	// EvalStats, when set, exposes the evaluation pipeline's own counters
 	// and histograms on /metrics alongside the server's.
 	EvalStats *eval.Stats
-	// JIT, when set, exposes the native-code executor's counters on
-	// /metrics (compisa_serve_jit_*). Typically the same engine wired into
-	// the eval.DB behind Engine.
-	JIT *jit.Engine
 	// Store, when set, is the durable tier's circuit breaker; its state is
 	// surfaced on /healthz ("degraded" while the circuit is not closed) and
 	// /metrics. Serving never depends on it — a degraded store only means

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -17,6 +18,7 @@ import (
 
 	"compisa/internal/eval"
 	"compisa/internal/fault"
+	"compisa/internal/metrics"
 )
 
 // fakeEngine is a controllable Engine: it can block evaluations until
@@ -478,6 +480,50 @@ func TestHealthzAndMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(text, w) {
 			t.Errorf("metrics output missing %q\n%s", w, text)
+		}
+	}
+}
+
+// TestMetricsExposeEveryEvalStat: every eval.StatsSnapshot field, set alone
+// through Merge, changes the compisa_eval_* families on /metrics. Walking
+// the struct by reflection catches a counter added to eval.Stats but never
+// exported here.
+func TestMetricsExposeEveryEvalStat(t *testing.T) {
+	evalLines := func(es *eval.Stats) string {
+		s := New(&fakeEngine{}, Config{Workers: 1, EvalStats: es})
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		var sb strings.Builder
+		for _, line := range strings.Split(rec.Body.String(), "\n") {
+			if strings.HasPrefix(line, "compisa_eval_") {
+				sb.WriteString(line + "\n")
+			}
+		}
+		return sb.String()
+	}
+	zero := evalLines(&eval.Stats{})
+	if zero == "" {
+		t.Fatal("no compisa_eval_* lines with EvalStats wired")
+	}
+
+	var h metrics.Histogram
+	h.Observe(3 * time.Millisecond)
+	typ := reflect.TypeOf(eval.StatsSnapshot{})
+	for i := 0; i < typ.NumField(); i++ {
+		var sn eval.StatsSnapshot
+		f := reflect.ValueOf(&sn).Elem().Field(i)
+		switch f.Interface().(type) {
+		case int64:
+			f.SetInt(7)
+		case metrics.HistogramSnapshot:
+			f.Set(reflect.ValueOf(h.Snapshot()))
+		default:
+			t.Fatalf("StatsSnapshot.%s: unhandled type %s", typ.Field(i).Name, f.Type())
+		}
+		es := &eval.Stats{}
+		es.Merge(sn)
+		if evalLines(es) == zero {
+			t.Errorf("StatsSnapshot.%s does not reach /metrics", typ.Field(i).Name)
 		}
 	}
 }
