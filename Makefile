@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: check build vet vettool lint test race fault-smoke chaos conformance bench bench-smoke \
-	bench-baseline bench-diff serve-smoke fuzz cover jit-diff cross-build
+	bench-e2e bench-baseline bench-diff serve-smoke fuzz cover jit-diff cross-build
 
 build:
 	$(GO) build ./...
@@ -80,6 +80,12 @@ bench:
 # that unit tests miss without paying for the full bench sweep.
 bench-smoke:
 	$(GO) test -bench 'Fig5' -benchtime 1x -run '^$$'
+
+# One full pass of the end-to-end cold sweep (the CI bench-golden job):
+# fails unless every profile's cpf1 digest and every candidate's digest
+# match bench/golden.json.
+bench-e2e:
+	bash bench/run.sh --workload sweep-cold --seed 1 --seconds 1
 
 # Refresh the committed benchmark baseline (run this when a change is
 # intentionally slower, and say so in the commit).

@@ -79,8 +79,9 @@ func (c *Cache) Reset() {
 	c.base = c.stamp
 }
 
-// Access looks up addr, fills on miss, and reports whether it hit.
-func (c *Cache) Access(addr uint64) bool {
+// locate bumps the access counters and returns the first way of addr's set
+// and addr's stored tag.
+func (c *Cache) locate(addr uint64) (base int, tag uint64) {
 	c.Accesses++
 	c.stamp++
 	line := addr / cacheLineBytes
@@ -90,8 +91,12 @@ func (c *Cache) Access(addr uint64) bool {
 	} else {
 		set = int(line % uint64(c.sets))
 	}
-	tag := line + 1
-	base := set * c.assoc
+	return set * c.assoc, line + 1
+}
+
+// Access looks up addr, fills on miss, and reports whether it hit.
+func (c *Cache) Access(addr uint64) bool {
+	base, tag := c.locate(addr)
 	epoch := c.base
 	// Hit scan first: the common case touches only tags and use stamps.
 	// tag >= 1 always, so a tag match implies the slot is not empty.
@@ -101,9 +106,41 @@ func (c *Cache) Access(addr uint64) bool {
 			return true
 		}
 	}
-	// Miss: pick the victim exactly as the combined scan did — the last
-	// invalid way if any, else the first way with the strictly smallest
-	// use stamp.
+	c.fill(base, tag)
+	return false
+}
+
+// accessRank is Access for a cache that stands in for several
+// associativities at once: it returns the hit line's recency rank in its
+// set (0 = most recently used) before this access, or -1 on a miss. Under
+// LRU a cache with the same set count and assoc a ≤ c.assoc holds exactly
+// the a most recent lines of each set, so it hits iff 0 ≤ rank < a.
+func (c *Cache) accessRank(addr uint64) int {
+	base, tag := c.locate(addr)
+	epoch := c.base
+	for i := base; i < base+c.assoc; i++ {
+		if c.tags[i] == tag && c.lru[i] > epoch {
+			// Every line used after this one was filled or touched after
+			// the epoch floor, so it is live; stamps are unique.
+			s, rank := c.lru[i], 0
+			for j := base; j < base+c.assoc; j++ {
+				if c.lru[j] > s {
+					rank++
+				}
+			}
+			c.lru[i] = c.stamp
+			return rank
+		}
+	}
+	c.fill(base, tag)
+	return -1
+}
+
+// fill installs tag in the set starting at base after a miss.
+func (c *Cache) fill(base int, tag uint64) {
+	epoch := c.base
+	// Pick the victim exactly as the combined scan did — the last invalid
+	// way if any, else the first way with the strictly smallest use stamp.
 	victim := base
 	oldest := c.lru[base]
 	if c.tags[base] == 0 || c.lru[base] <= epoch {
@@ -127,7 +164,6 @@ func (c *Cache) Access(addr uint64) bool {
 	c.Misses++
 	c.tags[victim] = tag
 	c.lru[victim] = c.stamp
-	return false
 }
 
 // MissRate returns misses/accesses (0 when idle).

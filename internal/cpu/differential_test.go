@@ -122,6 +122,78 @@ func TestDifferentialProfileMatrix(t *testing.T) {
 	}
 }
 
+// TestDifferentialL2SplitNotVacuous makes the differential suite cross the
+// boundary between the two L2 options, which the profiler answers from one
+// LRU stack (rank < 4 vs rank < 8). The suite regions cannot: their data
+// footprints are at most 4 MB, the capacity of L2Cfg4M, so every suite
+// profile has equal L2 misses for both options. This kernel cycles loads
+// and stores over 5 lines that share one L2 set (a 1 MB stride), so every
+// steady-state load has recency rank exactly 4: a miss for the 4-way
+// option and a hit for the 8-way one. The legacy profiler's independent
+// caches must agree byte for byte.
+func TestDifferentialL2SplitNotVacuous(t *testing.T) {
+	mk := func() *code.Program {
+		const loop, lines = 5, 5
+		ld := ci(code.LD, 8)
+		ld.Dst = 3
+		ld.HasMem = true
+		ld.Mem = code.Mem{Base: 4, Index: 2, Scale: 1}
+		add := alu(code.ADD, 5, 3, 8)
+		st := ci(code.ST, 8)
+		st.Src1 = 5
+		st.HasMem = true
+		st.Mem = code.Mem{Base: 4, Index: 2, Scale: 1}
+		step := ci(code.ADD, 8)
+		step.Dst, step.Src1 = 2, 2
+		step.HasImm, step.Imm = true, 1<<20
+		cmpWrap := ci(code.CMP, 8)
+		cmpWrap.Src1, cmpWrap.Src2 = 2, 6
+		skip := ci(code.JCC, 0)
+		skip.CC = code.CCLT
+		skip.Target = loop + 7
+		inc := ci(code.ADD, 8)
+		inc.Dst, inc.Src1 = 0, 0
+		inc.HasImm, inc.Imm = true, 1
+		cmp := ci(code.CMP, 8)
+		cmp.Src1, cmp.Src2 = 0, 1
+		back := ci(code.JCC, 0)
+		back.CC = code.CCLT
+		back.Target = loop
+		return mkProg(t, isa.X8664,
+			movImm(0, 0, 8), movImm(1, 2000, 8), movImm(2, 0, 8),
+			movImm(4, int64(code.DataBase)+7*cacheLineBytes, 8),
+			movImm(6, lines<<20, 8),
+			ld, add, st, step, cmpWrap, skip, movImm(2, 0, 8),
+			inc, cmp, back, retR(5))
+	}
+	pL, pF, resL, resF, errL, errF := profileBoth(mk(), mem.New(), mk(), mem.New(), RunOptions{MaxInstrs: 1 << 20})
+	if errL != nil || errF != nil {
+		t.Fatalf("run: legacy %v, fast %v", errL, errF)
+	}
+	if resL != resF {
+		t.Fatalf("ExecResult mismatch:\nlegacy %+v\nfast   %+v", resL, resF)
+	}
+	bL, err := pL.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bF, err := pF.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(bL, bF) {
+		t.Fatalf("profile encodings differ:\nlegacy %+v\nfast   %+v", pL.Mem, pF.Mem)
+	}
+	for i := 0; i < 2; i++ {
+		for d := 0; d < 2; d++ {
+			m4, m8 := pF.Mem[i][d][0].L2Misses, pF.Mem[i][d][1].L2Misses
+			if m4 < 1000 || m8 >= m4/10 {
+				t.Errorf("Mem[%d][%d]: L2 misses %d (4-way) vs %d (8-way); want the 8-way option to absorb the 5-line cycle", i, d, m4, m8)
+			}
+		}
+	}
+}
+
 // TestDifferentialTimingSubset proves the timing walk is unchanged by the
 // predecoded micro-op templates and the table-driven event stream: the
 // oracle (legacyExpand decomposition fed by runLegacy) and the fast path

@@ -64,6 +64,19 @@ func granHash(g uint64) uint64 { return g * 0x9E3779B97F4A7C15 }
 // grow the table. It returns nothing on purpose: fetch the block with find
 // only after every ensure of the current instruction is done.
 func (t *granTab) ensure(g uint64) {
+	t.slot(g)
+}
+
+// ensureFind is ensure followed by find in one probe, for callers that
+// touch a single granule: the block stays valid until the next ensure or
+// reset.
+func (t *granTab) ensureFind(g uint64) []int64 {
+	i := t.slot(g)
+	return t.vals[i*t.stride : (i+1)*t.stride]
+}
+
+// slot is ensure returning the granule's slot index.
+func (t *granTab) slot(g uint64) int {
 	if t.n*4 >= len(t.keys)*3 {
 		t.grow()
 	}
@@ -72,15 +85,16 @@ func (t *granTab) ensure(g uint64) {
 		if t.gen[i] != t.cur {
 			t.keys[i] = g
 			t.gen[i] = t.cur
-			blk := t.vals[int(i)*t.stride : (int(i)+1)*t.stride]
-			for j := range blk {
-				blk[j] = 0
+			// An index loop, not clear: blocks are a few words, too short
+			// to pay for a memclr call.
+			for j := int(i) * t.stride; j < (int(i)+1)*t.stride; j++ {
+				t.vals[j] = 0
 			}
 			t.n++
-			return
+			return int(i)
 		}
 		if t.keys[i] == g {
-			return
+			return int(i)
 		}
 		i = (i + 1) & t.mask
 	}

@@ -7,8 +7,10 @@ import (
 
 // uopTmpl is the static part of one micro-op of a macro-op: everything
 // expand() derives from the instruction alone. The per-event fields
-// (addresses, dynamic load/store truth) are filled in at instantiation time
-// according to memKind.
+// (addresses, dynamic load/store truth) come from the event according to
+// memKind: Predecoded.expand instantiates them for the timing walk, and the
+// profiler reads them straight from the event while walking the templates
+// in place.
 type uopTmpl struct {
 	class   UopClass
 	srcs    [5]int16
@@ -40,7 +42,17 @@ type Predecoded struct {
 	tmplOff []int32
 	tmplCnt []uint8
 	tmpls   []uopTmpl
+
+	// pflags holds the instruction facts the profiler tests per event
+	// (pfJCC, pfCmp, pfMemALU), so it never loads the code.Instr.
+	pflags []uint8
 }
+
+const (
+	pfJCC    = 1 << iota // conditional branch: predicted, may end a fused pair
+	pfCmp                // CMP or TEST: may macro-fuse with a following JCC
+	pfMemALU             // load+op instruction (micro-fused pair)
+)
 
 // Predecode derives the dense per-instruction tables for p. Unimplemented
 // opcodes get a nil handler and fail only if executed, preserving the lazy
@@ -55,6 +67,7 @@ func Predecode(p *code.Program) *Predecoded {
 		tmplOff: make([]int32, n),
 		tmplCnt: make([]uint8, n),
 		tmpls:   make([]uopTmpl, 0, n+n/4),
+		pflags:  make([]uint8, n),
 	}
 	var zero Event
 	var buf [3]uopSpec
@@ -68,6 +81,15 @@ func Predecode(p *code.Program) *Predecoded {
 		pd.len[i] = uint8(coder.InstrLen(p, i))
 		pd.nuops[i] = uint8(in.NumUops())
 		pd.step[i] = stepTab[in.Op]
+		switch in.Op {
+		case code.JCC:
+			pd.pflags[i] |= pfJCC
+		case code.CMP, code.TEST:
+			pd.pflags[i] |= pfCmp
+		}
+		if in.MemSrcALU() {
+			pd.pflags[i] |= pfMemALU
+		}
 
 		// Derive the micro-op templates by running the oracle decomposition
 		// against a zeroed event: everything it reads from the event is

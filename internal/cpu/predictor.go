@@ -44,7 +44,7 @@ func NewPredictor(k PredictorKind) Predictor {
 	case PredGShare:
 		return newGShare()
 	default:
-		return &tournament{local: newLocal(), gshare: newGShare(), choice: newCounterTable(4096)}
+		return newTournament()
 	}
 }
 
@@ -149,6 +149,10 @@ type tournament struct {
 	choice *counterTable
 }
 
+func newTournament() *tournament {
+	return &tournament{local: newLocal(), gshare: newGShare(), choice: newCounterTable(4096)}
+}
+
 func (p *tournament) reset() {
 	p.local.reset()
 	p.gshare.reset()
@@ -170,16 +174,4 @@ func (p *tournament) Update(pc uint32, taken bool) {
 	}
 	p.local.Update(pc, taken)
 	p.gshare.Update(pc, taken)
-}
-
-// resetPredictor returns a pooled predictor to its as-constructed state.
-func resetPredictor(p Predictor) {
-	switch t := p.(type) {
-	case *local:
-		t.reset()
-	case *gshare:
-		t.reset()
-	case *tournament:
-		t.reset()
-	}
 }

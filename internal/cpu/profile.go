@@ -113,8 +113,8 @@ var (
 
 // Timestamp-lane layout of the flat profiler: one lane per ILP window, one
 // for the strict in-order chain, one for the real-latency chain. All lane
-// state (register ready times, granule store times) lives in flat arrays
-// indexed dep*numLanes+lane, replacing the per-window slices and the
+// state (register ready times, granule store times) lives in fixed-size
+// [numLanes]int64 rows, replacing the per-window slices and the
 // map[uint64][]int64 of the legacy profiler.
 const (
 	numLanes  = NumILPWindows + 2
@@ -126,49 +126,67 @@ const (
 	ringTotal   = ringRealOff + ringRealLen
 )
 
+// lanes is one timestamp per lane.
+type lanes = [numLanes]int64
+
 // ringOff[i] is the offset of window i's completion ring inside the
 // concatenated ring array; the ring length is ILPWindows[i] (a power of
 // two, so position is seq & (len-1)).
 var ringOff = [NumILPWindows]int{0, 16, 48, 112, 240}
 
+// classLat is latOf per micro-op class.
+var classLat = func() (t [NumUopClasses]int64) {
+	for c := range t {
+		t[c] = int64(latOf(UopClass(c)))
+	}
+	return t
+}()
+
 // profiler accumulates the profile during one functional run. Instances are
-// pooled (see profilerPool): all scratch — eight cache hierarchies, three
+// pooled (see profilerPool): all scratch — the cache models, three
 // predictors, the micro-op cache, the timestamp lanes, and the granule
 // table — is reset in place between runs instead of reallocated, which
 // removes the dominant allocation cost of a profiling pass.
 type profiler struct {
 	pd   *Predecoded
-	p    *code.Program
 	prof *Profile
 
-	preds [3]Predictor
-	// Cache scratch. Hierarchies that share an L1 option see the identical
-	// access stream, so one L1I per i-option and one L1D per d-option stand
-	// for all eight (i, d, l) hierarchies bit-exactly; only the L2s — whose
-	// miss streams depend on both L1 options — stay per-hierarchy.
+	local  *local
+	gshare *gshare
+	tourn  *tournament
+	// Cache scratch for the eight (i, d, l) hierarchies. Hierarchies that
+	// share an L1 option see the identical access stream, so one L1I per
+	// i-option and one L1D per d-option stand for all of them bit-exactly.
+	// The L2 miss stream depends only on (i, d), and the L2 options share
+	// their set count with nested associativity, so one LRU stack of the
+	// widest option per (i, d) answers every l through accessRank.
 	l1i           [2]*Cache
 	l1d           [2]*Cache
-	l2            [2][2][2]*Cache
+	l2            [2][2]*Cache
 	uc            *UopCache
-	missPos       [2][2][2]int64 // last data-miss uop position per hierarchy
-	missGrp       [2][2][2]int64 // miss groups per hierarchy
-	lastFetchLine uint64         // shared fetch-stream filter: every
+	missPos       [2]int64 // last data-miss uop position per L1D option
+	missGrp       [2]int64 // miss groups per L1D option
+	lastFetchLine uint64   // shared fetch-stream filter: every
 	// hierarchy sees the identical fetch stream, so one filter decides the
 	// line transition for all eight
 
 	// ILP tracking, one timestamp lane per window + in-order + real.
-	regReady [numDeps * numLanes]int64
+	regReady [numDeps]lanes
 	rings    [ringTotal]int64
 	gran     *granTab // store completion per 8-byte granule, per lane
 
 	inorderT   int64
 	seq        int64
 	totalLen   int64
-	mispredict [3]int64
+	mispredict [NumPredictors]int64
 	prevCmp    bool
 	prevIdx    int32
 	lastLat    int64 // data-access latency on the reference hierarchy
 }
+
+// l2Stack is the geometry of the per-(i, d) L2 stack: the widest option
+// (TestL2OptionsNestLRU pins that the options nest).
+var l2Stack = L2Options[len(L2Options)-1]
 
 // profilerPool recycles profiler scratch across profiling passes — the
 // "profile pool" that lets par.Map workers in eval reuse buffers.
@@ -181,36 +199,25 @@ var profilerPool = sync.Pool{}
 func newProfiler(pd *Predecoded, granHint int) *profiler {
 	pr, _ := profilerPool.Get().(*profiler)
 	if pr == nil {
-		pr = &profiler{}
-		for k := 0; k < 3; k++ {
-			pr.preds[k] = NewPredictor(PredictorKind(k))
-		}
+		pr = &profiler{local: newLocal(), gshare: newGShare(), tourn: newTournament()}
 		for i := 0; i < 2; i++ {
 			pr.l1i[i] = NewCache(L1IOptions[i])
 			pr.l1d[i] = NewCache(L1DOptions[i])
-		}
-		for i := 0; i < 2; i++ {
 			for d := 0; d < 2; d++ {
-				for l := 0; l < 2; l++ {
-					pr.l2[i][d][l] = NewCache(L2Options[l])
-				}
+				pr.l2[i][d] = NewCache(l2Stack)
 			}
 		}
 		pr.uc = NewUopCache()
 		pr.gran = newGranTab(numLanes, granHint)
 	} else {
-		for k := 0; k < 3; k++ {
-			resetPredictor(pr.preds[k])
-		}
+		pr.local.reset()
+		pr.gshare.reset()
+		pr.tourn.reset()
 		for i := 0; i < 2; i++ {
 			pr.l1i[i].Reset()
 			pr.l1d[i].Reset()
-		}
-		for i := 0; i < 2; i++ {
 			for d := 0; d < 2; d++ {
-				for l := 0; l < 2; l++ {
-					pr.l2[i][d][l].Reset()
-				}
+				pr.l2[i][d].Reset()
 			}
 		}
 		pr.uc.Reset()
@@ -219,19 +226,12 @@ func newProfiler(pd *Predecoded, granHint int) *profiler {
 		clear(pr.rings[:])
 		pr.lastFetchLine = 0
 		pr.inorderT, pr.seq, pr.totalLen = 0, 0, 0
-		pr.mispredict = [3]int64{}
+		pr.mispredict = [NumPredictors]int64{}
 		pr.prevCmp, pr.prevIdx, pr.lastLat = false, 0, 0
 	}
-	for i := 0; i < 2; i++ {
-		for d := 0; d < 2; d++ {
-			for l := 0; l < 2; l++ {
-				pr.missPos[i][d][l] = -1 << 40
-				pr.missGrp[i][d][l] = 0
-			}
-		}
-	}
+	pr.missPos = [2]int64{-1 << 40, -1 << 40}
+	pr.missGrp = [2]int64{}
 	pr.pd = pd
-	pr.p = pd.P
 	pr.prof = &Profile{
 		Name:          pd.P.Name,
 		X86Complexity: pd.P.FS.Complexity == isa.FullX86,
@@ -245,13 +245,14 @@ func newProfiler(pd *Predecoded, granHint int) *profiler {
 // release returns the profiler's scratch to the pool. The finished Profile
 // is independent of the scratch and stays valid.
 func (pr *profiler) release() {
-	pr.pd, pr.p, pr.prof = nil, nil, nil
+	pr.pd, pr.prof = nil, nil
 	profilerPool.Put(pr)
 }
 
 // Consume feeds one executed instruction.
 func (pr *profiler) Consume(ev *Event) {
-	in := &pr.p.Instrs[ev.Idx]
+	pd := pr.pd
+	pf := pd.pflags[ev.Idx]
 	prof := pr.prof
 	prof.Instrs++
 	prof.Uops += int64(ev.Uops)
@@ -262,7 +263,7 @@ func (pr *profiler) Consume(ev *Event) {
 	if ev.IsStore {
 		prof.Stores++
 	}
-	if in.MemSrcALU() {
+	if pf&pfMemALU != 0 {
 		prof.MemALUOps++
 	}
 
@@ -275,9 +276,10 @@ func (pr *profiler) Consume(ev *Event) {
 	dataAccess := (ev.IsLoad || ev.IsStore) && !ev.PredOff
 	if newLine || dataAccess {
 		// One lookup per distinct L1 option decides the hit for every
-		// hierarchy sharing it; the L2s still see their own per-hierarchy
-		// streams (instruction access before data access, as before).
-		var hitI, hitD [2]bool
+		// hierarchy sharing it. An access that hits every L1 it looks up
+		// touches no L2 and no miss counter, so only a miss walks the
+		// hierarchies.
+		hitI, hitD := [2]bool{true, true}, [2]bool{true, true}
 		if newLine {
 			hitI[0] = pr.l1i[0].Access(uint64(ev.PC))
 			hitI[1] = pr.l1i[1].Access(uint64(ev.PC))
@@ -285,41 +287,12 @@ func (pr *profiler) Consume(ev *Event) {
 		if dataAccess {
 			hitD[0] = pr.l1d[0].Access(ev.MemAddr)
 			hitD[1] = pr.l1d[1].Access(ev.MemAddr)
-		}
-		for i := 0; i < 2; i++ {
-			for d := 0; d < 2; d++ {
-				for l := 0; l < 2; l++ {
-					mp := &prof.Mem[i][d][l]
-					if newLine && !hitI[i] {
-						mp.L1IMisses++
-						pr.l2[i][d][l].Access(uint64(ev.PC))
-					}
-					if dataAccess {
-						if hitD[d] {
-							if i == 0 && d == 0 && l == 0 {
-								pr.lastLat = LatL1
-							}
-						} else {
-							mp.L1DMisses++
-							if pr.l2[i][d][l].Access(ev.MemAddr) {
-								if i == 0 && d == 0 && l == 0 {
-									pr.lastLat = LatL2
-								}
-							} else {
-								mp.L2Misses++
-								if i == 0 && d == 0 && l == 0 {
-									pr.lastLat = LatMem
-								}
-							}
-							// Miss clustering for MLP.
-							if prof.Uops-pr.missPos[i][d][l] > 64 {
-								pr.missGrp[i][d][l]++
-							}
-							pr.missPos[i][d][l] = prof.Uops
-						}
-					}
-				}
+			if hitD[0] {
+				pr.lastLat = LatL1 // the reference hierarchy's L1D is option 0
 			}
+		}
+		if !(hitI[0] && hitI[1] && hitD[0] && hitD[1]) {
+			pr.missAccess(ev, hitI, hitD)
 		}
 	}
 
@@ -327,90 +300,104 @@ func (pr *profiler) Consume(ev *Event) {
 	pr.uc.Access(ev.PC, int(ev.Uops))
 
 	// Branch predictors (and macro-fusion pairing).
-	if in.Op == code.JCC {
+	if pf&pfJCC != 0 {
 		if pr.prevCmp && ev.Idx == pr.prevIdx+1 {
 			prof.FusedBranches++
 		}
 		prof.Branches++
-		if ev.Taken {
+		pc, taken := ev.PC, ev.Taken
+		if taken {
 			prof.Taken++
 		}
-		for k := 0; k < 3; k++ {
-			if pr.preds[k].Predict(ev.PC) != ev.Taken {
-				pr.mispredict[k]++
-			}
-			pr.preds[k].Update(ev.PC, ev.Taken)
+		if pr.local.Predict(pc) != taken {
+			pr.mispredict[PredLocal]++
 		}
+		pr.local.Update(pc, taken)
+		if pr.gshare.Predict(pc) != taken {
+			pr.mispredict[PredGShare]++
+		}
+		pr.gshare.Update(pc, taken)
+		if pr.tourn.Predict(pc) != taken {
+			pr.mispredict[PredTournament]++
+		}
+		pr.tourn.Update(pc, taken)
 	}
 
-	pr.prevCmp = in.Op == code.CMP || in.Op == code.TEST
+	pr.prevCmp = pf&pfCmp != 0
 	pr.prevIdx = ev.Idx
 
-	// Dependence-limited ILP at each window size.
-	var buf [3]uopSpec
-	uops := pr.pd.expand(ev, buf[:0])
-	for ui := range uops {
-		u := &uops[ui]
-		prof.UopsByClass[u.class]++
-		if ev.PredOff {
-			prof.PredOffUops++
+	// Dependence-limited ILP at each window size, walking the static
+	// micro-op templates in place: the event supplies the address, size
+	// and (for tmplMemDyn) the load/store truth, as Predecoded.expand does.
+	off := int(pd.tmplOff[ev.Idx])
+	tmpls := pd.tmpls[off : off+int(pd.tmplCnt[ev.Idx])]
+	if ev.PredOff {
+		prof.PredOffUops += int64(len(tmpls))
+	}
+	for ti := range tmpls {
+		tm := &tmpls[ti]
+		var isLoad, isStore bool
+		switch tm.memKind {
+		case tmplMemFold:
+			isLoad = true
+		case tmplMemDyn:
+			isLoad, isStore = ev.IsLoad, ev.IsStore
 		}
-		lat := int64(latOf(u.class))
-		if u.isLoad {
+		prof.UopsByClass[tm.class]++
+		lat := classLat[tm.class]
+		if isLoad {
 			lat = LatL1
 		}
 		// Memory dependences (store-to-load, e.g. spill traffic). Granule
 		// chunks hold one timestamp per lane; ensure every granule before
 		// fetching any chunk, because an insert may grow the table and
 		// move previously fetched blocks.
-		memTracked := (u.isLoad || u.isStore) && !ev.PredOff
-		var grans [3]uint64
-		var chunks [3][]int64
+		memTracked := (isLoad || isStore) && !ev.PredOff
+		var chunks [3]*lanes
 		ngran := 0
 		if memTracked {
-			forEachGranule(u.addr, u.msz, func(g uint64) {
-				grans[ngran] = g
-				ngran++
-				pr.gran.ensure(g)
-			})
-			for gi := 0; gi < ngran; gi++ {
-				chunks[gi] = pr.gran.find(grans[gi])
+			sz := uint64(ev.MemSz)
+			if sz == 0 {
+				sz = 8
 			}
-		}
-		memLoad := memTracked && u.isLoad
-		memStore := memTracked && u.isStore
-		// Operand-ready time per lane. A dep's lanes are contiguous in
-		// regReady, so one pass per source folds all seven lanes at once;
-		// lanes touch disjoint state, so reading them all before any lane
-		// writes is equivalent to the per-lane interleaving.
-		var tl, comp [numLanes]int64
-		tl[laneInOrd] = pr.inorderT // in-order chain starts at program order
-		for i := 0; i < u.nsrcs; i++ {
-			b := int(u.srcs[i]) * numLanes
-			for ln := 0; ln < numLanes; ln++ {
-				if r := pr.regReady[b+ln]; r > tl[ln] {
-					tl[ln] = r
+			first := ev.MemAddr >> 3
+			last := (ev.MemAddr + sz - 1) >> 3
+			if first == last {
+				chunks[0] = (*lanes)(pr.gran.ensureFind(first))
+				ngran = 1
+			} else {
+				for g := first; g <= last; g++ {
+					pr.gran.ensure(g)
+				}
+				for g := first; g <= last; g++ {
+					chunks[ngran] = (*lanes)(pr.gran.find(g))
+					ngran++
 				}
 			}
 		}
-		if memLoad {
-			for gi := 0; gi < ngran; gi++ {
-				ch := chunks[gi]
-				for ln := 0; ln < numLanes; ln++ {
-					if r := ch[ln]; r > tl[ln] {
-						tl[ln] = r
-					}
+		// Operand-ready time per lane. A dep's lanes are one row of
+		// regReady, so one pass per source folds all seven lanes at once;
+		// lanes touch disjoint state, so reading them all before any lane
+		// writes is equivalent to the per-lane interleaving.
+		var tl, comp lanes
+		tl[laneInOrd] = pr.inorderT // in-order chain starts at program order
+		for _, src := range tm.srcs[:tm.nsrcs] {
+			row := &pr.regReady[src]
+			for ln := range tl {
+				tl[ln] = max(tl[ln], row[ln])
+			}
+		}
+		if memTracked && isLoad {
+			for _, ch := range chunks[:ngran] {
+				for ln := range tl {
+					tl[ln] = max(tl[ln], ch[ln])
 				}
 			}
 		}
 		for wi := 0; wi < NumILPWindows; wi++ {
-			t := tl[wi]
 			// Window constraint: the uop W back must have completed.
 			slot := ringOff[wi] + int(pr.seq&int64(ILPWindows[wi]-1))
-			if old := pr.rings[slot]; old > t {
-				t = old
-			}
-			c := t + lat
+			c := max(tl[wi], pr.rings[slot]) + lat
 			pr.rings[slot] = c
 			comp[wi] = c
 		}
@@ -421,31 +408,74 @@ func (pr *profiler) Consume(ev *Event) {
 		// hierarchy, for the dependence-aware memory-overlap measure.
 		{
 			rlat := lat
-			if u.isLoad && !ev.PredOff {
+			if isLoad && !ev.PredOff {
 				rlat = pr.lastLat
 			}
-			t := tl[laneReal]
 			slot := ringRealOff + int(pr.seq&(ringRealLen-1))
-			if old := pr.rings[slot]; old > t {
-				t = old
-			}
-			rcomp := t + rlat
-			pr.rings[slot] = rcomp
-			comp[laneReal] = rcomp
+			c := max(tl[laneReal], pr.rings[slot]) + rlat
+			pr.rings[slot] = c
+			comp[laneReal] = c
 		}
-		if u.dst >= 0 {
-			b := int(u.dst) * numLanes
-			copy(pr.regReady[b:b+numLanes], comp[:])
+		if tm.dst >= 0 {
+			pr.regReady[tm.dst] = comp
 		}
-		if u.dstFlag {
-			copy(pr.regReady[depFlags*numLanes:(depFlags+1)*numLanes], comp[:])
+		if tm.dstFlag {
+			pr.regReady[depFlags] = comp
 		}
-		if memStore {
-			for gi := 0; gi < ngran; gi++ {
-				copy(chunks[gi], comp[:])
+		if memTracked && isStore {
+			for _, ch := range chunks[:ngran] {
+				*ch = comp
 			}
 		}
 		pr.seq++
+	}
+}
+
+// missAccess walks the eight hierarchies for an event that missed at least
+// one L1 it looked up (hitI/hitD are true for L1s not looked up): L1 miss
+// counts, the per-(i, d) L2 stacks (instruction access before data access,
+// as in each hierarchy), L2 misses per option, the reference hierarchy's
+// data latency on an L1D miss, and miss clustering.
+func (pr *profiler) missAccess(ev *Event, hitI, hitD [2]bool) {
+	for i := 0; i < 2; i++ {
+		for d := 0; d < 2; d++ {
+			mps, l2 := &pr.prof.Mem[i][d], pr.l2[i][d]
+			if !hitI[i] {
+				for l := range mps {
+					mps[l].L1IMisses++
+				}
+				l2.Access(uint64(ev.PC))
+			}
+			if hitD[d] {
+				continue
+			}
+			rank := l2.accessRank(ev.MemAddr)
+			for l, cfg := range L2Options {
+				mps[l].L1DMisses++
+				hit := rank >= 0 && rank < cfg.Assoc
+				if !hit {
+					mps[l].L2Misses++
+				}
+				if i == 0 && d == 0 && l == 0 {
+					if hit {
+						pr.lastLat = LatL2
+					} else {
+						pr.lastLat = LatMem
+					}
+				}
+			}
+		}
+	}
+	// Miss clustering for MLP depends only on the L1D option.
+	uops := pr.prof.Uops
+	for d := 0; d < 2; d++ {
+		if hitD[d] {
+			continue
+		}
+		if uops-pr.missPos[d] > 64 {
+			pr.missGrp[d]++
+		}
+		pr.missPos[d] = uops
 	}
 }
 
@@ -455,7 +485,7 @@ func (pr *profiler) Finish() *Profile {
 	if prof.Instrs > 0 {
 		prof.AvgInstrLen = float64(pr.totalLen) / float64(prof.Instrs)
 	}
-	for k := 0; k < 3; k++ {
+	for k := range pr.mispredict {
 		rate := 0.0
 		if prof.Branches > 0 {
 			rate = float64(pr.mispredict[k]) / float64(prof.Branches)
@@ -475,7 +505,7 @@ func (pr *profiler) Finish() *Profile {
 	// In-order horizon: max regReady on the in-order lane.
 	maxT := pr.inorderT + 1
 	for r := 0; r < numDeps; r++ {
-		if t := pr.regReady[r*numLanes+laneInOrd]; t > maxT {
+		if t := pr.regReady[r][laneInOrd]; t > maxT {
 			maxT = t
 		}
 	}
@@ -504,8 +534,8 @@ func (pr *profiler) Finish() *Profile {
 		for d := 0; d < 2; d++ {
 			for l := 0; l < 2; l++ {
 				mp := &prof.Mem[i][d][l]
-				if pr.missGrp[i][d][l] > 0 {
-					mp.DataMLP = float64(mp.L1DMisses) / float64(pr.missGrp[i][d][l])
+				if pr.missGrp[d] > 0 {
+					mp.DataMLP = float64(mp.L1DMisses) / float64(pr.missGrp[d])
 					if mp.DataMLP < 1 {
 						mp.DataMLP = 1
 					}
