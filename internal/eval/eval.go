@@ -19,8 +19,6 @@ import (
 	"context"
 	"errors"
 	"time"
-
-	"compisa/internal/cpu"
 )
 
 // MaxRegionInstrs bounds each region's functional execution; the domain
@@ -66,23 +64,6 @@ func (p Policy) WithDefaults() Policy {
 	}
 	return p
 }
-
-// Evaluator is the seam between the evaluation layer and the domain layer:
-// everything the searches and experiment drivers need from the pipeline.
-// *DB is the canonical implementation; tests substitute lightweight fakes.
-type Evaluator interface {
-	// Profiles returns per-region profiles for an ISA choice (nil slots
-	// mark quarantined pairs).
-	Profiles(ctx context.Context, c ISAChoice) ([]*cpu.Profile, error)
-	// ReferenceMetrics returns the memoized normalization baseline.
-	ReferenceMetrics(ctx context.Context) ([]Metric, error)
-	// Evaluate scores one design point against ref.
-	Evaluate(ctx context.Context, dp DesignPoint, ref []Metric) (*Candidate, error)
-	// Candidates scores the cross product of choices and configurations.
-	Candidates(ctx context.Context, choices []ISAChoice, cfgs []cpu.CoreConfig, ref []Metric) ([]*Candidate, error)
-}
-
-var _ Evaluator = (*DB)(nil)
 
 // isCtxErr reports whether err stems from context cancellation or deadline
 // expiry (the two failures graceful degradation must not swallow).

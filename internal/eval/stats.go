@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 
 	"compisa/internal/metrics"
@@ -10,33 +11,34 @@ import (
 // Stats instruments the evaluation pipeline: per-stage work counters and
 // duration histograms, plus hit/miss counters for both cache tiers. All
 // fields are lock-free and safe for concurrent use; a DB carries one Stats
-// and must not be copied.
+// and must not be copied. Tags declare /metrics; keep families contiguous.
 type Stats struct {
-	// Profiling stage.
-	Compiles metrics.Counter // region builds + backend compilations attempted
-	Verifies metrics.Counter // static-conformance verifications run
-	Execs    metrics.Counter // functional executions attempted
+	// Stage work (ModelEvals: one per live region per design point).
+	Compiles   metrics.Counter `metric:"compisa_eval_stage_total" labels:"stage=compile" help:"Pipeline stage executions."`
+	Verifies   metrics.Counter `metric:"compisa_eval_stage_total" labels:"stage=verify" help:"Pipeline stage executions."`
+	Execs      metrics.Counter `metric:"compisa_eval_stage_total" labels:"stage=exec" help:"Pipeline stage executions."`
+	ModelEvals metrics.Counter `metric:"compisa_eval_stage_total" labels:"stage=model" help:"Pipeline stage executions."`
+	// Cache tiers: profile (ISA key) and candidate (ISA key, canonical config).
+	ProfileHits     metrics.Counter `metric:"compisa_eval_cache_total" labels:"tier=profile,outcome=hit" help:"Cache tier outcomes."`
+	ProfileMisses   metrics.Counter `metric:"compisa_eval_cache_total" labels:"tier=profile,outcome=miss" help:"Cache tier outcomes."`
+	CandidateHits   metrics.Counter `metric:"compisa_eval_cache_total" labels:"tier=candidate,outcome=hit" help:"Cache tier outcomes."`
+	CandidateMisses metrics.Counter `metric:"compisa_eval_cache_total" labels:"tier=candidate,outcome=miss" help:"Cache tier outcomes."`
 	// VerifyFindings counts conformance violations the verification stage
 	// found (every one turns the evaluation into a StageVerify fault, so a
 	// non-zero count on a clean compiler is a codegen bug).
-	VerifyFindings metrics.Counter
-	// Scoring stage.
-	ModelEvals metrics.Counter // perfmodel evaluations (one per live region per design point)
-	// Cache tiers.
-	ProfileHits, ProfileMisses     metrics.Counter // profile tier (ISA key)
-	CandidateHits, CandidateMisses metrics.Counter // candidate tier (ISA key, canonical config)
+	VerifyFindings metrics.Counter `metric:"compisa_eval_verify_findings_total" help:"Conformance violations found by the verify stage."`
 	// Fault handling.
-	Retries         metrics.Counter
-	Quarantines     metrics.Counter
-	DegradedRegions metrics.Counter // regions scored at the Policy penalties
+	Retries         metrics.Counter `metric:"compisa_eval_retries_total" help:"Faulted stages retried."`
+	Quarantines     metrics.Counter `metric:"compisa_eval_quarantines_total" help:"(region, ISA) pairs quarantined."`
+	DegradedRegions metrics.Counter `metric:"compisa_eval_degraded_regions_total" help:"Regions scored at the Policy penalties."`
 	// Durable tier (the write-through Persist hook).
-	Persisted     metrics.Counter // candidates written through to the store
-	PersistErrors metrics.Counter // write-throughs that failed (durability degraded)
-	// Stage timings.
-	CompileTime metrics.Histogram // successful build+compile passes
-	VerifyTime  metrics.Histogram // static-conformance verification passes
-	ExecTime    metrics.Histogram // successful functional executions
-	ModelTime   metrics.Histogram // per-candidate scoring passes (all regions)
+	Persisted     metrics.Counter `metric:"compisa_eval_persisted_total" help:"Candidates written through to the durable store."`
+	PersistErrors metrics.Counter `metric:"compisa_eval_persist_errors_total" help:"Candidate write-throughs that failed."`
+	// Stage timings (ModelTime: one per candidate, all regions).
+	CompileTime metrics.Histogram `metric:"compisa_eval_stage_duration_seconds" labels:"stage=compile" help:"Stage timings."`
+	VerifyTime  metrics.Histogram `metric:"compisa_eval_stage_duration_seconds" labels:"stage=verify" help:"Stage timings."`
+	ExecTime    metrics.Histogram `metric:"compisa_eval_stage_duration_seconds" labels:"stage=exec" help:"Stage timings."`
+	ModelTime   metrics.Histogram `metric:"compisa_eval_stage_duration_seconds" labels:"stage=model" help:"Stage timings."`
 }
 
 // StatsSnapshot is a point-in-time, serializable copy of Stats; it rides in
@@ -64,63 +66,14 @@ type StatsSnapshot struct {
 }
 
 // Snapshot copies the current counters and histograms.
-func (s *Stats) Snapshot() StatsSnapshot {
-	return StatsSnapshot{
-		Compiles:        s.Compiles.Load(),
-		Verifies:        s.Verifies.Load(),
-		VerifyFindings:  s.VerifyFindings.Load(),
-		Execs:           s.Execs.Load(),
-		ModelEvals:      s.ModelEvals.Load(),
-		ProfileHits:     s.ProfileHits.Load(),
-		ProfileMisses:   s.ProfileMisses.Load(),
-		CandidateHits:   s.CandidateHits.Load(),
-		CandidateMisses: s.CandidateMisses.Load(),
-		Retries:         s.Retries.Load(),
-		Quarantines:     s.Quarantines.Load(),
-		DegradedRegions: s.DegradedRegions.Load(),
-		Persisted:       s.Persisted.Load(),
-		PersistErrors:   s.PersistErrors.Load(),
-		CompileTime:     s.CompileTime.Snapshot(),
-		VerifyTime:      s.VerifyTime.Snapshot(),
-		ExecTime:        s.ExecTime.Snapshot(),
-		ModelTime:       s.ModelTime.Snapshot(),
-	}
-}
+func (s *Stats) Snapshot() StatsSnapshot { return metrics.Snapshot[StatsSnapshot](s) }
 
 // Merge adds a snapshot's counts into the live stats (checkpoint resume).
-func (s *Stats) Merge(sn StatsSnapshot) {
-	s.Compiles.Add(sn.Compiles)
-	s.Verifies.Add(sn.Verifies)
-	s.VerifyFindings.Add(sn.VerifyFindings)
-	s.Execs.Add(sn.Execs)
-	s.ModelEvals.Add(sn.ModelEvals)
-	s.ProfileHits.Add(sn.ProfileHits)
-	s.ProfileMisses.Add(sn.ProfileMisses)
-	s.CandidateHits.Add(sn.CandidateHits)
-	s.CandidateMisses.Add(sn.CandidateMisses)
-	s.Retries.Add(sn.Retries)
-	s.Quarantines.Add(sn.Quarantines)
-	s.DegradedRegions.Add(sn.DegradedRegions)
-	s.Persisted.Add(sn.Persisted)
-	s.PersistErrors.Add(sn.PersistErrors)
-	s.CompileTime.Merge(sn.CompileTime)
-	s.VerifyTime.Merge(sn.VerifyTime)
-	s.ExecTime.Merge(sn.ExecTime)
-	s.ModelTime.Merge(sn.ModelTime)
-}
+func (s *Stats) Merge(sn StatsSnapshot) { metrics.Merge(s, sn) }
 
 // IsZero reports whether the snapshot records no activity at all (used to
 // keep empty stats out of checkpoint files).
-func (sn StatsSnapshot) IsZero() bool {
-	return sn.Compiles == 0 && sn.Verifies == 0 && sn.VerifyFindings == 0 &&
-		sn.Execs == 0 && sn.ModelEvals == 0 &&
-		sn.ProfileHits == 0 && sn.ProfileMisses == 0 &&
-		sn.CandidateHits == 0 && sn.CandidateMisses == 0 &&
-		sn.Retries == 0 && sn.Quarantines == 0 && sn.DegradedRegions == 0 &&
-		sn.Persisted == 0 && sn.PersistErrors == 0 &&
-		sn.CompileTime.Count == 0 && sn.VerifyTime.Count == 0 &&
-		sn.ExecTime.Count == 0 && sn.ModelTime.Count == 0
-}
+func (sn StatsSnapshot) IsZero() bool { return reflect.ValueOf(sn).IsZero() }
 
 // Format renders the snapshot for `compose-explore -stats`: per-stage
 // counts and timings plus cache hit rates per tier.

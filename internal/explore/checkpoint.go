@@ -20,6 +20,7 @@ import (
 	"compisa/internal/atomicfile"
 	"compisa/internal/cpu"
 	"compisa/internal/eval"
+	"compisa/internal/metrics"
 )
 
 // ErrCheckpointCorrupt wraps every checkpoint failure that a retry cannot
@@ -106,7 +107,8 @@ func (st *CheckpointState) RestoreSearcher(s *Searcher) {
 // LoadCheckpoint reads a checkpoint file; a missing file yields (nil, nil).
 // Only the current version loads: older files predate the struct-of-arrays
 // profile schema and decode incorrectly, so they are reported as
-// ErrCheckpointCorrupt (RecoverCheckpoint quarantines them and starts cold).
+// ErrCheckpointCorrupt (RecoverCheckpoint quarantines them and starts cold),
+// as is a stats block holding a negative count, sum or bucket.
 func LoadCheckpoint(path string) (*CheckpointState, error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -122,6 +124,9 @@ func LoadCheckpoint(path string) (*CheckpointState, error) {
 	if st.Version != checkpointVersion {
 		return nil, fmt.Errorf("explore: checkpoint %s: %w: version %d, want %d",
 			path, ErrCheckpointCorrupt, st.Version, checkpointVersion)
+	}
+	if err := metrics.CheckSnapshot(st.Stats); err != nil {
+		return nil, fmt.Errorf("explore: checkpoint %s: %w: %w", path, ErrCheckpointCorrupt, err)
 	}
 	return &st, nil
 }

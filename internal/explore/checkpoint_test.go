@@ -6,6 +6,7 @@ package explore
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -51,6 +52,11 @@ func TestLoadCheckpointCorruptTyped(t *testing.T) {
 		// mispredict curves were JSON objects, not arrays) and must be
 		// quarantined, not silently misread.
 		{"stale-version", []byte(`{"version":2,"profiles":{}}`)},
+		// Live metrics only grow: a negative count, sum or bucket in the
+		// stats block cannot come from a run.
+		{"negative-count", []byte(fmt.Sprintf(`{"version":%d,"profiles":{},"stats":{"compiles":-1}}`, checkpointVersion))},
+		{"negative-bucket", []byte(fmt.Sprintf(
+			`{"version":%d,"profiles":{},"stats":{"exec_time":{"count":1,"sum_ns":5,"buckets":[2,-1]}}}`, checkpointVersion))},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -58,6 +64,9 @@ func TestLoadCheckpointCorruptTyped(t *testing.T) {
 			_, err := LoadCheckpoint(path)
 			if !errors.Is(err, ErrCheckpointCorrupt) {
 				t.Fatalf("LoadCheckpoint(%s) = %v, want ErrCheckpointCorrupt", tc.name, err)
+			}
+			if st, q, err := RecoverCheckpoint(path); st != nil || q != path+".corrupt" || err != nil {
+				t.Fatalf("RecoverCheckpoint(%s) = (%v, %q, %v), want quarantine to %s.corrupt", tc.name, st, q, err, path)
 			}
 		})
 	}
@@ -123,6 +132,23 @@ func TestRecoverCheckpointPassesThrough(t *testing.T) {
 	st, q, err = RecoverCheckpoint(filepath.Join(t.TempDir(), "absent.json"))
 	if err != nil || q != "" || st != nil {
 		t.Fatalf("missing: (%v, %q, %v)", st, q, err)
+	}
+}
+
+// TestLoadCheckpointIgnoresRetiredStats: a checkpoint written while the
+// stats block still carried the template JIT's counters (jit_* keys) keeps
+// loading, and its surviving counters restore.
+func TestLoadCheckpointIgnoresRetiredStats(t *testing.T) {
+	path := writeCheckpointFile(t, []byte(fmt.Sprintf(`{"version":%d,"profiles":{},"stats":{"compiles":3,`+
+		`"jit_regions":5,"jit_runs":4,"jit_deopts":1,"jit_bailouts":1,"execs":2}}`, checkpointVersion)))
+	st, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := NewDB()
+	st.RestoreDB(db)
+	if sn := db.StatsSnapshot(); sn.Compiles != 3 || sn.Execs != 2 {
+		t.Fatalf("restored stats = %+v, want compiles=3 execs=2", sn)
 	}
 }
 

@@ -1,0 +1,61 @@
+package explore
+
+import (
+	"hash/fnv"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+	"time"
+
+	"compisa/internal/metrics"
+)
+
+// fillStats gives every Counter and Histogram field of s a value derived
+// from the field's name alone, so the fixture does not depend on field
+// order.
+func fillStats(s *Stats) {
+	rv := reflect.ValueOf(s).Elem()
+	for i := 0; i < rv.NumField(); i++ {
+		h := fnv.New32a()
+		h.Write([]byte(rv.Type().Field(i).Name))
+		n := int64(h.Sum32() % 1000)
+		switch f := rv.Field(i).Addr().Interface().(type) {
+		case *metrics.Counter:
+			f.Add(n + 1)
+		case *metrics.Histogram:
+			f.Observe(time.Duration(n+1) * time.Microsecond)
+			f.Observe(time.Duration(n%7+1) * time.Millisecond)
+		}
+	}
+}
+
+// TestStatsOutputsGolden pins the two persistent renderings of a fixed
+// Stats: the checkpoint JSON written by Export → SaveCheckpoint (older
+// checkpoints must keep loading, newer readers must keep parsing ours) and
+// the -stats text layout.
+func TestStatsOutputsGolden(t *testing.T) {
+	db := NewDB()
+	fillStats(&db.Stats)
+
+	path := filepath.Join(t.TempDir(), "ckpt.json")
+	if err := SaveCheckpoint(path, Snapshot(db, nil)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ file, got string }{
+		{"testdata/checkpoint_stats.golden.json", string(got)},
+		{"testdata/stats_format.golden", db.StatsSnapshot().Format()},
+	} {
+		want, err := os.ReadFile(tc.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.got != string(want) {
+			t.Errorf("output drifted from %s:\n--- got ---\n%s", tc.file, tc.got)
+		}
+	}
+}

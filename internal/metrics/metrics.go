@@ -4,10 +4,17 @@
 // paths (one atomic add per event), and snapshot into plain serializable
 // values so pipeline statistics can be printed (`compose-explore -stats`)
 // and carried across checkpoint/resume.
+//
+// A stats struct declares each metric once, as a Counter or Histogram field
+// tagged with its Prometheus family (metric), help text (help) and optional
+// labels (labels:"k=v,k=v"). Snapshot, Merge and PromWriter.Struct walk
+// those fields, so no other list of the metrics exists; updates stay direct
+// field operations.
 package metrics
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -104,15 +111,13 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 }
 
 // Merge adds a snapshot's counts into the histogram (checkpoint resume
-// accumulates the prior run's statistics this way).
+// accumulates the prior run's statistics this way). Buckets past the last
+// fold into the overflow bucket, so the buckets still sum to the count.
 func (h *Histogram) Merge(s HistogramSnapshot) {
 	h.count.Add(s.Count)
 	h.sumNS.Add(s.SumNS)
 	for i, n := range s.Buckets {
-		if i >= numBuckets {
-			break
-		}
-		h.buckets[i].Add(n)
+		h.buckets[min(i, numBuckets-1)].Add(n)
 	}
 }
 
@@ -134,10 +139,8 @@ func (s HistogramSnapshot) Quantile(q float64) time.Duration {
 	if s.Count == 0 || q <= 0 {
 		return 0
 	}
-	rank := int64(q * float64(s.Count))
-	if rank < 1 {
-		rank = 1
-	}
+	// The q-th quantile is the ceil(q·N)-th smallest observation.
+	rank := int64(math.Ceil(q * float64(s.Count)))
 	var seen int64
 	for i, n := range s.Buckets {
 		seen += n

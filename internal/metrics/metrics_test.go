@@ -132,11 +132,45 @@ func TestHistogramMergeAndJSON(t *testing.T) {
 		t.Fatalf("merged Sum = %v, want %v", s.Sum(), want)
 	}
 	// Over-long bucket slices (a future format with more buckets) must not
-	// panic; extra buckets are dropped.
+	// panic; extra buckets fold into the overflow bucket, so the buckets
+	// still sum to the count.
+	over := HistogramSnapshot{Count: numBuckets + 6, SumNS: 1, Buckets: make([]int64, numBuckets+6)}
+	for i := range over.Buckets {
+		over.Buckets[i] = 1
+	}
 	var c Histogram
-	c.Merge(HistogramSnapshot{Count: 1, SumNS: 1, Buckets: make([]int64, numBuckets+8)})
-	if c.Snapshot().Count != 1 {
-		t.Fatal("merge with oversized bucket slice lost the count")
+	c.Merge(over)
+	cs := c.Snapshot()
+	var total int64
+	for _, n := range cs.Buckets {
+		total += n
+	}
+	if cs.Count != over.Count || total != cs.Count || cs.Buckets[numBuckets-1] != 7 {
+		t.Fatalf("merged oversized snapshot: count=%d bucket sum=%d buckets=%v", cs.Count, total, cs.Buckets)
+	}
+}
+
+// TestQuantileRank: the q-th quantile is the ceil(q·N)-th observation, so
+// the slowest of two observations is the p99.
+func TestQuantileRank(t *testing.T) {
+	up := func(d time.Duration) time.Duration { return BucketUpper(bucketOf(d)) }
+	cases := []struct {
+		obs           []time.Duration
+		p50, p99, max time.Duration
+	}{
+		{[]time.Duration{2 * time.Microsecond}, 4 * time.Microsecond, 4 * time.Microsecond, 4 * time.Microsecond},
+		{[]time.Duration{2 * time.Microsecond, time.Second}, 4 * time.Microsecond, up(time.Second), up(time.Second)},
+		{[]time.Duration{2 * time.Microsecond, time.Millisecond, time.Second}, up(time.Millisecond), up(time.Second), up(time.Second)},
+	}
+	for _, tc := range cases {
+		var h Histogram
+		for _, d := range tc.obs {
+			h.Observe(d)
+		}
+		s := h.Snapshot()
+		if p50, p99, max := s.Quantile(0.5), s.Quantile(0.99), s.Quantile(1); p50 != tc.p50 || p99 != tc.p99 || max != tc.max {
+			t.Errorf("N=%d: p50=%v p99=%v p100=%v, want %v %v %v", len(tc.obs), p50, p99, max, tc.p50, tc.p99, tc.max)
+		}
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 type PromWriter struct {
 	w      io.Writer
 	err    error
+	family string          // family of the latest sample
 	headed map[string]bool // families whose HELP/TYPE header is already out
 }
 
@@ -33,11 +34,15 @@ func (p *PromWriter) Err() error { return p.err }
 
 // header emits the HELP/TYPE preamble once per metric family: the format
 // allows a family's samples to differ only in labels, never to repeat the
-// header between them.
+// header between them or to interleave them with another family's.
 func (p *PromWriter) header(name, help, kind string) {
-	if p.headed[name] {
+	if name == p.family {
 		return
 	}
+	if p.headed[name] && p.err == nil {
+		p.err = fmt.Errorf("metrics: family %s resumed after %s; a family's samples must be contiguous", name, p.family)
+	}
+	p.family = name
 	p.headed[name] = true
 	p.printf("# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
 }

@@ -119,3 +119,25 @@ func TestPromFamilyHeaderOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestPromFamilyContiguous: a sample for a family that another family has
+// already followed is invalid exposition; it sets the sticky error and
+// writes nothing more.
+func TestPromFamilyContiguous(t *testing.T) {
+	var sb strings.Builder
+	p := NewPromWriter(&sb)
+	p.Counter("a_total", "A.", 1, "k", "x")
+	p.Counter("b_total", "B.", 2)
+	if err := p.Err(); err != nil {
+		t.Fatal(err)
+	}
+	before := sb.String()
+	p.Counter("a_total", "A.", 3, "k", "y")
+	p.Counter("c_total", "C.", 4)
+	if p.Err() == nil {
+		t.Fatal("resumed family a_total: Err() = nil")
+	}
+	if sb.String() != before {
+		t.Errorf("wrote after the error:\n%s", strings.TrimPrefix(sb.String(), before))
+	}
+}

@@ -57,12 +57,12 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	return c
 }
 
-// BreakerStats counts the circuit's activity (exposed on /metrics).
+// BreakerStats counts the circuit's activity (its tags declare /metrics).
 type BreakerStats struct {
-	Trips    metrics.Counter // closed/half-open → open transitions
-	Skipped  metrics.Counter // writes dropped while open
-	Probes   metrics.Counter // half-open probe writes attempted
-	Failures metrics.Counter // persist attempts that failed
+	Trips    metrics.Counter `metric:"compisa_serve_store_trips_total" help:"Store circuit open transitions."` // closed/half-open → open
+	Skipped  metrics.Counter `metric:"compisa_serve_store_skipped_writes_total" help:"Writes dropped while the circuit was open."`
+	Probes   metrics.Counter `metric:"compisa_serve_store_probes_total" help:"Half-open probe writes attempted."`
+	Failures metrics.Counter `metric:"compisa_serve_store_failures_total" help:"Store writes that failed."`
 }
 
 // StoreBreaker wraps an eval.Persister with a circuit breaker, so a dying

@@ -92,17 +92,17 @@ func (c Config) withDefaults() Config {
 }
 
 // Stats instruments the serving layer; all fields are lock-free and safe
-// for concurrent use.
+// for concurrent use (their tags declare /metrics).
 type Stats struct {
-	Requests    metrics.Counter // HTTP requests accepted (all endpoints)
-	Points      metrics.Counter // design points requested across /evaluate and /explore
-	Evaluations metrics.Counter // evaluations started (coalescing leaders)
-	Coalesced   metrics.Counter // points that joined an in-flight evaluation
-	CacheHits   metrics.Counter // points already evaluated by an earlier request
-	Rejected    metrics.Counter // admission rejections (429)
-	Timeouts    metrics.Counter // caller deadlines expired (504)
-	Faults      metrics.Counter // evaluation errors surfaced to clients
-	Latency     metrics.Histogram
+	Requests    metrics.Counter   `metric:"compisa_serve_requests_total" help:"HTTP requests accepted."` // all endpoints
+	Points      metrics.Counter   `metric:"compisa_serve_points_total" help:"Design points requested."`  // across /evaluate and /explore
+	Evaluations metrics.Counter   `metric:"compisa_serve_evaluations_total" help:"Evaluations started (coalescing leaders)."`
+	Coalesced   metrics.Counter   `metric:"compisa_serve_coalesced_total" help:"Points that joined an in-flight evaluation."`
+	CacheHits   metrics.Counter   `metric:"compisa_serve_cache_hits_total" help:"Points already evaluated by an earlier request."`
+	Rejected    metrics.Counter   `metric:"compisa_serve_rejected_total" help:"Admission rejections (HTTP 429)."`
+	Timeouts    metrics.Counter   `metric:"compisa_serve_timeouts_total" help:"Caller deadlines expired (HTTP 504)."`
+	Faults      metrics.Counter   `metric:"compisa_serve_faults_total" help:"Evaluation errors surfaced to clients."`
+	Latency     metrics.Histogram `metric:"compisa_serve_point_duration_seconds" help:"Per-point serving latency."`
 }
 
 // Server is the evaluation service. Construct with New; serve its
