@@ -9,9 +9,11 @@ import (
 	"time"
 
 	"compisa/internal/check"
+	"compisa/internal/code"
 	"compisa/internal/compiler"
 	"compisa/internal/cpu"
 	"compisa/internal/fault"
+	"compisa/internal/mem"
 	"compisa/internal/par"
 	"compisa/internal/workload"
 )
@@ -21,11 +23,17 @@ import (
 // safe for concurrent use after construction; Inject/Policy/Log must be
 // configured before the first evaluation.
 //
-// Two cache tiers back the pipeline:
+// Three cache tiers back the pipeline:
 //
-//   - profiles: ISA key → per-region profiles (the expensive functional
-//     executions), singleflighted so concurrent callers share one
-//     computation;
+//   - profiles: ISA key → per-region profiles, singleflighted so
+//     concurrent callers share one computation;
+//   - simulations: under the profile tier, a digest of everything
+//     cpu.CollectProfileOpts reads from a compiled region (see simKeyOf)
+//     → that program's profile, singleflighted the same way. ISA keys
+//     that compile a region to the same code (predication with no
+//     if-convertible diamond, SIMD on a scalar kernel, a register depth
+//     that never spills) share one functional simulation; build, compile
+//     and verification still run for every (region, ISA) cell;
 //   - candidates: (ISA key, canonical config) → evaluated design point,
 //     normalized against the DB's own reference metrics, so the 4680-point
 //     scoring stage runs once per process (and once per checkpoint
@@ -37,7 +45,13 @@ import (
 // slot stays nil and every design point using that ISA scores the region
 // at the documented Policy penalties instead of aborting the run. The
 // x86-64 reference ISA is exempt from injection and strict about failures,
-// because a failed reference would invalidate every normalized metric.
+// because a failed reference would invalidate every normalized metric. An
+// attempt with an injected fault bypasses the simulation tier, so
+// injection, retry and quarantine stay per (region, ISA) pair.
+//
+// Profiles returned by Profiles are shared between ISA keys (a simulation
+// hit hands out the leader's own *cpu.Profile when its name and compile
+// statistics already match) and must be treated as immutable.
 type DB struct {
 	Regions []workload.Region
 
@@ -69,6 +83,7 @@ type DB struct {
 	mu         sync.Mutex
 	profiles   map[string][]*cpu.Profile // ISA key -> per-region profiles (nil slot = quarantined)
 	inflight   map[string]*inflightProfiles
+	sims       map[simKey]*simCall   // simulation tier; a failed call is removed
 	quarantine map[string]string     // "region|isaKey" -> reason
 	cands      map[string]*Candidate // DesignPoint.CacheKey() -> candidate
 	ref        []Metric              // memoized reference metrics (normalization basis)
@@ -89,6 +104,8 @@ func NewDB() *DB {
 		Verify:   true,
 		profiles: make(map[string][]*cpu.Profile, 32),
 		inflight: make(map[string]*inflightProfiles, 32),
+		// ~600 distinct programs serve the 29 keys x 49 regions.
+		sims: make(map[simKey]*simCall, 1024),
 		// quarantine is keyed per (region, ISA) pair; size for a handful of
 		// bad pairs, not the cross product.
 		quarantine: make(map[string]string, 8),
@@ -223,7 +240,8 @@ func (db *DB) profileWithRetry(ctx context.Context, r workload.Region, c ISAChoi
 }
 
 // profileOnce is one attempt at profiling (region, ISA): build, compile,
-// execute, vendor-adjust. Injected faults are applied here so they exercise
+// verify, simulate (through the simulation tier unless a fault is
+// injected), vendor-adjust. Injected faults are applied here so they exercise
 // the real failure paths (compiler error return, watchdog, decode error).
 // A panic anywhere in the attempt is recovered into a *fault.Error.
 func (db *DB) profileOnce(ctx context.Context, r workload.Region, c ISAChoice, attempt int) (p *cpu.Profile, err error) {
@@ -315,20 +333,97 @@ func (db *DB) profileOnce(ctx context.Context, r workload.Region, c ISAChoice, a
 		// first executed instruction, through the real decode path.
 		prog.Instrs[0].Op = 0xEF
 	}
-	execStart := time.Now()
-	db.Stats.Execs.Inc()
-	p, _, err = cpu.CollectProfileOpts(prog, m, ropts)
+	if d.Kind == fault.KindNone {
+		p, err = db.simulate(ctx, simKeyOf(r.Name, prog), prog, m, ropts)
+	} else {
+		p, err = db.exec(prog, m, ropts)
+	}
 	if err != nil {
 		if d.Kind == fault.KindRunaway || d.Kind == fault.KindCorrupt {
 			err = fmt.Errorf("%w: %w", fault.ErrInjected, err)
 		}
 		return nil, classify(fault.StageExec, err)
 	}
-	db.Stats.ExecTime.Since(execStart)
 	if c.Vendor != nil && !c.Vendor.HasBackend() {
 		p = vendorAdjust(p, c)
 	}
 	return p, nil
+}
+
+// simCall is one simulation-tier entry. The leader runs the simulation and
+// closes done; p is then its profile, or nil if it failed (the leader
+// removes a failed call from the tier, so errors are never cached).
+type simCall struct {
+	done chan struct{}
+	p    *cpu.Profile
+}
+
+// simulate returns prog's profile, running the functional simulation only
+// if no other cell with the same key already has. A waiter whose leader
+// fails tries again, leading a fresh simulation or joining a newer one.
+func (db *DB) simulate(ctx context.Context, key simKey, prog *code.Program, m *mem.Memory, ropts cpu.RunOptions) (*cpu.Profile, error) {
+	for {
+		db.mu.Lock()
+		call, ok := db.sims[key]
+		if !ok {
+			call = &simCall{done: make(chan struct{})}
+			db.sims[key] = call
+			db.mu.Unlock()
+			db.Stats.SimMisses.Inc()
+			return db.lead(key, call, prog, m, ropts)
+		}
+		db.mu.Unlock()
+		select {
+		case <-call.done:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		if call.p != nil {
+			db.Stats.SimHits.Inc()
+			return overlay(call.p, prog), nil
+		}
+	}
+}
+
+// lead runs a simulation-tier miss. The deferred cleanup also covers a
+// panic (recovered by profileOnce), so waiters are never stranded.
+func (db *DB) lead(key simKey, call *simCall, prog *code.Program, m *mem.Memory, ropts cpu.RunOptions) (*cpu.Profile, error) {
+	defer func() {
+		if call.p == nil {
+			db.mu.Lock()
+			delete(db.sims, key)
+			db.mu.Unlock()
+		}
+		close(call.done)
+	}()
+	p, err := db.exec(prog, m, ropts)
+	call.p = p
+	return p, err
+}
+
+// exec runs one functional simulation with profiling; Execs and ExecTime
+// count only these real runs.
+func (db *DB) exec(prog *code.Program, m *mem.Memory, ropts cpu.RunOptions) (*cpu.Profile, error) {
+	start := time.Now()
+	db.Stats.Execs.Inc()
+	p, _, err := cpu.CollectProfileOpts(prog, m, ropts)
+	if err != nil {
+		return nil, err
+	}
+	db.Stats.ExecTime.Since(start)
+	return p, nil
+}
+
+// overlay returns the shared profile p as the profile of prog, another cell
+// with the same simulation key: p itself when the cell's name and compile
+// statistics already match, else a copy carrying them.
+func overlay(p *cpu.Profile, prog *code.Program) *cpu.Profile {
+	if p.Name == prog.Name && p.Stats == prog.Stats {
+		return p
+	}
+	q := *p
+	q.Name, q.Stats = prog.Name, prog.Stats
+	return &q
 }
 
 // vendorAdjust applies a vendor ISA's encoding traits to a profile built

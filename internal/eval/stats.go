@@ -9,18 +9,24 @@ import (
 )
 
 // Stats instruments the evaluation pipeline: per-stage work counters and
-// duration histograms, plus hit/miss counters for both cache tiers. All
+// duration histograms, plus hit/miss counters for the three cache tiers. All
 // fields are lock-free and safe for concurrent use; a DB carries one Stats
 // and must not be copied. Tags declare /metrics; keep families contiguous.
 type Stats struct {
-	// Stage work (ModelEvals: one per live region per design point).
+	// Stage work (ModelEvals: one per live region per design point; Execs:
+	// one per real functional simulation, so simulation-tier hits and
+	// joins are not counted).
 	Compiles   metrics.Counter `metric:"compisa_eval_stage_total" labels:"stage=compile" help:"Pipeline stage executions."`
 	Verifies   metrics.Counter `metric:"compisa_eval_stage_total" labels:"stage=verify" help:"Pipeline stage executions."`
 	Execs      metrics.Counter `metric:"compisa_eval_stage_total" labels:"stage=exec" help:"Pipeline stage executions."`
 	ModelEvals metrics.Counter `metric:"compisa_eval_stage_total" labels:"stage=model" help:"Pipeline stage executions."`
-	// Cache tiers: profile (ISA key) and candidate (ISA key, canonical config).
+	// Cache tiers: profile (ISA key), sim (program digest; attempts with
+	// an injected fault bypass it) and candidate (ISA key, canonical
+	// config).
 	ProfileHits     metrics.Counter `metric:"compisa_eval_cache_total" labels:"tier=profile,outcome=hit" help:"Cache tier outcomes."`
 	ProfileMisses   metrics.Counter `metric:"compisa_eval_cache_total" labels:"tier=profile,outcome=miss" help:"Cache tier outcomes."`
+	SimHits         metrics.Counter `metric:"compisa_eval_cache_total" labels:"tier=sim,outcome=hit" help:"Cache tier outcomes."`
+	SimMisses       metrics.Counter `metric:"compisa_eval_cache_total" labels:"tier=sim,outcome=miss" help:"Cache tier outcomes."`
 	CandidateHits   metrics.Counter `metric:"compisa_eval_cache_total" labels:"tier=candidate,outcome=hit" help:"Cache tier outcomes."`
 	CandidateMisses metrics.Counter `metric:"compisa_eval_cache_total" labels:"tier=candidate,outcome=miss" help:"Cache tier outcomes."`
 	// VerifyFindings counts conformance violations the verification stage
@@ -51,6 +57,8 @@ type StatsSnapshot struct {
 	ModelEvals      int64 `json:"model_evals"`
 	ProfileHits     int64 `json:"profile_hits"`
 	ProfileMisses   int64 `json:"profile_misses"`
+	SimHits         int64 `json:"sim_hits,omitempty"`
+	SimMisses       int64 `json:"sim_misses,omitempty"`
 	CandidateHits   int64 `json:"candidate_hits"`
 	CandidateMisses int64 `json:"candidate_misses"`
 	Retries         int64 `json:"retries"`
@@ -89,6 +97,10 @@ func (sn StatsSnapshot) Format() string {
 	fmt.Fprintf(&sb, "  model stage:      %8d evals    %s\n", sn.ModelEvals, sn.ModelTime)
 	fmt.Fprintf(&sb, "  profile cache:    %8d hits %8d misses  (%s hit rate)\n",
 		sn.ProfileHits, sn.ProfileMisses, metrics.Rate(sn.ProfileHits, sn.ProfileMisses))
+	if sn.SimHits > 0 || sn.SimMisses > 0 {
+		fmt.Fprintf(&sb, "  sim cache:        %8d hits %8d misses  (%s hit rate)\n",
+			sn.SimHits, sn.SimMisses, metrics.Rate(sn.SimHits, sn.SimMisses))
+	}
 	fmt.Fprintf(&sb, "  candidate cache:  %8d hits %8d misses  (%s hit rate)\n",
 		sn.CandidateHits, sn.CandidateMisses, metrics.Rate(sn.CandidateHits, sn.CandidateMisses))
 	fmt.Fprintf(&sb, "  fault handling:   %8d retries %6d quarantines %6d degraded regions\n",

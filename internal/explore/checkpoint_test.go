@@ -5,14 +5,17 @@
 package explore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
+	"compisa/internal/eval"
 	"compisa/internal/metrics"
 )
 
@@ -149,6 +152,34 @@ func TestLoadCheckpointIgnoresRetiredStats(t *testing.T) {
 	st.RestoreDB(db)
 	if sn := db.StatsSnapshot(); sn.Compiles != 3 || sn.Execs != 2 {
 		t.Fatalf("restored stats = %+v, want compiles=3 execs=2", sn)
+	}
+}
+
+// TestLoadCheckpointWithoutSimStats: checkpoints written before the
+// simulation tier carry no sim_hits/sim_misses keys; they load with both
+// counters at zero and every other counter intact.
+func TestLoadCheckpointWithoutSimStats(t *testing.T) {
+	golden, err := os.ReadFile("testdata/checkpoint_stats.golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := regexp.MustCompile(`"sim_(hits|misses)":\d+,`).ReplaceAll(golden, nil)
+	if bytes.Equal(old, golden) {
+		t.Fatal("golden checkpoint carries no sim counters to strip")
+	}
+	load := func(data []byte) eval.StatsSnapshot {
+		st, err := LoadCheckpoint(writeCheckpointFile(t, data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		db := NewDB()
+		st.RestoreDB(db)
+		return db.StatsSnapshot()
+	}
+	got, want := load(old), load(golden)
+	want.SimHits, want.SimMisses = 0, 0
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("pre-tier checkpoint restored %+v, want %+v", got, want)
 	}
 }
 

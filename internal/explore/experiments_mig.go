@@ -3,6 +3,7 @@ package explore
 import (
 	"context"
 	"fmt"
+	"sort"
 	"strings"
 
 	"compisa/internal/compiler"
@@ -351,8 +352,13 @@ func (r *Fig15Result) Format() string {
 		r.WithCost, r.DegradationPct)
 	fmt.Fprintf(&sb, "  schedule: %d steps, %d migrations, %d downgraded intervals\n",
 		r.Steps, r.Migrations, r.DowngradeSteps)
-	for k, n := range r.DowngradesByKind {
-		fmt.Fprintf(&sb, "    downgrade %-24s %d\n", k, n)
+	kinds := make([]string, 0, len(r.DowngradesByKind))
+	for k := range r.DowngradesByKind {
+		kinds = append(kinds, k)
+	}
+	sort.Strings(kinds) // map order would reorder the rows across reruns
+	for _, k := range kinds {
+		fmt.Fprintf(&sb, "    downgrade %-24s %d\n", k, r.DowngradesByKind[k])
 	}
 	return sb.String()
 }

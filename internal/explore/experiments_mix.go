@@ -137,9 +137,12 @@ func pct(n, d float64) float64 { return 100 * (n/d - 1) }
 // Sec3CodegenDeltas measures the Section III feature-impact numbers from the
 // compiled suite.
 func Sec3CodegenDeltas(ctx context.Context, db *DB) (*Sec3Deltas, error) {
+	// Sum in the fixed benchmark order: float addition is not associative,
+	// and map order would let a near-zero delta flip sign across reruns.
 	total := func(m map[string]classCounts) classCounts {
 		var t classCounts
-		for _, c := range m {
+		for _, b := range workload.Names() {
+			c := m[b]
 			t.loads += c.loads
 			t.stores += c.stores
 			t.ints += c.ints

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 
@@ -165,6 +166,40 @@ func TestSearchDeterministic(t *testing.T) {
 	}
 	if a.Score != b.Score {
 		t.Errorf("search nondeterministic: %.6f vs %.6f", a.Score, b.Score)
+	}
+}
+
+// TestSec3FormatRerunIdentical: sec3 reruns on one warm DB print
+// byte-identical text. Its totals once summed over a Go map, whose random
+// order let "depth 32->16: branches (remat)" print +0.0% or -0.0%.
+func TestSec3FormatRerunIdentical(t *testing.T) {
+	db, _ := searcher(t)
+	var first string
+	for i := 0; i < 50; i++ {
+		d, err := Sec3CodegenDeltas(context.Background(), db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := d.Format()
+		if i == 0 {
+			first = got
+		} else if got != first {
+			t.Fatalf("rerun %d differs:\n%s\nfirst run:\n%s", i, got, first)
+		}
+	}
+}
+
+// TestFig15FormatRowOrder: the per-kind downgrade rows print in a fixed
+// order, not in the order of a map walk.
+func TestFig15FormatRowOrder(t *testing.T) {
+	r := &Fig15Result{DowngradesByKind: map[string]int{"simd": 22, "predication": 16, "instruction complexity": 22}}
+	want := "    downgrade instruction complexity   22\n" +
+		"    downgrade predication              16\n" +
+		"    downgrade simd                     22\n"
+	for i := 0; i < 20; i++ {
+		if got := r.Format(); !strings.HasSuffix(got, want) {
+			t.Fatalf("rows out of order:\n%s", got)
+		}
 	}
 }
 
