@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: check build vet vettool lint test race fault-smoke chaos conformance bench bench-smoke \
-	bench-e2e bench-baseline bench-diff serve-smoke fuzz cover jit-diff cross-build
+	bench-e2e bench-e2e-search bench-baseline bench-diff serve-smoke fuzz cover jit-diff cross-build
 
 build:
 	$(GO) build ./...
@@ -86,6 +86,12 @@ bench-smoke:
 # match bench/golden.json.
 bench-e2e:
 	bash bench/run.sh --workload sweep-cold --seed 1 --seconds 1
+
+# One cold sweep plus one pass of the 80 fig5/fig7a/fig8a CMP searches (a
+# step of the CI bench-golden job): fails unless the profile, candidate and
+# search digests all match bench/golden.json.
+bench-e2e-search:
+	bash bench/run.sh --workload search-mp --seed 1 --seconds 1
 
 # Refresh the committed benchmark baseline (run this when a change is
 # intentionally slower, and say so in the commit).

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 
@@ -132,6 +133,73 @@ func TestBudgetString(t *testing.T) {
 	}
 	if (Budget{}).String() != "unlimited" {
 		t.Error("unlimited budget format")
+	}
+	if got := (Budget{PeakW: 20, AreaMM2: 48}).String(); got != "20W+48mm2" {
+		t.Errorf("two-cap budget format %q", got)
+	}
+}
+
+// TestSearchKeyStrings pins the frontier keys checkpoints already store:
+// single-cap and unlimited budgets must keep resolving to the same entries.
+// Only a budget with both caps gets a key of its own.
+func TestSearchKeyStrings(t *testing.T) {
+	for _, tc := range []struct {
+		org        Organization
+		obj        Objective
+		b          Budget
+		constraint string
+		want       string
+	}{
+		{OrgHomogeneous, ObjMPThroughput, Budget{PeakW: 20}, "", "0|0|20W"},
+		{OrgCompositeFull, ObjSTPerf, Budget{PeakW: 7.5}, "", "4|2|7.5W"},
+		{OrgHeteroVendor, ObjMPEDP, Budget{AreaMM2: 48}, "", "3|1|48mm2"},
+		{OrgCompositeFixed, ObjSTEDP, Budget{}, "", "2|3|unlimited"},
+		{OrgCompositeFull, ObjMPThroughput, Budget{AreaMM2: 64}, "no-vector", "4|0|64mm2|no-vector"},
+		{OrgCompositeFull, ObjMPThroughput, Budget{PeakW: 20, AreaMM2: 48}, "", "4|0|20W+48mm2"},
+	} {
+		if got := searchKey(tc.org, tc.obj, tc.b, tc.constraint); got != tc.want {
+			t.Errorf("searchKey(%d, %d, %+v, %q) = %q, want %q", tc.org, tc.obj, tc.b, tc.constraint, got, tc.want)
+		}
+	}
+}
+
+// TestSearchTwoCapBudgetOwnFrontierEntry: on one Searcher, a search under
+// a power cap must not answer a later search under the same power cap plus
+// an area cap, whose result has to respect the area cap.
+func TestSearchTwoCapBudgetOwnFrontierEntry(t *testing.T) {
+	ctx := context.Background()
+	s, err := NewSearcher(ctx, smallDB(3, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	org, power := OrgSingleISAHetero, Budget{PeakW: 60}
+	one, err := s.Search(ctx, org, ObjMPThroughput, power)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := s.Candidates(ctx, org)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The cheapest four-core design that fits the power cap bounds the
+	// smallest feasible area from above.
+	floor := math.Inf(1)
+	for _, c := range cs {
+		if 4*c.PeakW <= power.PeakW {
+			floor = math.Min(floor, 4*c.AreaMM2)
+		}
+	}
+	if !(floor < one.TotalArea()) {
+		t.Fatalf("the power-capped optimum (%.1fmm2) must be larger than the smallest feasible design (%.1fmm2)",
+			one.TotalArea(), floor)
+	}
+	both := Budget{PeakW: power.PeakW, AreaMM2: (floor + one.TotalArea()) / 2}
+	two, err := s.Search(ctx, org, ObjMPThroughput, both)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if two.TotalArea() > both.AreaMM2 || two.TotalPeak() > both.PeakW {
+		t.Errorf("search under %s returned %.1fW, %.1fmm2", both, two.TotalPeak(), two.TotalArea())
 	}
 }
 
@@ -262,35 +330,53 @@ func TestScoreMPMatchesReference(t *testing.T) {
 }
 
 // TestScreenSoundness: the screen is within rounding of the exact score —
-// at least 1000x below screenTol — and never discards a trial the exact
-// acceptance test would take, even one that clears it by the least
-// representable margin.
+// at least 1000x below screenTol — and the O(1) bound is at least the
+// screen, within the derived rounding term. Neither ever discards a trial
+// the exact acceptance test would take, even one that clears it by the
+// least representable margin.
 func TestScreenSoundness(t *testing.T) {
 	regions := workload.Regions()
 	si := newSuiteIndex(regions)
 	n := len(regions)
+	steps := float64(len(si.steps))
+	const u = 0x1p-53
 	rng := rand.New(rand.NewSource(11))
 	var pool []*Candidate
 	for i := 0; i < 24; i++ {
 		pool = append(pool, randomCandidate(rng, n, i%4 == 0))
 	}
 	rest := make([][4]float64, len(si.steps))
-	maxErr := 0.0
+	maxErr, maxOver := 0.0, 0.0
 	for _, edp := range []bool{false, true} {
 		if !si.screenSound(pool, edp) {
 			t.Fatalf("edp=%v: screen must be sound for bounded finite values", edp)
 		}
+		vmax := 0.0
+		for _, c := range pool {
+			vals, _ := mpValues(c, edp)
+			for _, v := range vals {
+				vmax = math.Max(vmax, math.Abs(v))
+			}
+		}
+		// Screen and bound are each within (n+4)·u·V of their real values,
+		// and the real bound is at least the real screen.
+		slack := 2 * (steps + 4) * u * vmax
 		for trial := 0; trial < 8; trial++ {
 			cur := [4]*Candidate{pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))],
 				pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]}
 			for slot := 0; slot < 4; slot++ {
-				si.restTable(&cur, slot, edp, rest)
+				restMax := si.restTable(&cur, slot, edp, rest)
 				for _, c := range pool {
 					cores := cur
 					cores[slot] = c
 					exact := si.scoreMP(&cores, edp)
 					screen := si.screenMP(c, edp, rest)
+					bound := si.mpBound(restMax, si.stepMax(c, edp))
 					maxErr = math.Max(maxErr, math.Abs(screen-exact))
+					maxOver = math.Max(maxOver, screen-bound)
+					if bound < screen-slack {
+						t.Fatalf("edp=%v: bound %v below screen %v by more than %g", edp, bound, screen, slack)
+					}
 					// The lowest incumbent score exact still beats.
 					best := exact - 1e-12
 					for !(exact > best+1e-12) {
@@ -299,6 +385,9 @@ func TestScreenSoundness(t *testing.T) {
 					if !(screen > best+1e-12-screenTol) {
 						t.Fatalf("screen %v discards a trial scoring %v over incumbent %v", screen, exact, best)
 					}
+					if !(bound > best+1e-12-screenTol) {
+						t.Fatalf("bound %v discards a trial scoring %v over incumbent %v", bound, exact, best)
+					}
 				}
 			}
 		}
@@ -306,7 +395,7 @@ func TestScreenSoundness(t *testing.T) {
 	if maxErr*1000 > screenTol {
 		t.Errorf("max |screen - exact| = %g, want <= screenTol/1000 = %g", maxErr, screenTol/1000)
 	}
-	t.Logf("max |screen - exact| = %g over %d steps", maxErr, len(si.steps))
+	t.Logf("max |screen - exact| = %g, max screen - bound = %g over %d steps", maxErr, maxOver, len(si.steps))
 
 	// Non-finite or huge values disable screening.
 	bad := randomCandidate(rng, n, false)
@@ -315,6 +404,134 @@ func TestScreenSoundness(t *testing.T) {
 		for _, edp := range []bool{false, true} {
 			if si.screenSound([]*Candidate{pool[0], bad}, edp) {
 				t.Errorf("value %v (edp=%v) must disable screening", v, edp)
+			}
+		}
+	}
+	// screenSound admits exactly the values for which screen and bound each
+	// stay within half of screenTol of the exact score, 4·(n+4)·u·V ≤
+	// screenTol, so it rejects every range where the bound's own rounding,
+	// (n+3)·u·V, reaches screenTol.
+	vcrit := screenTol / (4 * (steps + 4) * u)
+	for _, tc := range []struct {
+		v    float64
+		want bool
+	}{
+		{0.99 * vcrit, true},
+		{1.01 * vcrit, false},
+		{screenTol / ((steps + 3) * u), false},
+	} {
+		bad.Speedup[3], bad.NormEDP[3] = tc.v, tc.v
+		for _, edp := range []bool{false, true} {
+			if got := si.screenSound([]*Candidate{pool[0], bad}, edp); got != tc.want {
+				t.Errorf("value %g (edp=%v): screenSound = %v, want %v", tc.v, edp, got, tc.want)
+			}
+		}
+	}
+}
+
+// scoreSTReference is the single-thread scorer as first written: per
+// region, the best of the four cores walked in core order.
+func scoreSTReference(si *suiteIndex, cores *[4]*Candidate, edp bool) float64 {
+	total := 0.0
+	for b := range si.benchRegions {
+		bs := 0.0
+		for k, r := range si.benchRegions[b] {
+			best := math.Inf(-1)
+			for _, core := range cores {
+				v := core.Speedup[r]
+				if edp {
+					v = -core.NormEDP[r]
+				}
+				if v > best {
+					best = v
+				}
+			}
+			bs += si.weights[b][k] * best
+		}
+		total += bs
+	}
+	return total / float64(len(si.benchRegions))
+}
+
+// TestScoreSTSlotMatchesScoreST: scoring a trial against the rest-best of
+// the other three cores gives scoreST of the full trial bit for bit, and
+// scoreST gives the original four-core walk, for every slot and both ST
+// objectives — also where values are NaN, ±Inf, or ±0 ties.
+func TestScoreSTSlotMatchesScoreST(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
+	for _, regions := range [][]workload.Region{workload.Regions(), workload.Regions()[:10]} {
+		si := newSuiteIndex(regions)
+		n := len(regions)
+		draw := func() *Candidate {
+			c := randomCandidate(rng, n, rng.Intn(2) == 0)
+			for r := 0; r < n; r++ {
+				if rng.Intn(4) == 0 {
+					c.Speedup[r] = special[rng.Intn(len(special))]
+				}
+				if rng.Intn(4) == 0 {
+					c.NormEDP[r] = special[rng.Intn(len(special))]
+				}
+			}
+			return c
+		}
+		var pool []*Candidate
+		for i := 0; i < 16; i++ {
+			pool = append(pool, draw())
+		}
+		restBest := make([]float64, si.nRegions)
+		for trial := 0; trial < 24; trial++ {
+			cur := [4]*Candidate{pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))],
+				pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]}
+			for _, edp := range []bool{false, true} {
+				for slot := 0; slot < 4; slot++ {
+					si.stRestBest(&cur, slot, edp, restBest)
+					for _, c := range pool {
+						cores := cur
+						cores[slot] = c
+						got, want := si.scoreSTSlot(c, edp, restBest), si.scoreST(&cores, edp)
+						if ref := scoreSTReference(si, &cores, edp); math.Float64bits(want) != math.Float64bits(ref) {
+							t.Fatalf("regions=%d edp=%v: scoreST %v (%#x), reference %v (%#x)",
+								n, edp, want, math.Float64bits(want), ref, math.Float64bits(ref))
+						}
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("regions=%d edp=%v slot %d: slot score %v (%#x), scoreST %v (%#x)",
+								n, edp, slot, got, math.Float64bits(got), want, math.Float64bits(want))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSortFuncMatchesSortSlice: the typed sorts in prune put candidates in
+// exactly the pointer order sort.Slice did, on tie-heavy keys (five
+// distinct values, NaN and both zeros among them).
+func TestSortFuncMatchesSortSlice(t *testing.T) {
+	levels := []float64{1, 0.5, 0, math.Copysign(0, -1), math.NaN()}
+	lengths := []int{0, 1, 2, 3, 11, 12, 13, 49, 50, 200, 777, 2000}
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		for _, n := range lengths {
+			ks := make([]keyed, n)
+			key := make(map[*Candidate]float64, n)
+			cs := make([]*Candidate, n)
+			for i := range ks {
+				c := &Candidate{}
+				ks[i] = keyed{c, levels[rng.Intn(len(levels))]}
+				key[c], cs[i] = ks[i].k, c
+			}
+			want := append([]keyed{}, ks...)
+			sort.Slice(want, func(i, j int) bool { return want[i].k > want[j].k })
+
+			got := append([]keyed{}, ks...)
+			sortKeyedDesc(got)
+			sortByKeyDesc(cs, func(c *Candidate) float64 { return key[c] })
+			for i := range want {
+				if got[i].c != want[i].c || cs[i] != want[i].c {
+					t.Fatalf("seed %d, n=%d: order differs from sort.Slice at %d", seed, n, i)
+				}
 			}
 		}
 	}

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"compisa/internal/par"
 	"compisa/internal/workload"
@@ -18,8 +18,13 @@ type Budget struct {
 	AreaMM2 float64
 }
 
+// String names the budget; the searcher's frontier keys embed it, so two
+// budgets that differ in either cap must print differently. Single-cap and
+// unlimited budgets keep the forms checkpoints already store.
 func (b Budget) String() string {
 	switch {
+	case b.PeakW > 0 && b.AreaMM2 > 0:
+		return fmt.Sprintf("%gW+%gmm2", b.PeakW, b.AreaMM2)
 	case b.PeakW > 0:
 		return fmt.Sprintf("%gW", b.PeakW)
 	case b.AreaMM2 > 0:
@@ -84,10 +89,11 @@ type suiteIndex struct {
 	// steps[mixStart[m]:mixStart[m+1]].
 	steps    [][4]int32
 	mixStart []int
+	nRegions int // length of the suite; regions are indexed 0..nRegions-1
 }
 
 func newSuiteIndex(regions []workload.Region) *suiteIndex {
-	si := &suiteIndex{}
+	si := &suiteIndex{nRegions: len(regions)}
 	byBench := map[string]int{}
 	for i, r := range regions {
 		bi, ok := byBench[r.Benchmark]
@@ -228,27 +234,42 @@ func (si *suiteIndex) scoreMP(cores *[4]*Candidate, edp bool) float64 {
 	return total / float64(len(si.steps))
 }
 
-// screenTol bounds how far screenMP may fall below scoreMP. Let V bound
-// |value| over the cores and n = len(steps), with unit roundoff u = 2^-53.
-// Per step, both functions take the maximum over the same 24 real
-// four-term sums, each computed by recursive summation (the screen as
-// ((x+y)+z)+w over rest's three terms and the candidate's), so each
-// computed sum is within γ3·4V of its real value and the two maxima
-// differ by at most 8γ3·V; after the exact /4 (the screen scales its total
-// instead, which rounds identically), 2γ3·V. Accumulating n such terms
-// errs by at most γ(n-1)·nV on each side, and the final /n adds a relative
-// u to each. Altogether |screen − exact| ≤ (2n+8)·u·V. Setting the
-// acceptance threshold screenTol below the exact one therefore never
-// discards an accepted trial as long as twice that bound stays below
-// screenTol (the other half absorbs the rounding of the threshold itself);
-// screenSound checks this per search. On the suite (n = 520 steps,
-// speedups below 2, normalized EDPs below 130) the bound is at most
-// 2e-13 for throughput and 1.5e-11 for EDP, well inside 1e-9.
+// screenTol bounds how far screenMP, and the O(1) bound ahead of it, may
+// fall below scoreMP. Let V bound |value| over the cores and n =
+// len(steps), with unit roundoff u = 2^-53. Per step, both screen and
+// exact take the maximum over the same 24 real four-term sums, each
+// computed by recursive summation (the screen as ((x+y)+z)+w over rest's
+// three terms and the candidate's), so each computed sum is within γ3·4V
+// of its real value and the two maxima differ by at most 8γ3·V; after the
+// exact /4 (the screen scales its total instead, which rounds
+// identically), 2γ3·V. Accumulating n such terms errs by at most
+// γ(n-1)·nV on each side, and the final /n adds a relative u to each.
+// Altogether each side is within (n+4)·u·V of its real value, and
+// |screen − exact| ≤ (2n+8)·u·V.
+//
+// The bound: per step, max_th(v[th] + rest[th]) ≤ max_th v[th] + max_th
+// rest[th], so (R + stepMax)/4n is at least the real exact score, where
+// R = Σ_i max_th rest[i][th] (restTable) and stepMax = Σ_i max_th
+// v[ph_i[th]] (stepMax). Its own rounding: each rest entry is within
+// γ2·3V of its real value; R sums n terms bounded by 3V and stepMax n
+// terms bounded by V, erring by at most γ(n-1)·3nV and γ(n-1)·nV; R +
+// stepMax and the /4n round once each. After the /4n that is at most
+// (n+3)·u·V, inside the same (n+4)·u·V per side, so the computed bound
+// too is at least exact − (2n+8)·u·V.
+//
+// Setting the rejection threshold screenTol below the exact acceptance
+// threshold therefore never discards an accepted trial, by bound or by
+// screen, as long as twice (2n+8)·u·V stays below screenTol (the other
+// half absorbs the rounding of the threshold itself); screenSound checks
+// this per search. On the suite (n = 520 steps, speedups below 2,
+// normalized EDPs below 130) (2n+8)·u·V is at most 2.4e-13 for throughput
+// and 1.5e-11 for EDP, and the bound's own term at most 1.2e-13 and
+// 7.6e-12, all well inside 1e-9.
 const screenTol = 1e-9
 
 // screenSound reports whether screening is exact enough for a search over
-// cs: every value finite and the screenTol bound met. Otherwise the search
-// scores every trial exactly.
+// cs: every value finite and the screenTol bound met for both the screen
+// and the O(1) bound. Otherwise the search scores every trial exactly.
 func (si *suiteIndex) screenSound(cs []*Candidate, edp bool) bool {
 	if len(si.steps) == 0 {
 		return false
@@ -264,7 +285,10 @@ func (si *suiteIndex) screenSound(cs []*Candidate, edp bool) bool {
 		}
 	}
 	const u = 0x1p-53
-	return 2*(2*float64(len(si.steps))+8)*u*vmax <= screenTol
+	// scoreMP, screenMP and the bound are each within side of their real
+	// values, so screen and bound are each within 2·side of the exact score.
+	side := (float64(len(si.steps)) + 4) * u * vmax
+	return 2*(2*side) <= screenTol
 }
 
 // otherThreads lists, per thread, the three other threads.
@@ -273,8 +297,10 @@ var otherThreads = [4][3]uint8{{1, 2, 3}, {0, 2, 3}, {0, 1, 3}, {0, 1, 2}}
 // restTable fills rest[i][th] with the best summed value, at step i, of
 // the three threads other than th on the three cores other than slot: the
 // part of a trial's step score that does not depend on the core in slot.
-// Only screened searches build it, so every value is finite.
-func (si *suiteIndex) restTable(cores *[4]*Candidate, slot int, edp bool, rest [][4]float64) {
+// It returns R = Σ_i max_th rest[i][th], the table's half of the O(1)
+// bound (see screenTol). Only screened searches build it, so every value
+// is finite.
+func (si *suiteIndex) restTable(cores *[4]*Candidate, slot int, edp bool, rest [][4]float64) float64 {
 	var src [3][]float64
 	var sign float64
 	n := 0
@@ -284,18 +310,50 @@ func (si *suiteIndex) restTable(cores *[4]*Candidate, slot int, edp bool, rest [
 			n++
 		}
 	}
+	total := 0.0
 	for i := range si.steps {
 		ph := &si.steps[i]
 		var m [4][3]float64 // m[thread][other core]
 		for th, r := range ph {
 			m[th] = [3]float64{sign * src[0][r], sign * src[1][r], sign * src[2][r]}
 		}
+		row := &rest[i]
 		for th, o := range otherThreads {
 			a, b, c := &m[o[0]&3], &m[o[1]&3], &m[o[2]&3]
-			rest[i][th] = max(a[0]+b[1]+c[2], a[0]+b[2]+c[1], a[1]+b[0]+c[2],
+			row[th] = max(a[0]+b[1]+c[2], a[0]+b[2]+c[1], a[1]+b[0]+c[2],
 				a[1]+b[2]+c[0], a[2]+b[0]+c[1], a[2]+b[1]+c[0])
 		}
+		total += max(row[0], row[1], row[2], row[3])
 	}
+	return total
+}
+
+// stepMax returns Σ_i max_th v[ph_i[th]] over c's signed values: the
+// candidate's half of the O(1) bound (see screenTol).
+func (si *suiteIndex) stepMax(c *Candidate, edp bool) float64 {
+	v, sign := mpValues(c, edp)
+	total := 0.0
+	for i := range si.steps {
+		ph := &si.steps[i]
+		total += max(sign*v[ph[0]], sign*v[ph[1]], sign*v[ph[2]], sign*v[ph[3]])
+	}
+	return total
+}
+
+// stepMaxes is stepMax of every candidate in cs, in order.
+func (si *suiteIndex) stepMaxes(cs []*Candidate, edp bool) []float64 {
+	out := make([]float64, len(cs))
+	for i, c := range cs {
+		out[i] = si.stepMax(c, edp)
+	}
+	return out
+}
+
+// mpBound is the O(1) upper bound on the screen (and, within rounding, on
+// the exact score) of the trial that puts a candidate with stepMax sm in
+// the slot whose restTable returned r.
+func (si *suiteIndex) mpBound(r, sm float64) float64 {
+	return (r + sm) / float64(4*len(si.steps))
 }
 
 // screenMP estimates scoreMP for the trial that puts c in the slot rest
@@ -325,23 +383,50 @@ func (si *suiteIndex) screenMP(c *Candidate, edp bool, rest [][4]float64) float6
 }
 
 // scoreST evaluates single-thread objectives: each benchmark migrates every
-// region to its best core (SimPoint weights applied).
+// region to its best core (SimPoint weights applied). It is the slot
+// scorer with cores 0-2 as the rest and core 3 in the slot, which compares
+// the four cores in exactly the order of a walk over all of them.
 func (si *suiteIndex) scoreST(cores *[4]*Candidate, edp bool) float64 {
+	restBest := make([]float64, si.nRegions)
+	si.stRestBest(cores, 3, edp, restBest)
+	return si.scoreSTSlot(cores[3], edp, restBest)
+}
+
+// stRestBest fills restBest[r] with the best single-thread value at region
+// r over the cores other than slot, compared in core order with v > best
+// from -Inf, so NaN never wins: the part of a trial's ST score that does
+// not depend on the core in slot.
+func (si *suiteIndex) stRestBest(cores *[4]*Candidate, slot int, edp bool, restBest []float64) {
+	for r := range restBest {
+		restBest[r] = math.Inf(-1)
+	}
+	for k, c := range cores {
+		if k == slot {
+			continue
+		}
+		v, sign := mpValues(c, edp)
+		for r := range restBest {
+			if x := sign * v[r]; x > restBest[r] {
+				restBest[r] = x
+			}
+		}
+	}
+}
+
+// scoreSTSlot scores the single-thread trial that puts c in the slot
+// restBest was built for, at one compare per region. Comparing the slot
+// last instead of in core order can only pick a different zero of a ±0
+// tie, and that cannot change a weighted sum that starts at +0, so the
+// score equals scoreST of the full trial bit for bit.
+func (si *suiteIndex) scoreSTSlot(c *Candidate, edp bool, restBest []float64) float64 {
+	v, sign := mpValues(c, edp)
 	total := 0.0
-	for b := range si.benchRegions {
+	for b, rs := range si.benchRegions {
 		bs := 0.0
-		for k, r := range si.benchRegions[b] {
-			best := math.Inf(-1)
-			for _, core := range cores {
-				var v float64
-				if edp {
-					v = -core.NormEDP[r]
-				} else {
-					v = core.Speedup[r]
-				}
-				if v > best {
-					best = v
-				}
+		for k, r := range rs {
+			best := restBest[r]
+			if x := sign * v[r]; x > best {
+				best = x
 			}
 			bs += si.weights[b][k] * best
 		}
@@ -404,6 +489,8 @@ type SearchSpec struct {
 // heterogeneity stays discoverable.
 func prune(spec SearchSpec, si *suiteIndex) []*Candidate {
 	var ok []*Candidate
+	// Each survivor's ISA key, formatted once for both per-ISA passes.
+	isaKey := map[*Candidate]string{}
 	st := spec.Objective.SingleThread()
 	for _, c := range spec.Candidates {
 		if spec.Constraint != nil && !spec.Constraint(c) {
@@ -420,6 +507,7 @@ func prune(spec SearchSpec, si *suiteIndex) []*Candidate {
 			continue
 		}
 		ok = append(ok, c)
+		isaKey[c] = c.DP.ISA.Key()
 	}
 	if len(ok) == 0 {
 		return nil
@@ -447,7 +535,7 @@ func prune(spec SearchSpec, si *suiteIndex) []*Candidate {
 	// globally mediocre ISA can still contribute its specialist cores.
 	perISA := map[string]int{}
 	for _, c := range ok {
-		k := c.DP.ISA.Key()
+		k := isaKey[c]
 		if perISA[k] < 8 {
 			keep[c] = true
 			perISA[k]++
@@ -483,7 +571,7 @@ func prune(spec SearchSpec, si *suiteIndex) []*Candidate {
 	byEff := append([]*Candidate{}, ok...)
 	sortByKeyDesc(byEff, effPeak)
 	for _, c := range byEff {
-		k := c.DP.ISA.Key()
+		k := isaKey[c]
 		if perISAEff[k] < 6 {
 			keep[c] = true
 			perISAEff[k]++
@@ -491,20 +579,16 @@ func prune(spec SearchSpec, si *suiteIndex) []*Candidate {
 	}
 	// Region specialists: best 3 per region per criterion.
 	nRegions := len(ok[0].Speedup)
-	type rc struct {
-		c *Candidate
-		v float64
-	}
-	per := make([]rc, len(ok))
+	per := make([]keyed, len(ok))
 	for r := 0; r < nRegions; r++ {
 		for i, c := range ok {
 			v := c.Speedup[r]
 			if isEDP {
 				v = -c.NormEDP[r]
 			}
-			per[i] = rc{c, v}
+			per[i] = keyed{c, v}
 		}
-		sort.Slice(per, func(i, j int) bool { return per[i].v > per[j].v })
+		sortKeyedDesc(per)
 		for i := 0; i < 3 && i < len(per); i++ {
 			keep[per[i].c] = true
 		}
@@ -520,20 +604,40 @@ func prune(spec SearchSpec, si *suiteIndex) []*Candidate {
 	return out
 }
 
+// descending is a slices.SortFunc comparison that orders a before b iff
+// a > b. SortFunc and sort.Slice run the same pdqsort (both are generated
+// from one template) and SortFunc only ever asks cmp(a, b) < 0, so sorting
+// with descending makes exactly the comparisons and swaps of sort.Slice
+// with less(i, j) = x[i] > x[j], and ties land where they did.
+func descending(a, b float64) int {
+	if a > b {
+		return -1
+	}
+	return 0
+}
+
+// keyed pairs a candidate with its sort key.
+type keyed struct {
+	c *Candidate
+	k float64
+}
+
+// sortKeyedDesc sorts ks by descending key, in exactly the order of
+// sort.Slice with ks[i].k > ks[j].k (see descending), ties included.
+func sortKeyedDesc(ks []keyed) {
+	slices.SortFunc(ks, func(a, b keyed) int { return descending(a.k, b.k) })
+}
+
 // sortByKeyDesc sorts cs by descending key, computing each candidate's key
 // once instead of in every comparison. The comparisons, and so the order,
 // are exactly those of sort.Slice with key(a) > key(b); an ascending sort
 // negates its key, which compares identically for every float64.
 func sortByKeyDesc(cs []*Candidate, key func(*Candidate) float64) {
-	type keyed struct {
-		c *Candidate
-		k float64
-	}
 	ks := make([]keyed, len(cs))
 	for i, c := range cs {
 		ks[i] = keyed{c, key(c)}
 	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i].k > ks[j].k })
+	sortKeyedDesc(ks)
 	for i := range ks {
 		cs[i] = ks[i].c
 	}
@@ -632,7 +736,7 @@ func Search(ctx context.Context, spec SearchSpec, regions []workload.Region) (CM
 		for _, v := range bestPer {
 			list = append(list, v)
 		}
-		sort.Slice(list, func(i, j int) bool { return list[i].score > list[j].score })
+		slices.SortFunc(list, func(a, b isaSeed) int { return descending(a.score, b.score) })
 		for i := 0; i < len(list) && i < 6; i++ {
 			seeds = append(seeds, list[i].cmp)
 		}
@@ -664,30 +768,45 @@ func Search(ctx context.Context, spec SearchSpec, regions []workload.Region) (CM
 		return best, nil
 	}
 
-	// Multi-programmed climbs screen each trial against the rest table of
-	// its (climb point, slot) and score exactly only the trials that could
-	// clear the acceptance test (see screenTol).
-	edp := spec.Objective == ObjMPEDP
+	// Multi-programmed climbs reject each trial on the O(1) bound, then on
+	// the screen against the rest table of its (climb point, slot), and
+	// score exactly only the trials that could clear the acceptance test
+	// (see screenTol). Single-thread climbs score each trial against the
+	// best of the other three cores per region.
+	edp := spec.Objective == ObjMPEDP || spec.Objective == ObjSTEDP
 	screen := !st && si.screenSound(spec.Candidates, edp)
+	var candMax []float64 // stepMax of each of cands
+	if screen {
+		candMax = si.stepMaxes(cands, edp)
+	}
 
 	// climb hill-climbs one seed over an explicit candidate pool; the pool
 	// is a parameter (not a captured variable) so the polish pass below can
-	// widen it for one call without mutating shared state.
-	climb := func(seed CMP, pool []*Candidate) CMP {
+	// widen it for one call without mutating shared state. poolMax is
+	// stepMax of each pool entry when screening.
+	climb := func(seed CMP, pool []*Candidate, poolMax []float64) CMP {
 		best := seed
 		var rest [][4]float64
-		if screen {
+		var restBest []float64
+		switch {
+		case screen:
 			rest = make([][4]float64, len(si.steps))
+		case st:
+			restBest = make([]float64, si.nRegions)
 		}
 		// Re-score against the true budget (seed scores already match).
 		for iter := 0; iter < 12; iter++ {
 			improved := false
 			for slot := 0; slot < 4; slot++ {
 				cur := best
-				if screen {
-					si.restTable(&cur.Cores, slot, edp, rest)
+				var restMax float64
+				switch {
+				case screen:
+					restMax = si.restTable(&cur.Cores, slot, edp, rest)
+				case st:
+					si.stRestBest(&cur.Cores, slot, edp, restBest)
 				}
-				for _, c := range pool {
+				for j, c := range pool {
 					if ctx.Err() != nil {
 						return best
 					}
@@ -696,10 +815,19 @@ func Search(ctx context.Context, spec SearchSpec, regions []workload.Region) (CM
 					if !feasible(&trial, spec.Budget, st) {
 						continue
 					}
-					if screen && si.screenMP(c, edp, rest) <= best.Score+1e-12-screenTol {
-						continue
+					var s float64
+					switch {
+					case screen:
+						floor := best.Score + 1e-12 - screenTol
+						if si.mpBound(restMax, poolMax[j]) <= floor || si.screenMP(c, edp, rest) <= floor {
+							continue
+						}
+						s = si.scoreMP(&trial, edp)
+					case st:
+						s = si.scoreSTSlot(c, edp, restBest)
+					default:
+						s = si.scoreMP(&trial, edp)
 					}
-					s := si.score(&trial, spec.Objective)
 					if s > best.Score+1e-12 {
 						best = CMP{Cores: trial, Score: s}
 						improved = true
@@ -713,7 +841,7 @@ func Search(ctx context.Context, spec SearchSpec, regions []workload.Region) (CM
 		return best
 	}
 	results, err := par.Map(ctx, len(seeds), 0, func(i int) (CMP, error) {
-		return climb(seeds[i], cands), nil
+		return climb(seeds[i], cands, candMax), nil
 	})
 	if err != nil {
 		return CMP{}, err
@@ -746,14 +874,16 @@ func Search(ctx context.Context, spec SearchSpec, regions []workload.Region) (CM
 			}
 		}
 	}
-	best = climb(best, extended)
+	var extendedMax []float64
+	if screen {
+		extendedMax = append(candMax, si.stepMaxes(extended[len(cands):], edp)...)
+	}
+	best = climb(best, extended, extendedMax)
 	if err := ctx.Err(); err != nil {
 		return CMP{}, err
 	}
 
 	// Canonical core order for stable output.
-	sort.Slice(best.Cores[:], func(i, j int) bool {
-		return best.Cores[i].PeakW < best.Cores[j].PeakW
-	})
+	slices.SortFunc(best.Cores[:], func(a, b *Candidate) int { return descending(b.PeakW, a.PeakW) })
 	return best, nil
 }
