@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: check build vet vettool lint test race fault-smoke chaos conformance bench bench-smoke \
-	bench-e2e bench-e2e-search bench-baseline bench-diff serve-smoke fuzz cover jit-diff cross-build
+	bench-e2e bench-e2e-search rerun-identical bench-baseline bench-diff serve-smoke fuzz cover jit-diff cross-build
 
 build:
 	$(GO) build ./...
@@ -92,6 +92,15 @@ bench-e2e:
 # search digests all match bench/golden.json.
 bench-e2e-search:
 	bash bench/run.sh --workload search-mp --seed 1 --seconds 1
+
+# Every experiment at the default GOMAXPROCS and on one processor (a step of
+# the CI bench-golden job): the tables must be byte-identical, since the
+# DB's simulation tier is shared by parallel workers in any interleaving.
+rerun-identical:
+	$(GO) build -o /tmp/compisa-bin/compose-explore ./cmd/compose-explore
+	/tmp/compisa-bin/compose-explore -experiment all >/tmp/compisa-bin/all.out
+	GOMAXPROCS=1 /tmp/compisa-bin/compose-explore -experiment all >/tmp/compisa-bin/all.gomaxprocs1.out
+	cmp /tmp/compisa-bin/all.out /tmp/compisa-bin/all.gomaxprocs1.out
 
 # Refresh the committed benchmark baseline (run this when a change is
 # intentionally slower, and say so in the commit).

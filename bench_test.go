@@ -65,7 +65,7 @@ func fig9(b *testing.B) *explore.Fig9Result {
 func fig14(b *testing.B) *explore.Fig14Result {
 	b.Helper()
 	db, _ := harness(b)
-	fig14Once.Do(func() { fig14Res, fig14Err = explore.Fig14DowngradeCost(context.Background(), db.Regions) })
+	fig14Once.Do(func() { fig14Res, fig14Err = explore.Fig14DowngradeCost(context.Background(), db) })
 	if fig14Err != nil {
 		b.Fatal(fig14Err)
 	}

@@ -348,7 +348,7 @@ func main() {
 	})
 	var fig14 *explore.Fig14Result
 	run("fig14", func() error {
-		r, err := explore.Fig14DowngradeCost(ctx, db.Regions)
+		r, err := explore.Fig14DowngradeCost(ctx, db)
 		if err != nil {
 			return err
 		}
@@ -358,7 +358,7 @@ func main() {
 	})
 	run("fig15", func() error {
 		if fig14 == nil {
-			r, err := explore.Fig14DowngradeCost(ctx, db.Regions)
+			r, err := explore.Fig14DowngradeCost(ctx, db)
 			if err != nil {
 				return err
 			}

@@ -13,14 +13,16 @@ import (
 	"compisa/internal/compiler"
 	"compisa/internal/cpu"
 	"compisa/internal/fault"
+	"compisa/internal/isa"
 	"compisa/internal/mem"
+	"compisa/internal/migrate"
 	"compisa/internal/par"
 	"compisa/internal/workload"
 )
 
 // DB caches per-(region, ISA) profiles and evaluated design points, and
 // evaluates candidates against the whole workload suite. All methods are
-// safe for concurrent use after construction; Inject/Policy/Log must be
+// safe for concurrent use after construction; Inject/Log must be
 // configured before the first evaluation.
 //
 // Three cache tiers back the pipeline:
@@ -43,7 +45,7 @@ import (
 // Failure model: a failing (region, ISA) evaluation is retried (bounded,
 // with backoff) while it looks transient, then quarantined — its profile
 // slot stays nil and every design point using that ISA scores the region
-// at the documented Policy penalties instead of aborting the run. The
+// at the documented quarantine penalties instead of aborting the run. The
 // x86-64 reference ISA is exempt from injection and strict about failures,
 // because a failed reference would invalidate every normalized metric. An
 // attempt with an injected fault bypasses the simulation tier, so
@@ -64,8 +66,6 @@ type DB struct {
 	// NewDB enables it — the stage costs well under a millisecond per
 	// region and turns silent bad codegen into a classified fault.
 	Verify bool
-	// Policy tunes retries and degradation penalties.
-	Policy Policy
 	// Log, if set, receives fault-tolerance events (retries, quarantines,
 	// degraded evaluations).
 	Log func(format string, args ...any)
@@ -210,13 +210,12 @@ func (db *DB) computeProfiles(ctx context.Context, c ISAChoice) ([]*cpu.Profile,
 // profileWithRetry runs one (region, ISA) evaluation with bounded retries
 // for transient faults.
 func (db *DB) profileWithRetry(ctx context.Context, r workload.Region, c ISAChoice) (*cpu.Profile, error) {
-	pol := db.Policy.WithDefaults()
 	var err error
-	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
 			db.Stats.Retries.Inc()
 			db.logf("eval: retrying %s for %s (attempt %d): %v", r.Name, c.Key(), attempt+1, err)
-			t := time.NewTimer(pol.Backoff << (attempt - 1))
+			t := time.NewTimer(retryBackoff << (attempt - 1))
 			select {
 			case <-ctx.Done():
 				t.Stop()
@@ -279,32 +278,10 @@ func (db *DB) profileOnce(ctx context.Context, r workload.Region, c ISAChoice, a
 		case <-t.C:
 		}
 	}
-	compileStart := time.Now()
-	db.Stats.Compiles.Inc()
-	f, m, err := r.Build(c.FS.Width)
+	prog, m, err := db.compile(r, c, d)
 	if err != nil {
 		return nil, classify(fault.StageCompile, err)
 	}
-	// The pipeline has its own verification stage below (with fault
-	// classification and stats); skip the compiler's internal gate so the
-	// work isn't done twice and failures carry the right stage.
-	copts := compiler.Options{Verify: compiler.VerifyOff}
-	if c.Vendor != nil {
-		// Vendors with a real encoding backend compile through it: the
-		// profile's code bytes, instruction lengths, and I-side cache
-		// behavior are measured from the target's encoder instead of being
-		// scaled by the analytic CodeDensity fallback below.
-		copts.Target = c.Vendor.Target
-	}
-	if d.Kind == fault.KindCompile {
-		copts.FaultHook = func() error { return d.Errorf() }
-	}
-	prog, err := compiler.Compile(f, c.FS, copts)
-	if err != nil {
-		return nil, classify(fault.StageCompile, err)
-	}
-	db.Stats.CompileTime.Since(compileStart)
-	prog.Name = r.Name
 	if d.Kind == fault.KindBadCode {
 		// Seed illegal codegen through the real mutation harness: the
 		// static verification stage (not the executor) must catch it.
@@ -334,7 +311,7 @@ func (db *DB) profileOnce(ctx context.Context, r workload.Region, c ISAChoice, a
 		prog.Instrs[0].Op = 0xEF
 	}
 	if d.Kind == fault.KindNone {
-		p, err = db.simulate(ctx, simKeyOf(r.Name, prog), prog, m, ropts)
+		p, err = db.simulate(ctx, simKeyOf(r.Name, c.FS.Width, prog), prog, m, ropts)
 	} else {
 		p, err = db.exec(prog, m, ropts)
 	}
@@ -348,6 +325,63 @@ func (db *DB) profileOnce(ctx context.Context, r workload.Region, c ISAChoice, a
 		p = vendorAdjust(p, c)
 	}
 	return p, nil
+}
+
+// compile is the build and compile stage of every profiled cell: region r
+// built at c's width and compiled for c (failing if d injects a compile
+// fault), unverified, with the initial memory image it runs on.
+func (db *DB) compile(r workload.Region, c ISAChoice, d fault.Decision) (*code.Program, *mem.Memory, error) {
+	start := time.Now()
+	db.Stats.Compiles.Inc()
+	f, m, err := r.Build(c.FS.Width)
+	if err != nil {
+		return nil, nil, err
+	}
+	// The pipeline has its own verification stage (with fault
+	// classification and stats); skip the compiler's internal gate so the
+	// work isn't done twice and failures carry the right stage.
+	copts := compiler.Options{Verify: compiler.VerifyOff}
+	if c.Vendor != nil {
+		// Vendors with a real encoding backend compile through it: the
+		// profile's code bytes, instruction lengths, and I-side cache
+		// behavior are measured from the target's encoder instead of being
+		// scaled by the analytic CodeDensity fallback in vendorAdjust.
+		copts.Target = c.Vendor.Target
+	}
+	if d.Kind == fault.KindCompile {
+		copts.FaultHook = func() error { return d.Errorf() }
+	}
+	prog, err := compiler.Compile(f, c.FS, copts)
+	if err != nil {
+		return nil, nil, err
+	}
+	db.Stats.CompileTime.Since(start)
+	prog.Name = r.Name
+	return prog, m, nil
+}
+
+// TranslatedProfiles profiles, on the par pool, every region compiled for
+// from and translated to to by migrate.Translate (Figure 14). A refused
+// translation (vector code bound for a SIMD-less core) leaves a nil slot;
+// any other failure fails the call. Translated programs share the
+// simulation tier but are neither injected nor verified: the verifier
+// rejects translator output that runs correctly (see DESIGN.md, "Cache
+// tiers"), and quarantining it would move the figure.
+func (db *DB) TranslatedProfiles(ctx context.Context, from, to isa.FeatureSet) ([]*cpu.Profile, error) {
+	ropts := cpu.RunOptions{MaxInstrs: MaxRegionInstrs, Interrupt: ctx.Err}
+	return par.Map(ctx, len(db.Regions), 0, func(i int) (*cpu.Profile, error) {
+		r := db.Regions[i]
+		prog, m, err := db.compile(r, ISAChoice{FS: from}, fault.Decision{})
+		if err != nil {
+			return nil, fault.Wrap(fault.StageCompile, r.Name, from.String(), err)
+		}
+		trans, err := migrate.Translate(prog, to)
+		if err != nil {
+			return nil, nil
+		}
+		p, err := db.simulate(ctx, simKeyOf(r.Name, from.Width, trans), trans, m, ropts)
+		return p, fault.Wrap(fault.StageExec, r.Name, to.String(), err)
+	})
 }
 
 // simCall is one simulation-tier entry. The leader runs the simulation and

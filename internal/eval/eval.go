@@ -21,8 +21,7 @@ import (
 	"time"
 )
 
-// MaxRegionInstrs bounds each region's functional execution; the domain
-// layer reuses the same watchdog budget for its own direct profiling runs.
+// MaxRegionInstrs bounds each region's functional execution.
 const MaxRegionInstrs = 40_000_000
 
 // runawayInstrs is the tiny instruction budget applied under an injected
@@ -30,40 +29,21 @@ const MaxRegionInstrs = 40_000_000
 // instruction-budget watchdog fires through the ordinary execution path.
 const runawayInstrs = 10_000
 
-// Policy tunes the evaluation pipeline's fault handling. The zero value
-// selects the defaults documented per field.
-type Policy struct {
-	// MaxAttempts bounds evaluation attempts per (region, ISA) pair
-	// (default 3). Only transient faults are retried.
-	MaxAttempts int
-	// Backoff is the delay before the first retry, doubled on each
-	// subsequent attempt (default 1ms).
-	Backoff time.Duration
-	// SpeedupPenalty is the speedup recorded for a quarantined (region,
-	// ISA) pair (default 0.25): the pair scores as running 4x slower than
-	// the reference, so searches steer away from — but survive — failures.
-	SpeedupPenalty float64
-	// EDPPenalty is the normalized EDP recorded for a quarantined pair
-	// (default 4.0, the EDP dual of SpeedupPenalty).
-	EDPPenalty float64
-}
-
-// WithDefaults fills unset fields with the documented defaults.
-func (p Policy) WithDefaults() Policy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 3
-	}
-	if p.Backoff <= 0 {
-		p.Backoff = time.Millisecond
-	}
-	if p.SpeedupPenalty <= 0 {
-		p.SpeedupPenalty = 0.25
-	}
-	if p.EDPPenalty <= 0 {
-		p.EDPPenalty = 4.0
-	}
-	return p
-}
+// Fault-handling policy. Only transient faults are retried.
+const (
+	// maxAttempts bounds evaluation attempts per (region, ISA) pair.
+	maxAttempts = 3
+	// retryBackoff is the delay before the first retry, doubled on each
+	// subsequent attempt.
+	retryBackoff = time.Millisecond
+	// speedupPenalty is the speedup recorded for a quarantined (region,
+	// ISA) pair: the pair scores as running 4x slower than the reference,
+	// so searches steer away from — but survive — failures.
+	speedupPenalty = 0.25
+	// edpPenalty is the normalized EDP recorded for a quarantined pair (the
+	// EDP dual of speedupPenalty).
+	edpPenalty = 4.0
+)
 
 // isCtxErr reports whether err stems from context cancellation or deadline
 // expiry (the two failures graceful degradation must not swallow).

@@ -32,7 +32,7 @@ type Candidate struct {
 	Speedup []float64
 	// NormEDP[r] = candidate E*D / reference E*D.
 	NormEDP []float64
-	// Degraded[r] marks regions scored at the Policy penalties because the
+	// Degraded[r] marks regions scored at the quarantine penalties because the
 	// (region, ISA) pair is quarantined (or its model evaluation failed).
 	Degraded []bool
 }
@@ -90,8 +90,8 @@ func (db *DB) isOwnRef(ref []Metric) bool {
 // reference are memoized in the candidate cache tier, keyed by
 // DesignPoint.CacheKey, so repeated sweeps over overlapping design points
 // (different budgets, organizations, experiment drivers) share one scoring
-// pass. Quarantined regions degrade to the Policy penalties (Speedup =
-// SpeedupPenalty, NormEDP = EDPPenalty, with Cycles/Energy back-derived from
+// pass. Quarantined regions degrade to the quarantine penalties (Speedup =
+// speedupPenalty, NormEDP = edpPenalty, with Cycles/Energy back-derived from
 // the reference) instead of failing; with a nil ref (the reference
 // evaluation itself) any failure is an error.
 func (db *DB) Evaluate(ctx context.Context, dp DesignPoint, ref []Metric) (*Candidate, error) {
@@ -147,7 +147,6 @@ func (db *DB) EvaluateBatch(ctx context.Context, choice ISAChoice, cfgs []cpu.Co
 	if err != nil {
 		return nil, err
 	}
-	pol := db.Policy.WithDefaults()
 	n := len(db.Regions)
 	tr := choice.Traits()
 
@@ -179,13 +178,13 @@ func (db *DB) EvaluateBatch(ctx context.Context, choice ISAChoice, cfgs []cpu.Co
 		degrade := func(r int) {
 			db.Stats.DegradedRegions.Inc()
 			c.Degraded[r] = true
-			c.Speedup[r] = pol.SpeedupPenalty
-			c.NormEDP[r] = pol.EDPPenalty
+			c.Speedup[r] = speedupPenalty
+			c.NormEDP[r] = edpPenalty
 			// Back-derive placeholder metrics consistent with the penalties:
-			// D = refD/SpeedupPenalty and E*D = EDPPenalty*refE*refD.
+			// D = refD/speedupPenalty and E*D = edpPenalty*refE*refD.
 			c.M[r] = Metric{
-				Cycles: ref[r].Cycles / pol.SpeedupPenalty,
-				Energy: ref[r].Energy * pol.EDPPenalty * pol.SpeedupPenalty,
+				Cycles: ref[r].Cycles / speedupPenalty,
+				Energy: ref[r].Energy * edpPenalty * speedupPenalty,
 			}
 		}
 		for r := 0; r < n; r++ {
@@ -251,7 +250,6 @@ func (db *DB) evaluate(ctx context.Context, dp DesignPoint, ref []Metric) (*Cand
 	if err != nil {
 		return nil, err
 	}
-	pol := db.Policy.WithDefaults()
 	n := len(db.Regions)
 	c := &Candidate{
 		DP:       dp,
@@ -266,13 +264,13 @@ func (db *DB) evaluate(ctx context.Context, dp DesignPoint, ref []Metric) (*Cand
 	degrade := func(r int) {
 		db.Stats.DegradedRegions.Inc()
 		c.Degraded[r] = true
-		c.Speedup[r] = pol.SpeedupPenalty
-		c.NormEDP[r] = pol.EDPPenalty
+		c.Speedup[r] = speedupPenalty
+		c.NormEDP[r] = edpPenalty
 		// Back-derive placeholder metrics consistent with the penalties:
-		// D = refD/SpeedupPenalty and E*D = EDPPenalty*refE*refD.
+		// D = refD/speedupPenalty and E*D = edpPenalty*refE*refD.
 		c.M[r] = Metric{
-			Cycles: ref[r].Cycles / pol.SpeedupPenalty,
-			Energy: ref[r].Energy * pol.EDPPenalty * pol.SpeedupPenalty,
+			Cycles: ref[r].Cycles / speedupPenalty,
+			Energy: ref[r].Energy * edpPenalty * speedupPenalty,
 		}
 	}
 	modelStart := time.Now()

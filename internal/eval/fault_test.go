@@ -146,7 +146,7 @@ func TestFaultKindsExerciseRealPaths(t *testing.T) {
 }
 
 // TestFaultDegradedScoring: quarantined pairs score at exactly the documented
-// Policy penalties rather than aborting Evaluate.
+// quarantine penalties rather than aborting Evaluate.
 func TestFaultDegradedScoring(t *testing.T) {
 	in := injector(t, fault.Config{Seed: 7, Rate: 1, Kinds: []fault.Kind{fault.KindCompile}})
 	db := smallDB(3, in)
@@ -160,14 +160,13 @@ func TestFaultDegradedScoring(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Evaluate must degrade, not fail: %v", err)
 	}
-	pol := db.Policy.WithDefaults()
 	for r := range db.Regions {
 		if !c.Degraded[r] {
 			t.Fatalf("region %d: expected degraded evaluation", r)
 		}
-		if c.Speedup[r] != pol.SpeedupPenalty || c.NormEDP[r] != pol.EDPPenalty {
+		if c.Speedup[r] != speedupPenalty || c.NormEDP[r] != edpPenalty {
 			t.Errorf("region %d: speedup %v edp %v, want penalties %v / %v",
-				r, c.Speedup[r], c.NormEDP[r], pol.SpeedupPenalty, pol.EDPPenalty)
+				r, c.Speedup[r], c.NormEDP[r], speedupPenalty, edpPenalty)
 		}
 	}
 	if got := db.Stats.DegradedRegions.Load(); got != int64(len(db.Regions)) {

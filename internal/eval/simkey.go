@@ -17,9 +17,10 @@ const instrKeyBytes = 13 + 8 + 4 + 4
 // region, so two (region, ISA) cells with equal keys have equal profiles up
 // to Name and compile Stats (which overlay rewrites):
 //
-//   - the region name and FS.Width: Region.Build(width) derives the initial
-//     memory image from these two alone, so no memory is hashed;
-//   - FS.Complexity, which Profile.X86Complexity records;
+//   - the region name and the width it was built at, from which alone
+//     Region.Build derives the initial memory image (so no memory is
+//     hashed; a translated program runs on its source width's image);
+//   - FS.Width (register width) and FS.Complexity (X86Complexity);
 //   - Target and CompactEncoding (instruction lengths and layout);
 //   - Size, Base, PC and Pool;
 //   - every executed field of every instruction.
@@ -29,12 +30,13 @@ const instrKeyBytes = 13 + 8 + 4 + 4
 // others are never read by the simulation. TestSimKeyFieldCoverage fails
 // when a field is added to code.Program or code.Instr without being placed
 // on one side or the other.
-func simKeyOf(region string, p *code.Program) simKey {
+func simKeyOf(region string, buildWidth int, p *code.Program) simKey {
 	le := binary.LittleEndian
-	b := make([]byte, 0, 64+len(region)+len(p.Target)+
+	b := make([]byte, 0, 72+len(region)+len(p.Target)+
 		len(p.Pool)*13+len(p.PC)*4+len(p.Instrs)*instrKeyBytes)
 	b = le.AppendUint32(b, uint32(len(region)))
 	b = append(b, region...)
+	b = le.AppendUint64(b, uint64(buildWidth))
 	b = le.AppendUint32(b, uint32(len(p.Target)))
 	b = append(b, p.Target...)
 	b = le.AppendUint64(b, uint64(p.FS.Width))

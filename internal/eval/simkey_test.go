@@ -81,7 +81,10 @@ var simKeyExcluded = map[string]keyMutation{
 // key, and mutating any excluded input does not.
 func TestSimKeyCoversInputs(t *testing.T) {
 	const region = "bench.region"
-	base := simKeyOf(region, simKeyBase())
+	base := simKeyOf(region, 64, simKeyBase())
+	if simKeyOf(region, 32, simKeyBase()) == base {
+		t.Error("mutating the build width: key unchanged")
+	}
 	for _, tc := range []struct {
 		muts    map[string]keyMutation
 		changes bool
@@ -89,7 +92,7 @@ func TestSimKeyCoversInputs(t *testing.T) {
 		for name, mut := range tc.muts {
 			r, p := region, simKeyBase()
 			mut(&r, p)
-			if got := simKeyOf(r, p) != base; got != tc.changes {
+			if got := simKeyOf(r, 64, p) != base; got != tc.changes {
 				t.Errorf("mutating %s: key changed = %v, want %v", name, got, tc.changes)
 			}
 		}

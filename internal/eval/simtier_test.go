@@ -224,7 +224,7 @@ func TestFaultSimTierBypass(t *testing.T) {
 func TestFaultSimLeaderCanceled(t *testing.T) {
 	db := smallDB(1, nil)
 	prog, m := compileCell(t, db.Regions[0], X8664Choice())
-	key := simKeyOf(db.Regions[0].Name, prog)
+	key := simKeyOf(db.Regions[0].Name, prog.FS.Width, prog)
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 	ctx := context.Background()

@@ -18,7 +18,6 @@ import (
 // checkpoints restore across them without conversion.
 type (
 	DB              = eval.DB
-	Policy          = eval.Policy
 	Stats           = eval.Stats
 	StatsSnapshot   = eval.StatsSnapshot
 	ISAChoice       = eval.ISAChoice

@@ -3,14 +3,10 @@ package explore
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
-	"compisa/internal/compiler"
 	"compisa/internal/cpu"
-	"compisa/internal/eval"
 	"compisa/internal/isa"
-	"compisa/internal/migrate"
 	"compisa/internal/perfmodel"
 	"compisa/internal/workload"
 )
@@ -62,77 +58,68 @@ func downgradeEvalConfig() cpu.CoreConfig {
 	}
 }
 
-// Fig14DowngradeCost measures feature-downgrade emulation cost: each region
-// is compiled for the case's source feature set, binary-translated to the
-// target, and both versions are profiled on the same core configuration.
-func Fig14DowngradeCost(ctx context.Context, regions []workload.Region) (*Fig14Result, error) {
+// Fig14DowngradeCost measures feature-downgrade emulation cost: the DB's
+// profiles for the case's source feature set and their binary translations
+// to the target are scored on the same core configuration. A region whose
+// native (region, source) pair is quarantined is left out of that case.
+func Fig14DowngradeCost(ctx context.Context, db *DB) (*Fig14Result, error) {
 	res := &Fig14Result{
 		Cases:   Fig14Cases(),
 		CostPct: map[string]map[string]float64{},
 		Skipped: map[string]int{},
 	}
 	cfg := downgradeEvalConfig()
-	type agg struct{ native, translated float64 }
-	acc := map[string]map[string]*agg{}
-	ropts := cpu.RunOptions{MaxInstrs: eval.MaxRegionInstrs, Interrupt: ctx.Err}
 	for _, dc := range res.Cases {
-		for _, r := range regions {
-			f, m, err := r.Build(dc.From.Width)
-			if err != nil {
-				return nil, err
-			}
-			prog, err := compiler.Compile(f, dc.From, compiler.Options{})
-			if err != nil {
-				return nil, err
-			}
-			prog.Name = r.Name
-			trans, err := migrate.Translate(prog, dc.To)
-			if err != nil {
+		natives, err := db.Profiles(ctx, ISAChoice{FS: dc.From})
+		if err != nil {
+			return nil, err
+		}
+		trans, err := db.TranslatedProfiles(ctx, dc.From, dc.To)
+		if err != nil {
+			return nil, err
+		}
+		acc := map[string]*[2]float64{} // bench -> weighted native, translated cycles
+		for i, r := range db.Regions {
+			if trans[i] == nil {
 				// Vector code on SIMD-less targets: scheduler avoidance.
 				res.Skipped[dc.Name]++
 				continue
 			}
-			natProf, _, err := cpu.CollectProfileOpts(prog, m.Clone(), ropts)
+			if natives[i] == nil {
+				continue
+			}
+			nat, err := perfmodel.Cycles(natives[i], cfg)
 			if err != nil {
 				return nil, err
 			}
-			trProf, _, err := cpu.CollectProfileOpts(trans, m, ropts)
-			if err != nil {
-				return nil, fmt.Errorf("%s %s: %w", dc.Name, r.Name, err)
-			}
-			nat, err := perfmodel.Cycles(natProf, cfg)
+			tr, err := perfmodel.Cycles(trans[i], cfg)
 			if err != nil {
 				return nil, err
 			}
-			tr, err := perfmodel.Cycles(trProf, cfg)
-			if err != nil {
-				return nil, err
+			a := acc[r.Benchmark]
+			if a == nil {
+				a = new([2]float64)
+				acc[r.Benchmark] = a
 			}
-			if acc[r.Benchmark] == nil {
-				acc[r.Benchmark] = map[string]*agg{}
-			}
-			if acc[r.Benchmark][dc.Name] == nil {
-				acc[r.Benchmark][dc.Name] = &agg{}
-			}
-			a := acc[r.Benchmark][dc.Name]
-			a.native += r.Weight * nat.Cycles
-			a.translated += r.Weight * tr.Cycles
+			a[0] += r.Weight * nat.Cycles
+			a[1] += r.Weight * tr.Cycles
 		}
-	}
-	for bench, byCase := range acc {
-		res.CostPct[bench] = map[string]float64{}
-		for name, a := range byCase {
-			res.CostPct[bench][name] = 100 * (a.translated/a.native - 1)
+		for bench, a := range acc {
+			if res.CostPct[bench] == nil {
+				res.CostPct[bench] = map[string]float64{}
+			}
+			res.CostPct[bench][dc.Name] = 100 * (a[1]/a[0] - 1)
 		}
 	}
 	return res, nil
 }
 
-// MeanCostPct returns the across-benchmark mean cost of a case.
+// MeanCostPct returns the across-benchmark mean cost of a case, summed in
+// workload.Names() order so the result does not depend on map order.
 func (r *Fig14Result) MeanCostPct(caseName string) float64 {
 	s, n := 0.0, 0
-	for _, byCase := range r.CostPct {
-		if v, ok := byCase[caseName]; ok {
+	for _, b := range workload.Names() {
+		if v, ok := r.CostPct[b][caseName]; ok {
 			s += v
 			n++
 		}
@@ -218,10 +205,11 @@ func (s *Searcher) Fig15MigrationOverhead(ctx context.Context, budget Budget, co
 			votes[r.Benchmark][key] += r.Weight
 		}
 		for bench, v := range votes {
+			// Sorted keys: a tie goes to the lowest key, not to map order.
 			bestKey, bestW := "", -1.0
-			for k, w := range v {
-				if w > bestW {
-					bestKey, bestW = k, w
+			for _, k := range sortedKeys(v) {
+				if v[k] > bestW {
+					bestKey, bestW = k, v[k]
 				}
 			}
 			binFS[bench] = fsByKey[bestKey]
@@ -249,11 +237,9 @@ func (s *Searcher) Fig15MigrationOverhead(ctx context.Context, budget Budget, co
 			return "32 to 8 registers"
 		}
 	}
-	res := &Fig15Result{Budget: budget, DowngradesByKind: map[string]int{}}
-	penalty := func(bench string, from, to isa.FeatureSet) (float64, []isa.DowngradeKind) {
-		kinds := isa.Downgrades(from, to)
+	penalty := func(bench string, from, to isa.FeatureSet) float64 {
 		f := 1.0
-		for _, k := range kinds {
+		for _, k := range isa.Downgrades(from, to) {
 			var name string
 			if k == isa.DowngradeDepth {
 				name = depthCase(from.Depth, to.Depth)
@@ -270,40 +256,37 @@ func (s *Searcher) Fig15MigrationOverhead(ctx context.Context, budget Budget, co
 			}
 			f *= 1 + c
 		}
-		return f, kinds
+		return f
 	}
 
 	// Baseline: contention schedule without costs.
 	base := si.scheduleMP(&cmp.Cores, regions, nil)
 
 	// With costs: each thread's performance on a core is its binary's
-	// profile on that core's microarchitecture, scaled by downgrade
-	// penalties; migrations charge a fixed fraction.
-	// Precompute per-region, per-core adjusted speedups.
+	// speedup on that core's microarchitecture (one candidate batch per
+	// distinct binary), scaled by downgrade penalties unless the pair is
+	// quarantined; migrations charge a fixed fraction.
+	cfgs := make([]cpu.CoreConfig, 4)
+	for k := range cfgs {
+		cfgs[k] = cmp.Cores[k].DP.Cfg
+	}
+	bins := map[isa.FeatureSet][]*Candidate{}
 	adj := make([][4]float64, len(regions))
-	ref := s.Reference()
-	pol := s.DB.Policy.WithDefaults()
 	for ri, r := range regions {
 		bFS := binFS[r.Benchmark]
-		bProfiles, err := s.DB.Profiles(ctx, ISAChoice{FS: bFS})
-		if err != nil {
-			return nil, err
-		}
-		for k := 0; k < 4; k++ {
-			if bProfiles[ri] == nil {
-				// Quarantined binary profile: score at the penalty.
-				adj[ri][k] = pol.SpeedupPenalty
-				continue
-			}
-			coreFS := cmp.Cores[k].DP.ISA.FS
-			perf, err := perfmodel.Cycles(bProfiles[ri], cmp.Cores[k].DP.Cfg)
+		cs, ok := bins[bFS]
+		if !ok {
+			cs, err = s.DB.EvaluateBatch(ctx, ISAChoice{FS: bFS}, cfgs, s.Reference())
 			if err != nil {
 				return nil, err
 			}
-			sp := ref[ri].Cycles / perf.Cycles
-			if !coreFS.Subsumes(bFS) {
-				p, _ := penalty(r.Benchmark, bFS, coreFS)
-				sp /= p
+			bins[bFS] = cs
+		}
+		for k := 0; k < 4; k++ {
+			sp := cs[k].Speedup[ri]
+			coreFS := cmp.Cores[k].DP.ISA.FS
+			if !cs[k].Degraded[ri] && !coreFS.Subsumes(bFS) {
+				sp /= penalty(r.Benchmark, bFS, coreFS)
 			}
 			adj[ri][k] = sp
 		}
@@ -322,25 +305,26 @@ func (s *Searcher) Fig15MigrationOverhead(ctx context.Context, budget Budget, co
 	kindCount := map[string]int{}
 	for bench, byCore := range withCost.TimeByBenchCore {
 		for core, t := range byCore {
-			if t == 0 {
+			coreFS := cmp.Cores[core].DP.ISA.FS
+			if t == 0 || coreFS.Subsumes(binFS[bench]) {
 				continue
 			}
-			if !cmp.Cores[core].DP.ISA.FS.Subsumes(binFS[bench]) {
-				downgradeSteps++
-				for _, k := range isa.Downgrades(binFS[bench], cmp.Cores[core].DP.ISA.FS) {
-					kindCount[k.String()]++
-				}
+			downgradeSteps++
+			for _, k := range isa.Downgrades(binFS[bench], coreFS) {
+				kindCount[k.String()]++
 			}
 		}
 	}
-	res.WithoutCost = base.Throughput
-	res.WithCost = withCost.Throughput
-	res.DegradationPct = 100 * (1 - withCost.Throughput/base.Throughput)
-	res.Migrations = withCost.Migrations
-	res.Steps = withCost.Steps
-	res.DowngradeSteps = downgradeSteps
-	res.DowngradesByKind = kindCount
-	return res, nil
+	return &Fig15Result{
+		Budget:           budget,
+		WithoutCost:      base.Throughput,
+		WithCost:         withCost.Throughput,
+		DegradationPct:   100 * (1 - withCost.Throughput/base.Throughput),
+		Migrations:       withCost.Migrations,
+		DowngradeSteps:   downgradeSteps,
+		DowngradesByKind: kindCount,
+		Steps:            withCost.Steps,
+	}, nil
 }
 
 // Format renders Figure 15's summary.
@@ -352,12 +336,8 @@ func (r *Fig15Result) Format() string {
 		r.WithCost, r.DegradationPct)
 	fmt.Fprintf(&sb, "  schedule: %d steps, %d migrations, %d downgraded intervals\n",
 		r.Steps, r.Migrations, r.DowngradeSteps)
-	kinds := make([]string, 0, len(r.DowngradesByKind))
-	for k := range r.DowngradesByKind {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds) // map order would reorder the rows across reruns
-	for _, k := range kinds {
+	// Sorted: map order would reorder the rows across reruns.
+	for _, k := range sortedKeys(r.DowngradesByKind) {
 		fmt.Fprintf(&sb, "    downgrade %-24s %d\n", k, r.DowngradesByKind[k])
 	}
 	return sb.String()

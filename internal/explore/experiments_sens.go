@@ -247,16 +247,10 @@ func (s *Searcher) Fig13AffinityMultiprogrammed(ctx context.Context) (*AffinityR
 
 func distinctFS(cmp CMP) []string {
 	seen := map[string]bool{}
-	var out []string
 	for _, c := range cmp.Cores {
-		k := c.DP.ISA.Key()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, k)
-		}
+		seen[c.DP.ISA.Key()] = true
 	}
-	sort.Strings(out)
-	return out
+	return sortedKeys(seen)
 }
 
 func addShare(m map[string]map[string]float64, bench, key string, v float64) {
@@ -266,11 +260,13 @@ func addShare(m map[string]map[string]float64, bench, key string, v float64) {
 	m[bench][key] += v
 }
 
+// normalizeShares scales each benchmark's shares to sum to 1. Each total
+// is summed in sorted-key order, so it does not depend on map order.
 func normalizeShares(m map[string]map[string]float64) {
 	for _, byKey := range m {
 		total := 0.0
-		for _, v := range byKey {
-			total += v
+		for _, k := range sortedKeys(byKey) {
+			total += byKey[k]
 		}
 		if total == 0 {
 			continue
@@ -279,6 +275,17 @@ func normalizeShares(m map[string]map[string]float64) {
 			byKey[k] /= total
 		}
 	}
+}
+
+// sortedKeys returns m's keys in ascending order, for reductions and
+// tie-breaks that must not depend on map order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // Format renders an affinity result.
