@@ -34,15 +34,7 @@ func main() {
 		return
 	}
 
-	c := isa.FullX86
-	if *complexity == "microx86" {
-		c = isa.MicroX86
-	}
-	p := isa.PartialPredication
-	if *pred == "full" {
-		p = isa.FullPredication
-	}
-	fs, err := isa.New(c, *width, *depth, p)
+	fs, err := isa.ParseFeatureSet(*complexity, *width, *depth, *pred)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -20,22 +20,6 @@ import (
 	"compisa/internal/workload"
 )
 
-func parseFS(complexity string, width, depth int, pred string) isa.FeatureSet {
-	c := isa.FullX86
-	if complexity == "microx86" {
-		c = isa.MicroX86
-	}
-	p := isa.PartialPredication
-	if pred == "full" {
-		p = isa.FullPredication
-	}
-	fs, err := isa.New(c, width, depth, p)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return fs
-}
-
 func main() {
 	region := flag.String("region", "hmmer.0", "region name")
 	fromCplx := flag.String("from-complexity", "microx86", "x86 | microx86")
@@ -50,8 +34,14 @@ func main() {
 	toTarget := flag.String("to-target", "", "destination core's guest-ISA encoding (x86 | alpha64; empty = x86)")
 	flag.Parse()
 
-	src := parseFS(*fromCplx, *fromWidth, *fromDepth, *fromPred)
-	dst := parseFS(*toCplx, *toWidth, *toDepth, *toPred)
+	src, err := isa.ParseFeatureSet(*fromCplx, *fromWidth, *fromDepth, *fromPred)
+	if err != nil {
+		log.Fatal(err)
+	}
+	dst, err := isa.ParseFeatureSet(*toCplx, *toWidth, *toDepth, *toPred)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fromTgt, err := isa.ResolveTarget(*fromTarget)
 	if err != nil {
 		log.Fatal(err)

@@ -32,15 +32,7 @@ func main() {
 	l2 := flag.Int("l2", 4, "shared L2 size in MB: 4 | 8")
 	flag.Parse()
 
-	c := isa.FullX86
-	if *complexity == "microx86" {
-		c = isa.MicroX86
-	}
-	p := isa.PartialPredication
-	if *pred == "full" {
-		p = isa.FullPredication
-	}
-	fs, err := isa.New(c, *width, *depth, p)
+	fs, err := isa.ParseFeatureSet(*complexity, *width, *depth, *pred)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,16 +43,27 @@ func main() {
 		pk = cpu.PredLocal
 	case "gshare":
 		pk = cpu.PredGShare
-	default:
+	case "tournament":
 		pk = cpu.PredTournament
+	default:
+		log.Fatalf("unknown -predictor %q (have local, gshare, tournament)", *predictor)
 	}
-	l1c := cpu.L1Cfg32k
-	if *l1 == 64 {
+	var l1c, l2c cpu.CacheCfg
+	switch *l1 {
+	case 32:
+		l1c = cpu.L1Cfg32k
+	case 64:
 		l1c = cpu.L1Cfg64k
+	default:
+		log.Fatalf("unknown -l1 %d (have 32, 64)", *l1)
 	}
-	l2c := cpu.L2Cfg4M
-	if *l2 == 8 {
+	switch *l2 {
+	case 4:
+		l2c = cpu.L2Cfg4M
+	case 8:
 		l2c = cpu.L2Cfg8M
+	default:
+		log.Fatalf("unknown -l2 %d (have 4, 8)", *l2)
 	}
 	cfg := cpu.CoreConfig{
 		OoO: *ooo, Width: *issue, Predictor: pk,

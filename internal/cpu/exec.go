@@ -8,11 +8,9 @@ package cpu
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"compisa/internal/code"
-	"compisa/internal/encoding"
 	"compisa/internal/mem"
 )
 
@@ -122,91 +120,6 @@ func Run(p *code.Program, st *State, maxInstrs int64, consume func(*Event)) (Exe
 // repeatedly should Predecode once and use RunPredecoded directly.
 func RunOpts(p *code.Program, st *State, opts RunOptions, consume func(*Event)) (ExecResult, error) {
 	return RunPredecoded(Predecode(p), st, opts, consume)
-}
-
-// runLegacy is the original switch-dispatch run loop, kept verbatim as the
-// differential-test oracle for the table-driven executor.
-func runLegacy(p *code.Program, st *State, opts RunOptions, consume func(*Event)) (ExecResult, error) {
-	var res ExecResult
-	InstallPool(p, st.Mem)
-	width := p.FS.Width
-	var addrMask uint64 = math.MaxUint64
-	if width == 32 {
-		addrMask = math.MaxUint32
-	}
-	stride := opts.InterruptEvery
-	if stride <= 0 {
-		stride = 65536
-	}
-	nextPoll := stride
-	idx := 0
-	n := len(p.Instrs)
-	var ev Event
-	for {
-		if idx < 0 || idx >= n {
-			return res, fmt.Errorf("cpu: %s: pc %d: %w", p.Name, idx, ErrPCOutOfRange)
-		}
-		if res.Instrs >= opts.MaxInstrs {
-			return res, fmt.Errorf("cpu: %s after %d instructions: %w", p.Name, opts.MaxInstrs, ErrInstrBudget)
-		}
-		if opts.Interrupt != nil && res.Instrs >= nextPoll {
-			nextPoll = res.Instrs + stride
-			if err := opts.Interrupt(); err != nil {
-				return res, fmt.Errorf("cpu: %s: %w: %w", p.Name, ErrInterrupted, err)
-			}
-		}
-		in := &p.Instrs[idx]
-		res.Instrs++
-		nuops := in.NumUops()
-		res.Uops += int64(nuops)
-
-		ev = Event{Idx: int32(idx), PC: p.PC[idx], Len: uint8(encoding.Length(p, idx)), Uops: uint8(nuops)}
-
-		// Predication gate.
-		active := true
-		if in.Pred != code.NoReg {
-			pv := uint32(st.Int[in.Pred]) != 0
-			active = pv == in.PredSense
-			if !active {
-				ev.PredOff = true
-				res.PredOff++
-			}
-		}
-
-		next := idx + 1
-		if active {
-			var err error
-			next, err = st.step(p, idx, in, &ev, addrMask, &res)
-			if err != nil {
-				return res, err
-			}
-			if in.Op == code.RET {
-				res.Ret = ev.MemAddr // stashed return value
-				ev.MemAddr, ev.MemSz = 0, 0
-				ev.Taken = true
-				if consume != nil {
-					consume(&ev)
-				}
-				return res, nil
-			}
-		}
-		if in.Op == code.JCC {
-			res.Branches++
-			if ev.Taken {
-				res.Taken++
-			}
-		}
-		if ev.IsLoad {
-			res.Loads++
-		}
-		if ev.IsStore {
-			res.Stores++
-		}
-		if consume != nil {
-			consume(&ev)
-		}
-		idx = next
-	}
 }
 
 // writeInt stores v into an integer register honoring x86 width semantics:
@@ -340,317 +253,4 @@ func lane(r [2]uint64, l int) uint32 {
 }
 func packLanes(l [4]uint32) [2]uint64 {
 	return [2]uint64{uint64(l[0]) | uint64(l[1])<<32, uint64(l[2]) | uint64(l[3])<<32}
-}
-
-// step executes one active instruction and returns the next index.
-func (st *State) step(p *code.Program, idx int, in *code.Instr, ev *Event, addrMask uint64, res *ExecResult) (int, error) {
-	sz := in.Sz
-	// Resolve the second integer operand (register, immediate, or memory).
-	intOp2 := func() uint64 {
-		switch {
-		case in.HasImm:
-			return uint64(in.Imm) & szMask(sz)
-		case in.MemSrcALU():
-			a := st.ea(in.Mem, addrMask)
-			ev.MemAddr, ev.MemSz, ev.IsLoad = a, sz, true
-			return st.Mem.Read(a, int(sz))
-		default:
-			return st.Int[in.Src2] & szMask(sz)
-		}
-	}
-	fpOp2 := func() [2]uint64 {
-		if in.MemSrcALU() {
-			a := st.ea(in.Mem, addrMask)
-			ev.MemAddr, ev.MemSz, ev.IsLoad = a, sz, true
-			if sz == 16 {
-				lo, hi := st.Mem.Read128(a)
-				return [2]uint64{lo, hi}
-			}
-			return [2]uint64{st.Mem.Read(a, int(sz)), 0}
-		}
-		return st.FP[in.Src2]
-	}
-
-	switch in.Op {
-	case code.NOP:
-
-	case code.MOV:
-		var v uint64
-		if in.HasImm {
-			v = uint64(in.Imm)
-		} else {
-			v = st.Int[in.Src1]
-		}
-		st.writeInt(in.Dst, v&szMask(sz), sz)
-
-	case code.MOVSX:
-		st.Int[in.Dst] = uint64(int64(int32(uint32(st.Int[in.Src1]))))
-
-	case code.LEA:
-		st.writeInt(in.Dst, st.ea(in.Mem, addrMask), sz)
-
-	case code.LD:
-		a := st.ea(in.Mem, addrMask)
-		ev.MemAddr, ev.MemSz, ev.IsLoad = a, sz, true
-		st.writeInt(in.Dst, st.Mem.Read(a, int(sz)), 8 /* loads zero-extend */)
-
-	case code.ST:
-		a := st.ea(in.Mem, addrMask)
-		ev.MemAddr, ev.MemSz, ev.IsStore = a, sz, true
-		st.Mem.Write(a, int(sz), st.Int[in.Src1])
-
-	case code.ADD, code.ADC:
-		a := st.Int[in.Src1] & szMask(sz)
-		b := intOp2()
-		cin := in.Op == code.ADC && st.Flags.cf
-		r := a + b
-		if cin {
-			r++
-		}
-		st.setAddFlags(a, b, r, cin, sz)
-		st.writeInt(in.Dst, r&szMask(sz), sz)
-
-	case code.SUB, code.SBB:
-		a := st.Int[in.Src1] & szMask(sz)
-		b := intOp2()
-		bin := in.Op == code.SBB && st.Flags.cf
-		r := a - b
-		if bin {
-			r--
-		}
-		st.setSubFlags(a, b, r, bin, sz)
-		st.writeInt(in.Dst, r&szMask(sz), sz)
-
-	case code.IMUL:
-		a := st.Int[in.Src1] & szMask(sz)
-		b := intOp2()
-		r := (a * b) & szMask(sz)
-		// x86 IMUL leaves ZF/SF undefined and sets CF/OF on overflow;
-		// nothing downstream consumes them in generated code.
-		st.setLogicFlags(r, sz)
-		st.writeInt(in.Dst, r, sz)
-
-	case code.AND, code.OR, code.XOR:
-		a := st.Int[in.Src1] & szMask(sz)
-		b := intOp2()
-		var r uint64
-		switch in.Op {
-		case code.AND:
-			r = a & b
-		case code.OR:
-			r = a | b
-		default:
-			r = a ^ b
-		}
-		st.setLogicFlags(r, sz)
-		st.writeInt(in.Dst, r, sz)
-
-	case code.SHL, code.SHR, code.SAR:
-		a := st.Int[in.Src1] & szMask(sz)
-		k := uint(in.Imm)
-		var r uint64
-		switch in.Op {
-		case code.SHL:
-			r = a << k
-		case code.SHR:
-			r = a >> k
-		default:
-			if sz == 4 {
-				r = uint64(uint32(int32(uint32(a)) >> k))
-			} else {
-				r = uint64(int64(a) >> k)
-			}
-		}
-		r &= szMask(sz)
-		st.setLogicFlags(r, sz)
-		st.writeInt(in.Dst, r, sz)
-
-	case code.CMP:
-		a := st.Int[in.Src1] & szMask(sz)
-		b := intOp2()
-		st.setSubFlags(a, b, a-b, false, sz)
-
-	case code.TEST:
-		a := st.Int[in.Src1] & szMask(sz)
-		b := intOp2()
-		st.setLogicFlags(a&b, sz)
-
-	case code.SETCC:
-		var v uint64
-		if st.cond(in.CC) {
-			v = 1
-		}
-		st.writeInt(in.Dst, v, 4)
-
-	case code.CMOVCC:
-		var v uint64
-		if in.HasMem {
-			// CMOV with a memory source always performs the load.
-			a := st.ea(in.Mem, addrMask)
-			ev.MemAddr, ev.MemSz, ev.IsLoad = a, sz, true
-			v = st.Mem.Read(a, int(sz))
-		} else {
-			v = st.Int[in.Src1] & szMask(sz)
-		}
-		if st.cond(in.CC) {
-			st.writeInt(in.Dst, v, sz)
-		}
-
-	case code.JCC:
-		if st.cond(in.CC) {
-			ev.Taken = true
-			return int(in.Target), nil
-		}
-		return idx + 1, nil
-
-	case code.JMP:
-		ev.Taken = true
-		return int(in.Target), nil
-
-	case code.RET:
-		var v uint64
-		if in.Src1 != code.NoReg {
-			v = st.Int[in.Src1]
-		}
-		ev.MemAddr = v // stashed; Run extracts it
-		return idx, nil
-
-	case code.FMOV:
-		st.FP[in.Dst] = st.FP[in.Src1]
-
-	case code.FLD:
-		a := st.ea(in.Mem, addrMask)
-		ev.MemAddr, ev.MemSz, ev.IsLoad = a, sz, true
-		st.FP[in.Dst] = [2]uint64{st.Mem.Read(a, int(sz)), 0}
-
-	case code.FST:
-		a := st.ea(in.Mem, addrMask)
-		ev.MemAddr, ev.MemSz, ev.IsStore = a, sz, true
-		st.Mem.Write(a, int(sz), st.FP[in.Src1][0])
-
-	case code.FADD, code.FSUB, code.FMUL, code.FDIV:
-		a := st.FP[in.Src1]
-		b := fpOp2()
-		var r uint64
-		if sz == 4 {
-			x, y := f32of(a[0]), f32of(b[0])
-			var f float32
-			switch in.Op {
-			case code.FADD:
-				f = x + y
-			case code.FSUB:
-				f = x - y
-			case code.FMUL:
-				f = x * y
-			default:
-				f = x / y
-			}
-			r = f32to(f)
-		} else {
-			x, y := f64of(a[0]), f64of(b[0])
-			var f float64
-			switch in.Op {
-			case code.FADD:
-				f = x + y
-			case code.FSUB:
-				f = x - y
-			case code.FMUL:
-				f = x * y
-			default:
-				f = x / y
-			}
-			r = f64to(f)
-		}
-		st.FP[in.Dst] = [2]uint64{r, 0}
-
-	case code.FCMP:
-		var x, y float64
-		if sz == 4 {
-			x, y = float64(f32of(st.FP[in.Src1][0])), float64(f32of(st.FP[in.Src2][0]))
-		} else {
-			x, y = f64of(st.FP[in.Src1][0]), f64of(st.FP[in.Src2][0])
-		}
-		// UCOMISS/SD: ZF = equal, CF = below; SF/OF cleared.
-		st.Flags = flags{zf: x == y, cf: x < y}
-
-	case code.CVTIF:
-		s := int64(int32(uint32(st.Int[in.Src1])))
-		if sz == 4 {
-			st.FP[in.Dst] = [2]uint64{f32to(float32(s)), 0}
-		} else {
-			st.FP[in.Dst] = [2]uint64{f64to(float64(s)), 0}
-		}
-
-	case code.CVTFI:
-		var f float64
-		if sz == 4 {
-			f = float64(f32of(st.FP[in.Src1][0]))
-		} else {
-			f = f64of(st.FP[in.Src1][0])
-		}
-		st.writeInt(in.Dst, uint64(uint32(int32(f))), 4)
-
-	case code.VLD:
-		a := st.ea(in.Mem, addrMask)
-		ev.MemAddr, ev.MemSz, ev.IsLoad = a, 16, true
-		lo, hi := st.Mem.Read128(a)
-		st.FP[in.Dst] = [2]uint64{lo, hi}
-
-	case code.VST:
-		a := st.ea(in.Mem, addrMask)
-		ev.MemAddr, ev.MemSz, ev.IsStore = a, 16, true
-		st.Mem.Write128(a, st.FP[in.Src1][0], st.FP[in.Src1][1])
-
-	case code.VADDF, code.VSUBF, code.VMULF:
-		a := st.FP[in.Src1]
-		b := fpOp2()
-		var out [4]uint32
-		for l := 0; l < 4; l++ {
-			x, y := math.Float32frombits(lane(a, l)), math.Float32frombits(lane(b, l))
-			var f float32
-			switch in.Op {
-			case code.VADDF:
-				f = x + y
-			case code.VSUBF:
-				f = x - y
-			default:
-				f = x * y
-			}
-			out[l] = math.Float32bits(f)
-		}
-		st.FP[in.Dst] = packLanes(out)
-
-	case code.VADDI, code.VSUBI, code.VMULI:
-		a := st.FP[in.Src1]
-		b := fpOp2()
-		var out [4]uint32
-		for l := 0; l < 4; l++ {
-			x, y := lane(a, l), lane(b, l)
-			switch in.Op {
-			case code.VADDI:
-				out[l] = x + y
-			case code.VSUBI:
-				out[l] = x - y
-			default:
-				out[l] = x * y
-			}
-		}
-		st.FP[in.Dst] = packLanes(out)
-
-	case code.VSPLAT:
-		v := lane(st.FP[in.Src1], 0)
-		st.FP[in.Dst] = packLanes([4]uint32{v, v, v, v})
-
-	case code.VRSUM:
-		a := st.FP[in.Src1]
-		var s float32
-		for l := 0; l < 4; l++ {
-			s += math.Float32frombits(lane(a, l))
-		}
-		st.FP[in.Dst] = [2]uint64{f32to(s), 0}
-
-	default:
-		return 0, fmt.Errorf("cpu: op %d: %w", uint8(in.Op), ErrUnimplementedOp)
-	}
-	return idx + 1, nil
 }

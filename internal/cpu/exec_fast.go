@@ -9,12 +9,11 @@ import (
 
 // stepFn executes one active instruction and returns the next index. The
 // table-driven executor resolves each instruction's stepFn once at predecode
-// time; step's switch ladder remains in exec.go as the differential oracle.
+// time.
 type stepFn func(st *State, in *code.Instr, ev *Event, addrMask uint64, idx int) (int, error)
 
 // stepTab maps code.Op to its handler. Unhandled opcodes stay nil and fail
-// with ErrUnimplementedOp only if actually executed, matching the lazy-error
-// semantics of the switch path.
+// with ErrUnimplementedOp only if actually executed.
 var stepTab [256]stepFn
 
 func init() {
@@ -65,7 +64,7 @@ func init() {
 }
 
 // intOp2 resolves the second integer operand (register, immediate, or
-// memory) — the method form of step's closure.
+// memory).
 func (st *State) intOp2(in *code.Instr, ev *Event, addrMask uint64, sz uint8) uint64 {
 	switch {
 	case in.HasImm:
@@ -485,10 +484,9 @@ func stepVRSUM(st *State, in *code.Instr, ev *Event, addrMask uint64, idx int) (
 }
 
 // RunPredecoded is the table-driven run loop over a predecoded program. It
-// is semantically identical to runLegacy (the switch-dispatch oracle kept
-// in exec.go), but reads instruction length, micro-op count, and handler
-// from the predecode arrays instead of recomputing them per dynamic
-// instruction.
+// reads instruction length, micro-op count, and handler from the predecode
+// arrays instead of recomputing them per dynamic instruction; the digests
+// under testdata/ pin its event stream and results cell by cell.
 func RunPredecoded(pd *Predecoded, st *State, opts RunOptions, consume func(*Event)) (ExecResult, error) {
 	if opts.JIT != nil {
 		// Offer the execution to the native-code engine. The inner options

@@ -91,8 +91,8 @@ func Predecode(p *code.Program) *Predecoded {
 			pd.pflags[i] |= pfMemALU
 		}
 
-		// Derive the micro-op templates by running the oracle decomposition
-		// against a zeroed event: everything it reads from the event is
+		// Derive the micro-op templates by running expand() against a
+		// zeroed event: everything it reads from the event is
 		// exactly what instantiation must re-supply.
 		uops := expand(in, &zero, buf[:0])
 		pd.tmplOff[i] = int32(len(pd.tmpls))
@@ -122,7 +122,8 @@ func Predecode(p *code.Program) *Predecoded {
 }
 
 // expand instantiates the micro-op decomposition of the instruction at
-// ev.Idx into buf, bit-identical to the oracle expand() in timing.go.
+// ev.Idx into buf: the templates expand() in timing.go derived, with the
+// event's memory fields filled in.
 func (pd *Predecoded) expand(ev *Event, buf []uopSpec) []uopSpec {
 	buf = buf[:0]
 	off := int(pd.tmplOff[ev.Idx])

@@ -65,10 +65,6 @@ type Timing struct {
 	uc   *UopCache
 	res  TimingResult
 
-	// legacyExpand switches micro-op decomposition to the oracle expand()
-	// instead of the predecoded templates (differential tests only).
-	legacyExpand bool
-
 	// front-end state
 	fetchCycle int64 // cycle the next uop can be delivered
 	slotsLeft  int   // delivery slots remaining in fetchCycle
@@ -344,12 +340,7 @@ func (t *Timing) Consume(ev *Event) {
 
 	// ---- Back end. ----
 	var buf [3]uopSpec
-	var uops []uopSpec
-	if t.legacyExpand {
-		uops = expand(in, ev, buf[:0])
-	} else {
-		uops = t.pd.expand(ev, buf[:0])
-	}
+	uops := t.pd.expand(ev, buf[:0])
 	var lastComp int64
 	for ui := range uops {
 		u := &uops[ui]

@@ -108,9 +108,9 @@ func (db *DB) Evaluate(ctx context.Context, dp DesignPoint, ref []Metric) (*Cand
 // of the interval model (micro-op mix fractions, mispredict volumes, naive
 // stall sums) are computed once instead of ~180 times per profile. It is the
 // batch counterpart of Evaluate — same candidate cache tier, same degradation
-// policy, same stats — and bit-identical to the per-configuration path (see
-// the evaluate oracle below and TestEvaluateBatchMatchesOracle). The returned
-// slice is indexed like cfgs.
+// policy, same stats. TestEvaluateBatchMatchesOracle checks each candidate
+// against its composition from perfmodel.Cycles, power.Energy and the
+// normalization formulas. The returned slice is indexed like cfgs.
 func (db *DB) EvaluateBatch(ctx context.Context, choice ISAChoice, cfgs []cpu.CoreConfig, ref []Metric) ([]*Candidate, error) {
 	out := make([]*Candidate, len(cfgs))
 	cacheable := db.isOwnRef(ref)
@@ -239,69 +239,6 @@ func (db *DB) EvaluateBatch(ctx context.Context, choice ISAChoice, cfgs []cpu.Co
 	}
 	db.Stats.ModelTime.Since(modelStart)
 	return out, nil
-}
-
-// evaluate is the per-configuration scoring stage the batch path replaced.
-// It is kept verbatim as the differential oracle: it calls perfmodel.Cycles
-// directly (no precomputed Scorer terms) and skips the candidate cache, so
-// tests can prove the batch path bit-identical against it.
-func (db *DB) evaluate(ctx context.Context, dp DesignPoint, ref []Metric) (*Candidate, error) {
-	ps, err := db.Profiles(ctx, dp.ISA)
-	if err != nil {
-		return nil, err
-	}
-	n := len(db.Regions)
-	c := &Candidate{
-		DP:       dp,
-		AreaMM2:  dp.Area(),
-		PeakW:    dp.Peak(),
-		M:        make([]Metric, n),
-		Speedup:  make([]float64, n),
-		NormEDP:  make([]float64, n),
-		Degraded: make([]bool, n),
-	}
-	tr := dp.ISA.Traits()
-	degrade := func(r int) {
-		db.Stats.DegradedRegions.Inc()
-		c.Degraded[r] = true
-		c.Speedup[r] = speedupPenalty
-		c.NormEDP[r] = edpPenalty
-		// Back-derive placeholder metrics consistent with the penalties:
-		// D = refD/speedupPenalty and E*D = edpPenalty*refE*refD.
-		c.M[r] = Metric{
-			Cycles: ref[r].Cycles / speedupPenalty,
-			Energy: ref[r].Energy * edpPenalty * speedupPenalty,
-		}
-	}
-	modelStart := time.Now()
-	for r := 0; r < n; r++ {
-		if ps[r] == nil {
-			if ref == nil {
-				return nil, fmt.Errorf("eval: reference region %s unavailable", db.Regions[r].Name)
-			}
-			degrade(r)
-			continue
-		}
-		db.Stats.ModelEvals.Inc()
-		perf, err := perfmodel.Cycles(ps[r], dp.Cfg)
-		if err != nil {
-			merr := fault.Wrap(fault.StageModel, db.Regions[r].Name, dp.ISA.Key(), err)
-			if ref == nil {
-				return nil, merr
-			}
-			db.logf("eval: degrading %s on %s: %v", db.Regions[r].Name, dp, merr)
-			degrade(r)
-			continue
-		}
-		en := power.Energy(tr, dp.Cfg, ps[r], perf)
-		c.M[r] = Metric{Cycles: perf.Cycles, Energy: en.Total, Perf: perf}
-		if ref != nil {
-			c.Speedup[r] = ref[r].Cycles / perf.Cycles
-			c.NormEDP[r] = (en.Total * perf.Cycles) / (ref[r].Energy * ref[r].Cycles)
-		}
-	}
-	db.Stats.ModelTime.Since(modelStart)
-	return c, nil
 }
 
 // Candidates evaluates every (ISA choice, configuration) pair on the par

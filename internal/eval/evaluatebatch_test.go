@@ -2,11 +2,12 @@ package eval
 
 import (
 	"context"
-	"reflect"
 	"testing"
 
 	"compisa/internal/cpu"
 	"compisa/internal/fault"
+	"compisa/internal/perfmodel"
+	"compisa/internal/power"
 )
 
 // batchCfgs returns a configuration spread that exercises every term the
@@ -26,10 +27,11 @@ func batchCfgs() []cpu.CoreConfig {
 	return []cpu.CoreConfig{base, narrow, inord, bigmem, tiny}
 }
 
-// TestEvaluateBatchMatchesOracle: EvaluateBatch must be bit-identical to the
-// retained per-configuration oracle (evaluate) for every (choice, config)
-// pair — same metrics, speedups, EDPs, and degradation flags, down to the
-// float bit pattern.
+// TestEvaluateBatchMatchesOracle: every candidate EvaluateBatch returns must
+// equal its composition from the public pieces, down to the float bit
+// pattern: perfmodel.Cycles per region, power.Energy on that prediction,
+// speedup and normalized EDP against the reference, and the design point's
+// area and peak power.
 func TestEvaluateBatchMatchesOracle(t *testing.T) {
 	db := smallDB(3, nil)
 	ctx := context.Background()
@@ -43,34 +45,42 @@ func TestEvaluateBatchMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ps, err := db.Profiles(ctx, choice)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i, cfg := range cfgs {
 			dp := DesignPoint{ISA: choice, Cfg: cfg}
-			oracle, err := db.evaluate(ctx, dp, ref)
-			if err != nil {
-				t.Fatal(err)
-			}
 			got := batch[i]
-			if got.AreaMM2 != oracle.AreaMM2 || got.PeakW != oracle.PeakW {
-				t.Errorf("%s cfg %d: area/peak %v/%v, oracle %v/%v",
-					choice.Key(), i, got.AreaMM2, got.PeakW, oracle.AreaMM2, oracle.PeakW)
+			if got.AreaMM2 != dp.Area() || got.PeakW != dp.Peak() {
+				t.Errorf("%s cfg %d: area/peak %v/%v, want %v/%v",
+					choice.Key(), i, got.AreaMM2, got.PeakW, dp.Area(), dp.Peak())
 			}
-			if !reflect.DeepEqual(got.M, oracle.M) {
-				t.Errorf("%s cfg %d: metrics diverge from oracle:\nbatch  %+v\noracle %+v",
-					choice.Key(), i, got.M, oracle.M)
-			}
-			if !reflect.DeepEqual(got.Speedup, oracle.Speedup) ||
-				!reflect.DeepEqual(got.NormEDP, oracle.NormEDP) ||
-				!reflect.DeepEqual(got.Degraded, oracle.Degraded) {
-				t.Errorf("%s cfg %d: speedup/EDP/degraded diverge from oracle",
-					choice.Key(), i)
+			for r, p := range ps {
+				perf, err := perfmodel.Cycles(p, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				en := power.Energy(choice.Traits(), cfg, p, perf)
+				want := Metric{Cycles: perf.Cycles, Energy: en.Total, Perf: perf}
+				if got.M[r] != want {
+					t.Errorf("%s cfg %d region %d: metric %+v, want %+v", choice.Key(), i, r, got.M[r], want)
+				}
+				speedup := ref[r].Cycles / perf.Cycles
+				edp := (en.Total * perf.Cycles) / (ref[r].Energy * ref[r].Cycles)
+				if got.Speedup[r] != speedup || got.NormEDP[r] != edp || got.Degraded[r] {
+					t.Errorf("%s cfg %d region %d: speedup/EDP/degraded %v/%v/%v, want %v/%v/false",
+						choice.Key(), i, r, got.Speedup[r], got.NormEDP[r], got.Degraded[r], speedup, edp)
+				}
 			}
 		}
 	}
 }
 
 // TestEvaluateBatchMatchesOracleDegraded: with every non-reference compile
-// quarantined, the batch path must degrade exactly like the oracle —
-// penalties, placeholder metrics, and Degraded flags all identical.
+// quarantined, each region of each candidate degrades to the quarantine
+// penalties, with placeholder metrics back-derived from the reference so
+// that D = refD/speedupPenalty and E*D = edpPenalty*refE*refD.
 func TestEvaluateBatchMatchesOracleDegraded(t *testing.T) {
 	in := injector(t, fault.Config{Seed: 11, Rate: 1, Kinds: []fault.Kind{fault.KindCompile}})
 	db := smallDB(2, in)
@@ -79,31 +89,21 @@ func TestEvaluateBatchMatchesOracleDegraded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	choice := injectable(t)
 	cfgs := batchCfgs()[:2]
-	batch, err := db.EvaluateBatch(ctx, choice, cfgs, ref)
+	batch, err := db.EvaluateBatch(ctx, injectable(t), cfgs, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sawDegraded := false
-	for i, cfg := range cfgs {
-		oracle, err := db.evaluate(ctx, DesignPoint{ISA: choice, Cfg: cfg}, ref)
-		if err != nil {
-			t.Fatal(err)
+	for i, c := range batch {
+		for r := range ref {
+			want := Metric{
+				Cycles: ref[r].Cycles / speedupPenalty,
+				Energy: ref[r].Energy * edpPenalty * speedupPenalty,
+			}
+			if !c.Degraded[r] || c.Speedup[r] != speedupPenalty || c.NormEDP[r] != edpPenalty || c.M[r] != want {
+				t.Errorf("cfg %d region %d: degraded %v speedup %v EDP %v metric %+v; want true %v %v %+v",
+					i, r, c.Degraded[r], c.Speedup[r], c.NormEDP[r], c.M[r], speedupPenalty, edpPenalty, want)
+			}
 		}
-		got := batch[i]
-		if !reflect.DeepEqual(got.M, oracle.M) ||
-			!reflect.DeepEqual(got.Speedup, oracle.Speedup) ||
-			!reflect.DeepEqual(got.NormEDP, oracle.NormEDP) ||
-			!reflect.DeepEqual(got.Degraded, oracle.Degraded) {
-			t.Errorf("cfg %d: degraded batch diverges from oracle:\nbatch  %+v\noracle %+v",
-				i, got, oracle)
-		}
-		for _, d := range got.Degraded {
-			sawDegraded = sawDegraded || d
-		}
-	}
-	if !sawDegraded {
-		t.Fatal("injector quarantined nothing; degraded path not exercised")
 	}
 }

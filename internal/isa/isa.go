@@ -86,6 +86,31 @@ func New(c Complexity, width, depth int, p Predication) (FeatureSet, error) {
 	return fs, nil
 }
 
+// ParseFeatureSet is New over the command-line spellings of complexity
+// ("x86" or "microx86") and predication ("partial" or "full"). An unknown
+// spelling is an error, like an invalid combination.
+func ParseFeatureSet(complexity string, width, depth int, pred string) (FeatureSet, error) {
+	var c Complexity
+	switch complexity {
+	case "x86":
+		c = FullX86
+	case "microx86":
+		c = MicroX86
+	default:
+		return FeatureSet{}, fmt.Errorf("isa: unknown complexity %q (have x86, microx86)", complexity)
+	}
+	var p Predication
+	switch pred {
+	case "partial":
+		p = PartialPredication
+	case "full":
+		p = FullPredication
+	default:
+		return FeatureSet{}, fmt.Errorf("isa: unknown predication %q (have partial, full)", pred)
+	}
+	return New(c, width, depth, p)
+}
+
 // InvariantError is the typed panic value raised by MustNew when a
 // known-good literal turns out to be invalid. It exists so recovery layers
 // (the exploration pipeline recovers per-evaluation panics) can classify

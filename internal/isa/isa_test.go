@@ -184,6 +184,35 @@ func TestNames(t *testing.T) {
 	}
 }
 
+func TestParseFeatureSet(t *testing.T) {
+	cases := []struct {
+		complexity   string
+		width, depth int
+		pred         string
+		want         FeatureSet
+		wantErr      bool
+	}{
+		{"x86", 64, 16, "partial", X8664, false},
+		{"microx86", 32, 8, "partial", MicroX86Min, false},
+		{"x86", 64, 64, "full", Superset, false},
+		{"microx86", 64, 32, "partial", X86izedAlpha, false},
+		{"x68", 64, 16, "partial", FeatureSet{}, true},
+		{"X86", 64, 16, "partial", FeatureSet{}, true},
+		{"", 64, 16, "partial", FeatureSet{}, true},
+		{"x86", 64, 16, "ful", FeatureSet{}, true},
+		{"x86", 64, 16, "", FeatureSet{}, true},
+		{"microx86", 32, 8, "full", FeatureSet{}, true}, // pruned combination
+		{"x86", 48, 16, "partial", FeatureSet{}, true},
+	}
+	for _, c := range cases {
+		got, err := ParseFeatureSet(c.complexity, c.width, c.depth, c.pred)
+		if (err != nil) != c.wantErr || got != c.want {
+			t.Errorf("ParseFeatureSet(%q, %d, %d, %q) = %v, %v; want %v, error %v",
+				c.complexity, c.width, c.depth, c.pred, got, err, c.want, c.wantErr)
+		}
+	}
+}
+
 func TestRegPrefixBytes(t *testing.T) {
 	cases := []struct {
 		regs []int

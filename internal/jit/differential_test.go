@@ -24,7 +24,7 @@ import (
 )
 
 // matrixBudget truncates each (feature set, region) run, mirroring the cpu
-// package's interpreter differential matrix.
+// package's per-cell digests (cellBudget).
 const matrixBudget = 15_000
 
 // buildRegion compiles one region for one feature set and guest target,

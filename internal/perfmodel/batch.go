@@ -12,10 +12,9 @@ import (
 // the exploration space walks the profile's struct-of-arrays once instead
 // of recomputing fractions, rates, and naive stall sums per configuration.
 //
-// Scorer.Cycles is bit-identical to Cycles: every floating-point expression
-// is either hoisted verbatim (so the operation order, and therefore the
-// rounding, is unchanged) or still evaluated per configuration. The
-// per-config path in perfmodel.go remains the differential oracle.
+// Scorer.Cycles is the interval model itself; the package-level Cycles is
+// a one-configuration Scorer. testdata/scorer.golden pins its results over
+// the exploration grid.
 type Scorer struct {
 	p *cpu.Profile
 
@@ -61,15 +60,20 @@ func NewScorer(p *cpu.Profile) (*Scorer, error) {
 		s.branchB = 1 / frac
 	}
 
+	// Front-end supply: micro-op cache hits stream at full width; misses
+	// go through the ILD (16 B/cycle) and at most 3 decoders.
 	uopsPerInstr := n / float64(p.Instrs)
 	legacyInstrRate := math.Min(3, 16.0/math.Max(1, p.AvgInstrLen))
 	s.legacyUR = legacyInstrRate * uopsPerInstr
+	// Macro- and micro-op fusion let full-x86 cores dispatch load+op pairs
+	// and CMP+JCC pairs in single slots.
 	s.dispFuse = float64(p.MemALUOps + p.FusedBranches)
 
 	for k := 0; k < cpu.NumPredictors; k++ {
 		s.mispredicts[k] = p.MispredictRate[k] * float64(p.Branches)
 	}
 
+	// Naive (fully exposed, serial) memory stall per cache configuration.
 	l2Extra := float64(cpu.LatL2 - cpu.LatL1)
 	memExtra := float64(cpu.LatMem - cpu.LatL1)
 	for i := 0; i < 2; i++ {
@@ -85,6 +89,10 @@ func NewScorer(p *cpu.Profile) (*Scorer, error) {
 		}
 	}
 
+	// The dependence-aware exposure measured on the reference hierarchy at
+	// a 128-uop window. Cycles scales it by each configuration's naive miss
+	// volume: pointer chases expose ~everything, streaming hides
+	// ~everything, and smaller windows expose more.
 	s.exposure = 1.0
 	if p.NaiveStallRef > 0 {
 		s.exposure = p.MemExposedCycles / p.NaiveStallRef
@@ -96,7 +104,7 @@ func NewScorer(p *cpu.Profile) (*Scorer, error) {
 }
 
 // Cycles predicts the cycle count for one configuration using the
-// precomputed terms; identical to the package-level Cycles bit for bit.
+// precomputed terms.
 func (s *Scorer) Cycles(cfg cpu.CoreConfig) (Result, error) {
 	var r Result
 	p := s.p
@@ -193,6 +201,7 @@ func (s *Scorer) Cycles(cfg cpu.CoreConfig) (Result, error) {
 		}
 		r.MemStall = naive * e
 	} else {
+		// In-order cores block on every load-use: nearly full exposure.
 		r.MemStall = naive * 0.95
 	}
 	r.L1DMisses = s.l1dMisses[i1][d1][l2]

@@ -1,6 +1,11 @@
 package perfmodel_test
 
 import (
+	"fmt"
+	"hash/fnv"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"compisa/internal/compiler"
@@ -40,14 +45,19 @@ func batchProfile(t *testing.T, name string, fs isa.FeatureSet) *cpu.Profile {
 	return prof
 }
 
-// TestScorerMatchesCycles: for real profiles across both complexity modes,
-// Scorer.Cycles and CyclesBatch must return bit-identical Results to the
-// per-call Cycles path over the entire exploration configuration grid.
-func TestScorerMatchesCycles(t *testing.T) {
+// TestScorerDigest pins Scorer.Cycles for real profiles across both
+// complexity modes over the entire exploration configuration grid, one
+// fixture line per (profile, configuration): the predicted cycles and a hash
+// of every Result field. Cycles and CyclesBatch must agree with the Scorer
+// bit for bit. A mismatch names the moved lines and writes the recomputed
+// table to a temporary file whose path the failure logs; review it and copy
+// it over testdata/scorer.golden to record an intentional change.
+func TestScorerDigest(t *testing.T) {
 	cfgs := explore.Configs()
 	if len(cfgs) < 100 {
 		t.Fatalf("configuration grid unexpectedly small: %d", len(cfgs))
 	}
+	var lines []string
 	for _, tc := range []struct {
 		region string
 		fs     isa.FeatureSet
@@ -66,25 +76,78 @@ func TestScorerMatchesCycles(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, cfg := range cfgs {
-			want, werr := perfmodel.Cycles(prof, cfg)
-			got, gerr := s.Cycles(cfg)
-			if (werr == nil) != (gerr == nil) {
-				t.Fatalf("%s cfg %d: error mismatch: %v vs %v", tc.region, i, werr, gerr)
+			got, err := s.Cycles(cfg)
+			if err != nil {
+				t.Fatalf("%s cfg %d: %v", tc.region, i, err)
 			}
-			if werr != nil {
-				if werr.Error() != gerr.Error() {
-					t.Fatalf("%s cfg %d: error text mismatch: %v vs %v", tc.region, i, werr, gerr)
-				}
-				continue
+			if one, err := perfmodel.Cycles(prof, cfg); err != nil || one != got {
+				t.Fatalf("%s cfg %d: Cycles %+v (err %v), Scorer %+v", tc.region, i, one, err, got)
 			}
-			if got != want {
-				t.Fatalf("%s cfg %d: Scorer.Cycles diverges:\nscorer %+v\ncycles %+v", tc.region, i, got, want)
+			if rs[i] != got {
+				t.Fatalf("%s cfg %d: CyclesBatch %+v, Scorer %+v", tc.region, i, rs[i], got)
 			}
-			if rs[i] != want {
-				t.Fatalf("%s cfg %d: CyclesBatch diverges:\nbatch  %+v\ncycles %+v", tc.region, i, rs[i], want)
-			}
+			h := fnv.New64a()
+			fmt.Fprintf(h, "%+v", got)
+			lines = append(lines, fmt.Sprintf("%s %s cfg%03d\tcycles=%v sum=%016x",
+				tc.region, tc.fs.ShortName(), i, got.Cycles, h.Sum64()))
 		}
 	}
+	checkGolden(t, "scorer.golden", lines)
+}
+
+// checkGolden compares computed fixture lines ("key<TAB>values") with
+// testdata/<name>, naming every key whose values moved, that the fixture
+// lacks, or that the fixture holds but the computation no longer produces.
+// On any difference the recomputed table goes to a temporary file whose
+// path is logged.
+func checkGolden(t *testing.T, name string, lines []string) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Errorf("fixture %s unreadable: %v", name, err)
+	}
+	want := map[string]string{}
+	var order []string
+	for _, l := range strings.Split(string(raw), "\n") {
+		if l == "" {
+			continue
+		}
+		k, v, _ := strings.Cut(l, "\t")
+		want[k] = v
+		order = append(order, k)
+	}
+	got := map[string]bool{}
+	var diffs []string
+	for _, l := range lines {
+		k, v, _ := strings.Cut(l, "\t")
+		got[k] = true
+		if w, ok := want[k]; !ok {
+			diffs = append(diffs, "new     "+k)
+		} else if w != v {
+			diffs = append(diffs, fmt.Sprintf("moved   %s\n\t\twant %s\n\t\tgot  %s", k, w, v))
+		}
+	}
+	for _, k := range order {
+		if !got[k] {
+			diffs = append(diffs, "dropped "+k)
+		}
+	}
+	if len(diffs) == 0 {
+		return
+	}
+	t.Errorf("%d of %d entries differ from testdata/%s:\n\t%s", len(diffs), len(lines), name, strings.Join(diffs, "\n\t"))
+	f, err := os.CreateTemp("", strings.TrimSuffix(name, ".golden")+"-*.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.WriteString(strings.Join(lines, "\n") + "\n")
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("recomputed table written to %s; review it and copy it over testdata/%s", f.Name(), name)
 }
 
 // TestScorerEmptyProfile: Scorer construction rejects an empty profile with

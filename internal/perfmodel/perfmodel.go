@@ -17,7 +17,6 @@ package perfmodel
 
 import (
 	"fmt"
-	"math"
 
 	"compisa/internal/cpu"
 )
@@ -35,15 +34,6 @@ type Result struct {
 	L2Misses    float64
 	L1IMisses   float64
 }
-
-// Overlap factors: how much of a miss's latency an out-of-order window
-// hides. In-order cores expose nearly everything.
-const (
-	oooL2Hide  = 0.65
-	oooMemHide = 0.30
-	ioL2Hide   = 0.05
-	ioMemHide  = 0.0
-)
 
 // cacheOptIdx maps a cache config onto the profile's option index.
 func cacheOptIdx(c cpu.CacheCfg, opts [2]cpu.CacheCfg) (int, error) {
@@ -84,139 +74,15 @@ func ilpAt(p *cpu.Profile, window int) float64 {
 	}
 }
 
-// Cycles predicts the cycle count of running the profiled region on cfg.
+// Cycles predicts the cycle count of running the profiled region on cfg. It
+// is a one-configuration Scorer; callers scoring many configurations
+// against one profile should build the Scorer once.
 func Cycles(p *cpu.Profile, cfg cpu.CoreConfig) (Result, error) {
-	var r Result
-	n := float64(p.Uops)
-	if n == 0 {
-		return r, fmt.Errorf("perfmodel: empty profile")
-	}
-	i1, err := cacheOptIdx(cfg.L1I, cpu.L1IOptions)
+	s, err := NewScorer(p)
 	if err != nil {
-		return r, err
+		return Result{}, err
 	}
-	d1, err := cacheOptIdx(cfg.L1D, cpu.L1DOptions)
-	if err != nil {
-		return r, err
-	}
-	l2, err := cacheOptIdx(cfg.L2, cpu.L2Options)
-	if err != nil {
-		return r, err
-	}
-	mp := p.Mem[i1][d1][l2]
-
-	// ---- Effective dispatch rate. ----
-	width := float64(cfg.Width)
-	var ilp float64
-	if cfg.OoO {
-		window := cfg.ROB
-		if q := cfg.IQ * 3; q < window {
-			window = q
-		}
-		ilp = ilpAt(p, window)
-	} else {
-		ilp = p.IPCInOrder
-	}
-
-	// Functional-unit throughput bounds: D*frac_c <= units_c.
-	fuBound := math.Inf(1)
-	bound := func(cls cpu.UopClass, units float64) {
-		frac := float64(p.UopsByClass[cls]) / n
-		if frac <= 0 {
-			return
-		}
-		if b := units / frac; b < fuBound {
-			fuBound = b
-		}
-	}
-	bound(cpu.UcInt, float64(cfg.IntALU))
-	bound(cpu.UcMul, float64(cfg.IntMul))
-	fpFrac := float64(p.UopsByClass[cpu.UcFP]+p.UopsByClass[cpu.UcFDiv]) / n
-	if fpFrac > 0 {
-		if b := float64(cfg.FPALU) / fpFrac; b < fuBound {
-			fuBound = b
-		}
-	}
-	bound(cpu.UcLoad, 2)
-	bound(cpu.UcStore, 1)
-	bound(cpu.UcBranch, 1)
-
-	// Front-end supply: micro-op cache hits stream at full width; misses
-	// go through the ILD (16 B/cycle) and at most 3 decoders.
-	uopsPerInstr := n / float64(p.Instrs)
-	legacyInstrRate := math.Min(3, 16.0/math.Max(1, p.AvgInstrLen))
-	legacyUopRate := legacyInstrRate * uopsPerInstr
-	h := 0.0
-	if cfg.UopCache {
-		h = p.UopCacheHitRate
-	}
-	frontend := h*width + (1-h)*math.Min(width, legacyUopRate)
-
-	// Dispatch-slot bound: macro- and micro-op fusion let full-x86 cores
-	// dispatch load+op pairs and CMP+JCC pairs in single slots.
-	dispatchN := n
-	if cfg.Fusion && p.X86Complexity {
-		dispatchN -= float64(p.MemALUOps + p.FusedBranches)
-	}
-	base := dispatchN / width
-	for _, b := range []float64{n / ilp, n / fuBound, n / frontend} {
-		if b > base {
-			base = b
-		}
-	}
-	r.Base = base
-
-	// ---- Branch misprediction stalls. ----
-	mr := p.MispredictRate[cfg.Predictor]
-	r.Mispredicts = mr * float64(p.Branches)
-	penalty := float64(cpu.FrontendDepth) + 3 // refill + resolve
-	if !cfg.OoO {
-		penalty = float64(cpu.FrontendDepth)/2 + 2
-	}
-	r.BranchStall = r.Mispredicts * penalty
-
-	// ---- Exposed memory stalls. ----
-	// Naive (fully exposed, serial) stall for this cache configuration.
-	l2Hits := float64(mp.L1DMisses - mp.L2Misses)
-	l2Extra := float64(cpu.LatL2 - cpu.LatL1)
-	memExtra := float64(cpu.LatMem - cpu.LatL1)
-	naive := l2Hits*l2Extra + float64(mp.L2Misses)*memExtra
-	if cfg.OoO {
-		// Scale the profiled dependence-aware exposure (measured on the
-		// reference hierarchy at a 128-uop window) by this config's naive
-		// miss volume: pointer chases expose ~everything, streaming
-		// hides ~everything, and smaller windows expose more.
-		exposure := 1.0
-		if p.NaiveStallRef > 0 {
-			exposure = p.MemExposedCycles / p.NaiveStallRef
-			if exposure > 1 {
-				exposure = 1
-			}
-		}
-		windowScale := 1.0
-		if cfg.ROB < 128 {
-			// Smaller windows hide less; interpolate toward full
-			// exposure as the window shrinks.
-			windowScale = 1 + (1-exposure)*(128-float64(cfg.ROB))/128*0.5
-		}
-		e := exposure * windowScale
-		if e > 1 {
-			e = 1
-		}
-		r.MemStall = naive * e
-	} else {
-		// In-order cores block on every load-use: nearly full exposure.
-		r.MemStall = naive * 0.95
-	}
-	r.L1DMisses = float64(mp.L1DMisses)
-	r.L2Misses = float64(mp.L2Misses)
-
-	// ---- Instruction fetch stalls. ----
-	r.L1IMisses = float64(mp.L1IMisses)
-	r.FetchStall = r.L1IMisses * float64(cpu.LatL2) * 0.8
-
-	r.Cycles = r.Base + r.BranchStall + r.MemStall + r.FetchStall
-	return r, nil
+	return s.Cycles(cfg)
 }
 
 // IPC is a convenience: profiled micro-ops per predicted cycle.
