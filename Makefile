@@ -96,11 +96,15 @@ bench-e2e-search:
 # Every experiment at the default GOMAXPROCS and on one processor (a step of
 # the CI bench-golden job): the tables must be byte-identical, since the
 # DB's simulation tier is shared by parallel workers in any interleaving.
+# Figure 15 run alone must also print exactly the tail of the full run: alone
+# it computes the Figure 14 costs itself, in the full run it reuses them.
 rerun-identical:
 	$(GO) build -o /tmp/compisa-bin/compose-explore ./cmd/compose-explore
 	/tmp/compisa-bin/compose-explore -experiment all >/tmp/compisa-bin/all.out
 	GOMAXPROCS=1 /tmp/compisa-bin/compose-explore -experiment all >/tmp/compisa-bin/all.gomaxprocs1.out
 	cmp /tmp/compisa-bin/all.out /tmp/compisa-bin/all.gomaxprocs1.out
+	/tmp/compisa-bin/compose-explore -experiment fig15 >/tmp/compisa-bin/fig15.out
+	tail -c $$(wc -c </tmp/compisa-bin/fig15.out) /tmp/compisa-bin/all.out | cmp - /tmp/compisa-bin/fig15.out
 
 # Refresh the committed benchmark baseline (run this when a change is
 # intentionally slower, and say so in the commit).

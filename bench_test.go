@@ -29,15 +29,8 @@ var (
 	benchOnce sync.Once
 	benchDB   *explore.DB
 	benchS    *explore.Searcher
+	benchSess *explore.Session
 	benchErr  error
-
-	fig9Once sync.Once
-	fig9Res  *explore.Fig9Result
-	fig9Err  error
-
-	fig14Once sync.Once
-	fig14Res  *explore.Fig14Result
-	fig14Err  error
 )
 
 func harness(b *testing.B) (*explore.DB, *explore.Searcher) {
@@ -45,31 +38,12 @@ func harness(b *testing.B) (*explore.DB, *explore.Searcher) {
 	benchOnce.Do(func() {
 		benchDB = explore.NewDB()
 		benchS, benchErr = explore.NewSearcher(context.Background(), benchDB)
+		benchSess = &explore.Session{S: benchS}
 	})
 	if benchErr != nil {
 		b.Fatal(benchErr)
 	}
 	return benchDB, benchS
-}
-
-func fig9(b *testing.B) *explore.Fig9Result {
-	b.Helper()
-	_, s := harness(b)
-	fig9Once.Do(func() { fig9Res, fig9Err = s.Fig9FeatureSensitivity(context.Background()) })
-	if fig9Err != nil {
-		b.Fatal(fig9Err)
-	}
-	return fig9Res
-}
-
-func fig14(b *testing.B) *explore.Fig14Result {
-	b.Helper()
-	db, _ := harness(b)
-	fig14Once.Do(func() { fig14Res, fig14Err = explore.Fig14DowngradeCost(context.Background(), db) })
-	if fig14Err != nil {
-		b.Fatal(fig14Err)
-	}
-	return fig14Res
 }
 
 func printOnce(b *testing.B, s string) {
@@ -79,203 +53,42 @@ func printOnce(b *testing.B, s string) {
 	}
 }
 
-func BenchmarkSec3CodegenDeltas(b *testing.B) {
-	db, _ := harness(b)
+// benchPanel renders one panel of a named experiment per iteration, on the
+// session every figure benchmark shares (so Figures 10/11 reuse Figure 9's
+// designs and Figure 15 reuses Figure 14's costs, as compose-explore does).
+func benchPanel(b *testing.B, name string, panel int) {
+	harness(b)
+	exps, err := explore.SelectExperiments(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := exps[0].Panels[panel]
 	var out string
 	for i := 0; i < b.N; i++ {
-		d, err := explore.Sec3CodegenDeltas(context.Background(), db)
-		if err != nil {
+		if out, err = p(context.Background(), benchSess); err != nil {
 			b.Fatal(err)
 		}
-		out = d.Format()
 	}
 	printOnce(b, out)
 }
 
-func BenchmarkFig2InstructionMix(b *testing.B) {
-	db, _ := harness(b)
-	var out string
-	for i := 0; i < b.N; i++ {
-		f, err := explore.Fig2InstructionMix(context.Background(), db)
-		if err != nil {
-			b.Fatal(err)
-		}
-		out = f.Format()
-	}
-	printOnce(b, out)
-}
-
-func sweepBench(b *testing.B, obj explore.Objective, budgets []explore.Budget, title string) {
-	_, s := harness(b)
-	var out string
-	for i := 0; i < b.N; i++ {
-		r, err := s.Sweep(context.Background(), obj, budgets)
-		if err != nil {
-			b.Fatal(err)
-		}
-		out = r.Format(title)
-	}
-	printOnce(b, out)
-}
-
-func BenchmarkFig5MultiprogrammedThroughput(b *testing.B) {
-	budgets := append(append([]explore.Budget{}, explore.MPPowerBudgets...), explore.AreaBudgets...)
-	sweepBench(b, explore.ObjMPThroughput, budgets,
-		"Figure 5: multi-programmed throughput (relative to homogeneous; higher is better)")
-}
-
-func BenchmarkFig6MultiprogrammedEDP(b *testing.B) {
-	budgets := append(append([]explore.Budget{}, explore.MPPowerBudgets...), explore.AreaBudgets...)
-	sweepBench(b, explore.ObjMPEDP, budgets,
-		"Figure 6: multi-programmed EDP (relative to homogeneous; lower is better)")
-}
-
-func BenchmarkFig7SingleThreadPower(b *testing.B) {
-	sweepBench(b, explore.ObjSTPerf, explore.STPowerBudgets,
-		"Figure 7a: single-thread performance under peak power budgets")
-}
-
-func BenchmarkFig7SingleThreadPowerEDP(b *testing.B) {
-	sweepBench(b, explore.ObjSTEDP, explore.STPowerBudgets,
-		"Figure 7b: single-thread EDP under peak power budgets (lower is better)")
-}
-
-func BenchmarkFig8SingleThreadArea(b *testing.B) {
-	sweepBench(b, explore.ObjSTPerf, explore.AreaBudgets,
-		"Figure 8a: single-thread performance under area budgets")
-}
-
-func BenchmarkFig8SingleThreadAreaEDP(b *testing.B) {
-	sweepBench(b, explore.ObjSTEDP, explore.AreaBudgets,
-		"Figure 8b: single-thread EDP under area budgets (lower is better)")
-}
-
-func BenchmarkTable3ThroughputDesigns(b *testing.B) {
-	_, s := harness(b)
-	var out string
-	for i := 0; i < b.N; i++ {
-		t, err := s.OptimalDesignTable(context.Background(), explore.ObjMPThroughput, explore.MPPowerBudgets)
-		if err != nil {
-			b.Fatal(err)
-		}
-		out = t
-	}
-	printOnce(b, out)
-}
-
-func BenchmarkTable4EDPDesigns(b *testing.B) {
-	_, s := harness(b)
-	var out string
-	for i := 0; i < b.N; i++ {
-		t, err := s.OptimalDesignTable(context.Background(), explore.ObjMPEDP, explore.MPPowerBudgets)
-		if err != nil {
-			b.Fatal(err)
-		}
-		out = t
-	}
-	printOnce(b, out)
-}
-
-func BenchmarkFig9FeatureConstraints(b *testing.B) {
-	var out string
-	for i := 0; i < b.N; i++ {
-		out = fig9(b).Format()
-	}
-	printOnce(b, out)
-}
-
-func BenchmarkFig10TransistorInvestment(b *testing.B) {
-	r := fig9(b)
-	var out string
-	for i := 0; i < b.N; i++ {
-		var rows []explore.StageBreakdown
-		for _, row := range r.Rows {
-			if row.CMP.Cores[0] == nil {
-				continue
-			}
-			rows = append(rows, explore.AreaBreakdown(row.Constraint, row.CMP))
-		}
-		rows = append(rows, explore.AreaBreakdown("full diversity", r.Unconstrained))
-		out = explore.FormatBreakdowns(
-			"Figure 10: transistor investment by processor area (normalized, caches excluded)", rows)
-	}
-	printOnce(b, out)
-}
-
-func BenchmarkFig11EnergyBreakdown(b *testing.B) {
-	db, _ := harness(b)
-	r := fig9(b)
-	var out string
-	for i := 0; i < b.N; i++ {
-		var rows []explore.StageBreakdown
-		for _, row := range r.Rows {
-			if row.CMP.Cores[0] == nil {
-				continue
-			}
-			br, err := explore.EnergyBreakdown(context.Background(), row.Constraint, row.CMP, db)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rows = append(rows, br)
-		}
-		br, err := explore.EnergyBreakdown(context.Background(), "full diversity", r.Unconstrained, db)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows = append(rows, br)
-		out = explore.FormatBreakdowns(
-			"Figure 11: processor energy breakdown (normalized, caches excluded)", rows)
-	}
-	printOnce(b, out)
-}
-
-func BenchmarkFig12AffinitySingleThread(b *testing.B) {
-	_, s := harness(b)
-	var out string
-	for i := 0; i < b.N; i++ {
-		a, err := s.Fig12AffinitySingleThread(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		out = a.Format()
-	}
-	printOnce(b, out)
-}
-
-func BenchmarkFig13AffinityMultiprogrammed(b *testing.B) {
-	_, s := harness(b)
-	var out string
-	for i := 0; i < b.N; i++ {
-		a, err := s.Fig13AffinityMultiprogrammed(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		out = a.Format()
-	}
-	printOnce(b, out)
-}
-
-func BenchmarkFig14DowngradeCost(b *testing.B) {
-	var out string
-	for i := 0; i < b.N; i++ {
-		out = fig14(b).Format()
-	}
-	printOnce(b, out)
-}
-
-func BenchmarkFig15MigrationOverhead(b *testing.B) {
-	_, s := harness(b)
-	costs := fig14(b)
-	var out string
-	for i := 0; i < b.N; i++ {
-		r, err := s.Fig15MigrationOverhead(context.Background(), explore.Budget{AreaMM2: 48}, costs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		out = r.Format()
-	}
-	printOnce(b, out)
-}
+func BenchmarkSec3CodegenDeltas(b *testing.B)             { benchPanel(b, "sec3", 0) }
+func BenchmarkFig2InstructionMix(b *testing.B)            { benchPanel(b, "fig2", 0) }
+func BenchmarkFig5MultiprogrammedThroughput(b *testing.B) { benchPanel(b, "fig5", 0) }
+func BenchmarkFig6MultiprogrammedEDP(b *testing.B)        { benchPanel(b, "fig6", 0) }
+func BenchmarkFig7SingleThreadPower(b *testing.B)         { benchPanel(b, "fig7", 0) }
+func BenchmarkFig7SingleThreadPowerEDP(b *testing.B)      { benchPanel(b, "fig7", 1) }
+func BenchmarkFig8SingleThreadArea(b *testing.B)          { benchPanel(b, "fig8", 0) }
+func BenchmarkFig8SingleThreadAreaEDP(b *testing.B)       { benchPanel(b, "fig8", 1) }
+func BenchmarkTable3ThroughputDesigns(b *testing.B)       { benchPanel(b, "table3", 0) }
+func BenchmarkTable4EDPDesigns(b *testing.B)              { benchPanel(b, "table4", 0) }
+func BenchmarkFig9FeatureConstraints(b *testing.B)        { benchPanel(b, "fig9", 0) }
+func BenchmarkFig10TransistorInvestment(b *testing.B)     { benchPanel(b, "fig10", 0) }
+func BenchmarkFig11EnergyBreakdown(b *testing.B)          { benchPanel(b, "fig11", 0) }
+func BenchmarkFig12AffinitySingleThread(b *testing.B)     { benchPanel(b, "fig12", 0) }
+func BenchmarkFig13AffinityMultiprogrammed(b *testing.B)  { benchPanel(b, "fig13", 0) }
+func BenchmarkFig14DowngradeCost(b *testing.B)            { benchPanel(b, "fig14", 0) }
+func BenchmarkFig15MigrationOverhead(b *testing.B)        { benchPanel(b, "fig15", 0) }
 
 // BenchmarkDecoderModel exercises the Section V decoder-delta constants:
 // peak power and area of the superset, x86-64, and microx86-32 decoders.
@@ -459,22 +272,22 @@ func jitHotLoopProg(b *testing.B) (*code.Program, *mem.Memory) {
 	ret.Src1 = 0
 	p := &code.Program{Name: "jit-hot-loop", FS: isa.X8664, Instrs: []code.Instr{
 		movImm(8, int64(code.DataBase)), // 0: base
-		movImm(2, elems),               // 1
-		movImm(6, 1),                   // 2: constant one
-		movImm(0, 0),                   // 3: sum
-		movImm(4, 0),                   // 4: pass
-		movImm(5, passes),              // 5
-		movImm(1, 0),                   // 6: i = 0 (outer loop head)
-		ld,                             // 7: r3 = a[i] (inner loop head)
-		alu(code.ADD, 0, 3),            // 8: sum += r3
-		st,                             // 9: a[i] = sum
-		alu(code.ADD, 1, 6),            // 10: i++
-		cmpIN,                          // 11
-		jlt(7),                         // 12
-		alu(code.ADD, 4, 6),            // 13: pass++
-		cmpOUT,                         // 14
-		jlt(6),                         // 15
-		ret,                            // 16
+		movImm(2, elems),                // 1
+		movImm(6, 1),                    // 2: constant one
+		movImm(0, 0),                    // 3: sum
+		movImm(4, 0),                    // 4: pass
+		movImm(5, passes),               // 5
+		movImm(1, 0),                    // 6: i = 0 (outer loop head)
+		ld,                              // 7: r3 = a[i] (inner loop head)
+		alu(code.ADD, 0, 3),             // 8: sum += r3
+		st,                              // 9: a[i] = sum
+		alu(code.ADD, 1, 6),             // 10: i++
+		cmpIN,                           // 11
+		jlt(7),                          // 12
+		alu(code.ADD, 4, 6),             // 13: pass++
+		cmpOUT,                          // 14
+		jlt(6),                          // 15
+		ret,                             // 16
 	}}
 	if err := p.Validate(); err != nil {
 		b.Fatal(err)

@@ -1,6 +1,6 @@
 // Command compose-explore runs the paper's experiments and prints each
-// table/figure as text. Experiments: sec3, fig2, fig5, fig6, fig7, fig8,
-// table3, table4, fig9, fig10, fig11, fig12, fig13, fig14, fig15, or all.
+// table/figure as text: -experiment names one (sec3, fig2, fig5, …, see
+// -help for the list) or all, which runs them in paper order.
 //
 // Robustness controls:
 //
@@ -33,6 +33,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"syscall"
 	"time"
 
@@ -43,7 +44,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("experiment", "all", "experiment to run (sec3, fig2, fig5..fig15, table3, table4, all)")
+	exp := flag.String("experiment", "all", "experiment to run ("+strings.Join(explore.ExperimentNames(), ", ")+", or all)")
 	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
 	checkpoint := flag.String("checkpoint", "", "checkpoint file: resume from it if present, save to it as searches complete")
 	checkpointStrict := flag.Bool("checkpoint-strict", false, "fail on a corrupt checkpoint instead of quarantining it and starting cold")
@@ -61,6 +62,10 @@ func main() {
 
 	log.SetFlags(0)
 	start := time.Now()
+	exps, err := explore.SelectExperiments(*exp)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
 	if err != nil {
@@ -100,17 +105,7 @@ func main() {
 
 	var cpState *explore.CheckpointState
 	if *checkpoint != "" {
-		var st *explore.CheckpointState
-		var err error
-		if *checkpointStrict {
-			st, err = explore.LoadCheckpoint(*checkpoint)
-		} else {
-			var quarantined string
-			st, quarantined, err = explore.RecoverCheckpoint(*checkpoint)
-			if quarantined != "" {
-				fmt.Fprintf(os.Stderr, "[corrupt checkpoint quarantined to %s; starting cold]\n", quarantined)
-			}
-		}
+		st, err := explore.OpenCheckpoint(*checkpoint, *checkpointStrict, log.Printf)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -177,202 +172,19 @@ func main() {
 		}
 	}
 
-	ran := false
-	run := func(name string, fn func() error) {
-		if *exp != "all" && *exp != name {
-			return
-		}
-		ran = true
+	sess := &explore.Session{S: s}
+	for _, e := range exps {
 		t0 := time.Now()
-		if err := fn(); err != nil {
+		if err := e.Run(ctx, sess, os.Stdout); err != nil {
 			save()
 			report()
 			if ctx.Err() != nil {
-				log.Fatalf("%s: interrupted (%v); checkpoint saved, rerun to resume", name, err)
+				log.Fatalf("%s: interrupted (%v); checkpoint saved, rerun to resume", e.Name, err)
 			}
-			log.Fatalf("%s: %v", name, err)
+			log.Fatalf("%s: %v", e.Name, err)
 		}
 		save()
-		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", name, time.Since(t0).Round(time.Millisecond))
-	}
-
-	run("sec3", func() error {
-		d, err := explore.Sec3CodegenDeltas(ctx, db)
-		if err != nil {
-			return err
-		}
-		fmt.Println(d.Format())
-		return nil
-	})
-	run("fig2", func() error {
-		f, err := explore.Fig2InstructionMix(ctx, db)
-		if err != nil {
-			return err
-		}
-		fmt.Println(f.Format())
-		return nil
-	})
-	run("fig5", func() error {
-		budgets := append(append([]explore.Budget{}, explore.MPPowerBudgets...), explore.AreaBudgets...)
-		r, err := s.Sweep(ctx, explore.ObjMPThroughput, budgets)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Format("Figure 5: multi-programmed throughput (relative to homogeneous; higher is better)"))
-		return nil
-	})
-	run("fig6", func() error {
-		budgets := append(append([]explore.Budget{}, explore.MPPowerBudgets...), explore.AreaBudgets...)
-		r, err := s.Sweep(ctx, explore.ObjMPEDP, budgets)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Format("Figure 6: multi-programmed EDP (relative to homogeneous; lower is better)"))
-		return nil
-	})
-	run("fig7", func() error {
-		r, err := s.Sweep(ctx, explore.ObjSTPerf, explore.STPowerBudgets)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Format("Figure 7a: single-thread performance under peak power budgets"))
-		r2, err := s.Sweep(ctx, explore.ObjSTEDP, explore.STPowerBudgets)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r2.Format("Figure 7b: single-thread EDP under peak power budgets (lower is better)"))
-		return nil
-	})
-	run("fig8", func() error {
-		r, err := s.Sweep(ctx, explore.ObjSTPerf, explore.AreaBudgets)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Format("Figure 8a: single-thread performance under area budgets"))
-		r2, err := s.Sweep(ctx, explore.ObjSTEDP, explore.AreaBudgets)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r2.Format("Figure 8b: single-thread EDP under area budgets (lower is better)"))
-		return nil
-	})
-	run("table3", func() error {
-		t, err := s.OptimalDesignTable(ctx, explore.ObjMPThroughput, explore.MPPowerBudgets)
-		if err != nil {
-			return err
-		}
-		fmt.Println(t)
-		return nil
-	})
-	run("table4", func() error {
-		t, err := s.OptimalDesignTable(ctx, explore.ObjMPEDP, explore.MPPowerBudgets)
-		if err != nil {
-			return err
-		}
-		fmt.Println(t)
-		return nil
-	})
-	var fig9 *explore.Fig9Result
-	run("fig9", func() error {
-		r, err := s.Fig9FeatureSensitivity(ctx)
-		if err != nil {
-			return err
-		}
-		fig9 = r
-		fmt.Println(r.Format())
-		return nil
-	})
-	run("fig10", func() error {
-		if fig9 == nil {
-			r, err := s.Fig9FeatureSensitivity(ctx)
-			if err != nil {
-				return err
-			}
-			fig9 = r
-		}
-		var rows []explore.StageBreakdown
-		for _, row := range fig9.Rows {
-			if row.CMP.Cores[0] == nil {
-				continue
-			}
-			rows = append(rows, explore.AreaBreakdown(row.Constraint, row.CMP))
-		}
-		rows = append(rows, explore.AreaBreakdown("full diversity", fig9.Unconstrained))
-		fmt.Println(explore.FormatBreakdowns(
-			"Figure 10: transistor investment by processor area (normalized to full diversity, caches excluded)", rows))
-		return nil
-	})
-	run("fig11", func() error {
-		if fig9 == nil {
-			r, err := s.Fig9FeatureSensitivity(ctx)
-			if err != nil {
-				return err
-			}
-			fig9 = r
-		}
-		var rows []explore.StageBreakdown
-		for _, row := range fig9.Rows {
-			if row.CMP.Cores[0] == nil {
-				continue
-			}
-			b, err := explore.EnergyBreakdown(ctx, row.Constraint, row.CMP, db)
-			if err != nil {
-				return err
-			}
-			rows = append(rows, b)
-		}
-		b, err := explore.EnergyBreakdown(ctx, "full diversity", fig9.Unconstrained, db)
-		if err != nil {
-			return err
-		}
-		rows = append(rows, b)
-		fmt.Println(explore.FormatBreakdowns(
-			"Figure 11: processor energy breakdown (normalized to full diversity, caches excluded)", rows))
-		return nil
-	})
-	run("fig12", func() error {
-		a, err := s.Fig12AffinitySingleThread(ctx)
-		if err != nil {
-			return err
-		}
-		fmt.Println(a.Format())
-		return nil
-	})
-	run("fig13", func() error {
-		a, err := s.Fig13AffinityMultiprogrammed(ctx)
-		if err != nil {
-			return err
-		}
-		fmt.Println(a.Format())
-		return nil
-	})
-	var fig14 *explore.Fig14Result
-	run("fig14", func() error {
-		r, err := explore.Fig14DowngradeCost(ctx, db)
-		if err != nil {
-			return err
-		}
-		fig14 = r
-		fmt.Println(r.Format())
-		return nil
-	})
-	run("fig15", func() error {
-		if fig14 == nil {
-			r, err := explore.Fig14DowngradeCost(ctx, db)
-			if err != nil {
-				return err
-			}
-			fig14 = r
-		}
-		r, err := s.Fig15MigrationOverhead(ctx, explore.Budget{AreaMM2: 48}, fig14)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Format())
-		return nil
-	})
-	if !ran {
-		log.Fatalf("unknown experiment %q (want sec3, fig2, fig5..fig15, table3, table4, or all)", *exp)
+		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", e.Name, time.Since(t0).Round(time.Millisecond))
 	}
 	save()
 	report()

@@ -15,6 +15,7 @@ import (
 	"compisa/internal/code"
 	"compisa/internal/compiler"
 	"compisa/internal/cpu"
+	"compisa/internal/explore"
 	"compisa/internal/isa"
 	"compisa/internal/migrate"
 	"compisa/internal/workload"
@@ -103,13 +104,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	cfg := cpu.CoreConfig{
-		OoO: true, Width: 2, Predictor: cpu.PredTournament,
-		IQ: 32, ROB: 64, PRFInt: 96, PRFFP: 64,
-		IntALU: 3, IntMul: 1, FPALU: 2, LSQ: 16,
-		L1I: cpu.L1Cfg32k, L1D: cpu.L1Cfg32k, L2: cpu.L2Cfg4M,
-		UopCache: true, Fusion: true,
-	}
+	cfg := explore.DowngradeEvalConfig()
 	run := func(p *code.Program) (uint64, int64) {
 		_, m, err := reg.Build(src.Width)
 		if err != nil {

@@ -105,17 +105,7 @@ func run(addr string, workers, queue int, timeout, drainTimeout time.Duration,
 	}
 
 	if checkpoint != "" {
-		var st *explore.CheckpointState
-		var err error
-		if checkpointStrict {
-			st, err = explore.LoadCheckpoint(checkpoint)
-		} else {
-			var quarantined string
-			st, quarantined, err = explore.RecoverCheckpoint(checkpoint)
-			if quarantined != "" {
-				log.Printf("[corrupt checkpoint quarantined to %s; starting cold]", quarantined)
-			}
-		}
+		st, err := explore.OpenCheckpoint(checkpoint, checkpointStrict, log.Printf)
 		if err != nil {
 			return err
 		}

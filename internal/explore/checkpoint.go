@@ -18,7 +18,6 @@ import (
 	"os"
 
 	"compisa/internal/atomicfile"
-	"compisa/internal/cpu"
 	"compisa/internal/eval"
 	"compisa/internal/metrics"
 )
@@ -49,31 +48,18 @@ type SavedSearch struct {
 	Points [4]DesignPoint `json:"points"`
 }
 
-// CheckpointState is the serialized resume state.
+// CheckpointState is the serialized resume state: the DB's exported state
+// plus the search frontier.
 type CheckpointState struct {
-	Version    int                       `json:"version"`
-	Profiles   map[string][]*cpu.Profile `json:"profiles"`
-	Quarantine map[string]string         `json:"quarantine,omitempty"`
-	// Candidates and Stats are the v2 additions; absent in legacy files.
-	Candidates []*Candidate  `json:"candidates,omitempty"`
-	Stats      StatsSnapshot `json:"stats,omitzero"`
-	// Ref is the memoized normalization basis (optional within v2): with it
-	// restored, a warm-started process serves cached candidates without
-	// re-running the reference's model stage first.
-	Ref      []Metric               `json:"ref,omitempty"`
+	Version int `json:"version"`
+	eval.State
 	Frontier map[string]SavedSearch `json:"frontier,omitempty"`
 }
 
 // Snapshot captures the DB's caches and (if s is non-nil) the Searcher's
 // frontier into a checkpoint state.
 func Snapshot(db *DB, s *Searcher) *CheckpointState {
-	st := &CheckpointState{Version: checkpointVersion}
-	dbState := db.Export()
-	st.Profiles = dbState.Profiles
-	st.Quarantine = dbState.Quarantine
-	st.Candidates = dbState.Candidates
-	st.Ref = dbState.Ref
-	st.Stats = dbState.Stats
+	st := &CheckpointState{Version: checkpointVersion, State: db.Export()}
 	if s != nil {
 		st.Frontier = s.exportFrontier()
 	}
@@ -87,13 +73,7 @@ func (st *CheckpointState) RestoreDB(db *DB) {
 	if st == nil {
 		return
 	}
-	db.Import(eval.State{
-		Profiles:   st.Profiles,
-		Quarantine: st.Quarantine,
-		Candidates: st.Candidates,
-		Ref:        st.Ref,
-		Stats:      st.Stats,
-	})
+	db.Import(st.State)
 }
 
 // RestoreSearcher seeds the search frontier.
@@ -151,6 +131,21 @@ func RecoverCheckpoint(path string) (st *CheckpointState, quarantined string, er
 		return nil, "", fmt.Errorf("explore: quarantine corrupt checkpoint: %w (load error: %w)", rerr, err)
 	}
 	return nil, dst, nil
+}
+
+// OpenCheckpoint loads the checkpoint a run starts from. A strict open
+// fails on a corrupt file; otherwise the file is quarantined (see
+// RecoverCheckpoint), logf reports where it went, and the run starts cold
+// with a nil state.
+func OpenCheckpoint(path string, strict bool, logf func(format string, args ...any)) (*CheckpointState, error) {
+	if strict {
+		return LoadCheckpoint(path)
+	}
+	st, quarantined, err := RecoverCheckpoint(path)
+	if quarantined != "" {
+		logf("[corrupt checkpoint quarantined to %s; starting cold]", quarantined)
+	}
+	return st, err
 }
 
 // SaveCheckpoint writes the state atomically and durably (see atomicfile),

@@ -46,9 +46,9 @@ type Fig14Result struct {
 	Skipped map[string]int
 }
 
-// downgradeEvalConfig is the core every Figure 14 measurement runs on: a
+// DowngradeEvalConfig is the core every Figure 14 measurement runs on: a
 // mid-range out-of-order configuration.
-func downgradeEvalConfig() cpu.CoreConfig {
+func DowngradeEvalConfig() cpu.CoreConfig {
 	return cpu.CoreConfig{
 		OoO: true, Width: 2, Predictor: cpu.PredTournament,
 		IQ: 32, ROB: 64, PRFInt: 96, PRFFP: 64,
@@ -68,7 +68,7 @@ func Fig14DowngradeCost(ctx context.Context, db *DB) (*Fig14Result, error) {
 		CostPct: map[string]map[string]float64{},
 		Skipped: map[string]int{},
 	}
-	cfg := downgradeEvalConfig()
+	cfg := DowngradeEvalConfig()
 	for _, dc := range res.Cases {
 		natives, err := db.Profiles(ctx, ISAChoice{FS: dc.From})
 		if err != nil {

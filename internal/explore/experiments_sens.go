@@ -166,20 +166,53 @@ func EnergyBreakdown(ctx context.Context, label string, cmp CMP, db *DB) (StageB
 	return out, nil
 }
 
-// FormatBreakdowns renders Figures 10/11: every row normalized to the
-// unconstrained design's total.
-func FormatBreakdowns(title string, rows []StageBreakdown) string {
+// Fig10TransistorInvestment renders Figure 10 over Figure 9's designs.
+func Fig10TransistorInvestment(r *Fig9Result) string {
+	// AreaBreakdown cannot fail, so neither can the rendering.
+	out, _ := formatBreakdowns(
+		"Figure 10: transistor investment by processor area (normalized to full diversity, caches excluded)",
+		r, func(label string, cmp CMP) (StageBreakdown, error) { return AreaBreakdown(label, cmp), nil })
+	return out
+}
+
+// Fig11EnergyBreakdown renders Figure 11 over Figure 9's designs.
+func Fig11EnergyBreakdown(ctx context.Context, db *DB, r *Fig9Result) (string, error) {
+	return formatBreakdowns(
+		"Figure 11: processor energy breakdown (normalized to full diversity, caches excluded)",
+		r, func(label string, cmp CMP) (StageBreakdown, error) { return EnergyBreakdown(ctx, label, cmp, db) })
+}
+
+// formatBreakdowns renders Figures 10/11: one row per feasible constrained
+// design of Figure 9, then the unconstrained one ("full diversity"), every
+// row normalized to the unconstrained design's total.
+func formatBreakdowns(title string, r *Fig9Result, breakdown func(string, CMP) (StageBreakdown, error)) (string, error) {
+	var rows []StageBreakdown
+	for _, row := range r.Rows {
+		if row.CMP.Cores[0] == nil {
+			continue
+		}
+		b, err := breakdown(row.Constraint, row.CMP)
+		if err != nil {
+			return "", err
+		}
+		rows = append(rows, b)
+	}
+	full, err := breakdown("full diversity", r.Unconstrained)
+	if err != nil {
+		return "", err
+	}
+	rows = append(rows, full)
+	base := full.Total()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s\n", title)
-	base := rows[len(rows)-1].Total() // last row = unconstrained ("full diversity")
 	fmt.Fprintf(&sb, "  %-18s %7s %7s %7s %7s %7s %7s %8s\n",
 		"design", "fetch", "decode", "bpred", "sched", "regfile", "fu", "total")
-	for _, r := range rows {
+	for _, b := range rows {
 		fmt.Fprintf(&sb, "  %-18s %7.3f %7.3f %7.3f %7.3f %7.3f %7.3f %8.3f\n",
-			r.Label, r.Fetch/base, r.Decode/base, r.BranchPred/base,
-			r.Scheduler/base, r.RegFile/base, r.FU/base, r.Total()/base)
+			b.Label, b.Fetch/base, b.Decode/base, b.BranchPred/base,
+			b.Scheduler/base, b.RegFile/base, b.FU/base, b.Total()/base)
 	}
-	return sb.String()
+	return sb.String(), nil
 }
 
 // AffinityResult is the execution-time breakdown across feature sets

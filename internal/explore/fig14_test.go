@@ -48,7 +48,7 @@ type fig14Cell struct {
 // returns the cells indexed [case][region].
 func fig14Direct(t *testing.T, regions []workload.Region) [][]fig14Cell {
 	t.Helper()
-	cfg := downgradeEvalConfig()
+	cfg := DowngradeEvalConfig()
 	ropts := cpu.RunOptions{MaxInstrs: eval.MaxRegionInstrs}
 	cycles := func(prog *code.Program, m *mem.Memory) float64 {
 		p, _, err := cpu.CollectProfileOpts(prog, m, ropts)

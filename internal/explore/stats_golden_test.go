@@ -31,9 +31,9 @@ func fillStats(s *Stats) {
 }
 
 // TestStatsOutputsGolden pins the two persistent renderings of a fixed
-// Stats: the checkpoint JSON written by Export → SaveCheckpoint (older
-// checkpoints must keep loading, newer readers must keep parsing ours) and
-// the -stats text layout.
+// Stats: the checkpoint JSON written by Export → SaveCheckpoint (only the
+// current checkpointVersion loads, so a layout change needs a version bump)
+// and the -stats text layout.
 func TestStatsOutputsGolden(t *testing.T) {
 	db := NewDB()
 	fillStats(&db.Stats)
