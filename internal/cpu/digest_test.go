@@ -15,15 +15,13 @@ import (
 	"hash"
 	"hash/fnv"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"slices"
-	"strings"
 	"testing"
 
 	"compisa/internal/code"
 	"compisa/internal/compiler"
+	"compisa/internal/golden"
 	"compisa/internal/isa"
 	"compisa/internal/mem"
 	"compisa/internal/workload"
@@ -109,63 +107,6 @@ func profileDigest(cpf []byte, evHash uint64, res ExecResult, err error) string 
 	return fmt.Sprintf("cpf=%x ev=%016x %+v err=%q", sum[:8], evHash, res, errString(err))
 }
 
-// checkGolden compares computed fixture lines ("key<TAB>values") with
-// testdata/<name>, naming every key whose values moved, that the fixture
-// lacks, or that the fixture holds but the computation no longer produces.
-// With subset set, only the computed keys are checked. On any difference
-// the recomputed table goes to a temporary file whose path is logged.
-func checkGolden(t *testing.T, name string, lines []string, subset bool) {
-	t.Helper()
-	raw, err := os.ReadFile(filepath.Join("testdata", name))
-	if err != nil {
-		t.Errorf("fixture %s unreadable: %v", name, err)
-	}
-	want := map[string]string{}
-	var order []string
-	for _, l := range strings.Split(string(raw), "\n") {
-		if l == "" {
-			continue
-		}
-		k, v, _ := strings.Cut(l, "\t")
-		want[k] = v
-		order = append(order, k)
-	}
-	got := map[string]bool{}
-	var diffs []string
-	for _, l := range lines {
-		k, v, _ := strings.Cut(l, "\t")
-		got[k] = true
-		if w, ok := want[k]; !ok {
-			diffs = append(diffs, "new     "+k)
-		} else if w != v {
-			diffs = append(diffs, fmt.Sprintf("moved   %s\n\t\twant %s\n\t\tgot  %s", k, w, v))
-		}
-	}
-	if !subset {
-		for _, k := range order {
-			if !got[k] {
-				diffs = append(diffs, "dropped "+k)
-			}
-		}
-	}
-	if len(diffs) == 0 {
-		return
-	}
-	t.Errorf("%d of %d entries differ from testdata/%s:\n\t%s", len(diffs), len(lines), name, strings.Join(diffs, "\n\t"))
-	f, err := os.CreateTemp("", strings.TrimSuffix(name, ".golden")+"-*.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = f.WriteString(strings.Join(lines, "\n") + "\n")
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("recomputed table written to %s; review it and copy it over testdata/%s", f.Name(), name)
-}
-
 // TestCellDigests pins every cell of the sweep: each registered target with
 // each derived feature set it can encode, crossed with every suite region.
 // A cell's line holds the profile digest of its first cellBudget
@@ -204,7 +145,7 @@ func TestCellDigests(t *testing.T) {
 		})
 	}
 	if !t.Failed() {
-		checkGolden(t, "cells.golden", slices.Concat(lines...), testing.Short())
+		golden.Check(t, "cells.golden", slices.Concat(lines...), testing.Short())
 	}
 }
 
@@ -266,7 +207,7 @@ func TestL2SplitDigest(t *testing.T) {
 			}
 		}
 	}
-	checkGolden(t, "l2split.golden", []string{"l2split\t" + profileDigest(cpf, evHash, res, err)}, false)
+	golden.Check(t, "l2split.golden", []string{"l2split\t" + profileDigest(cpf, evHash, res, err)}, false)
 }
 
 // TestTimingSubsetDigest pins the timing walk (predecoded micro-op
@@ -301,7 +242,7 @@ func TestTimingSubsetDigest(t *testing.T) {
 			}
 		}
 	}
-	checkGolden(t, "timing.golden", lines, testing.Short())
+	golden.Check(t, "timing.golden", lines, testing.Short())
 }
 
 // fuzzProg assembles one pseudo-random but valid superset-ISA program:
@@ -438,7 +379,7 @@ func TestExecCorpusDigest(t *testing.T) {
 		lines = append(lines, fmt.Sprintf("prog%03d\tev=%016x state=%016x %+v err=%q",
 			i, h.Sum64(), sh.Sum64(), res, errString(err)))
 	}
-	checkGolden(t, "execcorpus.golden", lines, testing.Short())
+	golden.Check(t, "execcorpus.golden", lines, testing.Short())
 }
 
 // TestProfileCodecFieldCount pins the Profile shape: adding or removing a

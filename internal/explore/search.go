@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"compisa/internal/par"
 	"compisa/internal/workload"
@@ -491,16 +493,11 @@ func prune(spec SearchSpec, si *suiteIndex) []*Candidate {
 	var ok []*Candidate
 	// Each survivor's ISA key, formatted once for both per-ISA passes.
 	isaKey := map[*Candidate]string{}
-	st := spec.Objective.SingleThread()
 	for _, c := range spec.Candidates {
 		if spec.Constraint != nil && !spec.Constraint(c) {
 			continue
 		}
-		if st {
-			if spec.Budget.PeakW > 0 && c.PeakW > spec.Budget.PeakW {
-				continue
-			}
-		} else if spec.Budget.PeakW > 0 && c.PeakW > spec.Budget.PeakW {
+		if spec.Budget.PeakW > 0 && c.PeakW > spec.Budget.PeakW {
 			continue
 		}
 		if spec.Budget.AreaMM2 > 0 && c.AreaMM2 > spec.Budget.AreaMM2 {
@@ -643,16 +640,106 @@ func sortByKeyDesc(cs []*Candidate, key func(*Candidate) float64) {
 	}
 }
 
+// climbPool is a candidate pool a climb draws replacements from, with the
+// stepMax of each entry when screening. Its address identifies it in the
+// pass memo.
+type climbPool struct {
+	cands   []*Candidate
+	stepMax []float64
+}
+
+// passKey identifies one slot pass of a climb: the climb point's ordered
+// cores and the bits of its score, the slot, and the pool. The pass's
+// result is a pure function of the key: its acceptance floor is the score
+// (plus the fixed epsilon and screenTol), its rest table or rest-best is
+// built from the cores, and it walks the pool in a fixed order. With the
+// score in the key this holds whatever path scored the climb point.
+type passKey struct {
+	cores [4]*Candidate
+	score uint64
+	slot  int
+	pool  *climbPool
+}
+
+// passCall is one pass-memo entry. The leader scans the pass and closes
+// done; ok then reports that the scan completed and end is the climb point
+// it ended on. The leader removes an incomplete call from the memo, so a
+// pass cut short by cancellation is never reused.
+type passCall struct {
+	done chan struct{}
+	end  CMP
+	ok   bool
+}
+
+// passMemo singleflights the slot passes of one search's climbs: parallel
+// climbs that converge on the same climb point share one scan of each of
+// its passes instead of repeating it.
+type passMemo struct {
+	mu     sync.Mutex
+	calls  map[passKey]*passCall
+	run    atomic.Int64 // passes scanned to completion
+	reused atomic.Int64 // passes answered by an earlier scan
+}
+
+// do returns the climb point the pass for k ends on, scanning it with scan
+// only if no climb has. ok is false when the pass was cut short, by this
+// call's scan, the scan it waited on, or ctx.
+func (m *passMemo) do(ctx context.Context, k passKey, scan func() (CMP, bool)) (end CMP, ok bool) {
+	m.mu.Lock()
+	call, found := m.calls[k]
+	if !found {
+		call = &passCall{done: make(chan struct{})}
+		m.calls[k] = call
+		m.mu.Unlock()
+		return m.lead(k, call, scan)
+	}
+	m.mu.Unlock()
+	select {
+	case <-call.done:
+	case <-ctx.Done():
+		return CMP{}, false
+	}
+	if call.ok {
+		m.reused.Add(1)
+	}
+	return call.end, call.ok
+}
+
+// lead scans a pass-memo miss. The deferred cleanup also covers a panic
+// (recovered by par.Map), so waiters are never stranded.
+func (m *passMemo) lead(k passKey, call *passCall, scan func() (CMP, bool)) (CMP, bool) {
+	defer func() {
+		if !call.ok {
+			m.mu.Lock()
+			delete(m.calls, k)
+			m.mu.Unlock()
+		}
+		close(call.done)
+	}()
+	call.end, call.ok = scan()
+	if call.ok {
+		m.run.Add(1)
+	}
+	return call.end, call.ok
+}
+
 // Search finds a (locally) optimal 4-core CMP by steepest-ascent hill
 // climbing over single-core replacements — the paper likewise reports local
 // optima to keep its 102.5-trillion-combination search tractable.
 // Cancellation of ctx aborts the climb promptly (the check sits inside the
 // per-candidate scoring loops) and returns ctx.Err().
 func Search(ctx context.Context, spec SearchSpec, regions []workload.Region) (CMP, error) {
+	cmp, _, _, err := search(ctx, spec, regions)
+	return cmp, err
+}
+
+// search is Search that also reports how many slot passes its climbs
+// scanned and how many they took from the pass memo instead.
+func search(ctx context.Context, spec SearchSpec, regions []workload.Region) (cmp CMP, passesRun, passesReused int64, err error) {
 	si := newSuiteIndex(regions)
 	cands := prune(spec, si)
 	if len(cands) == 0 {
-		return CMP{}, fmt.Errorf("explore: no feasible candidates under %s", spec.Budget)
+		return CMP{}, 0, 0, fmt.Errorf("explore: no feasible candidates under %s", spec.Budget)
 	}
 	st := spec.Objective.SingleThread()
 
@@ -757,15 +844,15 @@ func Search(ctx context.Context, spec SearchSpec, regions []workload.Region) (CM
 		}
 	}
 	if len(seeds) == 0 {
-		return CMP{}, fmt.Errorf("explore: no feasible homogeneous seed under %s", spec.Budget)
+		return CMP{}, 0, 0, fmt.Errorf("explore: no feasible homogeneous seed under %s", spec.Budget)
 	}
 	if spec.Homogeneous {
 		// Homogeneous organizations take the full-budget seed.
 		best, _ := bestHomogeneous(spec.Budget)
 		if err := ctx.Err(); err != nil {
-			return CMP{}, err
+			return CMP{}, 0, 0, err
 		}
-		return best, nil
+		return best, 0, 0, nil
 	}
 
 	// Multi-programmed climbs reject each trial on the O(1) bound, then on
@@ -775,16 +862,57 @@ func Search(ctx context.Context, spec SearchSpec, regions []workload.Region) (CM
 	// best of the other three cores per region.
 	edp := spec.Objective == ObjMPEDP || spec.Objective == ObjSTEDP
 	screen := !st && si.screenSound(spec.Candidates, edp)
-	var candMax []float64 // stepMax of each of cands
+	pool := &climbPool{cands: cands}
 	if screen {
-		candMax = si.stepMaxes(cands, edp)
+		pool.stepMax = si.stepMaxes(cands, edp)
 	}
 
-	// climb hill-climbs one seed over an explicit candidate pool; the pool
-	// is a parameter (not a captured variable) so the polish pass below can
-	// widen it for one call without mutating shared state. poolMax is
-	// stepMax of each pool entry when screening.
-	climb := func(seed CMP, pool []*Candidate, poolMax []float64) CMP {
+	// scan runs one slot pass from cur over pool, using the caller's
+	// scratch, and returns the climb point it ends on; ok is false when ctx
+	// cut it short.
+	scan := func(cur CMP, slot int, pool *climbPool, rest [][4]float64, restBest []float64) (best CMP, ok bool) {
+		best = cur
+		var restMax float64
+		switch {
+		case screen:
+			restMax = si.restTable(&cur.Cores, slot, edp, rest)
+		case st:
+			si.stRestBest(&cur.Cores, slot, edp, restBest)
+		}
+		for j, c := range pool.cands {
+			if ctx.Err() != nil {
+				return best, false
+			}
+			trial := cur.Cores
+			trial[slot] = c
+			if !feasible(&trial, spec.Budget, st) {
+				continue
+			}
+			var s float64
+			switch {
+			case screen:
+				floor := best.Score + 1e-12 - screenTol
+				if si.mpBound(restMax, pool.stepMax[j]) <= floor || si.screenMP(c, edp, rest) <= floor {
+					continue
+				}
+				s = si.scoreMP(&trial, edp)
+			case st:
+				s = si.scoreSTSlot(c, edp, restBest)
+			default:
+				s = si.scoreMP(&trial, edp)
+			}
+			if s > best.Score+1e-12 {
+				best = CMP{Cores: trial, Score: s}
+			}
+		}
+		return best, true
+	}
+
+	// climb hill-climbs one seed over a candidate pool, taking each slot
+	// pass from the memo; the pool is a parameter so the polish pass below
+	// can widen it for one call without mutating shared state.
+	memo := &passMemo{calls: map[passKey]*passCall{}}
+	climb := func(seed CMP, pool *climbPool) CMP {
 		best := seed
 		var rest [][4]float64
 		var restBest []float64
@@ -794,45 +922,21 @@ func Search(ctx context.Context, spec SearchSpec, regions []workload.Region) (CM
 		case st:
 			restBest = make([]float64, si.nRegions)
 		}
-		// Re-score against the true budget (seed scores already match).
 		for iter := 0; iter < 12; iter++ {
 			improved := false
 			for slot := 0; slot < 4; slot++ {
 				cur := best
-				var restMax float64
-				switch {
-				case screen:
-					restMax = si.restTable(&cur.Cores, slot, edp, rest)
-				case st:
-					si.stRestBest(&cur.Cores, slot, edp, restBest)
+				k := passKey{cores: cur.Cores, score: math.Float64bits(cur.Score), slot: slot, pool: pool}
+				end, ok := memo.do(ctx, k, func() (CMP, bool) { return scan(cur, slot, pool, rest, restBest) })
+				if !ok {
+					return best
 				}
-				for j, c := range pool {
-					if ctx.Err() != nil {
-						return best
-					}
-					trial := cur.Cores
-					trial[slot] = c
-					if !feasible(&trial, spec.Budget, st) {
-						continue
-					}
-					var s float64
-					switch {
-					case screen:
-						floor := best.Score + 1e-12 - screenTol
-						if si.mpBound(restMax, poolMax[j]) <= floor || si.screenMP(c, edp, rest) <= floor {
-							continue
-						}
-						s = si.scoreMP(&trial, edp)
-					case st:
-						s = si.scoreSTSlot(c, edp, restBest)
-					default:
-						s = si.scoreMP(&trial, edp)
-					}
-					if s > best.Score+1e-12 {
-						best = CMP{Cores: trial, Score: s}
-						improved = true
-					}
+				// Every accepted trial raises the score, so a pass moved
+				// the climb point exactly when it accepted one.
+				if end.Cores != cur.Cores || math.Float64bits(end.Score) != k.score {
+					improved = true
 				}
+				best = end
 			}
 			if !improved {
 				break
@@ -841,13 +945,13 @@ func Search(ctx context.Context, spec SearchSpec, regions []workload.Region) (CM
 		return best
 	}
 	results, err := par.Map(ctx, len(seeds), 0, func(i int) (CMP, error) {
-		return climb(seeds[i], cands, candMax), nil
+		return climb(seeds[i], pool), nil
 	})
 	if err != nil {
-		return CMP{}, err
+		return CMP{}, 0, 0, err
 	}
 	if err := ctx.Err(); err != nil {
-		return CMP{}, err
+		return CMP{}, 0, 0, err
 	}
 	var best CMP
 	for i, r := range results {
@@ -862,7 +966,7 @@ func Search(ctx context.Context, spec SearchSpec, regions []workload.Region) (CM
 	for _, c := range best.Cores {
 		inBest[c.DP.ISA.Key()] = true
 	}
-	extended := append([]*Candidate{}, cands...)
+	extended := &climbPool{cands: append([]*Candidate{}, cands...)}
 	seen := map[*Candidate]bool{}
 	for _, c := range cands {
 		seen[c] = true
@@ -870,20 +974,19 @@ func Search(ctx context.Context, spec SearchSpec, regions []workload.Region) (CM
 	for _, c := range spec.Candidates {
 		if inBest[c.DP.ISA.Key()] && !seen[c] {
 			if spec.Constraint == nil || spec.Constraint(c) {
-				extended = append(extended, c)
+				extended.cands = append(extended.cands, c)
 			}
 		}
 	}
-	var extendedMax []float64
 	if screen {
-		extendedMax = append(candMax, si.stepMaxes(extended[len(cands):], edp)...)
+		extended.stepMax = slices.Concat(pool.stepMax, si.stepMaxes(extended.cands[len(cands):], edp))
 	}
-	best = climb(best, extended, extendedMax)
+	best = climb(best, extended)
 	if err := ctx.Err(); err != nil {
-		return CMP{}, err
+		return CMP{}, 0, 0, err
 	}
 
 	// Canonical core order for stable output.
 	slices.SortFunc(best.Cores[:], func(a, b *Candidate) int { return descending(b.PeakW, a.PeakW) })
-	return best, nil
+	return best, memo.run.Load(), memo.reused.Load(), nil
 }

@@ -3,14 +3,12 @@ package perfmodel_test
 import (
 	"fmt"
 	"hash/fnv"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"compisa/internal/compiler"
 	"compisa/internal/cpu"
 	"compisa/internal/explore"
+	"compisa/internal/golden"
 	"compisa/internal/isa"
 	"compisa/internal/perfmodel"
 	"compisa/internal/workload"
@@ -92,62 +90,7 @@ func TestScorerDigest(t *testing.T) {
 				tc.region, tc.fs.ShortName(), i, got.Cycles, h.Sum64()))
 		}
 	}
-	checkGolden(t, "scorer.golden", lines)
-}
-
-// checkGolden compares computed fixture lines ("key<TAB>values") with
-// testdata/<name>, naming every key whose values moved, that the fixture
-// lacks, or that the fixture holds but the computation no longer produces.
-// On any difference the recomputed table goes to a temporary file whose
-// path is logged.
-func checkGolden(t *testing.T, name string, lines []string) {
-	t.Helper()
-	raw, err := os.ReadFile(filepath.Join("testdata", name))
-	if err != nil {
-		t.Errorf("fixture %s unreadable: %v", name, err)
-	}
-	want := map[string]string{}
-	var order []string
-	for _, l := range strings.Split(string(raw), "\n") {
-		if l == "" {
-			continue
-		}
-		k, v, _ := strings.Cut(l, "\t")
-		want[k] = v
-		order = append(order, k)
-	}
-	got := map[string]bool{}
-	var diffs []string
-	for _, l := range lines {
-		k, v, _ := strings.Cut(l, "\t")
-		got[k] = true
-		if w, ok := want[k]; !ok {
-			diffs = append(diffs, "new     "+k)
-		} else if w != v {
-			diffs = append(diffs, fmt.Sprintf("moved   %s\n\t\twant %s\n\t\tgot  %s", k, w, v))
-		}
-	}
-	for _, k := range order {
-		if !got[k] {
-			diffs = append(diffs, "dropped "+k)
-		}
-	}
-	if len(diffs) == 0 {
-		return
-	}
-	t.Errorf("%d of %d entries differ from testdata/%s:\n\t%s", len(diffs), len(lines), name, strings.Join(diffs, "\n\t"))
-	f, err := os.CreateTemp("", strings.TrimSuffix(name, ".golden")+"-*.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = f.WriteString(strings.Join(lines, "\n") + "\n")
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("recomputed table written to %s; review it and copy it over testdata/%s", f.Name(), name)
+	golden.Check(t, "scorer.golden", lines, false)
 }
 
 // TestScorerEmptyProfile: Scorer construction rejects an empty profile with
