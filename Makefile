@@ -9,12 +9,17 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Static analysis beyond go vet: the repo-local multichecker (faultwrap
-# error-chain preservation + mapdeterminism map-order leaks) always runs;
-# staticcheck runs when installed (CI installs it; containers without
-# network skip it). CI additionally drives the same multichecker through
-# `go vet -vettool` (see vettool target) for build-graph-accurate file sets.
+# Static analysis beyond go vet: gofmt must list no file; the repo-local
+# multichecker (faultwrap error-chain preservation + mapdeterminism
+# map-order leaks) always runs; staticcheck runs when installed (CI installs
+# it; containers without network skip it). CI additionally drives the same
+# multichecker through `go vet -vettool` (see vettool target) for
+# build-graph-accurate file sets.
 lint: vet
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists files that need formatting (run gofmt -w on them):"; \
+		echo "$$unformatted"; exit 1; \
+	fi
 	$(GO) run ./tools/analyzers/cmd/vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \

@@ -7,9 +7,9 @@ import (
 // BB is one recovered basic block: instructions [Start, End) of the
 // program, with successor/predecessor edges expressed as block indices.
 type BB struct {
-	Start, End  int
-	Succs       []int
-	Preds       []int
+	Start, End int
+	Succs      []int
+	Preds      []int
 	// Reachable marks blocks reachable from the entry block.
 	Reachable bool
 }

@@ -155,7 +155,7 @@ func RedundantSpillReloads(win []code.Instr) []int {
 	// once a def is seen inside the window.
 	type widthFact struct {
 		known bool
-		bits  int // int regs: value < 2^bits
+		bits  int  // int regs: value < 2^bits
 		lane0 bool // FP regs: upper lane is zero
 	}
 	var intW, fpW [256]widthFact

@@ -70,8 +70,8 @@ func TestAlpha64LegalizationUnderPressure(t *testing.T) {
 // sets outside the alpha64 encoding envelope fail loudly at compile time.
 func TestAlpha64RejectsUnsupportedFeatureSets(t *testing.T) {
 	bad := []isa.FeatureSet{
-		isa.X8664,     // full x86 complexity needs memory operands
-		isa.Superset,  // SIMD + full predication
+		isa.X8664,        // full x86 complexity needs memory operands
+		isa.Superset,     // SIMD + full predication
 		isa.X86izedThumb, // width 32 needs carry pairs
 		isa.MustNew(isa.MicroX86, 64, 64, isa.PartialPredication), // depth 64 > 32 regs
 	}
@@ -99,7 +99,7 @@ func TestBuildImm(t *testing.T) {
 		{42, 8, 1},
 		{-42, 8, 8}, // all-ones upper chunks: MOV 0/OR + 3x(SHL+OR)
 		{0x7fff, 8, 1},
-		{0x8000, 8, 3},  // mov 0; or; shl... leading chunk 0x8000 at k=0? built as MOV 0/OR
+		{0x8000, 8, 3}, // mov 0; or; shl... leading chunk 0x8000 at k=0? built as MOV 0/OR
 		{0x12345678, 4, 3},
 		{int64(int32(-1)), 4, 4},
 		{0x7000_0000, 8, 2}, // spill base: MOV 0x7000 / SHL 16

@@ -42,10 +42,10 @@ type InstrDecoder interface {
 
 type x86Coder struct{}
 
-func (x86Coder) Target() *isa.Target                        { return &isa.X86Target }
-func (x86Coder) Layout(p *code.Program, base uint32) error  { return layoutX86(p, base) }
-func (x86Coder) InstrLen(p *code.Program, i int) int        { return Length(p, i) }
-func (x86Coder) MaxLen() int                                { return MaxInstrLen }
+func (x86Coder) Target() *isa.Target                       { return &isa.X86Target }
+func (x86Coder) Layout(p *code.Program, base uint32) error { return layoutX86(p, base) }
+func (x86Coder) InstrLen(p *code.Program, i int) int       { return Length(p, i) }
+func (x86Coder) MaxLen() int                               { return MaxInstrLen }
 func (x86Coder) EncodeInstr(in *code.Instr, length int, compact bool) ([]byte, error) {
 	return EncodeInstr(in, length, compact)
 }

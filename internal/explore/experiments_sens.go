@@ -267,8 +267,7 @@ func (s *Searcher) Fig13AffinityMultiprogrammed(ctx context.Context) (*AffinityR
 		Share: map[string]map[string]float64{},
 	}
 	res.FeatureSets = distinctFS(cmp)
-	si := newSuiteIndex(s.DB.Regions)
-	stats := si.scheduleMP(&cmp.Cores, s.DB.Regions, nil)
+	stats := s.si.scheduleMP(&cmp.Cores, s.DB.Regions, nil)
 	for bench, byCore := range stats.TimeByBenchCore {
 		for coreIdx, t := range byCore {
 			addShare(res.Share, bench, cmp.Cores[coreIdx].DP.ISA.Key(), t)

@@ -75,6 +75,11 @@ type Searcher struct {
 	// search — the driver hooks checkpoint autosave here.
 	OnSearchDone func()
 
+	// si indexes the suite for scoring; fronts memoizes the budget-
+	// independent front of every search run here (see frontMemo).
+	si     *suiteIndex
+	fronts *frontMemo
+
 	mu sync.Mutex
 	// cands caches evaluated candidates per organization choice-set key.
 	cands map[Organization][]*Candidate
@@ -90,6 +95,8 @@ func NewSearcher(ctx context.Context, db *DB) (*Searcher, error) {
 	}
 	return &Searcher{
 		DB: db, ref: ref,
+		si:       newSuiteIndex(db.Regions),
+		fronts:   newFrontMemo(),
 		cands:    map[Organization][]*Candidate{},
 		frontier: map[string]SavedSearch{},
 	}, nil
@@ -162,7 +169,7 @@ func (s *Searcher) search(ctx context.Context, org Organization, obj Objective, 
 		Constraint:    constraint,
 		MaxCandidates: s.MaxCandidates,
 	}
-	cmp, err := Search(ctx, spec, s.DB.Regions)
+	cmp, _, _, err := searchWith(ctx, spec, s.si, s.fronts)
 	if err != nil {
 		return CMP{}, fmt.Errorf("%v under %s: %w", org, b, err)
 	}
@@ -190,8 +197,7 @@ func (s *Searcher) resume(ctx context.Context, key string, obj Objective) (CMP, 
 		}
 		cores[i] = c
 	}
-	si := newSuiteIndex(s.DB.Regions)
-	cmp := CMP{Cores: cores, Score: si.score(&cores, obj)}
+	cmp := CMP{Cores: cores, Score: s.si.score(&cores, obj)}
 	return cmp, true, nil
 }
 

@@ -485,14 +485,11 @@ type SearchSpec struct {
 	Constraint func(*Candidate) bool
 }
 
-// prune reduces the candidate set: budget-infeasible and constraint-failing
-// candidates are dropped; the survivors are ranked by objective-relevant
-// utility and capped, always keeping each region's top specialists so
-// heterogeneity stays discoverable.
-func prune(spec SearchSpec, si *suiteIndex) []*Candidate {
+// survivors returns, in order, the candidates that pass spec's constraint
+// and budget filter: spec.Candidates itself when all of them do, so a
+// front built from them retains no copy.
+func survivors(spec SearchSpec) []*Candidate {
 	var ok []*Candidate
-	// Each survivor's ISA key, formatted once for both per-ISA passes.
-	isaKey := map[*Candidate]string{}
 	for _, c := range spec.Candidates {
 		if spec.Constraint != nil && !spec.Constraint(c) {
 			continue
@@ -504,17 +501,36 @@ func prune(spec SearchSpec, si *suiteIndex) []*Candidate {
 			continue
 		}
 		ok = append(ok, c)
-		isaKey[c] = c.DP.ISA.Key()
 	}
-	if len(ok) == 0 {
-		return nil
+	if len(ok) == len(spec.Candidates) {
+		return spec.Candidates
 	}
-	max := spec.MaxCandidates
-	if max <= 0 {
-		max = 300
+	return ok
+}
+
+// prune builds the front of a search from its non-empty survivors,
+// filtered: they are ranked by objective-relevant utility and capped at
+// maxCands (0 = 300), always keeping each region's top specialists so
+// heterogeneity stays discoverable. It reads the objective only through edp
+// and never modifies filtered. A cancelled prune returns ctx's error and no
+// front.
+func prune(ctx context.Context, filtered []*Candidate, edp bool, maxCands int) (*front, error) {
+	// ISA keys, formatted once per distinct choice and shared by both
+	// per-ISA passes and the front.
+	keys := map[ISAChoice]string{}
+	isaKey := func(c *Candidate) string {
+		k, found := keys[c.DP.ISA]
+		if !found {
+			k = c.DP.ISA.Key()
+			keys[c.DP.ISA] = k
+		}
+		return k
+	}
+	if maxCands <= 0 {
+		maxCands = 300
 	}
 	utility := func(c *Candidate) float64 {
-		if spec.Objective == ObjMPEDP || spec.Objective == ObjSTEDP {
+		if edp {
 			s := 0.0
 			for _, v := range c.NormEDP {
 				s += v
@@ -523,16 +539,17 @@ func prune(spec SearchSpec, si *suiteIndex) []*Candidate {
 		}
 		return c.MeanSpeedup()
 	}
+	ok := append([]*Candidate{}, filtered...)
 	sortByKeyDesc(ok, utility)
 	keep := map[*Candidate]bool{}
-	for i := 0; i < len(ok) && i < max*3/4; i++ {
+	for i := 0; i < len(ok) && i < maxCands*3/4; i++ {
 		keep[ok[i]] = true
 	}
 	// Per-ISA heads: every feature set keeps its best configurations so a
 	// globally mediocre ISA can still contribute its specialist cores.
 	perISA := map[string]int{}
 	for _, c := range ok {
-		k := isaKey[c]
+		k := isaKey(c)
 		if perISA[k] < 8 {
 			keep[c] = true
 			perISA[k]++
@@ -553,9 +570,8 @@ func prune(spec SearchSpec, si *suiteIndex) []*Candidate {
 	// maximize value per watt / per mm², not raw value. For speedup
 	// objectives that is utility/cost; for (negative-valued) EDP
 	// objectives it is utility*cost, which prefers low EDP at low cost.
-	isEDP := spec.Objective == ObjMPEDP || spec.Objective == ObjSTEDP
 	eff := func(c *Candidate, cost float64) float64 {
-		if isEDP {
+		if edp {
 			return utility(c) * cost
 		}
 		return utility(c) / cost
@@ -568,7 +584,7 @@ func prune(spec SearchSpec, si *suiteIndex) []*Candidate {
 	byEff := append([]*Candidate{}, ok...)
 	sortByKeyDesc(byEff, effPeak)
 	for _, c := range byEff {
-		k := isaKey[c]
+		k := isaKey(c)
 		if perISAEff[k] < 6 {
 			keep[c] = true
 			perISAEff[k]++
@@ -578,9 +594,12 @@ func prune(spec SearchSpec, si *suiteIndex) []*Candidate {
 	nRegions := len(ok[0].Speedup)
 	per := make([]keyed, len(ok))
 	for r := 0; r < nRegions; r++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		for i, c := range ok {
 			v := c.Speedup[r]
-			if isEDP {
+			if edp {
 				v = -c.NormEDP[r]
 			}
 			per[i] = keyed{c, v}
@@ -592,13 +611,170 @@ func prune(spec SearchSpec, si *suiteIndex) []*Candidate {
 	}
 	// The union of the utility head, the specialists, and the small cores
 	// is the search set; specialists must survive, so no further cap.
-	var out []*Candidate
+	f := &front{survivors: filtered, edp: edp}
 	for _, c := range ok {
 		if keep[c] {
-			out = append(out, c)
+			f.cands = append(f.cands, c)
+			f.isaKeys = append(f.isaKeys, isaKey(c))
 		}
 	}
-	return out
+	return f, nil
+}
+
+// front is the part of a search that depends only on which candidates
+// survive its filter, not on the budget that filtered them: the pruned
+// pool and each pool entry's ISA key, and, filled in on first use, the
+// pool's homogeneous scores per objective and its stepMax. prune is a pure
+// function of the ordered survivors, edp and the candidate cap, hom[obj] of
+// each candidate and obj, and stepMax of each candidate and edp, all over
+// one suite, so every search with the same survivors, edp and cap may share
+// one front, bit for bit. Fronts are shared, so they are read-only: a
+// search that extends the pool copies it.
+type front struct {
+	survivors []*Candidate // the filter's output the front was built from
+	edp       bool
+	cands     []*Candidate // the pruned pool, in utility order
+	isaKeys   []string     // isaKeys[i] is cands[i].DP.ISA.Key()
+
+	mu      sync.Mutex   // guards hom and stepMax
+	hom     [4][]float64 // per Objective: each pool entry's homogeneous score
+	stepMax []float64    // each pool entry's stepMax under edp
+}
+
+// fill returns *p, storing v there first if *p is still nil. The first
+// store wins; values are deterministic, so either copy is correct.
+func (f *front) fill(p *[]float64, v []float64) []float64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if *p == nil {
+		*p = v
+	}
+	return *p
+}
+
+// loaded returns *p under the front's lock.
+func (f *front) loaded(p *[]float64) []float64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return *p
+}
+
+// homScores returns every pool entry's homogeneous score under obj,
+// computing them on the front's first search with obj. A cancelled
+// computation returns ctx's error and stores nothing.
+func (f *front) homScores(ctx context.Context, si *suiteIndex, obj Objective) ([]float64, error) {
+	if h := f.loaded(&f.hom[obj]); h != nil {
+		return h, nil
+	}
+	h := make([]float64, len(f.cands))
+	for i, c := range f.cands {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		h[i] = si.score(&[4]*Candidate{c, c, c, c}, obj)
+	}
+	return f.fill(&f.hom[obj], h), nil
+}
+
+// stepMaxes returns every pool entry's stepMax under the front's edp,
+// computing them on the front's first screened search.
+func (f *front) stepMaxes(si *suiteIndex) []float64 {
+	if sm := f.loaded(&f.stepMax); sm != nil {
+		return sm
+	}
+	return f.fill(&f.stepMax, si.stepMaxes(f.cands, f.edp))
+}
+
+// frontKey buckets the stored fronts; within a bucket a front is found by
+// comparing its survivors in full.
+type frontKey struct {
+	edp      bool
+	maxCands int
+	n        int
+	first    *Candidate
+}
+
+// soundKey identifies a candidate slice by its backing array and length,
+// with the objective's edp.
+type soundKey struct {
+	cs  **Candidate
+	n   int
+	edp bool
+}
+
+// frontMemo holds the fronts, and the screenSound verdicts, of the
+// searches run over one suite. A nil memo builds every front afresh. A
+// front is stored only once fully built, so a search cancelled while
+// building one leaves nothing behind. Its size is bounded by the number of
+// distinct (survivors, edp, cap) and (candidate slice, edp) searched.
+type frontMemo struct {
+	mu     sync.Mutex
+	fronts map[frontKey][]*front
+	sound  map[soundKey]bool
+	hits   atomic.Int64 // fronts returned by an earlier search's build
+}
+
+func newFrontMemo() *frontMemo {
+	return &frontMemo{fronts: map[frontKey][]*front{}, sound: map[soundKey]bool{}}
+}
+
+// lookup returns the front stored under k that was built from ok, or nil.
+// The caller holds m.mu.
+func (m *frontMemo) lookup(k frontKey, ok []*Candidate) *front {
+	for _, f := range m.fronts[k] {
+		if slices.Equal(f.survivors, ok) {
+			return f
+		}
+	}
+	return nil
+}
+
+// front returns the front of a search whose non-empty filter kept ok,
+// building it with prune unless an earlier search stored it. Concurrent
+// builds of one front are allowed; the first store wins.
+func (m *frontMemo) front(ctx context.Context, ok []*Candidate, edp bool, maxCands int) (*front, error) {
+	if m == nil {
+		return prune(ctx, ok, edp, maxCands)
+	}
+	k := frontKey{edp: edp, maxCands: maxCands, n: len(ok), first: ok[0]}
+	m.mu.Lock()
+	f := m.lookup(k, ok)
+	m.mu.Unlock()
+	if f != nil {
+		m.hits.Add(1)
+		return f, nil
+	}
+	f, err := prune(ctx, ok, edp, maxCands)
+	if err != nil {
+		return nil, err
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if g := m.lookup(k, ok); g != nil {
+		return g, nil
+	}
+	m.fronts[k] = append(m.fronts[k], f)
+	return f, nil
+}
+
+// screenSound is si.screenSound(cs, edp), computed once per non-empty
+// candidate slice and edp. Candidate slices are never modified once built,
+// and the key's pointer into cs keeps its backing array from being reused.
+func (m *frontMemo) screenSound(si *suiteIndex, cs []*Candidate, edp bool) bool {
+	if m == nil {
+		return si.screenSound(cs, edp)
+	}
+	k := soundKey{cs: &cs[0], n: len(cs), edp: edp}
+	m.mu.Lock()
+	v, ok := m.sound[k]
+	m.mu.Unlock()
+	if !ok {
+		v = si.screenSound(cs, edp)
+		m.mu.Lock()
+		m.sound[k] = v
+		m.mu.Unlock()
+	}
+	return v
 }
 
 // descending is a slices.SortFunc comparison that orders a before b iff
@@ -736,18 +912,30 @@ func Search(ctx context.Context, spec SearchSpec, regions []workload.Region) (CM
 // search is Search that also reports how many slot passes its climbs
 // scanned and how many they took from the pass memo instead.
 func search(ctx context.Context, spec SearchSpec, regions []workload.Region) (cmp CMP, passesRun, passesReused int64, err error) {
-	si := newSuiteIndex(regions)
-	cands := prune(spec, si)
-	if len(cands) == 0 {
+	return searchWith(ctx, spec, newSuiteIndex(regions), nil)
+}
+
+// searchWith is search over the suite si, taking the search's front from
+// fronts (nil: build it afresh). Only the front is shared: the seeding,
+// climbs, pass memo and polish pass are the search's own.
+func searchWith(ctx context.Context, spec SearchSpec, si *suiteIndex, fronts *frontMemo) (cmp CMP, passesRun, passesReused int64, err error) {
+	ok := survivors(spec)
+	if len(ok) == 0 {
 		return CMP{}, 0, 0, fmt.Errorf("explore: no feasible candidates under %s", spec.Budget)
 	}
 	st := spec.Objective.SingleThread()
+	edp := spec.Objective == ObjMPEDP || spec.Objective == ObjSTEDP
+	fr, err := fronts.front(ctx, ok, edp, spec.MaxCandidates)
+	if err != nil {
+		return CMP{}, 0, 0, err
+	}
+	cands := fr.cands
 
 	// Every candidate's homogeneous score, once: it does not depend on the
 	// budget, and the seed searches below revisit it at several budgets.
-	hom := make([]float64, len(cands))
-	for i, c := range cands {
-		hom[i] = si.score(&[4]*Candidate{c, c, c, c}, spec.Objective)
+	hom, err := fr.homScores(ctx, si, spec.Objective)
+	if err != nil {
+		return CMP{}, 0, 0, err
 	}
 
 	// Seeds: the best feasible homogeneous CMP at the full budget and at
@@ -814,7 +1002,7 @@ func search(ctx context.Context, spec SearchSpec, regions []workload.Region) (cm
 				continue
 			}
 			s := hom[i]
-			k := c.DP.ISA.Key()
+			k := fr.isaKeys[i]
 			if cur, ok := bestPer[k]; !ok || s > cur.score {
 				bestPer[k] = isaSeed{CMP{Cores: cores, Score: s}, s}
 			}
@@ -860,11 +1048,10 @@ func search(ctx context.Context, spec SearchSpec, regions []workload.Region) (cm
 	// score exactly only the trials that could clear the acceptance test
 	// (see screenTol). Single-thread climbs score each trial against the
 	// best of the other three cores per region.
-	edp := spec.Objective == ObjMPEDP || spec.Objective == ObjSTEDP
-	screen := !st && si.screenSound(spec.Candidates, edp)
+	screen := !st && fronts.screenSound(si, spec.Candidates, edp)
 	pool := &climbPool{cands: cands}
 	if screen {
-		pool.stepMax = si.stepMaxes(cands, edp)
+		pool.stepMax = fr.stepMaxes(si)
 	}
 
 	// scan runs one slot pass from cur over pool, using the caller's

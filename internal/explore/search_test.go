@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -146,13 +147,119 @@ func TestSearchPassMemo(t *testing.T) {
 	}
 }
 
+// storedFront returns the front memo's entry for spec's survivors, or nil.
+func storedFront(fm *frontMemo, spec SearchSpec) *front {
+	ok := survivors(spec)
+	edp := spec.Objective == ObjMPEDP || spec.Objective == ObjSTEDP
+	fm.mu.Lock()
+	defer fm.mu.Unlock()
+	return fm.lookup(frontKey{edp: edp, maxCands: spec.MaxCandidates, n: len(ok), first: ok[0]}, ok)
+}
+
+// checkFrontMemo fails unless every front and value the memo holds equals,
+// bit for bit, a fresh computation: nothing a later search can read is
+// partial. Every search through fm must have run over cands.
+func checkFrontMemo(t *testing.T, fm *frontMemo, si *suiteIndex, cands []*Candidate) {
+	t.Helper()
+	fm.mu.Lock()
+	defer fm.mu.Unlock()
+	sameBits := func(a, b []float64) bool {
+		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+	}
+	for k, fs := range fm.fronts {
+		for _, f := range fs {
+			fresh, err := prune(context.Background(), f.survivors, f.edp, k.maxCands)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(f.cands, fresh.cands) || !slices.Equal(f.isaKeys, fresh.isaKeys) {
+				t.Errorf("stored front (edp=%v, %d survivors) differs from a fresh prune", f.edp, len(f.survivors))
+			}
+			for obj, h := range f.hom {
+				if h == nil {
+					continue
+				}
+				want, _ := fresh.homScores(context.Background(), si, Objective(obj))
+				if !sameBits(h, want) {
+					t.Errorf("stored homogeneous scores for objective %d differ from fresh ones", obj)
+				}
+			}
+			if f.stepMax != nil && !sameBits(f.stepMax, si.stepMaxes(f.cands, f.edp)) {
+				t.Error("stored stepMax differs from a fresh one")
+			}
+		}
+	}
+	for k, v := range fm.sound {
+		if k.cs != &cands[0] || k.n != len(cands) {
+			t.Errorf("screenSound verdict stored for a candidate slice no search used")
+		} else if v != si.screenSound(cands, k.edp) {
+			t.Errorf("stored screenSound verdict %v (edp=%v) is stale", v, k.edp)
+		}
+	}
+}
+
+// TestSearchFrontMemo runs every fixture search through one shared front
+// memo, in fixture order and reversed: the results equal the fixture, the
+// memo serves some searches, and every search either found its front or
+// stored it.
+func TestSearchFrontMemo(t *testing.T) {
+	regions := workload.Regions()
+	si := newSuiteIndex(regions)
+	cands := searchFixtureCands(len(regions))
+	cases := searchFixtureCases(cands)
+	for _, reversed := range []bool{false, true} {
+		fm := newFrontMemo()
+		lines := make([]string, len(cases))
+		for j := range cases {
+			i := j
+			if reversed {
+				i = len(cases) - 1 - j
+			}
+			cmp, _, _, err := searchWith(context.Background(), cases[i].spec, si, fm)
+			if err != nil {
+				t.Fatalf("%s: %v", cases[i].key, err)
+			}
+			lines[i] = cases[i].key + "\t" + searchDigest(cands, cmp)
+			// The memo filed the front under this search's own ranking.
+			spec := cases[i].spec
+			edp := spec.Objective == ObjMPEDP || spec.Objective == ObjSTEDP
+			fresh, err := prune(context.Background(), survivors(spec), edp, spec.MaxCandidates)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f := storedFront(fm, spec); f == nil || f.edp != edp || !slices.Equal(f.cands, fresh.cands) {
+				t.Errorf("%s: the memo holds no front equal to a fresh prune", cases[i].key)
+			}
+		}
+		golden.Check(t, "search.golden", lines, false)
+		stored := 0
+		for _, fs := range fm.fronts {
+			stored += len(fs)
+		}
+		t.Logf("reversed=%v: %d searches, %d fronts built, %d reused", reversed, len(cases), stored, fm.hits.Load())
+		if fm.hits.Load() == 0 {
+			t.Error("no search reused a front: the memo is vacuous")
+		}
+		if got := int(fm.hits.Load()) + stored; got != len(cases) {
+			t.Errorf("%d fronts reused + %d built, want %d searches", fm.hits.Load(), stored, len(cases))
+		}
+		checkFrontMemo(t, fm, si, cands)
+	}
+}
+
 // TestSearchCancelledPassNotReused cancels every heterogeneous fixture
 // search halfway through its context checks, past its seeding and so inside
 // its climbs: the search returns context.Canceled, and a fresh search of the
-// same spec still returns the fixture's result.
+// same spec still returns the fixture's result. Through one front memo
+// shared by all cases, it also cancels each search inside its prune (the
+// first check per region) and at its first homogeneous score: a front or
+// score cut short is never stored, and the memo's fresh-built values all
+// stay exact.
 func TestSearchCancelledPassNotReused(t *testing.T) {
 	regions := workload.Regions()
+	si := newSuiteIndex(regions)
 	cands := searchFixtureCands(len(regions))
+	fm := newFrontMemo()
 	var lines []string
 	for _, tc := range searchFixtureCases(cands) {
 		if !tc.spec.Homogeneous {
@@ -175,12 +282,89 @@ func TestSearchCancelledPassNotReused(t *testing.T) {
 			if _, err := Search(half, tc.spec, regions); !errors.Is(err, context.Canceled) {
 				t.Fatalf("%s: cancelled search returned %v, want context.Canceled", tc.key, err)
 			}
+
+			cancelShared := func(n int64) {
+				t.Helper()
+				if _, _, _, err := searchWith(newCancelAfter(t, n), tc.spec, si, fm); !errors.Is(err, context.Canceled) {
+					t.Fatalf("%s: search through the shared memo cancelled at check %d returned %v, want context.Canceled", tc.key, n, err)
+				}
+				checkFrontMemo(t, fm, si, cands)
+			}
+			// A new front's prune makes the first len(regions) checks.
+			if storedFront(fm, tc.spec) == nil {
+				for _, n := range []int64{1, int64(len(regions))} {
+					cancelShared(n)
+					if storedFront(fm, tc.spec) != nil {
+						t.Fatalf("%s: a prune cancelled at check %d stored its front", tc.key, n)
+					}
+				}
+				cancelShared(int64(len(regions)) + 1)
+				if storedFront(fm, tc.spec) == nil {
+					t.Fatalf("%s: a completed prune stored no front", tc.key)
+				}
+			}
+			// The front is stored; its homogeneous scores may not be.
+			if f := storedFront(fm, tc.spec); f.loaded(&f.hom[tc.spec.Objective]) == nil {
+				cancelShared(1)
+				if f.loaded(&f.hom[tc.spec.Objective]) != nil {
+					t.Fatalf("%s: homogeneous scores cancelled at their first candidate were stored", tc.key)
+				}
+			}
+			cancelShared(half.n)
 		}
-		cmp, err := Search(context.Background(), tc.spec, regions)
+		cmp, _, _, err := searchWith(context.Background(), tc.spec, si, fm)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.key, err)
 		}
+		if fresh, err := Search(context.Background(), tc.spec, regions); err != nil {
+			t.Fatalf("%s: %v", tc.key, err)
+		} else if fresh.Cores != cmp.Cores || math.Float64bits(fresh.Score) != math.Float64bits(cmp.Score) {
+			t.Errorf("%s: shared-memo search found %v (%v), a fresh search %v (%v)", tc.key, cmp.Cores, cmp.Score, fresh.Cores, fresh.Score)
+		}
 		lines = append(lines, tc.key+"\t"+searchDigest(cands, cmp))
 	}
+	if fm.hits.Load() == 0 {
+		t.Error("no search reused a front: the shared memo is vacuous")
+	}
 	golden.Check(t, "search.golden", lines, false)
+}
+
+// TestSearchFrontShared: on the real suite, composite-full MP-throughput
+// and ST-perf at 48 mm² keep the same survivors under the same non-EDP
+// ranking, so one Searcher builds their front once; each result equals a
+// fresh Searcher's, in cores and score bits.
+func TestSearchFrontShared(t *testing.T) {
+	if testing.Short() {
+		t.Skip("search suite in long mode only")
+	}
+	if raceEnabled {
+		t.Skip("full-suite search too slow under the race detector; TestSearchCancelledPassNotReused covers the memo")
+	}
+	ctx := context.Background()
+	db, _ := searcher(t)
+	shared, err := NewSearcher(ctx, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := Budget{AreaMM2: 48}
+	for i, obj := range []Objective{ObjMPThroughput, ObjSTPerf} {
+		got, err := shared.Search(ctx, OrgCompositeFull, obj, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hits := shared.fronts.hits.Load(); hits != int64(i) {
+			t.Errorf("objective %d: %d fronts reused after %d searches, want %d", obj, hits, i+1, i)
+		}
+		fresh, err := NewSearcher(ctx, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Search(ctx, OrgCompositeFull, obj, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Cores != want.Cores || math.Float64bits(got.Score) != math.Float64bits(want.Score) {
+			t.Errorf("objective %d: shared Searcher found %v (%v), a fresh one %v (%v)", obj, got.Cores, got.Score, want.Cores, want.Score)
+		}
+	}
 }

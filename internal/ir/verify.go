@@ -91,8 +91,8 @@ func (f *Func) verifyReachingDefs(uses []VReg) error {
 		idx[b] = i
 	}
 	words := (f.nvregs + 63) / 64
-	gen := make([][]uint64, nb)  // defs within the block
-	rin := make([][]uint64, nb)  // defs reaching block entry (union over preds)
+	gen := make([][]uint64, nb) // defs within the block
+	rin := make([][]uint64, nb) // defs reaching block entry (union over preds)
 	for i, b := range f.Blocks {
 		gen[i] = make([]uint64, words)
 		rin[i] = make([]uint64, words)

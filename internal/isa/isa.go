@@ -11,7 +11,10 @@
 // sets (Figure 1).
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Complexity selects the opcode/addressing-mode richness of a feature set.
 type Complexity uint8
@@ -188,7 +191,7 @@ func (f FeatureSet) ShortName() string {
 	if f.Predication == FullPredication {
 		p = "F"
 	}
-	return fmt.Sprintf("%s-%dD-%dW-%s", c, f.Depth, f.Width, p)
+	return c + "-" + strconv.Itoa(f.Depth) + "D-" + strconv.Itoa(f.Width) + "W-" + p
 }
 
 func (f FeatureSet) String() string { return f.Name() }

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -181,6 +182,30 @@ func TestNames(t *testing.T) {
 			t.Errorf("duplicate short name %q", fs.ShortName())
 		}
 		names[fs.ShortName()] = true
+	}
+}
+
+// TestShortNameMatchesSprintf: ShortName spells every feature set the
+// exploration names exactly as the Sprintf form it replaced, so cache,
+// checkpoint and store keys built from it do not move.
+func TestShortNameMatchesSprintf(t *testing.T) {
+	sets := append(Derive(), XIzedFixedSets()...)
+	for _, v := range VendorISAs() {
+		sets = append(sets, v.Features)
+	}
+	sets = append(sets, X8664, Superset, MicroX86Min)
+	for _, f := range sets {
+		c, p := "x86", "P"
+		if f.Complexity == MicroX86 {
+			c = "ux86"
+		}
+		if f.Predication == FullPredication {
+			p = "F"
+		}
+		want := fmt.Sprintf("%s-%dD-%dW-%s", c, f.Depth, f.Width, p)
+		if got := f.ShortName(); got != want {
+			t.Errorf("%+v: ShortName %q, want %q", f, got, want)
+		}
 	}
 }
 

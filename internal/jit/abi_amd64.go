@@ -66,12 +66,12 @@ const (
 
 // ctxOff holds jitCtx field offsets for the emitter.
 var ctxOff = struct {
-	state, events, remaining, resume           int32
-	dataHost, spillHost, ctxbHost, poolHost    int32
-	dataMax, spillMax, ctxbMax, poolMax        int32
-	uops, predoff, branches, taken             int32
-	loads, stores                              int32
-	ret, exitIdx, exitKind, flags              int32
+	state, events, remaining, resume        int32
+	dataHost, spillHost, ctxbHost, poolHost int32
+	dataMax, spillMax, ctxbMax, poolMax     int32
+	uops, predoff, branches, taken          int32
+	loads, stores                           int32
+	ret, exitIdx, exitKind, flags           int32
 }{
 	state:     int32(unsafe.Offsetof(jitCtx{}.state)),
 	events:    int32(unsafe.Offsetof(jitCtx{}.events)),

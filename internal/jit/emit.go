@@ -61,7 +61,7 @@ type asm struct {
 
 func (a *asm) here() int32 { return int32(len(a.b)) }
 
-func (a *asm) u8(v byte)  { a.b = append(a.b, v) }
+func (a *asm) u8(v byte) { a.b = append(a.b, v) }
 func (a *asm) u32(v uint32) {
 	a.b = append(a.b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 }

@@ -70,9 +70,9 @@ type Snapshot struct {
 }
 
 type stats struct {
-	regions, runs, deopts      atomic.Int64
-	deoptUnsup, deoptMem       atomic.Int64
-	bailouts, hits, evictions  atomic.Int64
+	regions, runs, deopts     atomic.Int64
+	deoptUnsup, deoptMem      atomic.Int64
+	bailouts, hits, evictions atomic.Int64
 }
 
 // Engine compiles and caches native modules and implements cpu.JITRunner.

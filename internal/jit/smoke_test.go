@@ -151,13 +151,13 @@ func TestJITSmokeMemLoop(t *testing.T) {
 	jlt := ci(code.JCC, 0)
 	jlt.CC, jlt.Target = code.CCLT, 4
 	instrs = append(instrs,
-		st,                      // 4: a[i] = i
-		ld,                      // 5: r3 = a[i]
-		alu(code.ADD, 0, 3, 8),  // 6: sum += r3
-		movImm(3, 1, 8),         // 7
-		alu(code.ADD, 1, 3, 8),  // 8: i++
-		cmp,                     // 9
-		jlt,                     // 10
+		st,                     // 4: a[i] = i
+		ld,                     // 5: r3 = a[i]
+		alu(code.ADD, 0, 3, 8), // 6: sum += r3
+		movImm(3, 1, 8),        // 7
+		alu(code.ADD, 1, 3, 8), // 8: i++
+		cmp,                    // 9
+		jlt,                    // 10
 		retR(0),
 	)
 	p := mkProg(t, isa.Superset, instrs...)

@@ -106,8 +106,8 @@ func TestTornTailTruncated(t *testing.T) {
 	// A crashed append leaves a torn record: a plausible header with a cut
 	// payload. Simulate with raw garbage of varying shapes.
 	for _, tail := range [][]byte{
-		{0x07},                         // one stray byte
-		{0x20, 0x00, 0x00, 0x00},       // half a header
+		{0x07},                   // one stray byte
+		{0x20, 0x00, 0x00, 0x00}, // half a header
 		append(binary.LittleEndian.AppendUint32(nil, 40), 1, 2, 3, 4, 5, 6), // header claiming 40 bytes, 2 present
 	} {
 		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
