@@ -37,10 +37,18 @@ test:
 	$(GO) test ./...
 
 # Race-check the concurrent packages (worker pools, metrics counters,
-# profile cache singleflight, candidate cache, parallel search seeds,
-# store appends and the store circuit breaker).
+# the par.Memo singleflight under the profile, simulation and pass caches,
+# candidate cache, parallel search seeds, store appends and the store
+# circuit breaker). The leader/waiter tests then run again: the repeats
+# shake out interleavings one pass misses. The par.Memo tests run 20 more
+# times (about 1 s); the eval tests that stall a profile or simulation
+# leader 5 more times (about 1.3 s a round under -race, as they profile a
+# real region). The explore tests that cancel searches (about 8 s a run
+# under -race) run once above.
 race:
 	$(GO) test -race ./internal/par/ ./internal/metrics/ ./internal/eval/ ./internal/explore/ ./internal/fault/ ./internal/cpu/ ./internal/serve/ ./internal/store/
+	$(GO) test -race -count=20 -run '^TestMemo' ./internal/par/
+	$(GO) test -race -count=5 -run 'Singleflight|LeaderCanceled' ./internal/eval/
 
 # The JIT equivalence gate, locally (the CI jit-differential job): the
 # native executor must match the interpreter byte for byte across the

@@ -27,11 +27,11 @@ import (
 //
 // Three cache tiers back the pipeline:
 //
-//   - profiles: ISA key → per-region profiles, singleflighted so
-//     concurrent callers share one computation;
+//   - profiles: ISA key → per-region profiles, computed through a
+//     par.Memo so concurrent callers share one computation;
 //   - simulations: under the profile tier, a digest of everything
 //     cpu.CollectProfileOpts reads from a compiled region (see simKeyOf)
-//     → that program's profile, singleflighted the same way. ISA keys
+//     → that program's profile, through a par.Memo the same way. ISA keys
 //     that compile a region to the same code (predication with no
 //     if-convertible diamond, SIMD on a scalar kernel, a register depth
 //     that never spills) share one functional simulation; build, compile
@@ -80,21 +80,14 @@ type DB struct {
 	// logging (a dead disk must not flood the log per evaluation).
 	persistDown atomic.Bool
 
+	profileSets par.Memo[string, []*cpu.Profile] // ISA key -> Profiles' computation
+	sims        par.Memo[simKey, *cpu.Profile]   // simulation tier
+
 	mu         sync.Mutex
 	profiles   map[string][]*cpu.Profile // ISA key -> per-region profiles (nil slot = quarantined)
-	inflight   map[string]*inflightProfiles
-	sims       map[simKey]*simCall   // simulation tier; a failed call is removed
-	quarantine map[string]string     // "region|isaKey" -> reason
-	cands      map[string]*Candidate // DesignPoint.CacheKey() -> candidate
-	ref        []Metric              // memoized reference metrics (normalization basis)
-}
-
-// inflightProfiles is one in-progress per-ISA profile computation; duplicate
-// callers wait on done instead of recomputing (per-key singleflight).
-type inflightProfiles struct {
-	done chan struct{}
-	ps   []*cpu.Profile
-	err  error
+	quarantine map[string]string         // "region|isaKey" -> reason
+	cands      map[string]*Candidate     // DesignPoint.CacheKey() -> candidate
+	ref        []Metric                  // memoized reference metrics (normalization basis)
 }
 
 // NewDB builds an evaluation database over the full 49-region suite.
@@ -103,9 +96,6 @@ func NewDB() *DB {
 		Regions:  workload.Regions(),
 		Verify:   true,
 		profiles: make(map[string][]*cpu.Profile, 32),
-		inflight: make(map[string]*inflightProfiles, 32),
-		// ~600 distinct programs serve the 29 keys x 49 regions.
-		sims: make(map[simKey]*simCall, 1024),
 		// quarantine is keyed per (region, ISA) pair; size for a handful of
 		// bad pairs, not the cross product.
 		quarantine: make(map[string]string, 8),
@@ -132,41 +122,33 @@ func pairKey(region, isaKey string) string { return region + "|" + isaKey }
 // ISA choice. Vendor choices reuse their x86-ized feature set's compiled
 // code, then apply the vendor's code-density traits. Quarantined (region,
 // ISA) pairs yield nil slots; see Evaluate for how they are scored.
-// Concurrent callers for the same ISA share one computation.
+// Concurrent callers for the same ISA share one computation, and one
+// caller's cancellation never fails another (see par.Memo).
 func (db *DB) Profiles(ctx context.Context, c ISAChoice) ([]*cpu.Profile, error) {
 	key := c.Key()
-	db.mu.Lock()
-	if ps, ok := db.profiles[key]; ok {
+	// Each call counts once: a hit when it shares another call's set (the
+	// work is shared, not repeated) or finds one restored, a miss when it
+	// computes one.
+	ps, shared, err := db.profileSets.Do(ctx, key, func() ([]*cpu.Profile, error) {
+		db.mu.Lock()
+		ps, ok := db.profiles[key] // restored from a checkpoint
 		db.mu.Unlock()
-		db.Stats.ProfileHits.Inc()
-		return ps, nil
-	}
-	if call, ok := db.inflight[key]; ok {
-		db.mu.Unlock()
-		// Joining an in-flight computation counts as a hit: the work is
-		// shared, not repeated.
-		db.Stats.ProfileHits.Inc()
-		select {
-		case <-call.done:
-			return call.ps, call.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
+		if ok {
+			db.Stats.ProfileHits.Inc()
+			return ps, nil
 		}
+		db.Stats.ProfileMisses.Inc()
+		ps, err := db.computeProfiles(ctx, c)
+		if err == nil {
+			db.mu.Lock()
+			db.profiles[key] = ps
+			db.mu.Unlock()
+		}
+		return ps, err
+	})
+	if shared {
+		db.Stats.ProfileHits.Inc()
 	}
-	call := &inflightProfiles{done: make(chan struct{})}
-	db.inflight[key] = call
-	db.mu.Unlock()
-	db.Stats.ProfileMisses.Inc()
-
-	ps, err := db.computeProfiles(ctx, c)
-	db.mu.Lock()
-	if err == nil {
-		db.profiles[key] = ps
-	}
-	delete(db.inflight, key)
-	db.mu.Unlock()
-	call.ps, call.err = ps, err
-	close(call.done)
 	return ps, err
 }
 
@@ -384,55 +366,19 @@ func (db *DB) TranslatedProfiles(ctx context.Context, from, to isa.FeatureSet) (
 	})
 }
 
-// simCall is one simulation-tier entry. The leader runs the simulation and
-// closes done; p is then its profile, or nil if it failed (the leader
-// removes a failed call from the tier, so errors are never cached).
-type simCall struct {
-	done chan struct{}
-	p    *cpu.Profile
-}
-
 // simulate returns prog's profile, running the functional simulation only
-// if no other cell with the same key already has. A waiter whose leader
-// fails tries again, leading a fresh simulation or joining a newer one.
+// if no other cell with the same key already has. A failed simulation is
+// never kept: its waiters simulate again (see par.Memo).
 func (db *DB) simulate(ctx context.Context, key simKey, prog *code.Program, m *mem.Memory, ropts cpu.RunOptions) (*cpu.Profile, error) {
-	for {
-		db.mu.Lock()
-		call, ok := db.sims[key]
-		if !ok {
-			call = &simCall{done: make(chan struct{})}
-			db.sims[key] = call
-			db.mu.Unlock()
-			db.Stats.SimMisses.Inc()
-			return db.lead(key, call, prog, m, ropts)
-		}
-		db.mu.Unlock()
-		select {
-		case <-call.done:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		if call.p != nil {
-			db.Stats.SimHits.Inc()
-			return overlay(call.p, prog), nil
-		}
+	p, shared, err := db.sims.Do(ctx, key, func() (*cpu.Profile, error) {
+		db.Stats.SimMisses.Inc()
+		return db.exec(prog, m, ropts)
+	})
+	if err != nil || !shared {
+		return p, err
 	}
-}
-
-// lead runs a simulation-tier miss. The deferred cleanup also covers a
-// panic (recovered by profileOnce), so waiters are never stranded.
-func (db *DB) lead(key simKey, call *simCall, prog *code.Program, m *mem.Memory, ropts cpu.RunOptions) (*cpu.Profile, error) {
-	defer func() {
-		if call.p == nil {
-			db.mu.Lock()
-			delete(db.sims, key)
-			db.mu.Unlock()
-		}
-		close(call.done)
-	}()
-	p, err := db.exec(prog, m, ropts)
-	call.p = p
-	return p, err
+	db.Stats.SimHits.Inc()
+	return overlay(p, prog), nil
 }
 
 // exec runs one functional simulation with profiling; Execs and ExecTime

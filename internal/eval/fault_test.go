@@ -270,6 +270,90 @@ func TestFaultProfilesSingleflight(t *testing.T) {
 	}
 }
 
+// stallCtx stalls the first caller of Err until release is closed, after
+// signalling on stalled: a leader that checks it is held inside its
+// computation while the test lines up waiters.
+type stallCtx struct {
+	context.Context
+	once             sync.Once
+	stalled, release chan struct{}
+}
+
+func (c *stallCtx) Err() error {
+	c.once.Do(func() {
+		close(c.stalled)
+		<-c.release
+	})
+	return c.Context.Err()
+}
+
+// joinCtx wraps a context so that the first call of Done closes joined. A
+// caller that finds another's computation in flight selects on Done while it
+// waits, so the close marks a waiter that has joined that computation.
+type joinCtx struct {
+	context.Context
+	once   sync.Once
+	joined chan struct{}
+}
+
+func newJoinCtx(ctx context.Context) *joinCtx {
+	return &joinCtx{Context: ctx, joined: make(chan struct{})}
+}
+
+func (c *joinCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.joined) })
+	return c.Context.Done()
+}
+
+// TestFaultProfilesLeaderCanceled: a Profiles caller with a live context
+// that joined a leader whose context is then cancelled gets the profile set:
+// it computes it itself instead of returning the leader's error.
+func TestFaultProfilesLeaderCanceled(t *testing.T) {
+	db := smallDB(1, nil)
+	c := injectable(t)
+	inner, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	stall := &stallCtx{Context: inner, stalled: make(chan struct{}), release: make(chan struct{})}
+	leader := make(chan error, 1)
+	go func() {
+		_, err := db.Profiles(stall, c)
+		leader <- err
+	}()
+	<-stall.stalled // the leader is inside its computation
+	type result struct {
+		ps  []*cpu.Profile
+		err error
+	}
+	waiter := make(chan result, 1)
+	live := newJoinCtx(context.Background())
+	go func() {
+		ps, err := db.Profiles(live, c)
+		waiter <- result{ps, err}
+	}()
+	<-live.joined // the waiter waits on the stalled leader
+	cancel()
+	close(stall.release)
+	if err := <-leader; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled leader: err = %v, want context.Canceled", err)
+	}
+	got := <-waiter
+	if got.err != nil {
+		t.Fatalf("live waiter of a cancelled leader: %v", got.err)
+	}
+	if len(got.ps) != len(db.Regions) || got.ps[0] == nil {
+		t.Fatalf("live waiter got %d profiles, want %d", len(got.ps), len(db.Regions))
+	}
+	if hits, misses := db.Stats.ProfileHits.Load(), db.Stats.ProfileMisses.Load(); hits != 0 || misses != 2 {
+		t.Errorf("%d hits, %d misses, want 0 and 2 (the waiter computes after the leader fails)", hits, misses)
+	}
+	if ps, err := db.Profiles(context.Background(), c); err != nil || &ps[0] != &got.ps[0] {
+		t.Fatalf("later caller: %v, or a set other than the waiter's", err)
+	}
+	if hits := db.Stats.ProfileHits.Load(); hits != 1 {
+		t.Errorf("%d hits after a later caller, want 1", hits)
+	}
+}
+
 // TestFaultBadCodeVerifyStage: injected illegal codegen (KindBadCode) is
 // caught by the static verification stage before execution, classified as a
 // StageVerify fault tagged injected, and counted in the verify stats. With

@@ -234,7 +234,8 @@ func TestFaultSimLeaderCanceled(t *testing.T) {
 	if _, err := db.simulate(canceled, key, prog, m.Clone(), ropts); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled leader: err = %v, want context.Canceled", err)
 	}
-	if _, cached := db.sims[key]; cached {
+	probe := errors.New("probe")
+	if _, cached, _ := db.sims.Do(ctx, key, func() (*cpu.Profile, error) { return nil, probe }); cached {
 		t.Fatal("a canceled leader left its call in the simulation tier")
 	}
 	live := cpu.RunOptions{MaxInstrs: MaxRegionInstrs, Interrupt: ctx.Err}
@@ -249,25 +250,31 @@ func TestFaultSimLeaderCanceled(t *testing.T) {
 	// A stalled in-flight leader: a canceled waiter gives up; a live waiter
 	// takes over once the leader fails.
 	key[0] ^= 1
-	call := &simCall{done: make(chan struct{})}
-	db.mu.Lock()
-	db.sims[key] = call
-	db.mu.Unlock()
+	stalled, release, leaderDone := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		db.sims.Do(ctx, key, func() (*cpu.Profile, error) {
+			close(stalled)
+			<-release
+			return nil, errors.New("stalled leader failed")
+		})
+	}()
+	<-stalled
 	if _, err := db.simulate(canceled, key, prog, m.Clone(), live); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled waiter: err = %v, want context.Canceled", err)
 	}
 	res := make(chan *cpu.Profile)
+	waiting := newJoinCtx(ctx)
 	go func() {
-		q, err := db.simulate(ctx, key, prog, m.Clone(), live)
+		q, err := db.simulate(waiting, key, prog, m.Clone(), live)
 		if err != nil {
 			t.Error(err)
 		}
 		res <- q
 	}()
-	db.mu.Lock()
-	delete(db.sims, key)
-	db.mu.Unlock()
-	close(call.done)
+	<-waiting.joined
+	close(release)
+	<-leaderDone
 	if q := <-res; q == nil || !bytes.Equal(cpf1(t, q), cpf1(t, p)) {
 		t.Error("waiter of a failed leader did not simulate the program itself")
 	}

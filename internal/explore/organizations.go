@@ -69,8 +69,6 @@ func (o Organization) Choices() []ISAChoice {
 type Searcher struct {
 	DB  *DB
 	ref []Metric
-	// MaxCandidates tunes search effort (0 = default).
-	MaxCandidates int
 	// OnSearchDone, if set, runs after every newly completed (not resumed)
 	// search — the driver hooks checkpoint autosave here.
 	OnSearchDone func()
@@ -162,12 +160,11 @@ func (s *Searcher) search(ctx context.Context, org Organization, obj Objective, 
 		return CMP{}, err
 	}
 	spec := SearchSpec{
-		Candidates:    cs,
-		Budget:        b,
-		Objective:     obj,
-		Homogeneous:   org == OrgHomogeneous,
-		Constraint:    constraint,
-		MaxCandidates: s.MaxCandidates,
+		Candidates:  cs,
+		Budget:      b,
+		Objective:   obj,
+		Homogeneous: org == OrgHomogeneous,
+		Constraint:  constraint,
 	}
 	cmp, _, _, err := searchWith(ctx, spec, s.si, s.fronts)
 	if err != nil {

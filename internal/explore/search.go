@@ -703,19 +703,19 @@ type soundKey struct {
 }
 
 // frontMemo holds the fronts, and the screenSound verdicts, of the
-// searches run over one suite. A nil memo builds every front afresh. A
-// front is stored only once fully built, so a search cancelled while
-// building one leaves nothing behind. Its size is bounded by the number of
-// distinct (survivors, edp, cap) and (candidate slice, edp) searched.
+// searches run over one suite. A front is stored only once fully built, so
+// a search cancelled while building one leaves nothing behind. Its size is
+// bounded by the number of distinct (survivors, edp, cap) and (candidate
+// slice, edp) searched.
 type frontMemo struct {
 	mu     sync.Mutex
 	fronts map[frontKey][]*front
-	sound  map[soundKey]bool
+	sound  par.Memo[soundKey, bool]
 	hits   atomic.Int64 // fronts returned by an earlier search's build
 }
 
 func newFrontMemo() *frontMemo {
-	return &frontMemo{fronts: map[frontKey][]*front{}, sound: map[soundKey]bool{}}
+	return &frontMemo{fronts: map[frontKey][]*front{}}
 }
 
 // lookup returns the front stored under k that was built from ok, or nil.
@@ -733,9 +733,6 @@ func (m *frontMemo) lookup(k frontKey, ok []*Candidate) *front {
 // building it with prune unless an earlier search stored it. Concurrent
 // builds of one front are allowed; the first store wins.
 func (m *frontMemo) front(ctx context.Context, ok []*Candidate, edp bool, maxCands int) (*front, error) {
-	if m == nil {
-		return prune(ctx, ok, edp, maxCands)
-	}
 	k := frontKey{edp: edp, maxCands: maxCands, n: len(ok), first: ok[0]}
 	m.mu.Lock()
 	f := m.lookup(k, ok)
@@ -760,21 +757,12 @@ func (m *frontMemo) front(ctx context.Context, ok []*Candidate, edp bool, maxCan
 // screenSound is si.screenSound(cs, edp), computed once per non-empty
 // candidate slice and edp. Candidate slices are never modified once built,
 // and the key's pointer into cs keeps its backing array from being reused.
-func (m *frontMemo) screenSound(si *suiteIndex, cs []*Candidate, edp bool) bool {
-	if m == nil {
-		return si.screenSound(cs, edp)
-	}
+// A caller whose ctx ends while it waits gets false: its search is being
+// cut short anyway.
+func (m *frontMemo) screenSound(ctx context.Context, si *suiteIndex, cs []*Candidate, edp bool) bool {
 	k := soundKey{cs: &cs[0], n: len(cs), edp: edp}
-	m.mu.Lock()
-	v, ok := m.sound[k]
-	m.mu.Unlock()
-	if !ok {
-		v = si.screenSound(cs, edp)
-		m.mu.Lock()
-		m.sound[k] = v
-		m.mu.Unlock()
-	}
-	return v
+	v, _, err := m.sound.Do(ctx, k, func() (bool, error) { return si.screenSound(cs, edp), nil })
+	return err == nil && v
 }
 
 // descending is a slices.SortFunc comparison that orders a before b iff
@@ -837,68 +825,6 @@ type passKey struct {
 	pool  *climbPool
 }
 
-// passCall is one pass-memo entry. The leader scans the pass and closes
-// done; ok then reports that the scan completed and end is the climb point
-// it ended on. The leader removes an incomplete call from the memo, so a
-// pass cut short by cancellation is never reused.
-type passCall struct {
-	done chan struct{}
-	end  CMP
-	ok   bool
-}
-
-// passMemo singleflights the slot passes of one search's climbs: parallel
-// climbs that converge on the same climb point share one scan of each of
-// its passes instead of repeating it.
-type passMemo struct {
-	mu     sync.Mutex
-	calls  map[passKey]*passCall
-	run    atomic.Int64 // passes scanned to completion
-	reused atomic.Int64 // passes answered by an earlier scan
-}
-
-// do returns the climb point the pass for k ends on, scanning it with scan
-// only if no climb has. ok is false when the pass was cut short, by this
-// call's scan, the scan it waited on, or ctx.
-func (m *passMemo) do(ctx context.Context, k passKey, scan func() (CMP, bool)) (end CMP, ok bool) {
-	m.mu.Lock()
-	call, found := m.calls[k]
-	if !found {
-		call = &passCall{done: make(chan struct{})}
-		m.calls[k] = call
-		m.mu.Unlock()
-		return m.lead(k, call, scan)
-	}
-	m.mu.Unlock()
-	select {
-	case <-call.done:
-	case <-ctx.Done():
-		return CMP{}, false
-	}
-	if call.ok {
-		m.reused.Add(1)
-	}
-	return call.end, call.ok
-}
-
-// lead scans a pass-memo miss. The deferred cleanup also covers a panic
-// (recovered by par.Map), so waiters are never stranded.
-func (m *passMemo) lead(k passKey, call *passCall, scan func() (CMP, bool)) (CMP, bool) {
-	defer func() {
-		if !call.ok {
-			m.mu.Lock()
-			delete(m.calls, k)
-			m.mu.Unlock()
-		}
-		close(call.done)
-	}()
-	call.end, call.ok = scan()
-	if call.ok {
-		m.run.Add(1)
-	}
-	return call.end, call.ok
-}
-
 // Search finds a (locally) optimal 4-core CMP by steepest-ascent hill
 // climbing over single-core replacements — the paper likewise reports local
 // optima to keep its 102.5-trillion-combination search tractable.
@@ -912,12 +838,12 @@ func Search(ctx context.Context, spec SearchSpec, regions []workload.Region) (CM
 // search is Search that also reports how many slot passes its climbs
 // scanned and how many they took from the pass memo instead.
 func search(ctx context.Context, spec SearchSpec, regions []workload.Region) (cmp CMP, passesRun, passesReused int64, err error) {
-	return searchWith(ctx, spec, newSuiteIndex(regions), nil)
+	return searchWith(ctx, spec, newSuiteIndex(regions), newFrontMemo())
 }
 
 // searchWith is search over the suite si, taking the search's front from
-// fronts (nil: build it afresh). Only the front is shared: the seeding,
-// climbs, pass memo and polish pass are the search's own.
+// fronts. Only the front is shared: the seeding, climbs, pass memo and
+// polish pass are the search's own.
 func searchWith(ctx context.Context, spec SearchSpec, si *suiteIndex, fronts *frontMemo) (cmp CMP, passesRun, passesReused int64, err error) {
 	ok := survivors(spec)
 	if len(ok) == 0 {
@@ -1048,17 +974,17 @@ func searchWith(ctx context.Context, spec SearchSpec, si *suiteIndex, fronts *fr
 	// score exactly only the trials that could clear the acceptance test
 	// (see screenTol). Single-thread climbs score each trial against the
 	// best of the other three cores per region.
-	screen := !st && fronts.screenSound(si, spec.Candidates, edp)
+	screen := !st && fronts.screenSound(ctx, si, spec.Candidates, edp)
 	pool := &climbPool{cands: cands}
 	if screen {
 		pool.stepMax = fr.stepMaxes(si)
 	}
 
 	// scan runs one slot pass from cur over pool, using the caller's
-	// scratch, and returns the climb point it ends on; ok is false when ctx
-	// cut it short.
-	scan := func(cur CMP, slot int, pool *climbPool, rest [][4]float64, restBest []float64) (best CMP, ok bool) {
-		best = cur
+	// scratch, and returns the climb point it ends on, or ctx's error when
+	// ctx cut it short.
+	scan := func(cur CMP, slot int, pool *climbPool, rest [][4]float64, restBest []float64) (CMP, error) {
+		best := cur
 		var restMax float64
 		switch {
 		case screen:
@@ -1067,8 +993,8 @@ func searchWith(ctx context.Context, spec SearchSpec, si *suiteIndex, fronts *fr
 			si.stRestBest(&cur.Cores, slot, edp, restBest)
 		}
 		for j, c := range pool.cands {
-			if ctx.Err() != nil {
-				return best, false
+			if err := ctx.Err(); err != nil {
+				return best, err
 			}
 			trial := cur.Cores
 			trial[slot] = c
@@ -1092,13 +1018,16 @@ func searchWith(ctx context.Context, spec SearchSpec, si *suiteIndex, fronts *fr
 				best = CMP{Cores: trial, Score: s}
 			}
 		}
-		return best, true
+		return best, nil
 	}
 
 	// climb hill-climbs one seed over a candidate pool, taking each slot
-	// pass from the memo; the pool is a parameter so the polish pass below
-	// can widen it for one call without mutating shared state.
-	memo := &passMemo{calls: map[passKey]*passCall{}}
+	// pass from the pass memo, which singleflights the passes of parallel
+	// climbs that converge on one climb point; the pool is a parameter so
+	// the polish pass below can widen it for one call without mutating
+	// shared state. A pass cut short is never kept.
+	var passes par.Memo[passKey, CMP]
+	var run, reused atomic.Int64 // passes scanned to completion; taken from an earlier scan
 	climb := func(seed CMP, pool *climbPool) CMP {
 		best := seed
 		var rest [][4]float64
@@ -1114,9 +1043,14 @@ func searchWith(ctx context.Context, spec SearchSpec, si *suiteIndex, fronts *fr
 			for slot := 0; slot < 4; slot++ {
 				cur := best
 				k := passKey{cores: cur.Cores, score: math.Float64bits(cur.Score), slot: slot, pool: pool}
-				end, ok := memo.do(ctx, k, func() (CMP, bool) { return scan(cur, slot, pool, rest, restBest) })
-				if !ok {
+				end, shared, err := passes.Do(ctx, k, func() (CMP, error) { return scan(cur, slot, pool, rest, restBest) })
+				if err != nil {
 					return best
+				}
+				if shared {
+					reused.Add(1)
+				} else {
+					run.Add(1)
 				}
 				// Every accepted trial raises the score, so a pass moved
 				// the climb point exactly when it accepted one.
@@ -1175,5 +1109,5 @@ func searchWith(ctx context.Context, spec SearchSpec, si *suiteIndex, fronts *fr
 
 	// Canonical core order for stable output.
 	slices.SortFunc(best.Cores[:], func(a, b *Candidate) int { return descending(b.PeakW, a.PeakW) })
-	return best, memo.run.Load(), memo.reused.Load(), nil
+	return best, run.Load(), reused.Load(), nil
 }

@@ -189,12 +189,24 @@ func checkFrontMemo(t *testing.T, fm *frontMemo, si *suiteIndex, cands []*Candid
 			}
 		}
 	}
-	for k, v := range fm.sound {
-		if k.cs != &cands[0] || k.n != len(cands) {
-			t.Errorf("screenSound verdict stored for a candidate slice no search used")
-		} else if v != si.screenSound(cands, k.edp) {
-			t.Errorf("stored screenSound verdict %v (edp=%v) is stale", v, k.edp)
+	// A probe that fails stores nothing; a stored verdict answers it. Every
+	// kept verdict must answer one of the two probes: one kept under any
+	// other key was stored for a candidate slice no search used.
+	errProbe := errors.New("probe")
+	found := 0
+	for _, edp := range []bool{false, true} {
+		k := soundKey{cs: &cands[0], n: len(cands), edp: edp}
+		v, stored, _ := fm.sound.Do(context.Background(), k, func() (bool, error) { return false, errProbe })
+		if !stored {
+			continue
 		}
+		found++
+		if v != si.screenSound(cands, edp) {
+			t.Errorf("stored screenSound verdict %v (edp=%v) is stale", v, edp)
+		}
+	}
+	if n := fm.sound.Len(); n != found {
+		t.Errorf("screenSound verdicts stored for a candidate slice no search used: %d kept, %d under the searched slice", n, found)
 	}
 }
 

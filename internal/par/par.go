@@ -1,8 +1,10 @@
 // Package par is the parallelism layer under the evaluation pipeline
 // (par → eval → explore; see DESIGN.md, "Pipeline layering"): a generic
 // bounded, context-aware parallel map with panic recovery and first-error
-// propagation. It replaces the hand-rolled semaphore+WaitGroup pools that
-// used to be copied across the exploration code.
+// propagation, and Memo, the keyed singleflight cache every shared
+// computation of the pipeline goes through. They replace the hand-rolled
+// worker pools and leader/waiter protocols that used to be copied across
+// the evaluation and exploration code.
 //
 // All entry points share the same worker model: indices [0, n) are handed
 // out in order from an atomic counter to at most `limit` workers, so work

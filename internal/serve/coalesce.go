@@ -16,15 +16,20 @@ type flightCall[V any] struct {
 }
 
 // flightGroup collapses concurrent computations for one key onto a single
-// execution — the request-coalescing half of the serving layer. It differs
-// from the profile tier's singleflight (internal/eval) in two ways the
-// service needs:
+// execution — the request-coalescing half of the serving layer. Like
+// par.Memo, the pipeline's singleflight cache, each waiter honors its own
+// context, so per-request deadlines expire individually while the shared
+// work continues for whoever remains. Its contract differs from par.Memo's
+// in three ways the service needs:
 //
 //   - the computation runs in its own goroutine, detached from the caller
 //     that happened to arrive first, so one client hanging up never fails
-//     the joiners riding its evaluation;
-//   - each waiter honors its own context, so per-request deadlines expire
-//     individually while the shared work continues for whoever remains.
+//     the joiners riding its evaluation (par.Memo's leader runs fn inline
+//     under its own context);
+//   - nothing is kept: a finished call is forgotten, and the eval.DB behind
+//     it is the cache;
+//   - no retry: every waiter gets the call's error, where a par.Memo
+//     waiter whose call failed tries again.
 type flightGroup[V any] struct {
 	mu    sync.Mutex
 	calls map[string]*flightCall[V]
