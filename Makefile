@@ -131,23 +131,39 @@ bench-diff:
 	$(GO) test -bench . -benchtime 3x -benchmem -run '^$$' -timeout 30m | tee /tmp/bench.txt
 	$(GO) run ./tools/benchdiff -baseline BENCH_baseline.json -threshold 0.15 /tmp/bench.txt
 
-# Boot the evaluation service on an ephemeral port, drive it with the
-# closed-loop load generator, and gate on cache-hit rate and 5xx count —
-# the CI serve-smoke job, locally.
+# Boot the evaluation service on an ephemeral port with a checkpoint and a
+# candidate store in a fresh directory, drive it with the closed-loop load
+# generator and gate on cache-hit rate and 5xx count; then evaluate one
+# point, shut down gracefully, reboot on the same files and require that
+# point to answer "cached":true — the CI serve-smoke job, locally.
 serve-smoke:
 	$(GO) build -o /tmp/compisa-bin/ ./cmd/compose-serve ./cmd/compose-load
-	@rm -f /tmp/compisa-bin/serve.log
-	/tmp/compisa-bin/compose-serve -addr 127.0.0.1:0 -regions 8 -warm 2>/tmp/compisa-bin/serve.log & \
-	SERVE_PID=$$!; \
-	for i in $$(seq 1 50); do \
-		ADDR=$$(sed -n 's/^listening on \(http:[^ ]*\).*/\1/p' /tmp/compisa-bin/serve.log); \
-		[ -n "$$ADDR" ] && curl -fsS "$$ADDR/healthz" >/dev/null 2>&1 && break; \
-		sleep 0.2; \
-	done; \
-	[ -n "$$ADDR" ] || { echo "compose-serve did not come up"; cat /tmp/compisa-bin/serve.log; kill $$SERVE_PID; exit 1; }; \
+	@rm -rf /tmp/compisa-bin/serve-state && mkdir -p /tmp/compisa-bin/serve-state
+	boot() { \
+		/tmp/compisa-bin/compose-serve -addr 127.0.0.1:0 -regions 8 -warm \
+			-checkpoint /tmp/compisa-bin/serve-state/ckpt.json -store /tmp/compisa-bin/serve-state/cands.log \
+			2>/tmp/compisa-bin/serve-state/$$1 & \
+		SERVE_PID=$$!; ADDR=; \
+		for i in $$(seq 1 50); do \
+			ADDR=$$(sed -n 's/^listening on \(http:[^ ]*\).*/\1/p' /tmp/compisa-bin/serve-state/$$1); \
+			[ -n "$$ADDR" ] && curl -fsS "$$ADDR/healthz" >/dev/null 2>&1 && return 0; \
+			sleep 0.2; \
+		done; \
+		echo "compose-serve did not come up"; cat /tmp/compisa-bin/serve-state/$$1; kill $$SERVE_PID; return 1; \
+	}; \
+	point() { curl -fsS -X POST "$$ADDR/evaluate" -d '{"isa":"vendor:Alpha"}'; }; \
+	boot serve.log || exit 1; \
 	/tmp/compisa-bin/compose-load -addr "$$ADDR" -requests 200 -concurrency 8 -points 3 -seed 7 \
 		-min-hit-rate 0.5 -max-5xx 0 -out BENCH_serve.json; \
-	STATUS=$$?; kill -TERM $$SERVE_PID; wait $$SERVE_PID 2>/dev/null; exit $$STATUS
+	STATUS=$$?; point >/dev/null || STATUS=1; \
+	kill -TERM $$SERVE_PID; wait $$SERVE_PID || STATUS=1; \
+	[ $$STATUS = 0 ] || exit $$STATUS; \
+	boot reboot.log || exit 1; \
+	point >/tmp/compisa-bin/serve-state/point.json; \
+	kill -TERM $$SERVE_PID; wait $$SERVE_PID; \
+	grep -q '"cached":true' /tmp/compisa-bin/serve-state/point.json || { \
+		echo "the point evaluated before the reboot is not cached after it:"; \
+		cat /tmp/compisa-bin/serve-state/point.json /tmp/compisa-bin/serve-state/reboot.log; exit 1; }
 
 # 30-second fuzz pass over the superset instruction codec (the CI fuzz
 # step, locally).

@@ -37,10 +37,8 @@ import (
 	"syscall"
 	"time"
 
-	"compisa/internal/eval"
 	"compisa/internal/explore"
 	"compisa/internal/fault"
-	"compisa/internal/store"
 )
 
 func main() {
@@ -49,13 +47,11 @@ func main() {
 	checkpoint := flag.String("checkpoint", "", "checkpoint file: resume from it if present, save to it as searches complete")
 	checkpointStrict := flag.Bool("checkpoint-strict", false, "fail on a corrupt checkpoint instead of quarantining it and starting cold")
 	storePath := flag.String("store", "", "crash-safe candidate store: reload from it, write evaluations through as they complete")
-	storeSyncEvery := flag.Int("store-sync-every", 1, "group-commit boundary: fsync the store every N appended records")
 	injectRate := flag.Float64("inject-rate", 0, "fault injection rate in [0,1] (0 = no injection)")
 	injectSeed := flag.Uint64("inject-seed", 1, "fault injection seed (same seed => same faults)")
 	injectKinds := flag.String("inject-kinds", "", "comma-separated fault kinds to inject (compile,runaway,corrupt,slow,badcode); empty = all default kinds")
 	injectTransient := flag.Float64("inject-transient", 0, "fraction of injected faults that clear on the first retry")
 	stats := flag.Bool("stats", false, "print evaluation pipeline statistics (stage counts, timings, cache hit rates) on exit")
-	verify := flag.Bool("verify", true, "statically verify every compiled region conforms to its feature set before execution")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at normal exit")
 	flag.Parse()
@@ -84,8 +80,7 @@ func main() {
 	}
 
 	db := explore.NewDB()
-	db.Verify = *verify
-	db.Log = func(format string, args ...any) { log.Printf(format, args...) }
+	db.Log = log.Printf
 	// Validate the kind list even when no rate is set, so a typoed
 	// -inject-kinds fails loudly instead of being silently ignored.
 	kinds, err := fault.ParseKinds(*injectKinds)
@@ -103,61 +98,6 @@ func main() {
 		db.Inject = inj
 	}
 
-	var cpState *explore.CheckpointState
-	if *checkpoint != "" {
-		st, err := explore.OpenCheckpoint(*checkpoint, *checkpointStrict, log.Printf)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if st != nil {
-			st.RestoreDB(db)
-			fmt.Fprintf(os.Stderr, "[resumed from %s: %d ISA profile sets, %d candidates, %d searches]\n",
-				*checkpoint, len(st.Profiles), len(st.Candidates), len(st.Frontier))
-		}
-		cpState = st
-	}
-
-	// The durable candidate store is optional and advisory: if it cannot
-	// open, the run proceeds memory-only (a checkpoint still captures
-	// results). With the default -store-sync-every=1 every acknowledged
-	// write is already fsynced, so skipping Close on a fatal exit loses
-	// nothing.
-	if *storePath != "" {
-		cs, err := store.Open(*storePath, store.Options{
-			SyncEvery: *storeSyncEvery,
-			Log:       func(format string, args ...any) { log.Printf(format, args...) },
-		})
-		if err != nil {
-			log.Printf("[store %s unavailable, running memory-only: %v]", *storePath, err)
-		} else {
-			defer cs.Close()
-			adapter := &eval.CandidateStore{S: cs}
-			loaded, skipped, lerr := adapter.LoadInto(db)
-			if lerr != nil {
-				log.Printf("[store warm-start: %v]", lerr)
-			} else if loaded > 0 || skipped > 0 {
-				fmt.Fprintf(os.Stderr, "[reloaded %d candidates from store %s (%d skipped)]\n",
-					loaded, *storePath, skipped)
-			}
-			db.Persist = adapter
-		}
-	}
-
-	s, err := explore.NewSearcher(ctx, db)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cpState.RestoreSearcher(s)
-	save := func() {
-		if *checkpoint == "" {
-			return
-		}
-		if err := explore.SaveCheckpoint(*checkpoint, explore.Snapshot(db, s)); err != nil {
-			log.Printf("checkpoint: %v", err)
-		}
-	}
-	s.OnSearchDone = save
-
 	report := func() {
 		if *stats {
 			fmt.Fprint(os.Stderr, db.StatsSnapshot().Format())
@@ -172,22 +112,36 @@ func main() {
 		}
 	}
 
-	sess := &explore.Session{S: s}
-	for _, e := range exps {
-		t0 := time.Now()
-		if err := e.Run(ctx, sess, os.Stdout); err != nil {
-			save()
-			report()
-			if ctx.Err() != nil {
-				log.Fatalf("%s: interrupted (%v); checkpoint saved, rerun to resume", e.Name, err)
-			}
-			log.Fatalf("%s: %v", e.Name, err)
+	// The checkpoint is saved after every search and experiment, and once
+	// more however the run ends; the store writes evaluations through.
+	err = explore.RunDurable(db, explore.Durability{
+		Checkpoint: *checkpoint, Strict: *checkpointStrict, Store: *storePath,
+	}, func(d *explore.Durable) error {
+		db.Persist = d.Persist
+		s, err := explore.NewSearcher(ctx, db)
+		if err != nil {
+			return err
 		}
-		save()
-		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", e.Name, time.Since(t0).Round(time.Millisecond))
+		d.Resume(s)
+		sess := &explore.Session{S: s}
+		for _, e := range exps {
+			t0 := time.Now()
+			if err := e.Run(ctx, sess, os.Stdout); err != nil {
+				report()
+				if ctx.Err() != nil {
+					return fmt.Errorf("%s: interrupted (%w); checkpoint saved, rerun to resume", e.Name, err)
+				}
+				return fmt.Errorf("%s: %w", e.Name, err)
+			}
+			d.Save()
+			fmt.Fprintf(os.Stderr, "[%s done in %v]\n", e.Name, time.Since(t0).Round(time.Millisecond))
+		}
+		report()
+		return nil
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
-	save()
-	report()
 	fmt.Fprintf(os.Stderr, "[total %v]\n", time.Since(start).Round(time.Millisecond))
 }
 

@@ -119,14 +119,12 @@ func main() {
 }
 
 func selectRegions(bench, region string) ([]workload.Region, error) {
-	all := workload.Regions()
 	if region != "" {
-		for _, r := range all {
-			if r.Name == region {
-				return []workload.Region{r}, nil
-			}
+		r, ok := workload.RegionByName(region)
+		if !ok {
+			return nil, fmt.Errorf("unknown region %q", region)
 		}
-		return nil, fmt.Errorf("unknown region %q", region)
+		return []workload.Region{r}, nil
 	}
 	if bench != "" {
 		b, err := workload.ByName(bench)
@@ -135,7 +133,7 @@ func selectRegions(bench, region string) ([]workload.Region, error) {
 		}
 		return b.Regions, nil
 	}
-	return all, nil
+	return workload.Regions(), nil
 }
 
 func selectFeatureSets(name string) ([]isa.FeatureSet, error) {

@@ -52,14 +52,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var reg *workload.Region
-	for _, r := range workload.Regions() {
-		if r.Name == *region {
-			rr := r
-			reg = &rr
-		}
-	}
-	if reg == nil {
+	reg, ok := workload.RegionByName(*region)
+	if !ok {
 		log.Fatalf("unknown region %q", *region)
 	}
 

@@ -47,11 +47,9 @@ import (
 	"syscall"
 	"time"
 
-	"compisa/internal/eval"
 	"compisa/internal/explore"
 	"compisa/internal/par"
 	"compisa/internal/serve"
-	"compisa/internal/store"
 )
 
 func main() {
@@ -63,9 +61,7 @@ func main() {
 	checkpoint := flag.String("checkpoint", "", "checkpoint file: warm-start caches from it, save them back on shutdown")
 	checkpointStrict := flag.Bool("checkpoint-strict", false, "fail on a corrupt checkpoint instead of quarantining it and starting cold")
 	storePath := flag.String("store", "", "crash-safe candidate store: warm-start from it, write evaluations through as they complete")
-	storeSyncEvery := flag.Int("store-sync-every", 1, "group-commit boundary: fsync the store every N appended records")
 	regions := flag.Int("regions", 0, "serve only the first N suite regions (0 = full suite)")
-	verify := flag.Bool("verify", true, "statically verify compiled regions against their feature sets")
 	warm := flag.Bool("warm", false, "compute reference metrics in the background at startup")
 	stats := flag.Bool("stats", false, "print evaluation pipeline statistics on exit")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (empty = disabled); separate from the API listener")
@@ -73,14 +69,14 @@ func main() {
 	log.SetFlags(0)
 
 	if err := run(*addr, *workers, *queue, *timeout, *drainTimeout, *checkpoint, *checkpointStrict,
-		*storePath, *storeSyncEvery, *regions, *verify, *warm, *stats, *pprofAddr); err != nil {
+		*storePath, *regions, *warm, *stats, *pprofAddr); err != nil {
 		log.Fatal(err)
 	}
 }
 
 func run(addr string, workers, queue int, timeout, drainTimeout time.Duration,
-	checkpoint string, checkpointStrict bool, storePath string, storeSyncEvery int,
-	regions int, verify, warm, stats bool, pprofAddr string) error {
+	checkpoint string, checkpointStrict bool, storePath string,
+	regions int, warm, stats bool, pprofAddr string) error {
 	if pprofAddr != "" {
 		// The API server builds its own mux (serve.Handler), so the
 		// net/http/pprof handlers registered on the DefaultServeMux are
@@ -98,114 +94,73 @@ func run(addr string, workers, queue int, timeout, drainTimeout time.Duration,
 		}()
 	}
 	db := explore.NewDB()
-	db.Verify = verify
-	db.Log = func(format string, args ...any) { log.Printf(format, args...) }
+	db.Log = log.Printf
 	if regions > 0 && regions < len(db.Regions) {
 		db.Regions = db.Regions[:regions]
 	}
-
-	if checkpoint != "" {
-		st, err := explore.OpenCheckpoint(checkpoint, checkpointStrict, log.Printf)
-		if err != nil {
-			return err
-		}
-		if st != nil {
-			st.RestoreDB(db)
-			log.Printf("[warm-started from %s: %d ISA profile sets, %d candidates]",
-				checkpoint, len(st.Profiles), len(st.Candidates))
-		}
-	}
-
-	// The durable tier is strictly optional: if the store cannot open, log
-	// and serve memory-only rather than refuse to start. Once open, a
-	// circuit breaker keeps runtime store failures away from the request
-	// path, and the candidate cache warm-starts from the log.
-	var breaker *serve.StoreBreaker
-	var candStore *store.Store
-	if storePath != "" {
-		cs, err := store.Open(storePath, store.Options{
-			SyncEvery: storeSyncEvery,
-			Log:       func(format string, args ...any) { log.Printf(format, args...) },
-		})
-		if err != nil {
-			log.Printf("[store %s unavailable, serving memory-only: %v]", storePath, err)
-		} else {
-			candStore = cs
-			adapter := &eval.CandidateStore{S: cs}
-			loaded, skipped, lerr := adapter.LoadInto(db)
-			if lerr != nil {
-				log.Printf("[store warm-start: %v]", lerr)
-			} else if loaded > 0 || skipped > 0 {
-				log.Printf("[warm-started %d candidates from store %s (%d skipped)]", loaded, storePath, skipped)
-			}
-			breaker = serve.NewStoreBreaker(adapter, serve.BreakerConfig{
-				Log: func(format string, args ...any) { log.Printf(format, args...) },
-			})
-			db.Persist = breaker
-		}
-	}
-
 	if workers <= 0 {
 		workers = par.DefaultLimit()
 	}
-	srv := serve.New(db, serve.Config{
-		Workers: workers, Queue: queue, Timeout: timeout,
-		EvalStats: &db.Stats,
-		Store:     breaker,
-		Log:       func(format string, args ...any) { log.Printf(format, args...) },
+	// The caches warm-start from the checkpoint and the store, and are
+	// checkpointed however serving ends.
+	err := explore.RunDurable(db, explore.Durability{
+		Checkpoint: checkpoint, Strict: checkpointStrict, Store: storePath,
+	}, func(d *explore.Durable) error {
+		// A circuit breaker keeps runtime store failures away from the
+		// request path.
+		var breaker *serve.StoreBreaker
+		if d.Persist != nil {
+			breaker = serve.NewStoreBreaker(d.Persist, serve.BreakerConfig{Log: log.Printf})
+			db.Persist = breaker
+		}
+		srv := serve.New(db, serve.Config{
+			Workers: workers, Queue: queue, Timeout: timeout,
+			EvalStats: &db.Stats,
+			Store:     breaker,
+			Log:       log.Printf,
+		})
+		srv.MarkEvaluated(db.CandidateKeys()...)
+
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		defer stop()
+		if warm {
+			go func() {
+				if _, err := db.ReferenceMetrics(ctx); err != nil && ctx.Err() == nil {
+					log.Printf("warm reference metrics: %v", err)
+				}
+			}()
+		}
+
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			return err
+		}
+		// Printed for humans and for scripts that booted with :0.
+		fmt.Fprintf(os.Stderr, "listening on http://%s (%d regions, %d workers)\n",
+			ln.Addr(), len(db.Regions), workers)
+
+		hs := &http.Server{Handler: srv.Handler()}
+		errc := make(chan error, 1)
+		go func() { errc <- hs.Serve(ln) }()
+
+		select {
+		case err := <-errc:
+			return err
+		case <-ctx.Done():
+		}
+		log.Printf("[shutting down: draining up to %s]", drainTimeout)
+		dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+		defer cancel()
+		if err := srv.Drain(dctx); err != nil {
+			log.Printf("drain: %v", err)
+		}
+		if err := hs.Shutdown(dctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
+			log.Printf("shutdown: %v", err)
+		}
+		return nil
 	})
-	srv.MarkEvaluated(db.CandidateKeys()...)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if warm {
-		go func() {
-			if _, err := db.ReferenceMetrics(ctx); err != nil && ctx.Err() == nil {
-				log.Printf("warm reference metrics: %v", err)
-			}
-		}()
-	}
-
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	// Printed for humans and for scripts that booted with :0.
-	fmt.Fprintf(os.Stderr, "listening on http://%s (%d regions, %d workers)\n",
-		ln.Addr(), len(db.Regions), workers)
-
-	hs := &http.Server{Handler: srv.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	log.Printf("[shutting down: draining up to %s]", drainTimeout)
-	dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	if err := srv.Drain(dctx); err != nil {
-		log.Printf("drain: %v", err)
-	}
-	if err := hs.Shutdown(dctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		log.Printf("shutdown: %v", err)
-	}
-	if checkpoint != "" {
-		if err := explore.SaveCheckpoint(checkpoint, explore.Snapshot(db, nil)); err != nil {
-			log.Printf("checkpoint: %v", err)
-		} else {
-			log.Printf("[caches saved to %s]", checkpoint)
-		}
-	}
-	if candStore != nil {
-		if err := candStore.Close(); err != nil {
-			log.Printf("store close: %v", err)
-		}
-	}
 	if stats {
 		fmt.Fprint(os.Stderr, db.StatsSnapshot().Format())
 	}
-	return nil
+	return err
 }

@@ -19,11 +19,9 @@ import (
 
 func main() {
 	// hmmer's Viterbi region: the paper's heaviest register-depth user.
-	var region workload.Region
-	for _, r := range workload.Regions() {
-		if r.Name == "hmmer.0" {
-			region = r
-		}
+	region, ok := workload.RegionByName("hmmer.0")
+	if !ok {
+		log.Fatal("unknown region hmmer.0")
 	}
 
 	src := isa.MustNew(isa.MicroX86, 32, 64, isa.FullPredication)

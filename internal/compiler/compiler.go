@@ -2,7 +2,6 @@ package compiler
 
 import (
 	"fmt"
-	"testing"
 
 	"compisa/internal/check"
 	"compisa/internal/code"
@@ -14,26 +13,13 @@ import (
 type VerifyMode uint8
 
 const (
-	// VerifyDefault enables the gate under `go test` and disables it
-	// otherwise: every test compilation is verified for free, while
-	// production explorations opt in per call (the evaluation pipeline has
-	// its own verification stage with fault accounting).
+	// VerifyDefault runs the gate.
 	VerifyDefault VerifyMode = iota
-	// VerifyOn always runs the gate.
-	VerifyOn
-	// VerifyOff never runs the gate.
+	// VerifyOff skips it, for callers that check the program themselves:
+	// the evaluation pipeline has its own verification stage with fault
+	// accounting, and compose-lint reports findings instead of failing.
 	VerifyOff
 )
-
-func (m VerifyMode) enabled() bool {
-	switch m {
-	case VerifyOn:
-		return true
-	case VerifyOff:
-		return false
-	}
-	return testing.Testing()
-}
 
 // Options tunes the backend.
 type Options struct {
@@ -131,7 +117,7 @@ func Compile(f *ir.Func, fs isa.FeatureSet, opts Options) (*code.Program, error)
 	if err != nil {
 		return nil, fmt.Errorf("compile %s for %s: %w", f.Name, fs.ShortName(), err)
 	}
-	if opts.Verify.enabled() {
+	if opts.Verify != VerifyOff {
 		if err := check.Verify(prog); err != nil {
 			return nil, fmt.Errorf("compile %s for %s: %w", f.Name, fs.ShortName(), err)
 		}

@@ -60,12 +60,6 @@ type DB struct {
 	// Inject deterministically injects faults into non-reference profile
 	// evaluations (nil = no injection).
 	Inject *fault.Injector
-	// Verify runs the static conformance verifier (internal/check) on every
-	// freshly compiled program before execution; violations become
-	// StageVerify faults handled by the retry/quarantine machinery.
-	// NewDB enables it — the stage costs well under a millisecond per
-	// region and turns silent bad codegen into a classified fault.
-	Verify bool
 	// Log, if set, receives fault-tolerance events (retries, quarantines,
 	// degraded evaluations).
 	Log func(format string, args ...any)
@@ -94,7 +88,6 @@ type DB struct {
 func NewDB() *DB {
 	return &DB{
 		Regions:  workload.Regions(),
-		Verify:   true,
 		profiles: make(map[string][]*cpu.Profile, 32),
 		// quarantine is keyed per (region, ISA) pair; size for a handful of
 		// bad pairs, not the cross product.
@@ -165,7 +158,7 @@ func (db *DB) computeProfiles(ctx context.Context, c ISAChoice) ([]*cpu.Profile,
 		if err == nil {
 			continue
 		}
-		if isCtxErr(err) {
+		if IsCtxErr(err) {
 			return nil, err
 		}
 		if strict {
@@ -269,19 +262,21 @@ func (db *DB) profileOnce(ctx context.Context, r workload.Region, c ISAChoice, a
 		// static verification stage (not the executor) must catch it.
 		check.Mutate(prog, check.RuleUDef, db.Inject.Seed())
 	}
-	if db.Verify {
-		verifyStart := time.Now()
-		db.Stats.Verifies.Inc()
-		rep := check.Analyze(prog)
-		db.Stats.VerifyTime.Since(verifyStart)
-		if n := rep.Errors(); n > 0 {
-			db.Stats.VerifyFindings.Add(int64(n))
-			verr := rep.Err()
-			if d.Kind == fault.KindBadCode {
-				verr = fmt.Errorf("%w: %w", fault.ErrInjected, verr)
-			}
-			return nil, classify(fault.StageVerify, verr)
+	// The static conformance verifier (internal/check) runs on every
+	// freshly compiled program before execution: it costs well under a
+	// millisecond per region and turns silent bad codegen into a StageVerify
+	// fault for the retry/quarantine machinery.
+	verifyStart := time.Now()
+	db.Stats.Verifies.Inc()
+	rep := check.Analyze(prog)
+	db.Stats.VerifyTime.Since(verifyStart)
+	if n := rep.Errors(); n > 0 {
+		db.Stats.VerifyFindings.Add(int64(n))
+		verr := rep.Err()
+		if d.Kind == fault.KindBadCode {
+			verr = fmt.Errorf("%w: %w", fault.ErrInjected, verr)
 		}
+		return nil, classify(fault.StageVerify, verr)
 	}
 	ropts := cpu.RunOptions{MaxInstrs: MaxRegionInstrs, Interrupt: ctx.Err}
 	switch d.Kind {

@@ -45,8 +45,8 @@ const (
 	edpPenalty = 4.0
 )
 
-// isCtxErr reports whether err stems from context cancellation or deadline
+// IsCtxErr reports whether err stems from context cancellation or deadline
 // expiry (the two failures graceful degradation must not swallow).
-func isCtxErr(err error) bool {
+func IsCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }

@@ -356,10 +356,7 @@ func TestFaultProfilesLeaderCanceled(t *testing.T) {
 
 // TestFaultBadCodeVerifyStage: injected illegal codegen (KindBadCode) is
 // caught by the static verification stage before execution, classified as a
-// StageVerify fault tagged injected, and counted in the verify stats. With
-// verification disabled the same mutant executes "successfully" (it only
-// reads a zero-initialized register), which is exactly the silent-bad-code
-// hazard the stage exists to close.
+// StageVerify fault tagged injected, and counted in the verify stats.
 func TestFaultBadCodeVerifyStage(t *testing.T) {
 	cfg := fault.Config{Seed: 5, Rate: 1, Kinds: []fault.Kind{fault.KindBadCode}}
 	db := smallDB(1, injector(t, cfg))
@@ -380,16 +377,6 @@ func TestFaultBadCodeVerifyStage(t *testing.T) {
 	if db.Stats.Verifies.Load() == 0 || db.Stats.VerifyFindings.Load() == 0 {
 		t.Errorf("verify stats not recorded: %d checks, %d findings",
 			db.Stats.Verifies.Load(), db.Stats.VerifyFindings.Load())
-	}
-
-	off := smallDB(1, injector(t, cfg))
-	off.Verify = false
-	p, err := off.profileWithRetry(context.Background(), off.Regions[0], injectable(t))
-	if err != nil || p == nil {
-		t.Fatalf("with verification off the mutant must execute: %v", err)
-	}
-	if off.Stats.Verifies.Load() != 0 {
-		t.Errorf("Verify=false must not run the stage (%d checks)", off.Stats.Verifies.Load())
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // Persister receives every freshly evaluated cacheable candidate: the
 // write-through durability hook. Evaluations become durable incrementally
 // as they complete, not only at checkpoint time, so a killed process loses
-// at most the records its store had not yet group-committed.
+// at most the records its store had not yet fsynced.
 //
 // A persist failure never fails the evaluation — the result is already
 // correct in memory; only its durability degraded. The DB counts the

@@ -133,11 +133,11 @@ func RecoverCheckpoint(path string) (st *CheckpointState, quarantined string, er
 	return nil, dst, nil
 }
 
-// OpenCheckpoint loads the checkpoint a run starts from. A strict open
+// openCheckpoint loads the checkpoint a run starts from. A strict open
 // fails on a corrupt file; otherwise the file is quarantined (see
 // RecoverCheckpoint), logf reports where it went, and the run starts cold
 // with a nil state.
-func OpenCheckpoint(path string, strict bool, logf func(format string, args ...any)) (*CheckpointState, error) {
+func openCheckpoint(path string, strict bool, logf func(format string, args ...any)) (*CheckpointState, error) {
 	if strict {
 		return LoadCheckpoint(path)
 	}

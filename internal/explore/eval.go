@@ -6,9 +6,6 @@
 package explore
 
 import (
-	"context"
-	"errors"
-
 	"compisa/internal/cpu"
 	"compisa/internal/eval"
 )
@@ -47,9 +44,3 @@ func VendorChoices() []ISAChoice { return eval.VendorChoices() }
 
 // X8664Choice is the single-ISA baseline.
 func X8664Choice() ISAChoice { return eval.X8664Choice() }
-
-// isCtxErr reports whether err stems from context cancellation or deadline
-// expiry (the two failures graceful degradation must not swallow).
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}

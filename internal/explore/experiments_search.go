@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"compisa/internal/eval"
 	"compisa/internal/isa"
 )
 
@@ -45,7 +46,7 @@ func (s *Searcher) Sweep(ctx context.Context, obj Objective, budgets []Budget) (
 			r := OrgResult{Org: org, Budget: b}
 			cmp, err := s.Search(ctx, org, obj, b)
 			if err != nil {
-				if isCtxErr(err) {
+				if eval.IsCtxErr(err) {
 					return nil, err
 				}
 				r.Err = err
@@ -143,7 +144,7 @@ func (s *Searcher) OptimalDesignTable(ctx context.Context, obj Objective, budget
 	for _, b := range budgets {
 		cmp, err := s.Search(ctx, OrgCompositeFull, obj, b)
 		if err != nil {
-			if isCtxErr(err) {
+			if eval.IsCtxErr(err) {
 				return "", err
 			}
 			fmt.Fprintf(&sb, "-- budget %s: infeasible (%v)\n", b, err)

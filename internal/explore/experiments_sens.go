@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"compisa/internal/eval"
 	"compisa/internal/isa"
 	"compisa/internal/power"
 	"compisa/internal/workload"
@@ -67,7 +68,7 @@ func (s *Searcher) Fig9FeatureSensitivity(ctx context.Context) (*Fig9Result, err
 		cmp, err := s.SearchConstrained(ctx, ObjMPThroughput, budget, fc.Name, fc.Keep)
 		row := Fig9Row{Constraint: fc.Name}
 		if err != nil {
-			if isCtxErr(err) {
+			if eval.IsCtxErr(err) {
 				return nil, err
 			}
 			row.DegradationPct = 100

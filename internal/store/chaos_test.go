@@ -6,8 +6,8 @@
 // fsyncs, renames that never happen, directory syncs that never happen.
 //
 // The child journals every store mutation to a progress file ("try" before
-// the call, "ok" after a nil return). With SyncEvery == 1 an acknowledged
-// Put is a synced Put, so the parent can replay the journal and assert the
+// the call, "ok" after a nil return). An acknowledged Put is a synced Put,
+// so the parent can replay the journal and assert the
 // three invariants the rest of the system builds on:
 //
 //  1. reopening after a crash never fails (recovery is total);
@@ -38,8 +38,8 @@ const (
 	chaosDirEnv   = "COMPISA_STORE_CHAOS_DIR"
 	// chaosPoints is the number of seeded crash points the parent sweeps.
 	// The workload performs ~100 mutating ops, so every point below that
-	// kills the child somewhere real: header write, record appends, group
-	// commits, compaction writes, the compaction rename, the directory
+	// kills the child somewhere real: header write, record appends, record
+	// fsyncs, compaction writes, the compaction rename, the directory
 	// sync, and the post-compaction appends.
 	chaosPoints = 64
 )
@@ -77,10 +77,7 @@ func runChaosChild(dir string, crashAt int64) error {
 	if err != nil {
 		return err
 	}
-	s, err := Open(filepath.Join(dir, "points.log"), Options{
-		FS:        NewFaultFS(nil, inj),
-		SyncEvery: 1, // every acked Put is a synced Put
-	})
+	s, err := Open(filepath.Join(dir, "points.log"), Options{FS: NewFaultFS(nil, inj)})
 	if err != nil {
 		return fmt.Errorf("open: %w", err)
 	}

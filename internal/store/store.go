@@ -22,8 +22,9 @@
 //   - open truncates a torn tail at the first bad checksum instead of
 //     failing, and quarantines corrupt mid-log records (skip + count,
 //     never crash) when a valid successor record proves the log continues;
-//   - fsync runs on configurable group-commit boundaries (SyncEvery); a
-//     record is durable once Sync has returned nil after its append;
+//   - every Put fsyncs before it returns nil, so an acknowledged record is
+//     durable; after a failed fsync the record is durable once a later Put
+//     or Sync has returned nil;
 //   - compaction writes a new log, fsyncs it, atomically renames it over
 //     the old one, and fsyncs the directory — a crash at any point leaves
 //     either the complete old log or the complete new one.
@@ -72,11 +73,6 @@ var ErrNotFound = errors.New("store: key not found")
 type Options struct {
 	// FS is the filesystem seam (default OSFS{}).
 	FS FS
-	// SyncEvery is the group-commit boundary: fsync after every N appends
-	// (default 1 — every acknowledged Put is durable). Larger values batch
-	// fsyncs; records appended since the last sync are lost on a crash and
-	// that loss is within contract (they were never acknowledged durable).
-	SyncEvery int
 	// Log, if set, receives recovery and compaction events.
 	Log func(format string, args ...any)
 }
@@ -84,9 +80,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.FS == nil {
 		o.FS = OSFS{}
-	}
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 1
 	}
 	return o
 }
@@ -259,8 +252,8 @@ func (s *Store) recover() error {
 	return nil
 }
 
-// writeHeader initializes an empty log. It counts as a mutating write but
-// is not group-committed: the header must be durable before any record.
+// writeHeader initializes an empty log, fsynced at once: the header must be
+// durable before any record.
 func (s *Store) writeHeader() error {
 	if _, err := s.f.WriteAt([]byte(magic), 0); err != nil {
 		return storeErr("write header", err)
@@ -382,11 +375,9 @@ func encodeRecord(key string, val []byte) []byte {
 	return rec
 }
 
-// Put appends one record and group-commits. When Put returns nil the
-// record is readable from this process; it is durable once the commit
-// boundary's fsync has succeeded (immediately, with SyncEvery == 1). A
-// failed append does not advance the log: the next Put overwrites the torn
-// bytes, and a reopen truncates them.
+// Put appends one record and fsyncs it: when Put returns nil the record is
+// durable. A failed append does not advance the log: the next Put
+// overwrites the torn bytes, and a reopen truncates them.
 func (s *Store) Put(key string, val []byte) error {
 	if len(key) == 0 {
 		return corruptErr("put", errors.New("empty key"))
@@ -407,18 +398,15 @@ func (s *Store) Put(key string, val []byte) error {
 	s.size += int64(len(rec))
 	s.appends++
 	s.pending++
-	// The record is visible (indexed) even if the group commit below
-	// fails: this process can read it back, it is just not durable yet —
-	// the next successful sync covers it.
+	// The record is visible (indexed) even if the fsync below fails: this
+	// process can read it back, it is just not durable yet — the next
+	// successful sync covers it.
 	s.index[key] = loc
-	if s.pending >= s.opts.SyncEvery {
-		return s.syncLocked()
-	}
-	return nil
+	return s.syncLocked()
 }
 
-// Sync forces the group commit: every acknowledged Put is durable once
-// Sync returns nil.
+// Sync retries the fsync of records whose Put failed to sync: every
+// appended record is durable once Sync returns nil.
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -433,7 +421,7 @@ func (s *Store) syncLocked() error {
 		return nil
 	}
 	if err := s.f.Sync(); err != nil {
-		// Keep pending non-zero: the next boundary retries the fsync, and
+		// Keep pending non-zero: the next Put or Sync retries the fsync, and
 		// callers know these records are not yet durable.
 		return storeErr("sync", err)
 	}

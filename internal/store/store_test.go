@@ -283,32 +283,27 @@ func TestCompact(t *testing.T) {
 	}
 }
 
-// TestGroupCommit proves SyncEvery batches fsyncs: with a boundary of 4,
-// only every fourth Put pays a sync.
+// TestGroupCommit proves every Put is its own commit: each pays one write
+// and one fsync, and an idle Sync issues no fsync.
 func TestGroupCommit(t *testing.T) {
 	inj, err := fault.NewStoreInjector(fault.StoreConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fs := NewFaultFS(nil, inj)
-	s := mustOpen(t, testPath(t), Options{FS: fs, SyncEvery: 4})
+	s := mustOpen(t, testPath(t), Options{FS: fs})
 	base := inj.Ops() // open wrote+synced the header
 	for i := 0; i < 8; i++ {
 		mustPut(t, s, fmt.Sprintf("k%d", i), "v")
 	}
-	// 8 writes + 2 group-commit syncs.
-	if got := inj.Ops() - base; got != 10 {
-		t.Fatalf("ops = %d, want 10 (8 writes + 2 syncs)", got)
-	}
-	mustPut(t, s, "k8", "v")
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
+	if got := inj.Ops() - base; got != 16 {
+		t.Fatalf("ops = %d, want 16 (8 writes + 8 syncs)", got)
 	}
 	if err := s.Sync(); err != nil { // nothing pending: no fsync issued
 		t.Fatal(err)
 	}
-	if got := inj.Ops() - base; got != 12 {
-		t.Fatalf("ops = %d, want 12 (9 writes + 3 syncs, idle Sync free)", got)
+	if got := inj.Ops() - base; got != 16 {
+		t.Fatalf("ops = %d, want 16 (idle Sync free)", got)
 	}
 	s.Close()
 }
@@ -360,9 +355,9 @@ func TestInjectedFaults(t *testing.T) {
 		if err != nil && !errors.Is(err, ErrNotFound) {
 			t.Fatalf("Get(%s): %v", key, err)
 		}
-		// A Put whose own append succeeded but whose group-commit fsync
-		// failed was still acked=false above, so everything in acked had
-		// err == nil and must be present.
+		// A Put whose own append succeeded but whose fsync failed was
+		// still acked=false above, so everything in acked had err == nil
+		// and must be present.
 		if err != nil {
 			t.Fatalf("acked record %s lost after reopen", key)
 		}
@@ -373,7 +368,7 @@ func TestInjectedFaults(t *testing.T) {
 }
 
 func TestConcurrentPuts(t *testing.T) {
-	s := mustOpen(t, testPath(t), Options{SyncEvery: 8})
+	s := mustOpen(t, testPath(t), Options{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)

@@ -72,6 +72,16 @@ func Regions() []Region {
 	return out
 }
 
+// RegionByName returns the region with the given name ("hmmer.0").
+func RegionByName(name string) (Region, bool) {
+	for _, r := range Regions() {
+		if r.Name == name {
+			return r, true
+		}
+	}
+	return Region{}, false
+}
+
 // ByName returns the benchmark with the given name.
 func ByName(name string) (Benchmark, error) {
 	for _, b := range Suite() {

@@ -201,3 +201,17 @@ func TestMcfFootprintDependsOnWidth(t *testing.T) {
 			m64.Pages(), m32.Pages())
 	}
 }
+
+// TestRegionByName: every suite region is found under its own name, and an
+// unknown name is reported as missing.
+func TestRegionByName(t *testing.T) {
+	for _, want := range Regions() {
+		got, ok := RegionByName(want.Name)
+		if !ok || got.Benchmark != want.Benchmark || got.Index != want.Index {
+			t.Fatalf("RegionByName(%q) = %s/%d, %v", want.Name, got.Benchmark, got.Index, ok)
+		}
+	}
+	if _, ok := RegionByName("hmmer.99"); ok {
+		t.Error("RegionByName found a region that does not exist")
+	}
+}
