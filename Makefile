@@ -132,16 +132,20 @@ bench-diff:
 	$(GO) run ./tools/benchdiff -baseline BENCH_baseline.json -threshold 0.15 /tmp/bench.txt
 
 # Boot the evaluation service on an ephemeral port with a checkpoint and a
-# candidate store in a fresh directory, drive it with the closed-loop load
-# generator and gate on cache-hit rate and 5xx count; then evaluate one
-# point, shut down gracefully, reboot on the same files and require that
-# point to answer "cached":true — the CI serve-smoke job, locally.
+# profile store in a fresh directory, drive it with the closed-loop load
+# generator (its report goes to that directory) and gate on cache-hit rate
+# and 5xx count; then evaluate one point, shut down gracefully, reboot on
+# the same files and require that point to answer "cached":true, and a
+# config the load never requests (in-order, width 1) of the same ISA to
+# score anew: the rebooted server must run no simulation, so the exec stage
+# counter on /metrics, which the checkpoint carries across the reboot, must
+# read what it read before the shutdown — the CI serve-smoke job, locally.
 serve-smoke:
 	$(GO) build -o /tmp/compisa-bin/ ./cmd/compose-serve ./cmd/compose-load
 	@rm -rf /tmp/compisa-bin/serve-state && mkdir -p /tmp/compisa-bin/serve-state
 	boot() { \
 		/tmp/compisa-bin/compose-serve -addr 127.0.0.1:0 -regions 8 -warm \
-			-checkpoint /tmp/compisa-bin/serve-state/ckpt.json -store /tmp/compisa-bin/serve-state/cands.log \
+			-checkpoint /tmp/compisa-bin/serve-state/ckpt.json -store /tmp/compisa-bin/serve-state/profiles.log \
 			2>/tmp/compisa-bin/serve-state/$$1 & \
 		SERVE_PID=$$!; ADDR=; \
 		for i in $$(seq 1 50); do \
@@ -152,18 +156,26 @@ serve-smoke:
 		echo "compose-serve did not come up"; cat /tmp/compisa-bin/serve-state/$$1; kill $$SERVE_PID; return 1; \
 	}; \
 	point() { curl -fsS -X POST "$$ADDR/evaluate" -d '{"isa":"vendor:Alpha"}'; }; \
+	execs() { curl -fsS "$$ADDR/metrics" | sed -n 's/^compisa_eval_stage_total{stage="exec"} //p'; }; \
 	boot serve.log || exit 1; \
 	/tmp/compisa-bin/compose-load -addr "$$ADDR" -requests 200 -concurrency 8 -points 3 -seed 7 \
-		-min-hit-rate 0.5 -max-5xx 0 -out BENCH_serve.json; \
+		-min-hit-rate 0.5 -max-5xx 0 -out /tmp/compisa-bin/serve-state/BENCH_serve.json; \
 	STATUS=$$?; point >/dev/null || STATUS=1; \
+	BEFORE=$$(execs); \
 	kill -TERM $$SERVE_PID; wait $$SERVE_PID || STATUS=1; \
 	[ $$STATUS = 0 ] || exit $$STATUS; \
 	boot reboot.log || exit 1; \
 	point >/tmp/compisa-bin/serve-state/point.json; \
+	curl -fsS -X POST "$$ADDR/evaluate" >/tmp/compisa-bin/serve-state/other.json \
+		-d '{"isa":"vendor:Alpha","config":{"OoO":false,"Width":1,"Predictor":1,"IQ":32,"ROB":64,"PRFInt":64,"PRFFP":16,"IntALU":1,"IntMul":1,"FPALU":1,"LSQ":16,"L1I":{"SizeKB":32,"Assoc":4},"L1D":{"SizeKB":32,"Assoc":4},"L2":{"SizeKB":4096,"Assoc":4,"Banks":4},"UopCache":false,"Fusion":true}}'; \
+	AFTER=$$(execs); \
 	kill -TERM $$SERVE_PID; wait $$SERVE_PID; \
 	grep -q '"cached":true' /tmp/compisa-bin/serve-state/point.json || { \
 		echo "the point evaluated before the reboot is not cached after it:"; \
-		cat /tmp/compisa-bin/serve-state/point.json /tmp/compisa-bin/serve-state/reboot.log; exit 1; }
+		cat /tmp/compisa-bin/serve-state/point.json /tmp/compisa-bin/serve-state/reboot.log; exit 1; }; \
+	[ -n "$$BEFORE" ] && [ "$$BEFORE" = "$$AFTER" ] && grep -q '"cached":false' /tmp/compisa-bin/serve-state/other.json || { \
+		echo "the rebooted server simulated (exec stage $$BEFORE -> $$AFTER) or did not score the new config anew:"; \
+		cat /tmp/compisa-bin/serve-state/other.json /tmp/compisa-bin/serve-state/reboot.log; exit 1; }
 
 # 30-second fuzz pass over the superset instruction codec (the CI fuzz
 # step, locally).

@@ -6,13 +6,14 @@
 //
 //	-timeout     bounds the whole run; on expiry the run stops with a
 //	             saved checkpoint instead of hanging.
-//	-checkpoint  persists the profile cache and search frontier; an
-//	             interrupted run resumes from where it stopped. A corrupt
-//	             file is quarantined to <path>.corrupt and the run starts
-//	             cold (-checkpoint-strict fails instead).
-//	-store       crash-safe append-only candidate store: evaluations are
-//	             written through as they complete (durable mid-run, not
-//	             only at checkpoint boundaries) and reloaded at startup.
+//	-checkpoint  persists the profile sets, the evaluated design points
+//	             (re-scored from the profiles on resume) and the search
+//	             frontier; an interrupted run resumes from where it
+//	             stopped. A corrupt file is quarantined to <path>.corrupt
+//	             and the run starts cold (-checkpoint-strict fails instead).
+//	-store       crash-safe append-only profile store: each profile set is
+//	             written through as it completes (durable mid-run, not only
+//	             at checkpoint boundaries) and reloaded at startup.
 //	-inject-*    deterministically inject evaluation faults to exercise
 //	             the retry/quarantine machinery.
 //	-stats       print evaluation-pipeline statistics on exit: per-stage
@@ -46,7 +47,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
 	checkpoint := flag.String("checkpoint", "", "checkpoint file: resume from it if present, save to it as searches complete")
 	checkpointStrict := flag.Bool("checkpoint-strict", false, "fail on a corrupt checkpoint instead of quarantining it and starting cold")
-	storePath := flag.String("store", "", "crash-safe candidate store: reload from it, write evaluations through as they complete")
+	storePath := flag.String("store", "", "crash-safe profile store: reload profile sets from it, write each through as it completes")
 	injectRate := flag.Float64("inject-rate", 0, "fault injection rate in [0,1] (0 = no injection)")
 	injectSeed := flag.Uint64("inject-seed", 1, "fault injection seed (same seed => same faults)")
 	injectKinds := flag.String("inject-kinds", "", "comma-separated fault kinds to inject (compile,runaway,corrupt,slow,badcode); empty = all default kinds")
@@ -113,7 +114,7 @@ func main() {
 	}
 
 	// The checkpoint is saved after every search and experiment, and once
-	// more however the run ends; the store writes evaluations through.
+	// more however the run ends; the store writes profile sets through.
 	err = explore.RunDurable(db, explore.Durability{
 		Checkpoint: *checkpoint, Strict: *checkpointStrict, Store: *storePath,
 	}, func(d *explore.Durable) error {

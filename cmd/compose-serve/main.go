@@ -12,16 +12,17 @@
 //
 // Operational controls:
 //
-//	-checkpoint  warm-start both cache tiers from a compose-explore
-//	             checkpoint and save the (grown) caches on shutdown. A
-//	             corrupt checkpoint is quarantined to <path>.corrupt and
-//	             the server starts cold (-checkpoint-strict fails instead).
-//	-store       crash-safe append-only candidate store: every fresh
-//	             evaluation is written through as it completes, and the
-//	             candidate cache warm-starts from the log at boot. Store
-//	             failures never fail serving — a circuit breaker degrades
-//	             to memory-only ( /healthz "degraded") and probes for
-//	             recovery.
+//	-checkpoint  warm-start from a compose-explore checkpoint (profile
+//	             sets, plus the evaluated design points, re-scored at
+//	             boot) and save the (grown) caches on shutdown. A corrupt
+//	             checkpoint is quarantined to <path>.corrupt and the
+//	             server starts cold (-checkpoint-strict fails instead).
+//	-store       crash-safe append-only profile store: every profile set
+//	             is written through as it completes, and the profile tier
+//	             warm-starts from the log at boot, so any configuration of
+//	             a stored ISA is a score-only miss. Store failures never
+//	             fail serving — a circuit breaker degrades to memory-only
+//	             ( /healthz "degraded") and probes for recovery.
 //	-warm        compute the reference metrics in the background at boot,
 //	             so the first request doesn't pay for them.
 //	-regions     serve only the first N suite regions (CI smoke runs).
@@ -60,7 +61,7 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
 	checkpoint := flag.String("checkpoint", "", "checkpoint file: warm-start caches from it, save them back on shutdown")
 	checkpointStrict := flag.Bool("checkpoint-strict", false, "fail on a corrupt checkpoint instead of quarantining it and starting cold")
-	storePath := flag.String("store", "", "crash-safe candidate store: warm-start from it, write evaluations through as they complete")
+	storePath := flag.String("store", "", "crash-safe profile store: warm-start from it, write each profile set through as it completes")
 	regions := flag.Int("regions", 0, "serve only the first N suite regions (0 = full suite)")
 	warm := flag.Bool("warm", false, "compute reference metrics in the background at startup")
 	stats := flag.Bool("stats", false, "print evaluation pipeline statistics on exit")

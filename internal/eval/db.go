@@ -38,9 +38,10 @@ import (
 //     and verification still run for every (region, ISA) cell;
 //   - candidates: (ISA key, canonical config) → evaluated design point,
 //     normalized against the DB's own reference metrics, so the 4680-point
-//     scoring stage runs once per process (and once per checkpoint
-//     lineage) no matter how many budgets, organizations, or experiment
-//     drivers consume it.
+//     scoring stage runs once per process no matter how many budgets,
+//     organizations, or experiment drivers consume it. Only the profile
+//     tier is durable (Persister, State); a restart re-scores the points
+//     (Rescore).
 //
 // Failure model: a failing (region, ISA) evaluation is retried (bounded,
 // with backoff) while it looks transient, then quarantined — its profile
@@ -63,7 +64,7 @@ type DB struct {
 	// Log, if set, receives fault-tolerance events (retries, quarantines,
 	// degraded evaluations).
 	Log func(format string, args ...any)
-	// Persist, if set, receives every freshly evaluated cacheable candidate
+	// Persist, if set, receives every freshly computed profile set
 	// (write-through durability; see Persister). Persist failures degrade
 	// durability, never the evaluation.
 	Persist Persister
@@ -136,6 +137,7 @@ func (db *DB) Profiles(ctx context.Context, c ISAChoice) ([]*cpu.Profile, error)
 			db.mu.Lock()
 			db.profiles[key] = ps
 			db.mu.Unlock()
+			db.persist(key, ps)
 		}
 		return ps, err
 	})

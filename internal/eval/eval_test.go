@@ -37,8 +37,8 @@ func TestCandidateCacheHit(t *testing.T) {
 		t.Errorf("hits/misses = %d/%d, want 1/1",
 			db.Stats.CandidateHits.Load(), db.Stats.CandidateMisses.Load())
 	}
-	if db.CachedCandidates() != 1 {
-		t.Errorf("CachedCandidates = %d, want 1", db.CachedCandidates())
+	if len(db.CandidateKeys()) != 1 {
+		t.Errorf("CachedCandidates = %d, want 1", len(db.CandidateKeys()))
 	}
 }
 
@@ -70,8 +70,8 @@ func TestCandidateCacheForeignRefBypass(t *testing.T) {
 		t.Errorf("cache counters moved (%d/%d) on uncacheable evaluations",
 			db.Stats.CandidateHits.Load(), db.Stats.CandidateMisses.Load())
 	}
-	if db.CachedCandidates() != 0 {
-		t.Errorf("CachedCandidates = %d, want 0", db.CachedCandidates())
+	if len(db.CandidateKeys()) != 0 {
+		t.Errorf("CachedCandidates = %d, want 0", len(db.CandidateKeys()))
 	}
 }
 
@@ -107,8 +107,9 @@ func TestCandidatesSharedAcrossCalls(t *testing.T) {
 	}
 }
 
-// TestStateRoundtrip: Export → Import into a fresh DB restores both cache
-// tiers, the quarantine list, and the stats; existing entries win.
+// TestStateRoundtrip: Export → Import into a fresh DB restores the profile
+// tier, the quarantine list and the stats, and Rescore refills the
+// candidate tier from the exported points without simulating.
 func TestStateRoundtrip(t *testing.T) {
 	db1 := smallDB(3, nil)
 	ctx := context.Background()
@@ -122,22 +123,29 @@ func TestStateRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := db1.Export()
-	if len(st.Profiles) == 0 || len(st.Candidates) == 0 || st.Stats.IsZero() {
-		t.Fatalf("export missing state: %d profiles, %d candidates, zero stats %v",
-			len(st.Profiles), len(st.Candidates), st.Stats.IsZero())
+	if len(st.Profiles) == 0 || len(st.Points) != 1 || st.Stats.IsZero() {
+		t.Fatalf("export missing state: %d profiles, %d points, zero stats %v",
+			len(st.Profiles), len(st.Points), st.Stats.IsZero())
 	}
 
 	db2 := smallDB(3, nil)
 	db2.Import(st)
-	if db2.CachedCandidates() != len(st.Candidates) {
-		t.Fatalf("imported %d candidates, want %d", db2.CachedCandidates(), len(st.Candidates))
+	if len(db2.CandidateKeys()) != 0 {
+		t.Fatalf("Import evaluated %d candidates, want 0", len(db2.CandidateKeys()))
 	}
 	if db2.Stats.ModelEvals.Load() != st.Stats.ModelEvals {
 		t.Errorf("imported ModelEvals = %d, want %d", db2.Stats.ModelEvals.Load(), st.Stats.ModelEvals)
 	}
-	// The restored candidate serves Evaluate without recomputation once the
-	// reference is re-established (ReferenceMetrics itself reuses the
-	// restored profiles and candidate).
+	if err := db2.Rescore(ctx, st.Points); err != nil {
+		t.Fatal(err)
+	}
+	if len(db2.CandidateKeys()) != len(st.Points) {
+		t.Fatalf("rescored %d candidates, want %d", len(db2.CandidateKeys()), len(st.Points))
+	}
+	if got := db2.Stats.Execs.Load(); got != st.Stats.Execs {
+		t.Errorf("the re-score simulated %d times", got-st.Stats.Execs)
+	}
+	// The re-scored candidate serves Evaluate without recomputation.
 	ref2, err := db2.ReferenceMetrics(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -148,17 +156,22 @@ func TestStateRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := db2.Stats.ModelEvals.Load(); got != evals {
-		t.Errorf("restored candidate did not serve the evaluation: %d -> %d evals", evals, got)
+		t.Errorf("re-scored candidate did not serve the evaluation: %d -> %d evals", evals, got)
 	}
-	if c2.DP.CacheKey() != c1.DP.CacheKey() {
-		t.Error("restored candidate keyed differently")
+	if c2.DP.CacheKey() != c1.DP.CacheKey() || c2.MeanSpeedup() != c1.MeanSpeedup() {
+		t.Error("re-scored candidate keyed or scored differently")
 	}
 
-	// A candidate whose region count mismatches the suite is skipped.
+	// Profile sets whose region count mismatches the suite are skipped, and
+	// so are the points that would need them.
 	db3 := smallDB(2, nil)
 	db3.Import(st)
-	if db3.CachedCandidates() != 0 {
-		t.Errorf("mismatched-suite import kept %d candidates, want 0", db3.CachedCandidates())
+	if err := db3.Rescore(ctx, st.Points); err != nil {
+		t.Fatal(err)
+	}
+	if len(db3.CandidateKeys()) != 0 || db3.Stats.Execs.Load() != st.Stats.Execs {
+		t.Errorf("mismatched-suite restore kept %d candidates and simulated %d times, want 0 and 0",
+			len(db3.CandidateKeys()), db3.Stats.Execs.Load()-st.Stats.Execs)
 	}
 }
 

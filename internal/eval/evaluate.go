@@ -221,19 +221,12 @@ func (db *DB) EvaluateBatch(ctx context.Context, choice ISAChoice, cfgs []cpu.Co
 			db.mu.Lock()
 			// Existing entries win so concurrent evaluations of one design
 			// point converge on a single shared candidate.
-			won := false
 			if prev, ok := db.cands[keys[i]]; ok {
 				c = prev
 			} else {
 				db.cands[keys[i]] = c
-				won = true
 			}
 			db.mu.Unlock()
-			// Write-through the winning entry only: the durable log gets each
-			// evaluated point once, as soon as it exists.
-			if won {
-				db.persist(keys[i], c)
-			}
 		}
 		out[i] = c
 	}

@@ -69,9 +69,10 @@ func TestChoiceByKey(t *testing.T) {
 
 // TestStateCrossProcessRoundtrip drives the checkpoint warm-start path the
 // way two different binaries would: the state crosses a real JSON file (not
-// an in-memory Export/Import handoff), and the importing DB must serve both
-// the reference metrics and the cached candidate without a single new model
-// evaluation — the property compose-serve's warm start depends on.
+// an in-memory Export/Import handoff), and the importing DB must re-score
+// the reference metrics and the exported point without a single new
+// simulation, then serve the point without a new model evaluation — the
+// property compose-serve's warm start depends on.
 func TestStateCrossProcessRoundtrip(t *testing.T) {
 	ctx := context.Background()
 	db1 := smallDB(3, nil)
@@ -102,18 +103,18 @@ func TestStateCrossProcessRoundtrip(t *testing.T) {
 	if err := json.Unmarshal(raw, &st); err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Ref) != 3 {
-		t.Fatalf("exported state carries %d reference metrics, want 3", len(st.Ref))
-	}
 
 	db2 := smallDB(3, nil)
 	db2.Import(st)
+	if err := db2.Rescore(ctx, st.Points); err != nil {
+		t.Fatal(err)
+	}
+	if got := db2.Stats.Execs.Load(); got != st.Stats.Execs {
+		t.Errorf("warm start ran %d new simulations, want 0", got-st.Stats.Execs)
+	}
 	ref2, err := db2.ReferenceMetrics(ctx)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := db2.Stats.ModelEvals.Load(); got != st.Stats.ModelEvals {
-		t.Errorf("warm reference ran %d new model evals, want 0", got-st.Stats.ModelEvals)
 	}
 	for i := range ref2 {
 		if ref2[i].Cycles != ref[i].Cycles || ref2[i].Energy != ref[i].Energy {
@@ -126,7 +127,7 @@ func TestStateCrossProcessRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := db2.Stats.ModelEvals.Load(); got != evals {
-		t.Errorf("restored candidate did not serve across the file boundary: %d new evals", got-evals)
+		t.Errorf("re-scored candidate did not serve across the file boundary: %d new evals", got-evals)
 	}
 	if c2.DP.CacheKey() != c1.DP.CacheKey() {
 		t.Errorf("candidate keyed differently across the file boundary: %s vs %s",

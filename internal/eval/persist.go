@@ -2,32 +2,47 @@ package eval
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 
-	"compisa/internal/store"
+	"compisa/internal/cpu"
 )
 
-// Persister receives every freshly evaluated cacheable candidate: the
-// write-through durability hook. Evaluations become durable incrementally
-// as they complete, not only at checkpoint time, so a killed process loses
-// at most the records its store had not yet fsynced.
+// Persister receives every completed profile set once, keyed by ISA key:
+// the write-through durability hook. The record is the one-ISA-key slice of
+// State (the set plus its quarantine entries) as JSON; ImportRecord reads it
+// back. Candidates, a ~10 µs function of a profile set and a configuration,
+// are never persisted.
 //
-// A persist failure never fails the evaluation — the result is already
-// correct in memory; only its durability degraded. The DB counts the
+// A persist failure never fails the evaluation — the profiles are already
+// correct in memory; only their durability degraded. The DB counts the
 // failure (Stats.PersistErrors), logs the edge transitions, and keeps
-// serving. *CandidateStore is the production implementation;
+// serving. *store.Store is the production implementation;
 // serve.StoreBreaker wraps one with circuit breaking.
 type Persister interface {
-	PutCandidate(key string, c *Candidate) error
+	Put(key string, val []byte) error
 }
 
-// persist write-throughs one freshly won cache entry, with edge-triggered
-// logging so a dead disk does not flood the log at evaluation rate.
-func (db *DB) persist(key string, c *Candidate) {
+// persist write-throughs one freshly computed profile set, with
+// edge-triggered logging so a dead disk does not flood the log.
+func (db *DB) persist(key string, ps []*cpu.Profile) {
 	if db.Persist == nil {
 		return
 	}
-	if err := db.Persist.PutCandidate(key, c); err != nil {
+	rec := State{Profiles: map[string][]*cpu.Profile{key: ps}, Quarantine: map[string]string{}}
+	db.mu.Lock()
+	for i, p := range ps {
+		if p == nil {
+			pk := pairKey(db.Regions[i].Name, key)
+			rec.Quarantine[pk] = db.quarantine[pk]
+		}
+	}
+	db.mu.Unlock()
+	data, err := json.Marshal(rec)
+	if err == nil {
+		err = db.Persist.Put(key, data)
+	}
+	if err != nil {
 		db.Stats.PersistErrors.Inc()
 		if !db.persistDown.Swap(true) {
 			db.logf("eval: persist %s: %v (degrading to memory-only; further persist errors suppressed)", key, err)
@@ -40,44 +55,18 @@ func (db *DB) persist(key string, c *Candidate) {
 	}
 }
 
-// CandidateStore adapts a *store.Store into the Persister seam: candidates
-// serialize to JSON keyed by their cross-host DesignPoint.CacheKey, so any
-// process (compose-explore, compose-serve, a future fleet of replicas) can
-// warm-start from any other's log.
-type CandidateStore struct {
-	S *store.Store
-}
-
-// PutCandidate appends one evaluated candidate to the log.
-func (cs *CandidateStore) PutCandidate(key string, c *Candidate) error {
-	data, err := json.Marshal(c)
-	if err != nil {
-		return fmt.Errorf("eval: marshal candidate %s: %w", key, err)
+// ImportRecord warm-starts the profile tier from one Persister record
+// through Import and its shape checks. A value that is not a profile-set
+// record, such as a whole candidate from a log the older candidate store
+// wrote, is an error.
+func (db *DB) ImportRecord(val []byte) error {
+	var st State
+	if err := json.Unmarshal(val, &st); err != nil {
+		return fmt.Errorf("eval: undecodable profile-set record: %w", err)
 	}
-	return cs.S.Put(key, data)
-}
-
-// LoadInto warm-starts a DB from the store: every decodable record joins
-// the candidate cache tier (Import's shape checks still apply, so a log
-// written against a different region suite cannot poison the caches).
-// Undecodable values are counted and skipped — record checksums make them
-// near-impossible, but recovery must never abort a warm start.
-func (cs *CandidateStore) LoadInto(db *DB) (loaded, skipped int, err error) {
-	var cands []*Candidate
-	err = cs.S.Range(func(key string, val []byte) error {
-		var c Candidate
-		if jerr := json.Unmarshal(val, &c); jerr != nil {
-			skipped++
-			db.logf("eval: store record %s undecodable, skipping: %v", key, jerr)
-			return nil
-		}
-		cands = append(cands, &c)
-		return nil
-	})
-	if err != nil {
-		return 0, skipped, err
+	if len(st.Profiles) == 0 {
+		return errors.New("eval: record holds no profile set")
 	}
-	before := db.CachedCandidates()
-	db.Import(State{Candidates: cands})
-	return db.CachedCandidates() - before, skipped, nil
+	db.Import(st)
+	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"compisa/internal/fault"
 	"compisa/internal/store"
 )
 
@@ -15,7 +16,7 @@ type recordingPersister struct {
 	err  error
 }
 
-func (p *recordingPersister) PutCandidate(key string, c *Candidate) error {
+func (p *recordingPersister) Put(key string, val []byte) error {
 	if p.err != nil {
 		return p.err
 	}
@@ -23,8 +24,9 @@ func (p *recordingPersister) PutCandidate(key string, c *Candidate) error {
 	return nil
 }
 
-// TestPersistWriteThrough: each cacheable evaluation reaches the Persister
-// exactly once — cache hits and repeated sweeps never re-persist.
+// TestPersistWriteThrough: each completed profile set reaches the Persister
+// exactly once — evaluations of other configurations, cache hits and
+// repeated sweeps never re-persist, and candidates are never persisted.
 func TestPersistWriteThrough(t *testing.T) {
 	db := smallDB(2, nil)
 	p := &recordingPersister{}
@@ -35,29 +37,21 @@ func TestPersistWriteThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	dp := DesignPoint{ISA: injectable(t), Cfg: ReferenceConfig()}
-	if _, err := db.Evaluate(ctx, dp, ref); err != nil {
-		t.Fatal(err)
+	other := dp
+	other.Cfg.LSQ /= 2
+	for _, dp := range []DesignPoint{dp, dp, other} {
+		if _, err := db.Evaluate(ctx, dp, ref); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := db.Evaluate(ctx, dp, ref); err != nil {
-		t.Fatal(err)
+	// Exactly two persists: the reference's profile set (computed by
+	// ReferenceMetrics) and dp's; every later evaluation reuses dp's set.
+	want := []string{X8664Choice().Key(), dp.ISA.Key()}
+	if len(p.keys) != 2 || p.keys[0] != want[0] || p.keys[1] != want[1] {
+		t.Fatalf("persisted keys = %v, want %v", p.keys, want)
 	}
-	// Exactly one persist: the reference evaluation runs with a nil ref
-	// (uncacheable) and the second Evaluate of dp is a cache hit, so only
-	// dp's first evaluation writes through.
-	if len(p.keys) != 1 || p.keys[0] != dp.CacheKey() {
-		t.Fatalf("persisted keys = %v, want [%s]", p.keys, dp.CacheKey())
-	}
-	if got := db.Stats.Persisted.Load(); got != 1 {
-		t.Fatalf("Stats.Persisted = %d, want 1", got)
-	}
-
-	// Foreign-ref evaluations bypass the cache and must not persist either.
-	foreign := append([]Metric{}, ref...)
-	if _, err := db.Evaluate(ctx, dp, foreign); err != nil {
-		t.Fatal(err)
-	}
-	if len(p.keys) != 1 {
-		t.Fatalf("foreign-ref evaluation persisted: keys = %v", p.keys)
+	if got := db.Stats.Persisted.Load(); got != 2 {
+		t.Fatalf("Stats.Persisted = %d, want 2", got)
 	}
 }
 
@@ -92,25 +86,32 @@ func TestPersistFailureNeverFailsEvaluation(t *testing.T) {
 	}
 }
 
-// TestCandidateStoreRoundtrip: evaluate against a real store, then
-// warm-start a fresh DB from the log — the restored candidates serve cache
-// hits without re-running the model stage.
-func TestCandidateStoreRoundtrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cands.log")
+// TestProfileStoreRoundtrip: profile against a real store, then warm-start
+// a fresh DB from the log — the restored profile sets and quarantine
+// entries serve a configuration never evaluated before with no compile and
+// no simulation, only the model stage.
+func TestProfileStoreRoundtrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "profiles.log")
 	st, err := store.Open(path, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := smallDB(2, nil)
-	db.Persist = &CandidateStore{S: st}
+	// Seed 1 quarantines one of the injectable choice's two regions.
+	in := injector(t, fault.Config{Seed: 1, Rate: 0.5, Kinds: []fault.Kind{fault.KindCompile}})
+	db := smallDB(2, in)
+	db.Persist = st
 	ctx := context.Background()
 	ref, err := db.ReferenceMetrics(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dp := DesignPoint{ISA: injectable(t), Cfg: ReferenceConfig()}
-	if _, err := db.Evaluate(ctx, dp, ref); err != nil {
+	c1, err := db.Evaluate(ctx, dp, ref)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if q := len(db.Coverage().Quarantined); q != 1 {
+		t.Fatalf("%d quarantined pairs, want 1", q)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -121,29 +122,41 @@ func TestCandidateStoreRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
+	if st2.Len() != 2 {
+		t.Fatalf("store holds %d records, want 2 profile sets", st2.Len())
+	}
 	db2 := smallDB(2, nil)
-	loaded, skipped, err := (&CandidateStore{S: st2}).LoadInto(db2)
-	if err != nil {
+	if err := st2.Range(func(_ string, val []byte) error { return db2.ImportRecord(val) }); err != nil {
 		t.Fatal(err)
 	}
-	if skipped != 0 {
-		t.Fatalf("skipped %d records on a clean log", skipped)
-	}
-	if loaded != 1 { // only dp: the reference evaluation is uncacheable
-		t.Fatalf("loaded = %d, want 1", loaded)
+	if got, want := db2.Coverage(), db.Coverage(); got.String() != want.String() {
+		t.Fatalf("restored coverage %s, want %s", got, want)
 	}
 	ref2, err := db2.ReferenceMetrics(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	evals := db2.Stats.ModelEvals.Load()
-	if _, err := db2.Evaluate(ctx, dp, ref2); err != nil {
+	c2, err := db2.Evaluate(ctx, dp, ref2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := db2.Stats.ModelEvals.Load(); got != evals {
-		t.Fatalf("warm-started evaluation re-ran the model stage (%d -> %d)", evals, got)
+	other := dp
+	other.Cfg.LSQ /= 2
+	if _, err := db2.Evaluate(ctx, other, ref2); err != nil {
+		t.Fatal(err)
 	}
-	if db2.Stats.CandidateHits.Load() != 1 {
-		t.Fatalf("CandidateHits = %d, want 1", db2.Stats.CandidateHits.Load())
+	if n := db2.Stats.Compiles.Load() + db2.Stats.Execs.Load(); n != 0 {
+		t.Fatalf("warm-started evaluations compiled or simulated %d times", n)
+	}
+	if db2.Stats.ModelEvals.Load() == 0 {
+		t.Fatal("warm-started evaluations ran no model stage")
+	}
+	if c2.MeanSpeedup() != c1.MeanSpeedup() {
+		t.Fatalf("restored profiles score %v, want %v", c2.MeanSpeedup(), c1.MeanSpeedup())
+	}
+	for _, rec := range []string{"{", `{"DP":{"ISA":{}},"M":[]}`} {
+		if err := db2.ImportRecord([]byte(rec)); err == nil {
+			t.Errorf("record %s imported", rec)
+		}
 	}
 }

@@ -1,11 +1,13 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 
 	"compisa/internal/cpu"
+	"compisa/internal/par"
 )
 
 // QuarantinedPair is one excluded (region, ISA) evaluation.
@@ -46,21 +48,17 @@ func (db *DB) Coverage() Coverage {
 	return cov
 }
 
-// State is the serializable slice of a DB: both cache tiers plus the
-// quarantine list and pipeline stats. It is what checkpoints persist.
+// State is the serializable slice of a DB: the profile tier, the quarantine
+// list, the candidate tier's design points and the pipeline stats. It is
+// what checkpoints persist; its one-ISA-key slice is a Persister record.
 type State struct {
 	// Profiles maps ISA key → per-region profiles (nil slot = quarantined).
 	Profiles map[string][]*cpu.Profile `json:"profiles"`
 	// Quarantine maps "region|isaKey" → failure reason.
 	Quarantine map[string]string `json:"quarantine,omitempty"`
-	// Candidates is the candidate cache tier; keys are re-derived from each
-	// candidate's design point on import.
-	Candidates []*Candidate `json:"candidates,omitempty"`
-	// Ref is the memoized normalization basis (the x86-64 reference metrics).
-	// Persisting it lets a warm-started process serve cached candidates
-	// without first re-running the reference's model stage; it stays valid
-	// across processes because evaluation is deterministic.
-	Ref []Metric `json:"ref,omitempty"`
+	// Points lists the candidate tier's design points without their metrics
+	// (Rescore recomputes those).
+	Points []DesignPoint `json:"points,omitempty"`
 	// Stats accumulates pipeline statistics across checkpoint lineages.
 	Stats StatsSnapshot `json:"stats,omitzero"`
 }
@@ -70,14 +68,14 @@ func (db *DB) StatsSnapshot() StatsSnapshot {
 	return db.Stats.Snapshot()
 }
 
-// Export copies both cache tiers, the quarantine list, and the stats for
-// checkpointing.
+// Export copies the profile tier, the quarantine list, the candidate
+// tier's design points and the stats for checkpointing.
 func (db *DB) Export() State {
 	db.mu.Lock()
 	st := State{
 		Profiles:   make(map[string][]*cpu.Profile, len(db.profiles)),
 		Quarantine: make(map[string]string, len(db.quarantine)),
-		Candidates: make([]*Candidate, 0, len(db.cands)),
+		Points:     make([]DesignPoint, 0, len(db.cands)),
 	}
 	for k, v := range db.profiles {
 		st.Profiles[k] = v
@@ -92,21 +90,18 @@ func (db *DB) Export() State {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		st.Candidates = append(st.Candidates, db.cands[k])
+		st.Points = append(st.Points, db.cands[k].DP)
 	}
-	st.Ref = db.ref
 	db.mu.Unlock()
 	st.Stats = db.StatsSnapshot()
 	return st
 }
 
-// Import seeds the caches from a checkpoint and merges its stats into the
-// live counters. Existing entries win so a live computation is never
-// clobbered, and entries whose shape does not match the DB's region suite
-// are skipped (a checkpoint from a different suite cannot poison the
-// caches). Restored candidates stay valid across processes because
-// evaluation is deterministic: the reference metrics they were normalized
-// against are recomputed identically.
+// Import seeds the profile tier and the quarantine list and merges the
+// stats into the live counters; Points are left to Rescore. Existing
+// entries win so a live computation is never clobbered, and profile sets
+// whose shape does not match the DB's region suite are skipped (a checkpoint
+// from a different suite cannot poison the caches).
 func (db *DB) Import(st State) {
 	db.mu.Lock()
 	for k, v := range st.Profiles {
@@ -119,27 +114,40 @@ func (db *DB) Import(st State) {
 			db.quarantine[k] = v
 		}
 	}
-	for _, c := range st.Candidates {
-		if c == nil || len(c.M) != len(db.Regions) {
-			continue
-		}
-		key := c.DP.CacheKey()
-		if _, ok := db.cands[key]; !ok {
-			db.cands[key] = c
-		}
-	}
-	if db.ref == nil && len(st.Ref) == len(db.Regions) {
-		db.ref = st.Ref
-	}
 	db.mu.Unlock()
 	db.Stats.Merge(st.Stats)
 }
 
-// CachedCandidates reports the size of the candidate cache tier.
-func (db *DB) CachedCandidates() int {
+// Rescore refills the candidate tier with pts, one EvaluateBatch per ISA
+// against the DB's reference metrics; evaluation is deterministic, so each
+// point gets the candidate it had before a restart. Points whose profile
+// set (or the reference's) is not in the profile tier are skipped, so
+// Rescore never simulates.
+func (db *DB) Rescore(ctx context.Context, pts []DesignPoint) error {
+	cfgs := map[string][]cpu.CoreConfig{}
+	var choices []ISAChoice
 	db.mu.Lock()
-	defer db.mu.Unlock()
-	return len(db.cands)
+	for _, dp := range pts {
+		if k := dp.ISA.Key(); db.profiles[k] != nil {
+			if cfgs[k] == nil {
+				choices = append(choices, dp.ISA)
+			}
+			cfgs[k] = append(cfgs[k], dp.Cfg)
+		}
+	}
+	haveRef := db.profiles[X8664Choice().Key()] != nil
+	db.mu.Unlock()
+	if !haveRef || len(choices) == 0 {
+		return nil
+	}
+	ref, err := db.ReferenceMetrics(ctx)
+	if err != nil {
+		return err
+	}
+	_, err = par.Map(ctx, len(choices), 0, func(i int) ([]*Candidate, error) {
+		return db.EvaluateBatch(ctx, choices[i], cfgs[choices[i].Key()], ref)
+	})
+	return err
 }
 
 // CandidateKeys returns the cache keys of every cached candidate, sorted.

@@ -36,10 +36,11 @@ type Stats struct {
 	// Fault handling.
 	Retries         metrics.Counter `metric:"compisa_eval_retries_total" help:"Faulted stages retried."`
 	Quarantines     metrics.Counter `metric:"compisa_eval_quarantines_total" help:"(region, ISA) pairs quarantined."`
-	DegradedRegions metrics.Counter `metric:"compisa_eval_degraded_regions_total" help:"Regions scored at the Policy penalties."`
-	// Durable tier (the write-through Persist hook).
-	Persisted     metrics.Counter `metric:"compisa_eval_persisted_total" help:"Candidates written through to the durable store."`
-	PersistErrors metrics.Counter `metric:"compisa_eval_persist_errors_total" help:"Candidate write-throughs that failed."`
+	DegradedRegions metrics.Counter `metric:"compisa_eval_degraded_regions_total" help:"Regions scored at the quarantine penalties."`
+	// Durable tier (the write-through Persist hook: one write per completed
+	// profile set).
+	Persisted     metrics.Counter `metric:"compisa_eval_persisted_total" help:"Profile sets written through to the durable store."`
+	PersistErrors metrics.Counter `metric:"compisa_eval_persist_errors_total" help:"Profile-set write-throughs that failed."`
 	// Stage timings (ModelTime: one per candidate, all regions).
 	CompileTime metrics.Histogram `metric:"compisa_eval_stage_duration_seconds" labels:"stage=compile" help:"Stage timings."`
 	VerifyTime  metrics.Histogram `metric:"compisa_eval_stage_duration_seconds" labels:"stage=verify" help:"Stage timings."`

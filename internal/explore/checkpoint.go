@@ -1,12 +1,12 @@
-// Checkpoint/resume for the exploration pipeline: both evaluation cache
-// tiers (profiles — the expensive functional executions — and evaluated
-// candidates), the quarantine list, the accumulated pipeline stats, and the
-// search frontier (completed multicore searches) serialize to one JSON
-// file, so a killed run resumes instead of recomputing. Saves are atomic
-// and durable (atomicfile: temp + fsync + rename + dir fsync); a missing
-// file is an empty checkpoint, and a corrupt or future-versioned file is an
-// ErrCheckpointCorrupt error rather than a silent partial restore —
-// RecoverCheckpoint turns that into a quarantine-and-start-cold path.
+// Checkpoint/resume for the exploration pipeline: the profile tier (the
+// expensive functional executions), the quarantine list, the evaluated
+// design points (RunDurable re-scores them), the pipeline stats, and the
+// search frontier serialize to one JSON file, so a killed run resumes
+// instead of recomputing. Saves are atomic and durable (atomicfile); a
+// missing file is an empty checkpoint, and a corrupt or future-versioned
+// file is an ErrCheckpointCorrupt error rather than a silent partial
+// restore — RecoverCheckpoint turns that into a quarantine-and-start-cold
+// path.
 
 package explore
 
@@ -37,7 +37,8 @@ var ErrCheckpointCorrupt = errors.New("checkpoint corrupt")
 // Version 4 switched vendor ISAs with a real encoding backend (x86-64,
 // Alpha) from analytic CodeDensity scaling to measured target profiles;
 // vendor design points cached by earlier versions carry scaled metrics the
-// current pipeline would never produce.
+// current pipeline would never produce. Older version 4 files also carry
+// "candidates" and "ref" blocks, which load ignored.
 const checkpointVersion = 4
 
 // SavedSearch records one completed multicore search as its four design
@@ -64,16 +65,6 @@ func Snapshot(db *DB, s *Searcher) *CheckpointState {
 		st.Frontier = s.exportFrontier()
 	}
 	return st
-}
-
-// RestoreDB seeds both cache tiers and merges the checkpoint's stats into
-// the live counters. Call it before NewSearcher so the reference metrics
-// reuse the restored profiles.
-func (st *CheckpointState) RestoreDB(db *DB) {
-	if st == nil {
-		return
-	}
-	db.Import(st.State)
 }
 
 // RestoreSearcher seeds the search frontier.

@@ -149,7 +149,7 @@ func TestLoadCheckpointIgnoresRetiredStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := NewDB()
-	st.RestoreDB(db)
+	db.Import(st.State)
 	if sn := db.StatsSnapshot(); sn.Compiles != 3 || sn.Execs != 2 {
 		t.Fatalf("restored stats = %+v, want compiles=3 execs=2", sn)
 	}
@@ -173,7 +173,7 @@ func TestLoadCheckpointWithoutSimStats(t *testing.T) {
 			t.Fatal(err)
 		}
 		db := NewDB()
-		st.RestoreDB(db)
+		db.Import(st.State)
 		return db.StatsSnapshot()
 	}
 	got, want := load(old), load(golden)
@@ -239,7 +239,7 @@ func TestCheckpointRetiredStatsCompat(t *testing.T) {
 		t.Fatalf("loaded stats = %+v\nwant %+v", st.Stats, want)
 	}
 	db := NewDB()
-	st.RestoreDB(db)
+	db.Import(st.State)
 	if got := db.StatsSnapshot(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("restored stats = %+v\nwant %+v", got, want)
 	}

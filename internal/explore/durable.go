@@ -1,11 +1,12 @@
 // The durable lifecycle of one run: the JSON checkpoint and the append-only
-// candidate store behind a DB are opened, warm-started from, written
+// profile store behind a DB are opened, warm-started from, written
 // through and saved in one place, so compose-explore and compose-serve
 // share the wiring and every exit path saves and closes.
 
 package explore
 
 import (
+	"context"
 	"sync"
 
 	"compisa/internal/eval"
@@ -20,16 +21,16 @@ type Durability struct {
 	// Strict fails the open on a corrupt checkpoint instead of quarantining
 	// it to <Checkpoint>.corrupt and starting cold.
 	Strict bool
-	// Store is the append-only candidate store: the candidate cache
-	// warm-starts from it, and Durable.Persist writes fresh evaluations
-	// through to it. A store that cannot open leaves the run memory-only.
+	// Store is the append-only profile store: the profile tier warm-starts
+	// from it, and Durable.Persist writes profile sets through to it. A
+	// store that cannot open leaves the run memory-only.
 	Store string
 }
 
 // Durable is the open durable state RunDurable hands its body.
 type Durable struct {
-	// Persist writes fresh candidates through to the store; nil when no
-	// store is open. The caller installs it (or a wrapper) as db.Persist.
+	// Persist writes profile sets through to the store; nil when no store
+	// is open. The caller installs it (or a wrapper) as db.Persist.
 	Persist eval.Persister
 
 	path     string
@@ -44,8 +45,9 @@ type Durable struct {
 // RunDurable opens db's durable state, runs body, then saves the checkpoint
 // and closes the store whatever body returns. Opening restores the
 // checkpoint into db (a corrupt file is quarantined, or an error under
-// Strict, and then body does not run) and warm-starts the candidate cache
-// from the store. Restores, degradations and saves are reported to db.Log.
+// Strict, and then body does not run), warm-starts the profile tier from
+// the store, and then re-scores the checkpoint's design points (no
+// simulation). Restores, degradations and saves are reported to db.Log.
 // RunDurable returns body's error.
 func RunDurable(db *DB, cfg Durability, body func(d *Durable) error) error {
 	logf := db.Log
@@ -57,11 +59,6 @@ func RunDurable(db *DB, cfg Durability, body func(d *Durable) error) error {
 		st, err := openCheckpoint(cfg.Checkpoint, cfg.Strict, logf)
 		if err != nil {
 			return err
-		}
-		if st != nil {
-			st.RestoreDB(db)
-			logf("[resumed from %s: %d ISA profile sets, %d candidates, %d searches]",
-				cfg.Checkpoint, len(st.Profiles), len(st.Candidates), len(st.Frontier))
 		}
 		d.restored = st
 	}
@@ -75,15 +72,32 @@ func RunDurable(db *DB, cfg Durability, body func(d *Durable) error) error {
 					logf("store close: %v", err)
 				}
 			}()
-			adapter := &eval.CandidateStore{S: cs}
-			loaded, skipped, err := adapter.LoadInto(db)
+			loaded, skipped := 0, 0
+			err := cs.Range(func(_ string, val []byte) error {
+				if db.ImportRecord(val) != nil {
+					skipped++
+				} else {
+					loaded++
+				}
+				return nil
+			})
 			if err != nil {
 				logf("[store warm-start: %v]", err)
 			} else if loaded > 0 || skipped > 0 {
-				logf("[reloaded %d candidates from store %s (%d skipped)]", loaded, cfg.Store, skipped)
+				logf("[reloaded %d profile sets from store %s (%d skipped)]", loaded, cfg.Store, skipped)
 			}
-			d.Persist = adapter
+			d.Persist = cs
 		}
+	}
+	if st := d.restored; st != nil {
+		db.Import(st.State)
+		// With every profile source in, the re-score runs no simulation, so
+		// it is brief enough to need no deadline.
+		if err := db.Rescore(context.TODO(), st.Points); err != nil {
+			return err
+		}
+		logf("[resumed from %s: %d ISA profile sets, %d design points, %d searches]",
+			cfg.Checkpoint, len(st.Profiles), len(st.Points), len(st.Frontier))
 	}
 	// Deferred after the store's Close, so it runs before it.
 	defer func() {

@@ -6,15 +6,16 @@ package explore
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
-	"compisa/internal/eval"
 	"compisa/internal/store"
 )
 
@@ -67,8 +68,11 @@ func durableSearch(d *Durable, db *DB) (CMP, error) {
 }
 
 // TestDurableRoundTrip: a run's checkpoint and store restore a second run's
-// candidates and frontier, whose search then scores nothing anew; the
-// store alone restores every candidate.
+// profile sets and frontier without a simulation, its only model
+// evaluations the re-score of the checkpoint's points, after which the
+// search scores nothing anew. The store alone restores every profile set,
+// so even a configuration never evaluated before needs no compile and no
+// simulation.
 func TestDurableRoundTrip(t *testing.T) {
 	var log logLines
 	cfg := durableFiles(t)
@@ -80,17 +84,35 @@ func TestDurableRoundTrip(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	cands := db1.CachedCandidates()
+	cands, sets := len(db1.CandidateKeys()), len(db1.Export().Profiles)
 	if cands == 0 || !log.has("[checkpoint saved to "+cfg.Checkpoint+"]") {
 		t.Fatalf("first run: %d candidates, log %q", cands, log.lines)
 	}
+	saved, err := LoadCheckpoint(cfg.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := want.Cores[0].DP
+	fresh.Cfg.LSQ = 3
+	if slices.Contains(db1.CandidateKeys(), fresh.CacheKey()) {
+		t.Fatalf("%s was evaluated by the first run", fresh)
+	}
 
-	check := func(name string, cfg Durability, frontier int) {
+	// check reopens on cfg, counting from the stats the files restore
+	// (base): the open re-scores the rescored points and nothing else, the
+	// search over them scores nothing anew, and nothing compiles or
+	// simulates, the fresh configuration included.
+	check := func(name string, cfg Durability, base StatsSnapshot, frontier, rescored int) {
 		t.Helper()
 		db := loggedDB(3, &log)
 		if err := RunDurable(db, cfg, func(d *Durable) error {
-			if got := db.CachedCandidates(); got != cands {
-				t.Errorf("%s: restored %d candidates, want %d", name, got, cands)
+			evals := db.Stats.ModelEvals.Load() - base.ModelEvals
+			if rescored > 0 && evals != int64(3*(rescored+1)) {
+				t.Errorf("%s: the open ran %d model evaluations, want the re-score of %d points and the reference",
+					name, evals, rescored)
+			}
+			if got := len(db.CandidateKeys()); got != rescored {
+				t.Errorf("%s: restored %d candidates, want %d", name, got, rescored)
 			}
 			db.Persist = d.Persist
 			s, err := NewSearcher(context.Background(), db)
@@ -101,29 +123,106 @@ func TestDurableRoundTrip(t *testing.T) {
 			if got := len(s.exportFrontier()); got != frontier {
 				t.Errorf("%s: restored %d searches, want %d", name, got, frontier)
 			}
-			evals := db.Stats.ModelEvals.Load()
+			evals = db.Stats.ModelEvals.Load()
 			got, err := s.Search(context.Background(), OrgCompositeFixed, ObjMPThroughput, Budget{AreaMM2: 64})
 			if err != nil {
 				return err
 			}
-			if n := db.Stats.ModelEvals.Load() - evals; n != 0 {
-				t.Errorf("%s: the search over restored points ran %d model evaluations", name, n)
+			if n := db.Stats.ModelEvals.Load() - evals; rescored > 0 && n != 0 {
+				t.Errorf("%s: the search over re-scored points ran %d model evaluations", name, n)
 			}
 			if got.Score != want.Score {
 				t.Errorf("%s: score %v, want %v", name, got.Score, want.Score)
+			}
+			misses := db.Stats.CandidateMisses.Load()
+			if _, err := db.Evaluate(context.Background(), fresh, s.ref); err != nil {
+				return err
+			}
+			if db.Stats.CandidateMisses.Load() != misses+1 {
+				t.Errorf("%s: %s did not score anew", name, fresh)
+			}
+			if n := db.Stats.Compiles.Load() - base.Compiles + db.Stats.Execs.Load() - base.Execs; n != 0 {
+				t.Errorf("%s: the reopened run compiled or simulated %d times", name, n)
 			}
 			return nil
 		}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
-	check("checkpoint and store", cfg, 1)
-	if !log.has(fmt.Sprintf("[resumed from %s: 3 ISA profile sets, %d candidates, 1 searches]", cfg.Checkpoint, cands)) {
+	check("checkpoint and store", cfg, saved.Stats, 1, cands)
+	if !log.has(fmt.Sprintf("[resumed from %s: %d ISA profile sets, %d design points, 1 searches]", cfg.Checkpoint, sets, cands)) {
 		t.Errorf("second run did not report its checkpoint: %q", log.lines)
 	}
-	check("store only", Durability{Store: cfg.Store}, 0)
-	if !log.has(fmt.Sprintf("[reloaded %d candidates from store %s (0 skipped)]", cands, cfg.Store)) {
+	check("store only", Durability{Store: cfg.Store}, StatsSnapshot{}, 0, 0)
+	if !log.has(fmt.Sprintf("[reloaded %d profile sets from store %s (0 skipped)]", sets, cfg.Store)) {
 		t.Errorf("third run did not report its store: %q", log.lines)
+	}
+}
+
+// TestDurableLegacyCandidates: a version 4 checkpoint written while
+// candidates were still persisted carries "candidates" and "ref" blocks;
+// it loads with its profile sets and frontier restored and both blocks
+// ignored.
+func TestDurableLegacyCandidates(t *testing.T) {
+	var log logLines
+	cfg := durableFiles(t)
+	cfg.Store = ""
+	db1 := loggedDB(3, &log)
+	var cmp CMP
+	if err := RunDurable(db1, cfg, func(d *Durable) (err error) {
+		cmp, err = durableSearch(d, db1)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sets := len(db1.Export().Profiles)
+	ref, err := db1.ReferenceMetrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(cfg.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rewrite the file the way the older writer laid it out: whole
+	// candidates and the reference metrics in place of the points.
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	delete(doc, "points")
+	if doc["candidates"], err = json.Marshal(cmp.Cores); err != nil {
+		t.Fatal(err)
+	}
+	if doc["ref"], err = json.Marshal(ref); err != nil {
+		t.Fatal(err)
+	}
+	if data, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cfg.Checkpoint, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	db := loggedDB(3, &log)
+	if err := RunDurable(db, cfg, func(d *Durable) error {
+		if n := len(db.CandidateKeys()); n != 0 {
+			t.Errorf("the legacy candidate block restored %d candidates", n)
+		}
+		s, err := NewSearcher(context.Background(), db)
+		if err != nil {
+			return err
+		}
+		d.Resume(s)
+		if got := len(s.exportFrontier()); got != 1 {
+			t.Errorf("restored %d searches, want 1", got)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !log.has(fmt.Sprintf("[resumed from %s: %d ISA profile sets, 0 design points, 1 searches]", cfg.Checkpoint, sets)) {
+		t.Errorf("legacy checkpoint not restored: %q", log.lines)
 	}
 }
 
@@ -153,7 +252,7 @@ func TestDurableCorruptCheckpoint(t *testing.T) {
 
 	db := loggedDB(1, &log)
 	if err := RunDurable(db, cfg, func(*Durable) error {
-		if db.CachedCandidates() != 0 {
+		if len(db.CandidateKeys()) != 0 {
 			t.Error("a quarantined checkpoint restored candidates")
 		}
 		return nil
@@ -207,7 +306,7 @@ func TestDurableSavesOnError(t *testing.T) {
 		if _, err := durableSearch(d, db); err != nil {
 			return err
 		}
-		cs = d.Persist.(*eval.CandidateStore).S
+		cs = d.Persist.(*store.Store)
 		// The search autosaved; only the exit save can write it again.
 		if err := os.Remove(cfg.Checkpoint); err != nil {
 			return err
@@ -221,9 +320,9 @@ func TestDurableSavesOnError(t *testing.T) {
 	if err != nil || st == nil {
 		t.Fatalf("no checkpoint after a failing body: %v", err)
 	}
-	if len(st.Frontier) != 1 || len(st.Candidates) != db.CachedCandidates() {
-		t.Errorf("checkpoint holds %d searches and %d candidates, want 1 and %d",
-			len(st.Frontier), len(st.Candidates), db.CachedCandidates())
+	if len(st.Frontier) != 1 || len(st.Points) != len(db.CandidateKeys()) {
+		t.Errorf("checkpoint holds %d searches and %d design points, want 1 and %d",
+			len(st.Frontier), len(st.Points), len(db.CandidateKeys()))
 	}
 	if err := cs.Put("k", nil); !errors.Is(err, store.ErrClosed) {
 		t.Errorf("store still open after a failing body: Put = %v", err)

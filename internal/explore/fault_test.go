@@ -91,8 +91,8 @@ func TestFaultCheckpointRoundtrip(t *testing.T) {
 	if st.Version != checkpointVersion {
 		t.Fatalf("checkpoint version %d, want %d", st.Version, checkpointVersion)
 	}
-	if len(st.Candidates) == 0 {
-		t.Fatal("checkpoint should carry the candidate cache tier")
+	if len(st.Points) == 0 {
+		t.Fatal("checkpoint should carry the candidate tier's design points")
 	}
 	if st.Stats.IsZero() {
 		t.Fatal("checkpoint should carry pipeline stats")
@@ -100,13 +100,17 @@ func TestFaultCheckpointRoundtrip(t *testing.T) {
 	// The resumed run injects nothing: only the restored state can reproduce
 	// the faulty run's quarantines and scores.
 	db2 := smallDB(3, nil)
-	st.RestoreDB(db2)
+	db2.Import(st.State)
+	if err := db2.Rescore(ctx, st.Points); err != nil {
+		t.Fatal(err)
+	}
 	s2, err := NewSearcher(ctx, db2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st.RestoreSearcher(s2)
-	// Restored candidates satisfy the resumed search without re-scoring.
+	// Re-scored candidates satisfy the resumed search without scoring anew,
+	// and nothing simulates.
 	evalsAfterRestore := db2.Stats.ModelEvals.Load()
 	cmp2, err := s2.Search(ctx, OrgCompositeFixed, ObjMPThroughput, budget)
 	if err != nil {
@@ -114,6 +118,9 @@ func TestFaultCheckpointRoundtrip(t *testing.T) {
 	}
 	if got := db2.Stats.ModelEvals.Load(); got != evalsAfterRestore {
 		t.Errorf("resumed search re-scored design points: ModelEvals %d -> %d", evalsAfterRestore, got)
+	}
+	if got := db2.Stats.Execs.Load(); got != st.Stats.Execs {
+		t.Errorf("resumed run simulated %d times", got-st.Stats.Execs)
 	}
 	if cmp1.Score != cmp2.Score {
 		t.Errorf("resumed score %v != original %v", cmp2.Score, cmp1.Score)

@@ -33,7 +33,7 @@ const (
 	// (internal/check found violations before execution).
 	StageVerify
 	// StageStore covers durable-tier failures: the content-addressed
-	// design-point store (internal/store) could not append, sync, or
+	// profile store (internal/store) could not append, sync, or
 	// compact. Store faults never invalidate an in-memory evaluation —
 	// they degrade durability, so they are typically marked Transient
 	// (the disk may come back) and a serving layer answers from memory.

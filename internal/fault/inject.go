@@ -36,7 +36,7 @@ const (
 	// The Kind*Write/Sync/Crash kinds are store-operation faults consumed
 	// by a StoreInjector (see store.go), not by the evaluation pipeline's
 	// Injector: they fire per filesystem operation of the durable
-	// design-point store rather than per (region, ISA) evaluation.
+	// profile store rather than per (region, ISA) evaluation.
 	//
 	// KindShortWrite makes a write persist only a prefix of its buffer and
 	// report an error — the torn-write shape a crash leaves on disk.

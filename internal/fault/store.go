@@ -7,7 +7,7 @@ import (
 )
 
 // StoreOp identifies one mutating filesystem operation of the durable
-// design-point store. The StoreInjector decides per operation, so a crash
+// profile store. The StoreInjector decides per operation, so a crash
 // point is "the Nth mutating operation since open" — a coordinate that is
 // stable across runs and lets the chaos harness sweep every phase of an
 // append or compaction deterministically.

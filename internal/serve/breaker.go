@@ -67,7 +67,7 @@ type BreakerStats struct {
 
 // StoreBreaker wraps an eval.Persister with a circuit breaker, so a dying
 // durable tier degrades the service to memory-only instead of taxing every
-// evaluation with a failing write. It is the production wiring between
+// profile set with a failing write. It is the production wiring between
 // eval.DB.Persist and the store:
 //
 //	closed → (Threshold consecutive failures) → open
@@ -101,15 +101,15 @@ func (b *StoreBreaker) logf(format string, args ...any) {
 	}
 }
 
-// PutCandidate forwards the write unless the circuit is open; while open,
-// one write per OpenFor window goes through as the half-open probe.
-func (b *StoreBreaker) PutCandidate(key string, c *eval.Candidate) error {
+// Put forwards the write unless the circuit is open; while open, one write
+// per OpenFor window goes through as the half-open probe.
+func (b *StoreBreaker) Put(key string, val []byte) error {
 	probe, skip := b.admitWrite()
 	if skip {
 		b.stats.Skipped.Inc()
 		return ErrStoreOpen
 	}
-	err := b.p.PutCandidate(key, c)
+	err := b.p.Put(key, val)
 	b.record(probe, err)
 	return err
 }

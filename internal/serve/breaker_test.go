@@ -11,8 +11,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"compisa/internal/eval"
 )
 
 // flakyPersister fails while down, tracking every attempted write.
@@ -23,7 +21,7 @@ type flakyPersister struct {
 	calls []string
 }
 
-func (p *flakyPersister) PutCandidate(key string, c *eval.Candidate) error {
+func (p *flakyPersister) Put(key string, val []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.calls = append(p.calls, key)
@@ -58,13 +56,13 @@ func TestBreakerTripAndRecover(t *testing.T) {
 		OpenFor:   10 * time.Second,
 		now:       func() time.Time { return clock },
 	})
-	cand := &eval.Candidate{}
+	rec := []byte("{}")
 
 	for i := 0; i < 3; i++ {
 		if b.State() != BreakerClosed {
 			t.Fatalf("state before failure %d = %s, want closed", i, b.State())
 		}
-		if err := b.PutCandidate(fmt.Sprintf("k%d", i), cand); err == nil {
+		if err := b.Put(fmt.Sprintf("k%d", i), rec); err == nil {
 			t.Fatal("expected persist failure")
 		}
 	}
@@ -78,7 +76,7 @@ func TestBreakerTripAndRecover(t *testing.T) {
 	// While open (window not elapsed) writes are skipped without touching
 	// the persister.
 	before := p.attempts()
-	if err := b.PutCandidate("skipped", cand); !errors.Is(err, ErrStoreOpen) {
+	if err := b.Put("skipped", rec); !errors.Is(err, ErrStoreOpen) {
 		t.Fatalf("open-circuit write: got %v, want ErrStoreOpen", err)
 	}
 	if p.attempts() != before {
@@ -91,20 +89,20 @@ func TestBreakerTripAndRecover(t *testing.T) {
 	// Window elapses but the store is still down: the probe goes through,
 	// fails, and re-opens the circuit for another full window.
 	clock = clock.Add(11 * time.Second)
-	if err := b.PutCandidate("probe1", cand); err == nil {
+	if err := b.Put("probe1", rec); err == nil {
 		t.Fatal("probe against a down store should fail")
 	}
 	if b.State() != BreakerOpen {
 		t.Fatalf("state after failed probe = %s, want open", b.State())
 	}
-	if err := b.PutCandidate("still-skipped", cand); !errors.Is(err, ErrStoreOpen) {
+	if err := b.Put("still-skipped", rec); !errors.Is(err, ErrStoreOpen) {
 		t.Fatalf("post-failed-probe write: got %v, want ErrStoreOpen", err)
 	}
 
 	// Store recovers; next window's probe succeeds and closes the circuit.
 	p.setDown(false)
 	clock = clock.Add(11 * time.Second)
-	if err := b.PutCandidate("probe2", cand); err != nil {
+	if err := b.Put("probe2", rec); err != nil {
 		t.Fatalf("recovery probe: %v", err)
 	}
 	if b.State() != BreakerClosed {
@@ -113,7 +111,7 @@ func TestBreakerTripAndRecover(t *testing.T) {
 	if b.Degraded() {
 		t.Fatal("closed circuit should not report degraded")
 	}
-	if err := b.PutCandidate("normal", cand); err != nil {
+	if err := b.Put("normal", rec); err != nil {
 		t.Fatalf("post-recovery write: %v", err)
 	}
 	if got := b.Stats().Trips.Load(); got != 2 {
@@ -129,13 +127,13 @@ func TestBreakerTripAndRecover(t *testing.T) {
 func TestBreakerIntermittentFailures(t *testing.T) {
 	p := &flakyPersister{}
 	b := NewStoreBreaker(p, BreakerConfig{Threshold: 3})
-	cand := &eval.Candidate{}
+	rec := []byte("{}")
 	for round := 0; round < 5; round++ {
 		p.setDown(true)
-		b.PutCandidate("a", cand)
-		b.PutCandidate("b", cand)
+		b.Put("a", rec)
+		b.Put("b", rec)
 		p.setDown(false)
-		if err := b.PutCandidate("c", cand); err != nil {
+		if err := b.Put("c", rec); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		if b.State() != BreakerClosed {
@@ -153,7 +151,7 @@ func TestBreakerIntermittentFailures(t *testing.T) {
 func TestBreakerConcurrent(t *testing.T) {
 	p := &flakyPersister{}
 	b := NewStoreBreaker(p, BreakerConfig{Threshold: 2, OpenFor: time.Millisecond})
-	cand := &eval.Candidate{}
+	rec := []byte("{}")
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -163,7 +161,7 @@ func TestBreakerConcurrent(t *testing.T) {
 				if i%50 == 0 {
 					p.setDown(i%100 == 0)
 				}
-				b.PutCandidate(fmt.Sprintf("w%d-%d", w, i), cand)
+				b.Put(fmt.Sprintf("w%d-%d", w, i), rec)
 			}
 		}(w)
 	}
@@ -171,7 +169,7 @@ func TestBreakerConcurrent(t *testing.T) {
 	p.setDown(false)
 	// Drive probes until the circuit closes again.
 	waitFor(t, "circuit to close", func() bool {
-		b.PutCandidate("drain", cand)
+		b.Put("drain", rec)
 		return b.State() == BreakerClosed
 	})
 }
@@ -189,7 +187,7 @@ func TestServeWithStoreDown(t *testing.T) {
 	defer ts.Close()
 
 	// Trip the circuit the way production would: a persist failure.
-	b.PutCandidate("boom", &eval.Candidate{})
+	b.Put("boom", nil)
 	if b.State() != BreakerOpen {
 		t.Fatalf("state = %s, want open", b.State())
 	}

@@ -72,7 +72,7 @@ type Config struct {
 	// Store, when set, is the durable tier's circuit breaker; its state is
 	// surfaced on /healthz ("degraded" while the circuit is not closed) and
 	// /metrics. Serving never depends on it — a degraded store only means
-	// fresh evaluations are not being persisted.
+	// fresh profile sets are not being persisted.
 	Store *StoreBreaker
 	// Log, if set, receives serving events (rejections, faults, drain).
 	Log func(format string, args ...any)

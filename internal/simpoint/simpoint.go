@@ -8,6 +8,7 @@ package simpoint
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"compisa/internal/code"
@@ -61,10 +62,13 @@ func CollectBBV(p *code.Program, m *mem.Memory, intervalLen int64, maxInstrs int
 	return out, nil
 }
 
+// normalize L1-normalizes v. Like dist2, it sums in key order: a sum in
+// map order varies in its last bits from run to run, enough to move a
+// k-means representative.
 func normalize(v map[int32]float64) map[int32]float64 {
 	total := 0.0
-	for _, c := range v {
-		total += c
+	for _, k := range sortedKeys(v) {
+		total += v[k]
 	}
 	out := make(map[int32]float64, len(v))
 	for k, c := range v {
@@ -73,18 +77,31 @@ func normalize(v map[int32]float64) map[int32]float64 {
 	return out
 }
 
+// dist2 is the squared Euclidean distance between two sparse vectors,
+// summed in key order over the union of their keys.
 func dist2(a, b map[int32]float64) float64 {
-	d := 0.0
-	for k, va := range a {
-		vb := b[k]
-		d += (va - vb) * (va - vb)
-	}
-	for k, vb := range b {
+	keys := sortedKeys(a)
+	for k := range b {
 		if _, ok := a[k]; !ok {
-			d += vb * vb
+			keys = append(keys, k)
 		}
 	}
+	slices.Sort(keys)
+	d := 0.0
+	for _, k := range keys {
+		x := a[k] - b[k]
+		d += x * x
+	}
 	return d
+}
+
+func sortedKeys(v map[int32]float64) []int32 {
+	keys := make([]int32, 0, len(v))
+	for k := range v {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // Phase is one representative region chosen by clustering.

@@ -1,6 +1,7 @@
 package simpoint
 
 import (
+	"fmt"
 	"testing"
 
 	"compisa/internal/compiler"
@@ -176,5 +177,42 @@ func TestBBVOnWorkloadRegion(t *testing.T) {
 func TestCollectBBVValidatesInterval(t *testing.T) {
 	if _, err := CollectBBV(nil, nil, 0, 0); err == nil {
 		t.Fatal("zero interval length must error")
+	}
+}
+
+// TestSimpointRerunIdentical: collecting and clustering one region again
+// reports the same phases, as compose-simpoint prints them. The vector
+// normalization and the k-means distances once summed over Go maps, whose
+// random order let bzip2.6 report rep@8 on one run and rep@9 on the next.
+func TestSimpointRerunIdentical(t *testing.T) {
+	var reg workload.Region
+	for _, r := range workload.Regions() {
+		if r.Name == "bzip2.6" {
+			reg = r
+		}
+	}
+	var first string
+	for i := 0; i < 200; i++ {
+		f, m, err := reg.Build(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := compiler.Compile(f, isa.X8664, compiler.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ivs, err := CollectBBV(prog, m, 5000, 100_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := ""
+		for _, ph := range KMeans(ivs, 8, 1) {
+			got += fmt.Sprintf(" [rep@%d w=%.2f]", ph.Representative, ph.Weight)
+		}
+		if i == 0 {
+			first = got
+		} else if got != first {
+			t.Fatalf("rerun %d reports%s, the first run%s", i, got, first)
+		}
 	}
 }

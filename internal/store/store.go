@@ -1,7 +1,7 @@
-// Package store is a crash-safe, content-addressed persistent store for
-// evaluated design points: the durable tier under the evaluation service's
-// in-memory caches. Keys are DesignPoint.CacheKey strings (a stable
-// cross-host identity), values are opaque byte blobs (candidate JSON).
+// Package store is a crash-safe, content-addressed persistent store: the
+// durable profile tier under the evaluation pipeline's in-memory caches.
+// Keys are ISA keys (a stable cross-host identity), values are opaque byte
+// blobs (one completed profile set each, encoded by eval.DB).
 //
 // Format: one append-only log file. An 8-byte magic header is followed by
 // length-prefixed records:
@@ -110,7 +110,7 @@ type recLoc struct {
 	keyLen int
 }
 
-// Store is the crash-safe design-point store. All methods are safe for
+// Store is the crash-safe record store. All methods are safe for
 // concurrent use.
 type Store struct {
 	mu       sync.Mutex
