@@ -258,14 +258,18 @@ func runISel(irf *ir.Func, fs isa.FeatureSet, mf *mFunc, noFolding bool) error {
 			}
 			if d := in.Def(); d != ir.NoReg {
 				c.defCount[d]++
+				// Kept only for a vreg with a single def, which is this one.
+				c.constOnce[d] = in.Op == ir.Const
 				if in.Op == ir.Const {
 					c.constVal[d] = in.Imm
 				}
 			}
 		}
 	}
-	for v := range c.constOnce {
-		c.constOnce[v] = c.defCount[v] == 1 && c.isConstDef(ir.VReg(v))
+	for v, n := range c.defCount {
+		if n != 1 {
+			c.constOnce[v] = false
+		}
 	}
 	// Create machine blocks in IR layout order.
 	for _, b := range irf.Blocks {
@@ -280,18 +284,6 @@ func runISel(irf *ir.Func, fs isa.FeatureSet, mf *mFunc, noFolding bool) error {
 		}
 	}
 	return nil
-}
-
-func (c *iselCtx) isConstDef(v ir.VReg) bool {
-	for _, b := range c.irf.Blocks {
-		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			if in.Def() == v {
-				return in.Op == ir.Const
-			}
-		}
-	}
-	return false
 }
 
 // fusible reports whether the Cmp/FCmp at index pos of block b can be

@@ -46,9 +46,10 @@ type Durable struct {
 // and closes the store whatever body returns. Opening restores the
 // checkpoint into db (a corrupt file is quarantined, or an error under
 // Strict, and then body does not run), warm-starts the profile tier from
-// the store, and then re-scores the checkpoint's design points (no
-// simulation). Restores, degradations and saves are reported to db.Log.
-// RunDurable returns body's error.
+// the store, compacting away the records it cannot read, and then
+// re-scores the checkpoint's design points (no simulation). Restores,
+// degradations and saves are reported to db.Log. RunDurable returns body's
+// error.
 func RunDurable(db *DB, cfg Durability, body func(d *Durable) error) error {
 	logf := db.Log
 	if logf == nil {
@@ -72,10 +73,11 @@ func RunDurable(db *DB, cfg Durability, body func(d *Durable) error) error {
 					logf("store close: %v", err)
 				}
 			}()
-			loaded, skipped := 0, 0
-			err := cs.Range(func(_ string, val []byte) error {
+			loaded := 0
+			var skipped []string
+			err := cs.Range(func(key string, val []byte) error {
 				if db.ImportRecord(val) != nil {
-					skipped++
+					skipped = append(skipped, key)
 				} else {
 					loaded++
 				}
@@ -83,8 +85,16 @@ func RunDurable(db *DB, cfg Durability, body func(d *Durable) error) error {
 			})
 			if err != nil {
 				logf("[store warm-start: %v]", err)
-			} else if loaded > 0 || skipped > 0 {
-				logf("[reloaded %d profile sets from store %s (%d skipped)]", loaded, cfg.Store, skipped)
+			} else if loaded > 0 || len(skipped) > 0 {
+				logf("[reloaded %d profile sets from store %s (%d skipped)]", loaded, cfg.Store, len(skipped))
+			}
+			// A record the warm start cannot read, such as a candidate from
+			// a log the older candidate store wrote, would be scanned and
+			// skipped by every later open: rewrite the log without it.
+			if err == nil && len(skipped) > 0 {
+				if err := cs.Compact(skipped...); err != nil {
+					logf("[store compaction: %v]", err)
+				}
 			}
 			d.Persist = cs
 		}

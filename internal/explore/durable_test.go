@@ -226,6 +226,58 @@ func TestDurableLegacyCandidates(t *testing.T) {
 	}
 }
 
+// TestDurableStaleRecordsCompacted: a candidate record, as the older
+// candidate store wrote them, is skipped by the warm start and compacted
+// away, so the next open skips nothing and reads a smaller log.
+func TestDurableStaleRecordsCompacted(t *testing.T) {
+	var log logLines
+	cfg := durableFiles(t)
+	cfg.Checkpoint = ""
+	open := func() {
+		t.Helper()
+		db := loggedDB(1, &log)
+		if err := RunDurable(db, cfg, func(d *Durable) error {
+			db.Persist = d.Persist
+			_, err := NewSearcher(context.Background(), db)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	open() // persists the reference profile set
+	cs, err := store.Open(cfg.Store, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale, err := json.Marshal(fakeCandidate(1, 1.5, 0.5, 6, 12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cs.Put("legacy-candidate", stale); err != nil {
+		t.Fatal(err)
+	}
+	if err := cs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.Stat(cfg.Store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, skipped := range []int{1, 0} {
+		open()
+		if !log.has(fmt.Sprintf("[reloaded 1 profile sets from store %s (%d skipped)]", cfg.Store, skipped)) {
+			t.Fatalf("open with %d stale records not logged: %q", skipped, log.lines)
+		}
+	}
+	after, err := os.Stat(cfg.Store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Size() >= before.Size() {
+		t.Errorf("log is %d bytes after the opens, %d before: the stale record was kept", after.Size(), before.Size())
+	}
+}
+
 // TestDurableCorruptCheckpoint: a corrupt checkpoint is quarantined and the
 // run starts cold, or, under Strict, fails before its body runs.
 func TestDurableCorruptCheckpoint(t *testing.T) {

@@ -92,12 +92,19 @@ type suiteIndex struct {
 	steps    [][4]int32
 	mixStart []int
 	nRegions int // length of the suite; regions are indexed 0..nRegions-1
+	// stSkip reports whether every region weight is finite and >= 0, which
+	// makes scoreSTSlot monotone in the slot's values: single-thread passes
+	// skip dominated trials (see dominators) only then.
+	stSkip bool
 }
 
 func newSuiteIndex(regions []workload.Region) *suiteIndex {
-	si := &suiteIndex{nRegions: len(regions)}
+	si := &suiteIndex{nRegions: len(regions), stSkip: true}
 	byBench := map[string]int{}
 	for i, r := range regions {
+		if !(r.Weight >= 0 && r.Weight <= math.MaxFloat64) {
+			si.stSkip = false
+		}
 		bi, ok := byBench[r.Benchmark]
 		if !ok {
 			bi = len(si.benchRegions)
@@ -437,6 +444,44 @@ func (si *suiteIndex) scoreSTSlot(c *Candidate, edp bool, restBest []float64) fl
 	return total / float64(len(si.benchRegions))
 }
 
+// dominators returns, for each entry j of cs, the cheapest earlier entry k
+// whose signed values (mpValues) are at least j's at every region, or -1
+// when there is none. Cheapest is the lowest PeakW + AreaMM2/10, ties going
+// to the lower index. An entry with a non-finite value neither dominates
+// nor is dominated. Every scorer is monotone in the slot's values (see the
+// skip in searchCounted), so a trial that puts j in a slot never scores
+// above the trial that puts k there.
+func dominators(cs []*Candidate, edp bool) []int32 {
+	finite := make([]bool, len(cs))
+	for i, c := range cs {
+		v, _ := mpValues(c, edp)
+		finite[i] = !slices.ContainsFunc(v, func(x float64) bool { return math.IsNaN(x) || math.IsInf(x, 0) })
+	}
+	cost := func(k int32) float64 { return cs[k].PeakW + cs[k].AreaMM2/10 }
+	dom := make([]int32, len(cs))
+	for j, c := range cs {
+		dom[j] = -1
+		if !finite[j] {
+			continue
+		}
+		vj, sign := mpValues(c, edp)
+	next:
+		for k := range int32(j) {
+			if !finite[k] || dom[j] >= 0 && !(cost(k) < cost(dom[j])) {
+				continue
+			}
+			vk, _ := mpValues(cs[k], edp)
+			for r, x := range vj {
+				if !(sign*vk[r] >= sign*x) {
+					continue next
+				}
+			}
+			dom[j] = k
+		}
+	}
+	return dom
+}
+
 func (si *suiteIndex) score(cores *[4]*Candidate, obj Objective) float64 {
 	switch obj {
 	case ObjMPThroughput:
@@ -624,21 +669,23 @@ func prune(ctx context.Context, filtered []*Candidate, edp bool, maxCands int) (
 // front is the part of a search that depends only on which candidates
 // survive its filter, not on the budget that filtered them: the pruned
 // pool and each pool entry's ISA key, and, filled in on first use, the
-// pool's homogeneous scores per objective and its stepMax. prune is a pure
-// function of the ordered survivors, edp and the candidate cap, hom[obj] of
-// each candidate and obj, and stepMax of each candidate and edp, all over
-// one suite, so every search with the same survivors, edp and cap may share
-// one front, bit for bit. Fronts are shared, so they are read-only: a
-// search that extends the pool copies it.
+// pool's homogeneous scores per objective, its stepMax and its dominators.
+// prune is a pure function of the ordered survivors, edp and the candidate
+// cap, hom[obj] of each candidate and obj, stepMax of each candidate and
+// edp, and dom of the pool and edp, all over one suite, so every search
+// with the same survivors, edp and cap may share one front, bit for bit.
+// Fronts are shared, so they are read-only: a search that extends the pool
+// copies it.
 type front struct {
 	survivors []*Candidate // the filter's output the front was built from
 	edp       bool
 	cands     []*Candidate // the pruned pool, in utility order
 	isaKeys   []string     // isaKeys[i] is cands[i].DP.ISA.Key()
 
-	mu      sync.Mutex   // guards hom and stepMax
+	mu      sync.Mutex   // guards hom, stepMax and dom
 	hom     [4][]float64 // per Objective: each pool entry's homogeneous score
 	stepMax []float64    // each pool entry's stepMax under edp
+	dom     []int32      // dominators(cands, edp)
 }
 
 // fill returns *p, storing v there first if *p is still nil. The first
@@ -683,6 +730,17 @@ func (f *front) stepMaxes(si *suiteIndex) []float64 {
 		return sm
 	}
 	return f.fill(&f.stepMax, si.stepMaxes(f.cands, f.edp))
+}
+
+// dominators returns dominators(f.cands, f.edp), computing it, under the
+// front's lock, on the front's first search that skips dominated trials.
+func (f *front) dominators() []int32 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.dom == nil {
+		f.dom = dominators(f.cands, f.edp)
+	}
+	return f.dom
 }
 
 // frontKey buckets the stored fronts; within a bucket a front is found by
@@ -805,11 +863,13 @@ func sortByKeyDesc(cs []*Candidate, key func(*Candidate) float64) {
 }
 
 // climbPool is a candidate pool a climb draws replacements from, with the
-// stepMax of each entry when screening. Its address identifies it in the
-// pass memo.
+// stepMax of each entry when screening and, when skipping dominated trials,
+// the dominator of each entry dom covers (the others have none). Its
+// address identifies it in the pass memo.
 type climbPool struct {
 	cands   []*Candidate
 	stepMax []float64
+	dom     []int32
 }
 
 // passKey identifies one slot pass of a climb: the climb point's ordered
@@ -845,15 +905,30 @@ func search(ctx context.Context, spec SearchSpec, regions []workload.Region) (cm
 // fronts. Only the front is shared: the seeding, climbs, pass memo and
 // polish pass are the search's own.
 func searchWith(ctx context.Context, spec SearchSpec, si *suiteIndex, fronts *frontMemo) (cmp CMP, passesRun, passesReused int64, err error) {
+	cmp, n, err := searchCounted(ctx, spec, si, fronts)
+	return cmp, n.passesRun, n.passesReused, err
+}
+
+// searchCounts is the work of one search's climbs: the slot passes they
+// scanned and took from the pass memo, and, over the scanned passes, the
+// feasible trials skipped as dominated, screened (screenMP) and scored
+// exactly (scoreMP or scoreSTSlot).
+type searchCounts struct {
+	passesRun, passesReused  int64
+	skipped, screened, exact int64
+}
+
+// searchCounted is searchWith that also counts its climbs' trials.
+func searchCounted(ctx context.Context, spec SearchSpec, si *suiteIndex, fronts *frontMemo) (CMP, searchCounts, error) {
 	ok := survivors(spec)
 	if len(ok) == 0 {
-		return CMP{}, 0, 0, fmt.Errorf("explore: no feasible candidates under %s", spec.Budget)
+		return CMP{}, searchCounts{}, fmt.Errorf("explore: no feasible candidates under %s", spec.Budget)
 	}
 	st := spec.Objective.SingleThread()
 	edp := spec.Objective == ObjMPEDP || spec.Objective == ObjSTEDP
 	fr, err := fronts.front(ctx, ok, edp, spec.MaxCandidates)
 	if err != nil {
-		return CMP{}, 0, 0, err
+		return CMP{}, searchCounts{}, err
 	}
 	cands := fr.cands
 
@@ -861,7 +936,7 @@ func searchWith(ctx context.Context, spec SearchSpec, si *suiteIndex, fronts *fr
 	// budget, and the seed searches below revisit it at several budgets.
 	hom, err := fr.homScores(ctx, si, spec.Objective)
 	if err != nil {
-		return CMP{}, 0, 0, err
+		return CMP{}, searchCounts{}, err
 	}
 
 	// Seeds: the best feasible homogeneous CMP at the full budget and at
@@ -958,33 +1033,38 @@ func searchWith(ctx context.Context, spec SearchSpec, si *suiteIndex, fronts *fr
 		}
 	}
 	if len(seeds) == 0 {
-		return CMP{}, 0, 0, fmt.Errorf("explore: no feasible homogeneous seed under %s", spec.Budget)
+		return CMP{}, searchCounts{}, fmt.Errorf("explore: no feasible homogeneous seed under %s", spec.Budget)
 	}
 	if spec.Homogeneous {
 		// Homogeneous organizations take the full-budget seed.
 		best, _ := bestHomogeneous(spec.Budget)
 		if err := ctx.Err(); err != nil {
-			return CMP{}, 0, 0, err
+			return CMP{}, searchCounts{}, err
 		}
-		return best, 0, 0, nil
+		return best, searchCounts{}, nil
 	}
 
-	// Multi-programmed climbs reject each trial on the O(1) bound, then on
-	// the screen against the rest table of its (climb point, slot), and
-	// score exactly only the trials that could clear the acceptance test
-	// (see screenTol). Single-thread climbs score each trial against the
-	// best of the other three cores per region.
+	// Multi-programmed climbs reject each trial on the O(1) bound, then
+	// skip it when it is dominated (see scan), then reject it on the screen
+	// against the rest table of its (climb point, slot), and score exactly
+	// only the trials that could clear the acceptance test (see
+	// screenTol). Single-thread climbs skip dominated trials and score the
+	// others against the best of the other three cores per region.
 	screen := !st && fronts.screenSound(ctx, si, spec.Candidates, edp)
 	pool := &climbPool{cands: cands}
 	if screen {
 		pool.stepMax = fr.stepMaxes(si)
 	}
+	if screen || st && si.stSkip {
+		pool.dom = fr.dominators()
+	}
 
 	// scan runs one slot pass from cur over pool, using the caller's
-	// scratch, and returns the climb point it ends on, or ctx's error when
-	// ctx cut it short.
-	scan := func(cur CMP, slot int, pool *climbPool, rest [][4]float64, restBest []float64) (CMP, error) {
+	// scratch, and returns the climb point it ends on and the pass's trial
+	// counts, or ctx's error when ctx cut it short.
+	scan := func(cur CMP, slot int, pool *climbPool, rest [][4]float64, restBest []float64) (CMP, searchCounts, error) {
 		best := cur
+		var n searchCounts
 		var restMax float64
 		switch {
 		case screen:
@@ -992,9 +1072,23 @@ func searchWith(ctx context.Context, spec SearchSpec, si *suiteIndex, fronts *fr
 		case st:
 			si.stRestBest(&cur.Cores, slot, edp, restBest)
 		}
+		// Dominance skip: trial j is never accepted when an earlier pool
+		// entry k = dom[j], whose values are at least j's at every region,
+		// also makes a feasible trial. Each scorer, the screen and the
+		// bound are monotone in the slot's values, and k's trial was
+		// scanned earlier in this pass: rejected by the bound or the screen
+		// (so j's would be too), scored below the acceptance threshold, or
+		// accepted (raising best to at least j's score). See DESIGN.md.
+		dominated := func(trial [4]*Candidate, j int) bool {
+			if j >= len(pool.dom) || pool.dom[j] < 0 {
+				return false
+			}
+			trial[slot] = pool.cands[pool.dom[j]]
+			return feasible(&trial, spec.Budget, st)
+		}
 		for j, c := range pool.cands {
 			if err := ctx.Err(); err != nil {
-				return best, err
+				return best, n, err
 			}
 			trial := cur.Cores
 			trial[slot] = c
@@ -1005,20 +1099,35 @@ func searchWith(ctx context.Context, spec SearchSpec, si *suiteIndex, fronts *fr
 			switch {
 			case screen:
 				floor := best.Score + 1e-12 - screenTol
-				if si.mpBound(restMax, pool.stepMax[j]) <= floor || si.screenMP(c, edp, rest) <= floor {
+				if si.mpBound(restMax, pool.stepMax[j]) <= floor {
 					continue
 				}
+				if dominated(trial, j) {
+					n.skipped++
+					continue
+				}
+				n.screened++
+				if si.screenMP(c, edp, rest) <= floor {
+					continue
+				}
+				n.exact++
 				s = si.scoreMP(&trial, edp)
 			case st:
+				if dominated(trial, j) {
+					n.skipped++
+					continue
+				}
+				n.exact++
 				s = si.scoreSTSlot(c, edp, restBest)
 			default:
+				n.exact++
 				s = si.scoreMP(&trial, edp)
 			}
 			if s > best.Score+1e-12 {
 				best = CMP{Cores: trial, Score: s}
 			}
 		}
-		return best, nil
+		return best, n, nil
 	}
 
 	// climb hill-climbs one seed over a candidate pool, taking each slot
@@ -1027,7 +1136,8 @@ func searchWith(ctx context.Context, spec SearchSpec, si *suiteIndex, fronts *fr
 	// the polish pass below can widen it for one call without mutating
 	// shared state. A pass cut short is never kept.
 	var passes par.Memo[passKey, CMP]
-	var run, reused atomic.Int64 // passes scanned to completion; taken from an earlier scan
+	var mu sync.Mutex // guards counts
+	var counts searchCounts
 	climb := func(seed CMP, pool *climbPool) CMP {
 		best := seed
 		var rest [][4]float64
@@ -1043,14 +1153,25 @@ func searchWith(ctx context.Context, spec SearchSpec, si *suiteIndex, fronts *fr
 			for slot := 0; slot < 4; slot++ {
 				cur := best
 				k := passKey{cores: cur.Cores, score: math.Float64bits(cur.Score), slot: slot, pool: pool}
-				end, shared, err := passes.Do(ctx, k, func() (CMP, error) { return scan(cur, slot, pool, rest, restBest) })
+				end, shared, err := passes.Do(ctx, k, func() (CMP, error) {
+					end, n, err := scan(cur, slot, pool, rest, restBest)
+					if err == nil {
+						mu.Lock()
+						counts.passesRun++
+						counts.skipped += n.skipped
+						counts.screened += n.screened
+						counts.exact += n.exact
+						mu.Unlock()
+					}
+					return end, err
+				})
 				if err != nil {
 					return best
 				}
 				if shared {
-					reused.Add(1)
-				} else {
-					run.Add(1)
+					mu.Lock()
+					counts.passesReused++
+					mu.Unlock()
 				}
 				// Every accepted trial raises the score, so a pass moved
 				// the climb point exactly when it accepted one.
@@ -1069,10 +1190,10 @@ func searchWith(ctx context.Context, spec SearchSpec, si *suiteIndex, fronts *fr
 		return climb(seeds[i], pool), nil
 	})
 	if err != nil {
-		return CMP{}, 0, 0, err
+		return CMP{}, searchCounts{}, err
 	}
 	if err := ctx.Err(); err != nil {
-		return CMP{}, 0, 0, err
+		return CMP{}, searchCounts{}, err
 	}
 	var best CMP
 	for i, r := range results {
@@ -1087,7 +1208,9 @@ func searchWith(ctx context.Context, spec SearchSpec, si *suiteIndex, fronts *fr
 	for _, c := range best.Cores {
 		inBest[c.DP.ISA.Key()] = true
 	}
-	extended := &climbPool{cands: append([]*Candidate{}, cands...)}
+	// The extended pool keeps cands' dominators; the entries added after
+	// them have none.
+	extended := &climbPool{cands: append([]*Candidate{}, cands...), dom: pool.dom}
 	seen := map[*Candidate]bool{}
 	for _, c := range cands {
 		seen[c] = true
@@ -1104,10 +1227,10 @@ func searchWith(ctx context.Context, spec SearchSpec, si *suiteIndex, fronts *fr
 	}
 	best = climb(best, extended)
 	if err := ctx.Err(); err != nil {
-		return CMP{}, 0, 0, err
+		return CMP{}, searchCounts{}, err
 	}
 
 	// Canonical core order for stable output.
 	slices.SortFunc(best.Cores[:], func(a, b *Candidate) int { return descending(b.PeakW, a.PeakW) })
-	return best, run.Load(), reused.Load(), nil
+	return best, counts, nil
 }

@@ -15,18 +15,57 @@ import (
 	"compisa/internal/workload"
 )
 
+// searchFixtureBase is how many seeded random candidates open the search
+// fixture's candidate list; the dominance extras follow them.
+const searchFixtureBase = 36
+
 // searchFixtureCands draws the 36 seeded random candidates of
-// TestSearchScreenedMatchesExact.
+// TestSearchScreenedMatchesExact and appends the dominance extras built
+// from some of them (see dominanceExtras).
 func searchFixtureCands(n int) []*Candidate {
 	rng := rand.New(rand.NewSource(5))
 	choices := CompositeChoices()
 	var cands []*Candidate
-	for i := 0; i < 36; i++ {
+	for i := 0; i < searchFixtureBase; i++ {
 		c := randomCandidate(rng, n, i%6 == 0)
 		c.DP.ISA = choices[i%len(choices)]
 		cands = append(cands, c)
 	}
-	return cands
+	return append(cands, dominanceExtras(cands)...)
+}
+
+// scaledCandidate copies c with every speedup multiplied by perf, every
+// normalized EDP divided by it, and peak power and area multiplied by cost.
+func scaledCandidate(c *Candidate, perf, cost float64) *Candidate {
+	s := *c
+	s.Speedup, s.NormEDP = slices.Clone(c.Speedup), slices.Clone(c.NormEDP)
+	for r := range s.Speedup {
+		s.Speedup[r] *= perf
+		s.NormEDP[r] /= perf
+	}
+	s.PeakW *= cost
+	s.AreaMM2 *= cost
+	return &s
+}
+
+// dominanceExtras derives candidates that dominate or are dominated by
+// base ones: scaled copies that are better and costlier or worse and
+// cheaper, an equal-valued twin, a pair equal but for the sign of their
+// zeros, and, last, one candidate with a NaN speedup.
+func dominanceExtras(base []*Candidate) []*Candidate {
+	var out []*Candidate
+	for _, i := range []int{2, 7, 18, 24} {
+		out = append(out, scaledCandidate(base[i], 1.25, 1.3), scaledCandidate(base[i], 0.8, 0.7))
+	}
+	out = append(out, scaledCandidate(base[18], 1, 1))
+	pos, neg := scaledCandidate(base[12], 1, 0.9), scaledCandidate(base[12], 1, 0.9)
+	for r := 0; r < len(pos.Speedup); r += 5 {
+		pos.Speedup[r], pos.NormEDP[r] = 0, 0
+		neg.Speedup[r], neg.NormEDP[r] = math.Copysign(0, -1), math.Copysign(0, -1)
+	}
+	nan := scaledCandidate(base[22], 1.1, 1)
+	nan.Speedup[3] = math.NaN()
+	return append(out, pos, neg, nan)
 }
 
 // searchFixtureCase is one cell of testdata/search.golden.
@@ -36,21 +75,39 @@ type searchFixtureCase struct {
 }
 
 // searchFixtureCases covers every objective under a power cap, an area cap
-// and no cap, heterogeneous, plus one homogeneous search.
+// and no cap, heterogeneous, plus one homogeneous search, over the random
+// candidates alone. Then, over the random candidates and the finite
+// dominance extras, every objective under a budget tight enough that the
+// better, costlier copies are out of reach, and under none; and every
+// objective with the non-finite extra too, under no budget. Each group
+// searches a prefix of cands, so both multi-programmed objectives stay
+// screened until the non-finite candidate joins.
 func searchFixtureCases(cands []*Candidate) []searchFixtureCase {
 	objs := []struct {
 		name string
 		obj  Objective
 	}{{"mp-throughput", ObjMPThroughput}, {"mp-edp", ObjMPEDP}, {"st-perf", ObjSTPerf}, {"st-edp", ObjSTEDP}}
+	base, finite := cands[:searchFixtureBase], cands[:len(cands)-1]
 	var out []searchFixtureCase
 	for _, o := range objs {
 		for _, b := range []Budget{{PeakW: 30}, {AreaMM2: 48}, {}} {
 			out = append(out, searchFixtureCase{o.name + " " + b.String(),
-				SearchSpec{Candidates: cands, Budget: b, Objective: o.obj}})
+				SearchSpec{Candidates: base, Budget: b, Objective: o.obj}})
 		}
 	}
-	hom := SearchSpec{Candidates: cands, Budget: Budget{PeakW: 30}, Objective: ObjMPThroughput, Homogeneous: true}
-	return append(out, searchFixtureCase{"mp-throughput 30W homogeneous", hom})
+	hom := SearchSpec{Candidates: base, Budget: Budget{PeakW: 30}, Objective: ObjMPThroughput, Homogeneous: true}
+	out = append(out, searchFixtureCase{"mp-throughput 30W homogeneous", hom})
+	for _, o := range objs {
+		for _, b := range []Budget{{PeakW: 24, AreaMM2: 44}, {}} {
+			out = append(out, searchFixtureCase{"dominance " + o.name + " " + b.String(),
+				SearchSpec{Candidates: finite, Budget: b, Objective: o.obj}})
+		}
+	}
+	for _, o := range objs {
+		out = append(out, searchFixtureCase{"non-finite " + o.name + " unlimited",
+			SearchSpec{Candidates: cands, Objective: o.obj}})
+	}
+	return out
 }
 
 // searchDigest is a fixture line's value: the index of each core in the
@@ -158,7 +215,7 @@ func storedFront(fm *frontMemo, spec SearchSpec) *front {
 
 // checkFrontMemo fails unless every front and value the memo holds equals,
 // bit for bit, a fresh computation: nothing a later search can read is
-// partial. Every search through fm must have run over cands.
+// partial. Every search through fm must be one of searchFixtureCases(cands).
 func checkFrontMemo(t *testing.T, fm *frontMemo, si *suiteIndex, cands []*Candidate) {
 	t.Helper()
 	fm.mu.Lock()
@@ -187,26 +244,38 @@ func checkFrontMemo(t *testing.T, fm *frontMemo, si *suiteIndex, cands []*Candid
 			if f.stepMax != nil && !sameBits(f.stepMax, si.stepMaxes(f.cands, f.edp)) {
 				t.Error("stored stepMax differs from a fresh one")
 			}
+			if f.dom != nil && !slices.Equal(f.dom, dominators(f.cands, f.edp)) {
+				t.Error("stored dominators differ from fresh ones")
+			}
 		}
 	}
 	// A probe that fails stores nothing; a stored verdict answers it. Every
-	// kept verdict must answer one of the two probes: one kept under any
-	// other key was stored for a candidate slice no search used.
+	// kept verdict must answer a probe of a candidate slice the fixture
+	// searches: one kept under any other key was stored for a slice no
+	// search used.
 	errProbe := errors.New("probe")
 	found := 0
-	for _, edp := range []bool{false, true} {
-		k := soundKey{cs: &cands[0], n: len(cands), edp: edp}
-		v, stored, _ := fm.sound.Do(context.Background(), k, func() (bool, error) { return false, errProbe })
-		if !stored {
-			continue
-		}
-		found++
-		if v != si.screenSound(cands, edp) {
-			t.Errorf("stored screenSound verdict %v (edp=%v) is stale", v, edp)
+	probed := map[soundKey]bool{}
+	for _, tc := range searchFixtureCases(cands) {
+		cs := tc.spec.Candidates
+		for _, edp := range []bool{false, true} {
+			k := soundKey{cs: &cs[0], n: len(cs), edp: edp}
+			if probed[k] {
+				continue
+			}
+			probed[k] = true
+			v, stored, _ := fm.sound.Do(context.Background(), k, func() (bool, error) { return false, errProbe })
+			if !stored {
+				continue
+			}
+			found++
+			if v != si.screenSound(cs, edp) {
+				t.Errorf("stored screenSound verdict %v (edp=%v, %d candidates) is stale", v, edp, len(cs))
+			}
 		}
 	}
 	if n := fm.sound.Len(); n != found {
-		t.Errorf("screenSound verdicts stored for a candidate slice no search used: %d kept, %d under the searched slice", n, found)
+		t.Errorf("screenSound verdicts stored for a candidate slice no search used: %d kept, %d under the searched slices", n, found)
 	}
 }
 

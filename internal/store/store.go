@@ -519,11 +519,11 @@ func (s *Store) Recovery() Recovery {
 	return s.recovery
 }
 
-// Compact rewrites the log with only live records: write-new + fsync +
-// atomic rename + directory fsync. A crash at any point leaves either the
-// complete old log or the complete new one; a failed compaction leaves the
-// old log serving and removes its temporary.
-func (s *Store) Compact() error {
+// Compact rewrites the log with only live records, leaving out the keys in
+// drop: write-new + fsync + atomic rename + directory fsync. A crash at any
+// point leaves either the complete old log or the complete new one; a
+// failed compaction leaves the old log serving and removes its temporary.
+func (s *Store) Compact(drop ...string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -544,9 +544,15 @@ func (s *Store) Compact() error {
 		s.fs.Remove(tmpName)
 		return storeErr("compact: "+stage, err)
 	}
+	dropped := make(map[string]bool, len(drop))
+	for _, k := range drop {
+		dropped[k] = true
+	}
 	keys := make([]string, 0, len(s.index))
 	for k := range s.index {
-		keys = append(keys, k)
+		if !dropped[k] {
+			keys = append(keys, k)
+		}
 	}
 	sort.Strings(keys)
 	if _, err := tmp.WriteAt([]byte(magic), 0); err != nil {

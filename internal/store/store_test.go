@@ -283,6 +283,38 @@ func TestCompact(t *testing.T) {
 	}
 }
 
+// TestCompactDrop: keys named to Compact are left out of the new log, so
+// neither the store nor a reopen serves them; a named key the store lacks
+// changes nothing.
+func TestCompactDrop(t *testing.T) {
+	path := testPath(t)
+	s := mustOpen(t, path, Options{})
+	for _, k := range []string{"a", "b", "c"} {
+		mustPut(t, s, k, "v-"+k)
+	}
+	if err := s.Compact("b", "absent"); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	check := func(s *Store) {
+		t.Helper()
+		if s.Len() != 2 {
+			t.Fatalf("Len = %d, want 2", s.Len())
+		}
+		if _, err := s.Get("b"); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("Get(b) = %v, want ErrNotFound", err)
+		}
+		wantGet(t, s, "a", "v-a")
+		wantGet(t, s, "c", "v-c")
+	}
+	check(s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := mustOpen(t, path, Options{})
+	defer s2.Close()
+	check(s2)
+}
+
 // TestGroupCommit proves every Put is its own commit: each pays one write
 // and one fsync, and an idle Sync issues no fsync.
 func TestGroupCommit(t *testing.T) {
