@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: check build vet vettool lint test race fault-smoke chaos conformance bench bench-smoke \
-	bench-e2e bench-e2e-search rerun-identical bench-baseline bench-diff serve-smoke fuzz cover jit-diff cross-build
+	bench-e2e bench-e2e-search bench-e2e-smoke rerun-identical bench-baseline bench-diff serve-smoke fuzz cover jit-diff cross-build
 
 build:
 	$(GO) build ./...
@@ -105,6 +105,13 @@ bench-e2e:
 # search digests all match bench/golden.json.
 bench-e2e-search:
 	bash bench/run.sh --workload search-mp --seed 1 --seconds 1
+
+# The benchmark's own tests (a step of the CI bench-golden job): all three
+# workloads, serve-mixed over loopback included, on 3 regions (~17 s), each
+# run twice to the same digests, with serve-mixed checking every reply and
+# re-evaluating a sample of them on a fresh DB.
+bench-e2e-smoke:
+	cd bench && $(GO) test ./...
 
 # Every experiment at the default GOMAXPROCS and on one processor (a step of
 # the CI bench-golden job): the tables must be byte-identical, since the

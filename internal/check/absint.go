@@ -20,6 +20,7 @@ package check
 
 import (
 	"math"
+	"slices"
 
 	"compisa/internal/code"
 )
@@ -35,6 +36,8 @@ type lattice[S any] interface {
 	Entry() S
 	// Clone returns an independent copy of s.
 	Clone(s S) S
+	// CopyInto overwrites dst with src, reusing dst's storage.
+	CopyInto(dst, src S)
 	// JoinInto merges src into dst (moving dst up the lattice only) and
 	// reports whether dst changed. With widen set, unstable facts jump to
 	// top instead of climbing one step at a time.
@@ -46,8 +49,9 @@ type lattice[S any] interface {
 // interpret runs the worklist fixpoint and returns the per-block in-states
 // plus a has-state mask (false for blocks never reached: unreachable
 // blocks, or everything when the program is empty). Out-states are not
-// retained; rules re-run Transfer from a clone of the in-state when they
-// need mid-block facts.
+// returned; rules re-run Transfer from a copy of the in-state when they
+// need mid-block facts. A block's out-state is allocated on its first
+// visit and overwritten in place on every later one.
 func interpret[S any](p *code.Program, g *CFG, d *DomTree, lat lattice[S]) ([]S, []bool) {
 	nb := len(g.Blocks)
 	ins := make([]S, nb)
@@ -59,11 +63,14 @@ func interpret[S any](p *code.Program, g *CFG, d *DomTree, lat lattice[S]) ([]S,
 	}
 	visits := make([]int, nb)
 	flow := func(b int) {
-		st := lat.Clone(ins[b])
-		for i := g.Blocks[b].Start; i < g.Blocks[b].End; i++ {
-			lat.Transfer(st, i, &p.Instrs[i])
+		if hasOut[b] {
+			lat.CopyInto(outs[b], ins[b])
+		} else {
+			outs[b], hasOut[b] = lat.Clone(ins[b]), true
 		}
-		outs[b], hasOut[b] = st, true
+		for i := g.Blocks[b].Start; i < g.Blocks[b].End; i++ {
+			lat.Transfer(outs[b], i, &p.Instrs[i])
+		}
 	}
 	ins[0], hasIn[0] = lat.Entry(), true
 	flow(0)
@@ -264,20 +271,32 @@ func condFlags(f absFlags, cc code.CC) bool {
 
 // constState is the constant/value-range abstract state: one interval per
 // integer register plus the flags. FP/SIMD registers are not tracked (no
-// rule or fact consumes them).
+// rule or fact consumes them). reg covers the registers up to the highest
+// one the program names (see newConstDomain); every other register of the
+// 64-entry file keeps its entry value, zero, since nothing reads or writes
+// it, so leaving it out changes no fact.
 type constState struct {
-	reg   [64]ival
+	reg   []ival
 	flags absFlags
 }
 
 type constDomain struct {
 	addrMask uint64 // MaxUint32 on 32-bit feature sets, like the executor
+	nregs    int    // len(constState.reg)
 }
 
 func newConstDomain(p *code.Program) *constDomain {
 	d := &constDomain{addrMask: math.MaxUint64}
 	if p.FS.Width == 32 {
 		d.addrMask = math.MaxUint32
+	}
+	for i := range p.Instrs {
+		in := &p.Instrs[i]
+		for _, r := range [...]code.Reg{in.Dst, in.Src1, in.Src2, in.Mem.Base, in.Mem.Index, in.Pred} {
+			if int(r) < 64 && int(r) >= d.nregs {
+				d.nregs = int(r) + 1
+			}
+		}
 	}
 	return d
 }
@@ -286,12 +305,16 @@ func newConstDomain(p *code.Program) *constDomain {
 // inputs arrive via loads), flags unknown (nothing has set them — reading
 // them first is udef's business, not ours).
 func (d *constDomain) Entry() *constState {
-	return &constState{}
+	return &constState{reg: make([]ival, d.nregs)}
 }
 
 func (d *constDomain) Clone(s *constState) *constState {
-	c := *s
-	return &c
+	return &constState{reg: slices.Clone(s.reg), flags: s.flags}
+}
+
+func (d *constDomain) CopyInto(dst, src *constState) {
+	copy(dst.reg, src.reg)
+	dst.flags = src.flags
 }
 
 func (d *constDomain) JoinInto(dst, src *constState, widen bool) bool {
@@ -318,6 +341,8 @@ func (d *constDomain) JoinInto(dst, src *constState, widen bool) bool {
 // report those; the domain just refuses to claim anything about them).
 func (s *constState) getReg(r code.Reg) ival {
 	if int(r) >= len(s.reg) {
+		// Past the tracked registers: malformed, as every register the
+		// program names is tracked.
 		return topIval
 	}
 	return s.reg[r]
@@ -374,7 +399,7 @@ func (d *constDomain) Transfer(s *constState, idx int, in *code.Instr) {
 			case def == resFlags:
 				s.flags = absFlags{}
 			case def < resFPBase:
-				s.reg[def-resIntBase] = topIval
+				s.setReg(code.Reg(def-resIntBase), topIval)
 			}
 		}
 		return
@@ -598,6 +623,8 @@ func (d *spillMustDomain) Entry() *spillMustState {
 func (d *spillMustDomain) Clone(s *spillMustState) *spillMustState {
 	return &spillMustState{stored: s.stored.Copy()}
 }
+
+func (d *spillMustDomain) CopyInto(dst, src *spillMustState) { copy(dst.stored, src.stored) }
 
 // JoinInto intersects: a slot survives the join only when every incoming
 // path stored it. Bits only clear, so the chain is finite and no widening

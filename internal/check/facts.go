@@ -128,7 +128,7 @@ func (a *analysis) facts() *Facts {
 			bf.StartPC = p.PC[b.Start]
 		}
 		if st := ins[bi]; st != nil {
-			for r := 0; r < 64; r++ {
+			for r := range st.reg {
 				if refInt[r] && st.reg[r].isConst() {
 					bf.Consts = append(bf.Consts, RegFact{Reg: "r" + itoa(r), Value: st.reg[r].Lo})
 				}
@@ -281,6 +281,7 @@ func (a *analysis) deriveTripCount(loopIdx int) int64 {
 	ins := a.constStates()
 	haveInit := false
 	var init uint64
+	st := a.constDom.Entry() // scratch, overwritten per predecessor
 	for _, pb := range g.Blocks[l.Header].Preds {
 		if l.Contains(pb) {
 			continue
@@ -288,7 +289,7 @@ func (a *analysis) deriveTripCount(loopIdx int) int64 {
 		if ins[pb] == nil {
 			return 0
 		}
-		st := a.constDom.Clone(ins[pb])
+		a.constDom.CopyInto(st, ins[pb])
 		for i := g.Blocks[pb].Start; i < g.Blocks[pb].End; i++ {
 			a.constDom.Transfer(st, i, &p.Instrs[i])
 		}

@@ -33,6 +33,7 @@ func (a *analysis) branchFacts() []int8 {
 	g := a.cfg
 	kinds := make([]int8, len(g.Blocks))
 	ins := a.constStates()
+	st := a.constDom.Entry() // scratch, overwritten per block
 	for bi := range g.Blocks {
 		b := &g.Blocks[bi]
 		if !b.Reachable || ins[bi] == nil {
@@ -42,7 +43,7 @@ func (a *analysis) branchFacts() []int8 {
 		if last.Op != code.JCC || last.Predicated() {
 			continue
 		}
-		st := a.constDom.Clone(ins[bi])
+		a.constDom.CopyInto(st, ins[bi])
 		for i := b.Start; i < b.End-1; i++ {
 			a.constDom.Transfer(st, i, &a.p.Instrs[i])
 		}
@@ -162,12 +163,13 @@ func checkMemRange(a *analysis) []Finding {
 	g := a.cfg
 	ins := a.constStates()
 	var out []Finding
+	st := a.constDom.Entry() // scratch, overwritten per block
 	for bi := range g.Blocks {
 		b := &g.Blocks[bi]
 		if !b.Reachable || ins[bi] == nil {
 			continue
 		}
-		st := a.constDom.Clone(ins[bi])
+		a.constDom.CopyInto(st, ins[bi])
 		for i := b.Start; i < b.End; i++ {
 			in := &a.p.Instrs[i]
 			if in.HasMem && in.Op != code.LEA {
@@ -282,12 +284,14 @@ func checkStackJoin(a *analysis) []Finding {
 	mustIn := a.spillMustStoredIn()
 	dom := &spillMustDomain{slots: slots}
 	var out []Finding
+	// Scratch states, overwritten per block.
+	may, must := NewBitSet(len(slots)), dom.Entry()
 	for bi := range g.Blocks {
 		if !g.Blocks[bi].Reachable || mustIn[bi] == nil {
 			continue
 		}
-		may := mayIn[bi].Copy()
-		must := dom.Clone(mustIn[bi])
+		copy(may, mayIn[bi])
+		dom.CopyInto(must, mustIn[bi])
 		for i := g.Blocks[bi].Start; i < g.Blocks[bi].End; i++ {
 			in := &a.p.Instrs[i]
 			if addr, ok := spillSlotRef(in); ok && isSpillLoad(in.Op) {

@@ -342,7 +342,14 @@ func log2u(s uint8) int {
 // emitProgram lowers the allocated machine function into final code with
 // layout.
 func emitProgram(f *mFunc, fs isa.FeatureSet, alloc *allocation, name string, compact bool, tgt *isa.Target) (*code.Program, error) {
-	e := &emitter{f: f, fs: fs, alloc: alloc, start: map[*mBlock]int{}, stats: &f.stats}
+	// The program is about one instruction per machine instruction and
+	// two branches per block; spill code adds some.
+	n := 2 * len(f.blocks)
+	for _, b := range f.blocks {
+		n += len(b.instrs)
+	}
+	e := &emitter{f: f, fs: fs, alloc: alloc, out: make([]code.Instr, 0, n+n/4),
+		start: make(map[*mBlock]int, len(f.blocks)), stats: &f.stats}
 	for bi, b := range f.blocks {
 		e.start[b] = len(e.out)
 		for i := range b.instrs {

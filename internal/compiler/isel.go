@@ -277,8 +277,10 @@ func runISel(irf *ir.Func, fs isa.FeatureSet, mf *mFunc, noFolding bool) error {
 	}
 	for _, b := range irf.Blocks {
 		c.cur = c.blockMap[b]
-		c.folds = map[ir.VReg]foldCand{}
-		c.lastDef = map[vreg]int{}
+		// Lowering is about one machine instruction per IR instruction.
+		c.cur.instrs = make([]mInstr, 0, len(b.Instrs))
+		clear(c.folds)
+		clear(c.lastDef)
 		if err := c.lowerBlock(b); err != nil {
 			return err
 		}

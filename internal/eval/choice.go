@@ -2,7 +2,9 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
+	"sync"
 
 	"compisa/internal/cpu"
 	"compisa/internal/isa"
@@ -159,32 +161,39 @@ func AllChoices() []ISAChoice {
 	return out
 }
 
+// choiceIndex maps every ISA key to its choice, the first in AllChoices
+// order winning where keys repeat (the x86-ized sets overlap the
+// composites), and lists the distinct keys in that order. It is built once:
+// the choice space is fixed.
+var choiceIndex = sync.OnceValues(func() (map[string]ISAChoice, []string) {
+	all := AllChoices()
+	byKey := make(map[string]ISAChoice, len(all))
+	var keys []string
+	for _, c := range all {
+		k := c.Key()
+		if _, dup := byKey[k]; !dup {
+			byKey[k] = c
+			keys = append(keys, k)
+		}
+	}
+	return byKey, keys
+})
+
 // ChoiceByKey resolves an ISA key (as produced by ISAChoice.Key, e.g.
 // "x86-16D-64W-P" or "vendor:thumb") back to its choice. It is the parsing
 // seam of the serving layer: requests name ISAs by key, and the key
 // vocabulary is exactly the enumerable choice space.
 func ChoiceByKey(key string) (ISAChoice, bool) {
-	for _, c := range AllChoices() {
-		if c.Key() == key {
-			return c, true
-		}
-	}
-	return ISAChoice{}, false
+	byKey, _ := choiceIndex()
+	c, ok := byKey[key]
+	return c, ok
 }
 
 // ChoiceKeys lists every valid ISA key in AllChoices order, duplicates
-// (the x86-ized sets overlap the composites) removed.
+// removed. The slice is the caller's own.
 func ChoiceKeys() []string {
-	var keys []string
-	seen := map[string]bool{}
-	for _, c := range AllChoices() {
-		k := c.Key()
-		if !seen[k] {
-			seen[k] = true
-			keys = append(keys, k)
-		}
-	}
-	return keys
+	_, keys := choiceIndex()
+	return slices.Clone(keys)
 }
 
 // ReferenceConfig is the normalization core: the largest out-of-order

@@ -14,7 +14,6 @@ import (
 	"compisa/internal/cpu"
 	"compisa/internal/fault"
 	"compisa/internal/isa"
-	"compisa/internal/mem"
 	"compisa/internal/migrate"
 	"compisa/internal/par"
 	"compisa/internal/workload"
@@ -39,9 +38,14 @@ import (
 //   - candidates: (ISA key, canonical config) → evaluated design point,
 //     normalized against the DB's own reference metrics, so the 4680-point
 //     scoring stage runs once per process no matter how many budgets,
-//     organizations, or experiment drivers consume it. Only the profile
-//     tier is durable (Persister, State); a restart re-scores the points
-//     (Rescore).
+//     organizations, or experiment drivers consume it. A candidate keeps
+//     only what searches and the serving layer read (scores, area, peak
+//     power); EachMetric rescores a point's full per-region metrics on
+//     demand. Only the profile tier is durable (Persister, State); a
+//     restart re-scores the points (Rescore).
+//
+// Beside the tiers, each profile set's perfmodel scorers are built once
+// (scorers) and shared by every later score of that ISA.
 //
 // Failure model: a failing (region, ISA) evaluation is retried (bounded,
 // with backoff) while it looks transient, then quarantined — its profile
@@ -82,6 +86,7 @@ type DB struct {
 	profiles   map[string][]*cpu.Profile // ISA key -> per-region profiles (nil slot = quarantined)
 	quarantine map[string]string         // "region|isaKey" -> reason
 	cands      map[string]*Candidate     // DesignPoint.CacheKey() -> candidate
+	scorerSets map[string]*scorerSet     // ISA key -> scorers over its profile set
 	ref        []Metric                  // memoized reference metrics (normalization basis)
 }
 
@@ -94,7 +99,8 @@ func NewDB() *DB {
 		// bad pairs, not the cross product.
 		quarantine: make(map[string]string, 8),
 		// cands holds the full sweep: ~26 choices x ~180 configurations.
-		cands: make(map[string]*Candidate, 4096),
+		cands:      make(map[string]*Candidate, 4096),
+		scorerSets: make(map[string]*scorerSet, 32),
 	}
 }
 
@@ -119,7 +125,11 @@ func pairKey(region, isaKey string) string { return region + "|" + isaKey }
 // Concurrent callers for the same ISA share one computation, and one
 // caller's cancellation never fails another (see par.Memo).
 func (db *DB) Profiles(ctx context.Context, c ISAChoice) ([]*cpu.Profile, error) {
-	key := c.Key()
+	return db.profilesOf(ctx, c, c.Key())
+}
+
+// profilesOf is Profiles for a caller that already holds c's key.
+func (db *DB) profilesOf(ctx context.Context, c ISAChoice, key string) ([]*cpu.Profile, error) {
 	// Each call counts once: a hit when it shares another call's set (the
 	// work is shared, not repeated) or finds one restored, a miss when it
 	// computes one.
@@ -255,7 +265,7 @@ func (db *DB) profileOnce(ctx context.Context, r workload.Region, c ISAChoice, a
 		case <-t.C:
 		}
 	}
-	prog, m, err := db.compile(r, c, d)
+	prog, err := db.compile(r, c, d)
 	if err != nil {
 		return nil, classify(fault.StageCompile, err)
 	}
@@ -290,9 +300,9 @@ func (db *DB) profileOnce(ctx context.Context, r workload.Region, c ISAChoice, a
 		prog.Instrs[0].Op = 0xEF
 	}
 	if d.Kind == fault.KindNone {
-		p, err = db.simulate(ctx, simKeyOf(r.Name, c.FS.Width, prog), prog, m, ropts)
+		p, err = db.simulate(ctx, simKeyOf(r.Name, c.FS.Width, prog), prog, r, c.FS.Width, ropts)
 	} else {
-		p, err = db.exec(prog, m, ropts)
+		p, err = db.exec(prog, r, c.FS.Width, ropts)
 	}
 	if err != nil {
 		if d.Kind == fault.KindRunaway || d.Kind == fault.KindCorrupt {
@@ -306,15 +316,17 @@ func (db *DB) profileOnce(ctx context.Context, r workload.Region, c ISAChoice, a
 	return p, nil
 }
 
-// compile is the build and compile stage of every profiled cell: region r
-// built at c's width and compiled for c (failing if d injects a compile
-// fault), unverified, with the initial memory image it runs on.
-func (db *DB) compile(r workload.Region, c ISAChoice, d fault.Decision) (*code.Program, *mem.Memory, error) {
+// compile is the build and compile stage of every profiled cell: region r's
+// code built at c's width and compiled for c (failing if d injects a
+// compile fault), unverified. The memory image the program runs on is built
+// only if it is simulated (see exec): most cells share another cell's
+// simulation and never run.
+func (db *DB) compile(r workload.Region, c ISAChoice, d fault.Decision) (*code.Program, error) {
 	start := time.Now()
 	db.Stats.Compiles.Inc()
-	f, m, err := r.Build(c.FS.Width)
+	f, err := r.Code(c.FS.Width)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// The pipeline has its own verification stage (with fault
 	// classification and stats); skip the compiler's internal gate so the
@@ -332,11 +344,11 @@ func (db *DB) compile(r workload.Region, c ISAChoice, d fault.Decision) (*code.P
 	}
 	prog, err := compiler.Compile(f, c.FS, copts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	db.Stats.CompileTime.Since(start)
 	prog.Name = r.Name
-	return prog, m, nil
+	return prog, nil
 }
 
 // TranslatedProfiles profiles, on the par pool, every region compiled for
@@ -350,7 +362,7 @@ func (db *DB) TranslatedProfiles(ctx context.Context, from, to isa.FeatureSet) (
 	ropts := cpu.RunOptions{MaxInstrs: MaxRegionInstrs, Interrupt: ctx.Err}
 	return par.Map(ctx, len(db.Regions), 0, func(i int) (*cpu.Profile, error) {
 		r := db.Regions[i]
-		prog, m, err := db.compile(r, ISAChoice{FS: from}, fault.Decision{})
+		prog, err := db.compile(r, ISAChoice{FS: from}, fault.Decision{})
 		if err != nil {
 			return nil, fault.Wrap(fault.StageCompile, r.Name, from.String(), err)
 		}
@@ -358,7 +370,7 @@ func (db *DB) TranslatedProfiles(ctx context.Context, from, to isa.FeatureSet) (
 		if err != nil {
 			return nil, nil
 		}
-		p, err := db.simulate(ctx, simKeyOf(r.Name, from.Width, trans), trans, m, ropts)
+		p, err := db.simulate(ctx, simKeyOf(r.Name, from.Width, trans), trans, r, from.Width, ropts)
 		return p, fault.Wrap(fault.StageExec, r.Name, to.String(), err)
 	})
 }
@@ -366,10 +378,10 @@ func (db *DB) TranslatedProfiles(ctx context.Context, from, to isa.FeatureSet) (
 // simulate returns prog's profile, running the functional simulation only
 // if no other cell with the same key already has. A failed simulation is
 // never kept: its waiters simulate again (see par.Memo).
-func (db *DB) simulate(ctx context.Context, key simKey, prog *code.Program, m *mem.Memory, ropts cpu.RunOptions) (*cpu.Profile, error) {
+func (db *DB) simulate(ctx context.Context, key simKey, prog *code.Program, r workload.Region, width int, ropts cpu.RunOptions) (*cpu.Profile, error) {
 	p, shared, err := db.sims.Do(ctx, key, func() (*cpu.Profile, error) {
 		db.Stats.SimMisses.Inc()
-		return db.exec(prog, m, ropts)
+		return db.exec(prog, r, width, ropts)
 	})
 	if err != nil || !shared {
 		return p, err
@@ -378,11 +390,17 @@ func (db *DB) simulate(ctx context.Context, key simKey, prog *code.Program, m *m
 	return overlay(p, prog), nil
 }
 
-// exec runs one functional simulation with profiling; Execs and ExecTime
-// count only these real runs.
-func (db *DB) exec(prog *code.Program, m *mem.Memory, ropts cpu.RunOptions) (*cpu.Profile, error) {
+// exec runs one functional simulation of prog, compiled from region r
+// built at width, with profiling; Execs and ExecTime count only these real
+// runs. ExecTime includes building the region again for its initial memory
+// image, which compile leaves out.
+func (db *DB) exec(prog *code.Program, r workload.Region, width int, ropts cpu.RunOptions) (*cpu.Profile, error) {
 	start := time.Now()
 	db.Stats.Execs.Inc()
+	_, m, err := r.Build(width)
+	if err != nil {
+		return nil, err
+	}
 	p, _, err := cpu.CollectProfileOpts(prog, m, ropts)
 	if err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -19,16 +20,17 @@ type Metric struct {
 	Perf   perfmodel.Result
 }
 
-// Candidate is a fully evaluated single-core design point. Candidates are
-// immutable once evaluated: the candidate cache and every search share the
-// same pointers.
+// Candidate is a fully evaluated single-core design point: what searches and
+// the serving layer read. Its per-region Metrics are not kept (they would be
+// ~80% of its size); DB.EachMetric recomputes them. Candidates are immutable
+// once evaluated: the candidate cache and every search share the same
+// pointers.
 type Candidate struct {
 	DP      DesignPoint
 	AreaMM2 float64
 	PeakW   float64
-	// Per-region metrics, indexed like DB.Regions.
-	M []Metric
-	// Speedup[r] = reference cycles / candidate cycles for region r.
+	// Speedup[r] = reference cycles / candidate cycles for region r, with
+	// regions indexed like DB.Regions.
 	Speedup []float64
 	// NormEDP[r] = candidate E*D / reference E*D.
 	NormEDP []float64
@@ -60,17 +62,172 @@ func (db *DB) ReferenceMetrics(ctx context.Context) ([]Metric, error) {
 		return ref, nil
 	}
 	dp := DesignPoint{ISA: X8664Choice(), Cfg: ReferenceConfig()}
-	c, err := db.Evaluate(ctx, dp, nil)
+	s, err := db.scorers(ctx, dp.ISA)
+	if err != nil {
+		return nil, err
+	}
+	m := make([]Metric, len(db.Regions))
+	err = db.score(s, dp, nil, true, func(r int, x Metric, _ power.EnergyResult, _ error) {
+		db.tally(dp, r, nil)
+		m[r] = x
+	})
 	if err != nil {
 		return nil, err
 	}
 	db.mu.Lock()
 	if db.ref == nil {
-		db.ref = c.M
+		db.ref = m
 	}
 	ref = db.ref
 	db.mu.Unlock()
 	return ref, nil
+}
+
+// EachMetric rescores dp against the DB's reference, uncached, and hands
+// each region's metric to each, in region order, with the power.Energy
+// result its energy came from. Nothing keeps these metrics, so the
+// candidate tier stays small; they are the metrics EvaluateBatch scored
+// dp's candidate from, bit for bit. A degraded region comes with the error
+// it degraded on, a placeholder metric back-derived from the reference and
+// a zero energy result. Rescoring counts nothing in db.Stats once dp's ISA
+// has been scored (its first use fetches its profile set, counted as
+// Profiles counts).
+func (db *DB) EachMetric(ctx context.Context, dp DesignPoint, each func(r int, m Metric, en power.EnergyResult, err error)) error {
+	return db.rescore(ctx, dp, true, each)
+}
+
+// EachCycles is EachMetric for readers of cycles alone: it hands each
+// region's Metric.Cycles to each and skips the energy model.
+func (db *DB) EachCycles(ctx context.Context, dp DesignPoint, each func(r int, cycles float64)) error {
+	return db.rescore(ctx, dp, false, func(r int, m Metric, _ power.EnergyResult, _ error) { each(r, m.Cycles) })
+}
+
+// rescore is EachMetric, with the energy model run only if energy is set.
+func (db *DB) rescore(ctx context.Context, dp DesignPoint, energy bool, each func(r int, m Metric, en power.EnergyResult, err error)) error {
+	ref, err := db.ReferenceMetrics(ctx)
+	if err != nil {
+		return err
+	}
+	db.mu.Lock()
+	s := db.scorerSets[dp.ISA.Key()]
+	db.mu.Unlock()
+	if s == nil {
+		if s, err = db.scorers(ctx, dp.ISA); err != nil {
+			return err
+		}
+	}
+	return db.score(s, dp, ref, energy, each)
+}
+
+// scorerSet is what scoring any configuration of one ISA choice reads: its
+// profile set and one perfmodel.Scorer per region. Scorers are immutable,
+// so the DB builds one set per profile set and every later score shares it.
+type scorerSet struct {
+	ps      []*cpu.Profile
+	scorers []*perfmodel.Scorer
+	// errs holds each region's scorer construction error (an empty
+	// profile): a model error for every configuration, surfaced by score.
+	errs []error
+	tr   power.Traits
+}
+
+// scorers returns choice's scorer set, fetching the profile set through
+// Profiles (so profile hits and misses count as before) and building the
+// scorers on the set's first use. Concurrent first uses may each build a
+// set; they are equal, and the first one stored is kept.
+func (db *DB) scorers(ctx context.Context, choice ISAChoice) (*scorerSet, error) {
+	key := choice.Key()
+	ps, err := db.profilesOf(ctx, choice, key)
+	if err != nil {
+		return nil, err
+	}
+	db.mu.Lock()
+	s := db.scorerSets[key]
+	db.mu.Unlock()
+	if s != nil {
+		return s, nil
+	}
+	s = &scorerSet{
+		ps:      ps,
+		scorers: make([]*perfmodel.Scorer, len(ps)),
+		errs:    make([]error, len(ps)),
+		tr:      choice.Traits(),
+	}
+	for r, p := range ps {
+		if p != nil {
+			s.scorers[r], s.errs[r] = perfmodel.NewScorer(p)
+		}
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if prev := db.scorerSets[key]; prev != nil {
+		return prev, nil
+	}
+	db.scorerSets[key] = s
+	return s, nil
+}
+
+// errQuarantined is the error a region degrades on when its profile is
+// quarantined, so that no model evaluation ran.
+var errQuarantined = errors.New("eval: region quarantined")
+
+// score is the one per-configuration scoring function: it scores dp on
+// every region with s's scorer and, if energy is set, power.Energy (else
+// each gets a zero energy and energy result), and hands each region's
+// metric and energy result to each. A quarantined region (errQuarantined),
+// or one whose model evaluation fails, degrades: each gets its error, a
+// placeholder back-derived from the reference so that D =
+// refD/speedupPenalty and E*D = edpPenalty*refE*refD, and a zero energy
+// result. With a nil ref (the reference itself) any such region is an
+// error instead. score counts nothing; see tally.
+func (db *DB) score(s *scorerSet, dp DesignPoint, ref []Metric, energy bool, each func(r int, m Metric, en power.EnergyResult, err error)) error {
+	for r, p := range s.ps {
+		var perf perfmodel.Result
+		err := errQuarantined
+		if p != nil {
+			if err = s.errs[r]; err == nil {
+				perf, err = s.scorers[r].Cycles(dp.Cfg)
+			}
+			if err != nil {
+				err = fault.Wrap(fault.StageModel, db.Regions[r].Name, dp.ISA.Key(), err)
+			}
+		}
+		if err != nil {
+			if ref == nil {
+				if p == nil {
+					return fmt.Errorf("eval: reference region %s unavailable", db.Regions[r].Name)
+				}
+				return err
+			}
+			each(r, Metric{
+				Cycles: ref[r].Cycles / speedupPenalty,
+				Energy: ref[r].Energy * edpPenalty * speedupPenalty,
+			}, power.EnergyResult{}, err)
+			continue
+		}
+		var en power.EnergyResult
+		if energy {
+			en = power.Energy(s.tr, dp.Cfg, p, perf)
+		}
+		each(r, Metric{Cycles: perf.Cycles, Energy: en.Total, Perf: perf}, en, nil)
+	}
+	return nil
+}
+
+// tally counts one region of a fresh score (EvaluateBatch, the reference):
+// a model evaluation unless the region is quarantined and, when it
+// degraded on err, a degraded region, logged if the model failed.
+func (db *DB) tally(dp DesignPoint, r int, err error) {
+	if err != errQuarantined {
+		db.Stats.ModelEvals.Inc()
+	}
+	if err == nil {
+		return
+	}
+	if err != errQuarantined {
+		db.logf("eval: degrading %s on %s: %v", db.Regions[r].Name, dp, err)
+	}
+	db.Stats.DegradedRegions.Inc()
 }
 
 // isOwnRef reports whether ref is the DB's memoized reference slice; only
@@ -91,9 +248,8 @@ func (db *DB) isOwnRef(ref []Metric) bool {
 // DesignPoint.CacheKey, so repeated sweeps over overlapping design points
 // (different budgets, organizations, experiment drivers) share one scoring
 // pass. Quarantined regions degrade to the quarantine penalties (Speedup =
-// speedupPenalty, NormEDP = edpPenalty, with Cycles/Energy back-derived from
-// the reference) instead of failing; with a nil ref (the reference
-// evaluation itself) any failure is an error.
+// speedupPenalty, NormEDP = edpPenalty) instead of failing; with a nil ref
+// any failure is an error.
 func (db *DB) Evaluate(ctx context.Context, dp DesignPoint, ref []Metric) (*Candidate, error) {
 	cs, err := db.EvaluateBatch(ctx, dp.ISA, []cpu.CoreConfig{dp.Cfg}, ref)
 	if err != nil {
@@ -103,14 +259,15 @@ func (db *DB) Evaluate(ctx context.Context, dp DesignPoint, ref []Metric) (*Cand
 }
 
 // EvaluateBatch evaluates every configuration of one ISA choice in a single
-// pass: one profile fetch and one perfmodel.Scorer per region are shared
-// across the whole configuration set, so the configuration-independent terms
-// of the interval model (micro-op mix fractions, mispredict volumes, naive
-// stall sums) are computed once instead of ~180 times per profile. It is the
-// batch counterpart of Evaluate — same candidate cache tier, same degradation
-// policy, same stats. TestEvaluateBatchMatchesOracle checks each candidate
-// against its composition from perfmodel.Cycles, power.Energy and the
-// normalization formulas. The returned slice is indexed like cfgs.
+// pass over the choice's scorer set: one profile fetch and one
+// perfmodel.Scorer per region, built once per profile set, so the
+// configuration-independent terms of the interval model (micro-op mix
+// fractions, mispredict volumes, naive stall sums) are computed once
+// instead of once per configuration. It is the batch counterpart of
+// Evaluate — same candidate cache tier, same degradation policy, same
+// stats. TestEvaluateBatchMatchesOracle checks each candidate against its
+// composition from perfmodel.Cycles, power.Energy and the normalization
+// formulas. The returned slice is indexed like cfgs.
 func (db *DB) EvaluateBatch(ctx context.Context, choice ISAChoice, cfgs []cpu.CoreConfig, ref []Metric) ([]*Candidate, error) {
 	out := make([]*Candidate, len(cfgs))
 	cacheable := db.isOwnRef(ref)
@@ -143,26 +300,11 @@ func (db *DB) EvaluateBatch(ctx context.Context, choice ISAChoice, cfgs []cpu.Co
 		}
 	}
 
-	ps, err := db.Profiles(ctx, choice)
+	s, err := db.scorers(ctx, choice)
 	if err != nil {
 		return nil, err
 	}
 	n := len(db.Regions)
-	tr := choice.Traits()
-
-	// One scorer per region, built once for the whole configuration set. A
-	// construction error (empty profile) is a model error for every
-	// configuration and is surfaced per region below, exactly where the
-	// per-configuration path would hit it.
-	scorers := make([]*perfmodel.Scorer, n)
-	scorerErrs := make([]error, n)
-	for r := 0; r < n; r++ {
-		if ps[r] == nil {
-			continue
-		}
-		scorers[r], scorerErrs[r] = perfmodel.NewScorer(ps[r])
-	}
-
 	modelStart := time.Now()
 	for _, i := range missing {
 		dp := DesignPoint{ISA: choice, Cfg: cfgs[i]}
@@ -170,52 +312,24 @@ func (db *DB) EvaluateBatch(ctx context.Context, choice ISAChoice, cfgs []cpu.Co
 			DP:       dp,
 			AreaMM2:  dp.Area(),
 			PeakW:    dp.Peak(),
-			M:        make([]Metric, n),
 			Speedup:  make([]float64, n),
 			NormEDP:  make([]float64, n),
 			Degraded: make([]bool, n),
 		}
-		degrade := func(r int) {
-			db.Stats.DegradedRegions.Inc()
-			c.Degraded[r] = true
-			c.Speedup[r] = speedupPenalty
-			c.NormEDP[r] = edpPenalty
-			// Back-derive placeholder metrics consistent with the penalties:
-			// D = refD/speedupPenalty and E*D = edpPenalty*refE*refD.
-			c.M[r] = Metric{
-				Cycles: ref[r].Cycles / speedupPenalty,
-				Energy: ref[r].Energy * edpPenalty * speedupPenalty,
+		err := db.score(s, dp, ref, true, func(r int, m Metric, _ power.EnergyResult, err error) {
+			db.tally(dp, r, err)
+			switch {
+			case err != nil:
+				c.Degraded[r] = true
+				c.Speedup[r] = speedupPenalty
+				c.NormEDP[r] = edpPenalty
+			case ref != nil:
+				c.Speedup[r] = ref[r].Cycles / m.Cycles
+				c.NormEDP[r] = (m.Energy * m.Cycles) / (ref[r].Energy * ref[r].Cycles)
 			}
-		}
-		for r := 0; r < n; r++ {
-			if ps[r] == nil {
-				if ref == nil {
-					return nil, fmt.Errorf("eval: reference region %s unavailable", db.Regions[r].Name)
-				}
-				degrade(r)
-				continue
-			}
-			db.Stats.ModelEvals.Inc()
-			var perf perfmodel.Result
-			perr := scorerErrs[r]
-			if perr == nil {
-				perf, perr = scorers[r].Cycles(dp.Cfg)
-			}
-			if perr != nil {
-				merr := fault.Wrap(fault.StageModel, db.Regions[r].Name, dp.ISA.Key(), perr)
-				if ref == nil {
-					return nil, merr
-				}
-				db.logf("eval: degrading %s on %s: %v", db.Regions[r].Name, dp, merr)
-				degrade(r)
-				continue
-			}
-			en := power.Energy(tr, dp.Cfg, ps[r], perf)
-			c.M[r] = Metric{Cycles: perf.Cycles, Energy: en.Total, Perf: perf}
-			if ref != nil {
-				c.Speedup[r] = ref[r].Cycles / perf.Cycles
-				c.NormEDP[r] = (en.Total * perf.Cycles) / (ref[r].Energy * ref[r].Cycles)
-			}
+		})
+		if err != nil {
+			return nil, err
 		}
 		if cacheable {
 			db.mu.Lock()

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -64,6 +66,43 @@ func TestChoiceByKey(t *testing.T) {
 	}
 	if keys := ChoiceKeys(); len(keys) < 27 {
 		t.Errorf("ChoiceKeys returned %d keys, want >= 27 (reference + 26 composites)", len(keys))
+	}
+}
+
+// TestChoiceIndex: the key index agrees with a linear scan of AllChoices
+// (the first match wins), every listed key round-trips, and ChoiceKeys
+// hands each caller its own slice.
+func TestChoiceIndex(t *testing.T) {
+	scan := func(key string) (ISAChoice, bool) {
+		for _, c := range AllChoices() {
+			if c.Key() == key {
+				return c, true
+			}
+		}
+		return ISAChoice{}, false
+	}
+	var want []string
+	seen := map[string]bool{}
+	for _, c := range AllChoices() {
+		if k := c.Key(); !seen[k] {
+			seen[k] = true
+			want = append(want, k)
+		}
+	}
+	keys := ChoiceKeys()
+	if !slices.Equal(keys, want) {
+		t.Fatalf("ChoiceKeys = %v, want %v", keys, want)
+	}
+	for _, k := range keys {
+		got, ok := ChoiceByKey(k)
+		sc, _ := scan(k)
+		if !ok || got.Key() != k || !reflect.DeepEqual(got, sc) {
+			t.Errorf("ChoiceByKey(%q) = %+v, %v; scan gives %+v", k, got, ok, sc)
+		}
+	}
+	keys[0] = "clobbered"
+	if ChoiceKeys()[0] != want[0] {
+		t.Error("ChoiceKeys shares its slice between callers")
 	}
 }
 

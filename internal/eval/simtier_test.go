@@ -223,15 +223,17 @@ func TestFaultSimTierBypass(t *testing.T) {
 // leader fails runs the simulation itself.
 func TestFaultSimLeaderCanceled(t *testing.T) {
 	db := smallDB(1, nil)
-	prog, m := compileCell(t, db.Regions[0], X8664Choice())
-	key := simKeyOf(db.Regions[0].Name, prog.FS.Width, prog)
+	r := db.Regions[0]
+	prog, _ := compileCell(t, r, X8664Choice())
+	w := prog.FS.Width
+	key := simKeyOf(r.Name, w, prog)
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 	ctx := context.Background()
 
 	// The leader's run polls its canceled context on the first instruction.
 	ropts := cpu.RunOptions{MaxInstrs: MaxRegionInstrs, Interrupt: canceled.Err, InterruptEvery: 1}
-	if _, err := db.simulate(canceled, key, prog, m.Clone(), ropts); !errors.Is(err, context.Canceled) {
+	if _, err := db.simulate(canceled, key, prog, r, w, ropts); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled leader: err = %v, want context.Canceled", err)
 	}
 	probe := errors.New("probe")
@@ -239,7 +241,7 @@ func TestFaultSimLeaderCanceled(t *testing.T) {
 		t.Fatal("a canceled leader left its call in the simulation tier")
 	}
 	live := cpu.RunOptions{MaxInstrs: MaxRegionInstrs, Interrupt: ctx.Err}
-	p, err := db.simulate(ctx, key, prog, m.Clone(), live)
+	p, err := db.simulate(ctx, key, prog, r, w, live)
 	if err != nil || p == nil {
 		t.Fatalf("next caller: %v", err)
 	}
@@ -260,13 +262,13 @@ func TestFaultSimLeaderCanceled(t *testing.T) {
 		})
 	}()
 	<-stalled
-	if _, err := db.simulate(canceled, key, prog, m.Clone(), live); !errors.Is(err, context.Canceled) {
+	if _, err := db.simulate(canceled, key, prog, r, w, live); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled waiter: err = %v, want context.Canceled", err)
 	}
 	res := make(chan *cpu.Profile)
 	waiting := newJoinCtx(ctx)
 	go func() {
-		q, err := db.simulate(waiting, key, prog, m.Clone(), live)
+		q, err := db.simulate(waiting, key, prog, r, w, live)
 		if err != nil {
 			t.Error(err)
 		}

@@ -55,7 +55,10 @@ func TestDominators(t *testing.T) {
 	cost := func(c *Candidate) float64 { return c.PeakW + c.AreaMM2/10 }
 	for _, cs := range [][]*Candidate{cands, reversed, withInf} {
 		for _, edp := range []bool{false, true} {
-			dom := dominators(cs, edp)
+			dom, err := dominators(context.Background(), cs, edp)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if len(dom) != len(cs) {
 				t.Fatalf("edp=%v: %d dominators for %d entries", edp, len(dom), len(cs))
 			}
@@ -235,5 +238,24 @@ func TestSearchDominanceRealSuite(t *testing.T) {
 		if !sameCMP(got[0], want) {
 			t.Errorf("objective %d: skipping search found %v (%v), non-skipping %v (%v)", obj, got[0].Cores, got[0].Score, want.Cores, want.Score)
 		}
+	}
+}
+
+// TestFrontTablesCancelled: dominators and stepMaxes, which fill their
+// tables on the par pool, return a cancelled ctx's error and no table.
+func TestFrontTablesCancelled(t *testing.T) {
+	regions := workload.Regions()
+	si := newSuiteIndex(regions)
+	cs := make([]*Candidate, 100)
+	for i := range cs {
+		cs[i] = fakeCandidate(len(regions), 1+float64(i%7), 1, 10, 12)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if dom, err := dominators(ctx, cs, false); err == nil || dom != nil {
+		t.Errorf("dominators under a cancelled ctx: %v, %v", dom, err)
+	}
+	if sm, err := si.stepMaxes(ctx, cs, false); err == nil || sm != nil {
+		t.Errorf("stepMaxes under a cancelled ctx: %v, %v", sm, err)
 	}
 }

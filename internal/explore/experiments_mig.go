@@ -259,7 +259,11 @@ func (s *Searcher) Fig15MigrationOverhead(ctx context.Context, budget Budget, co
 	}
 
 	// Baseline: contention schedule without costs.
-	base := s.si.scheduleMP(&cmp.Cores, regions, nil)
+	cyc, err := coreCycles(ctx, s.DB, &cmp.Cores)
+	if err != nil {
+		return nil, err
+	}
+	base := s.si.scheduleMP(&cmp.Cores, cyc, regions, nil)
 
 	// With costs: each thread's performance on a core is its binary's
 	// speedup on that core's microarchitecture (one candidate batch per
@@ -293,7 +297,7 @@ func (s *Searcher) Fig15MigrationOverhead(ctx context.Context, budget Budget, co
 	// NOTE: the hook is evaluated for every permutation trial; the census
 	// must only count committed assignments, so it is taken in a second
 	// pass over the committed schedule (TimeByBenchCore tracks commits).
-	withCost := s.si.scheduleMP(&cmp.Cores, regions, func(th, region, core int, _ float64, migrated bool) float64 {
+	withCost := s.si.scheduleMP(&cmp.Cores, cyc, regions, func(th, region, core int, _ float64, migrated bool) float64 {
 		sp := adj[region][core]
 		if migrated {
 			sp *= 1 - migrationPenaltyFrac

@@ -8,6 +8,7 @@ import (
 
 	"compisa/internal/eval"
 	"compisa/internal/isa"
+	"compisa/internal/par"
 	"compisa/internal/power"
 	"compisa/internal/workload"
 )
@@ -138,33 +139,74 @@ func AreaBreakdown(label string, cmp CMP) StageBreakdown {
 	return out
 }
 
-// EnergyBreakdown computes the Figure 11 rows: runtime energy by stage,
-// averaged over the workload suite (each core runs every region weighted by
-// its SimPoint weight — the multiprogrammed schedule visits all of them).
-// Quarantined (region, ISA) pairs contribute nothing to the breakdown.
-func EnergyBreakdown(ctx context.Context, label string, cmp CMP, db *DB) (StageBreakdown, error) {
+// EnergyBreakdown computes the Figure 11 row of one design: runtime energy
+// by stage, averaged over the workload suite (each core runs every region
+// weighted by its SimPoint weight — the multiprogrammed schedule visits all
+// of them), from each core's per-region dynamic energies (rescore).
+// Degraded regions have zero energies, so they contribute nothing.
+func EnergyBreakdown(label string, cmp CMP, regions []workload.Region, dyn map[DesignPoint][]power.Breakdown) StageBreakdown {
 	out := StageBreakdown{Label: label}
 	for _, c := range cmp.Cores {
-		ps, err := db.Profiles(ctx, c.DP.ISA)
-		if err != nil {
-			return out, err
-		}
-		tr := c.DP.ISA.Traits()
-		for ri, r := range db.Regions {
-			if ps[ri] == nil {
-				continue
-			}
-			en := power.Energy(tr, c.DP.Cfg, ps[ri], c.M[ri].Perf)
+		d := dyn[c.DP]
+		for ri, r := range regions {
+			en := &d[ri]
 			w := r.Weight
-			out.Fetch += w * en.Dynamic.Fetch
-			out.Decode += w * en.Dynamic.Decode
-			out.BranchPred += w * en.Dynamic.BranchPred
-			out.Scheduler += w * (en.Dynamic.Scheduler + en.Dynamic.LSQ)
-			out.RegFile += w * en.Dynamic.RegFile
-			out.FU += w * en.Dynamic.FU
+			out.Fetch += w * en.Fetch
+			out.Decode += w * en.Decode
+			out.BranchPred += w * en.BranchPred
+			out.Scheduler += w * (en.Scheduler + en.LSQ)
+			out.RegFile += w * en.RegFile
+			out.FU += w * en.FU
 		}
 	}
+	return out
+}
+
+// rescore runs fill once per distinct design point among cores, on the par
+// pool, into a fresh per-region slice, and returns the slices by design
+// point. fill rescores through DB.EachMetric or DB.EachCycles.
+func rescore[T any](ctx context.Context, db *DB, cores []*Candidate, fill func(dp DesignPoint, v []T) error) (map[DesignPoint][]T, error) {
+	var dps []DesignPoint
+	seen := make(map[DesignPoint]bool, len(cores))
+	for _, c := range cores {
+		if !seen[c.DP] {
+			seen[c.DP] = true
+			dps = append(dps, c.DP)
+		}
+	}
+	vals, err := par.Map(ctx, len(dps), 0, func(i int) ([]T, error) {
+		v := make([]T, len(db.Regions))
+		return v, fill(dps[i], v)
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[DesignPoint][]T, len(dps))
+	for i, dp := range dps {
+		out[dp] = vals[i]
+	}
 	return out, nil
+}
+
+// cyclesOf rescores each distinct design point among cores once, keeping
+// its cycles per region.
+func cyclesOf(ctx context.Context, db *DB, cores []*Candidate) (map[DesignPoint][]float64, error) {
+	return rescore(ctx, db, cores, func(dp DesignPoint, v []float64) error {
+		return db.EachCycles(ctx, dp, func(r int, cycles float64) { v[r] = cycles })
+	})
+}
+
+// coreCycles returns each of four cores' cycles per region, rescored.
+func coreCycles(ctx context.Context, db *DB, cores *[4]*Candidate) (*[4][]float64, error) {
+	cyc, err := cyclesOf(ctx, db, cores[:])
+	if err != nil {
+		return nil, err
+	}
+	var out [4][]float64
+	for k, c := range cores {
+		out[k] = cyc[c.DP]
+	}
+	return &out, nil
 }
 
 // Fig10TransistorInvestment renders Figure 10 over Figure 9's designs.
@@ -176,11 +218,26 @@ func Fig10TransistorInvestment(r *Fig9Result) string {
 	return out
 }
 
-// Fig11EnergyBreakdown renders Figure 11 over Figure 9's designs.
+// Fig11EnergyBreakdown renders Figure 11 over Figure 9's designs, each
+// distinct core rescored once.
 func Fig11EnergyBreakdown(ctx context.Context, db *DB, r *Fig9Result) (string, error) {
+	cores := append([]*Candidate{}, r.Unconstrained.Cores[:]...)
+	for _, row := range r.Rows {
+		if row.CMP.Cores[0] != nil {
+			cores = append(cores, row.CMP.Cores[:]...)
+		}
+	}
+	dyn, err := rescore(ctx, db, cores, func(dp DesignPoint, v []power.Breakdown) error {
+		return db.EachMetric(ctx, dp, func(r int, _ Metric, en power.EnergyResult, _ error) { v[r] = en.Dynamic })
+	})
+	if err != nil {
+		return "", err
+	}
 	return formatBreakdowns(
 		"Figure 11: processor energy breakdown (normalized to full diversity, caches excluded)",
-		r, func(label string, cmp CMP) (StageBreakdown, error) { return EnergyBreakdown(ctx, label, cmp, db) })
+		r, func(label string, cmp CMP) (StageBreakdown, error) {
+			return EnergyBreakdown(label, cmp, db.Regions, dyn), nil
+		})
 }
 
 // formatBreakdowns renders Figures 10/11: one row per feasible constrained
@@ -241,15 +298,36 @@ func (s *Searcher) Fig12AffinitySingleThread(ctx context.Context) (*AffinityResu
 		Share: map[string]map[string]float64{},
 	}
 	res.FeatureSets = distinctFS(cmp)
-	for ri, r := range s.DB.Regions {
-		best := 0
+	best := make([]int, len(s.DB.Regions))
+	var read []*Candidate // the cores some region runs on best
+	var isRead [4]bool
+	for ri := range s.DB.Regions {
+		b := 0
 		for k := 1; k < 4; k++ {
-			if cmp.Cores[k].Speedup[ri] > cmp.Cores[best].Speedup[ri] {
-				best = k
+			if cmp.Cores[k].Speedup[ri] > cmp.Cores[b].Speedup[ri] {
+				b = k
 			}
 		}
-		t := r.Weight * cmp.Cores[best].M[ri].Cycles
-		addShare(res.Share, r.Benchmark, cmp.Cores[best].DP.ISA.Key(), t)
+		best[ri] = b
+		if !isRead[b] {
+			isRead[b] = true
+			read = append(read, cmp.Cores[b])
+		}
+	}
+	// Only the cores some region runs on best are rescored.
+	cyc, err := cyclesOf(ctx, s.DB, read)
+	if err != nil {
+		return nil, err
+	}
+	var coreCyc [4][]float64
+	for k, c := range cmp.Cores {
+		if isRead[k] {
+			coreCyc[k] = cyc[c.DP]
+		}
+	}
+	for ri, r := range s.DB.Regions {
+		t := r.Weight * coreCyc[best[ri]][ri]
+		addShare(res.Share, r.Benchmark, cmp.Cores[best[ri]].DP.ISA.Key(), t)
 	}
 	normalizeShares(res.Share)
 	return res, nil
@@ -268,7 +346,11 @@ func (s *Searcher) Fig13AffinityMultiprogrammed(ctx context.Context) (*AffinityR
 		Share: map[string]map[string]float64{},
 	}
 	res.FeatureSets = distinctFS(cmp)
-	stats := s.si.scheduleMP(&cmp.Cores, s.DB.Regions, nil)
+	cyc, err := coreCycles(ctx, s.DB, &cmp.Cores)
+	if err != nil {
+		return nil, err
+	}
+	stats := s.si.scheduleMP(&cmp.Cores, cyc, s.DB.Regions, nil)
 	for bench, byCore := range stats.TimeByBenchCore {
 		for coreIdx, t := range byCore {
 			addShare(res.Share, bench, cmp.Cores[coreIdx].DP.ISA.Key(), t)
@@ -355,8 +437,10 @@ type MPScheduleStats struct {
 // assignment (Figure 15 applies binary-compatibility and migration costs).
 type stepHook func(thread int, region int, core int, speedup float64, migrated bool) float64
 
-// scheduleMP runs the contention scheduler with full instrumentation.
-func (si *suiteIndex) scheduleMP(cores *[4]*Candidate, regions []workload.Region, hook stepHook) *MPScheduleStats {
+// scheduleMP runs the contention scheduler with full instrumentation,
+// charging each committed assignment the cycles cyc (coreCycles of cores)
+// gives its core on its region.
+func (si *suiteIndex) scheduleMP(cores *[4]*Candidate, cyc *[4][]float64, regions []workload.Region, hook stepHook) *MPScheduleStats {
 	st := &MPScheduleStats{TimeByBenchCore: map[string][4]float64{}}
 	total := 0.0
 	for m := range si.mixes {
@@ -387,7 +471,7 @@ func (si *suiteIndex) scheduleMP(cores *[4]*Candidate, regions []workload.Region
 				prev[th] = core
 				bench := regions[phase[th]].Benchmark
 				arr := st.TimeByBenchCore[bench]
-				arr[core] += cores[core].M[phase[th]].Cycles
+				arr[core] += cyc[core][phase[th]]
 				st.TimeByBenchCore[bench] = arr
 			}
 			total += best / 4

@@ -292,7 +292,11 @@ func TestScheduleMPInstrumentation(t *testing.T) {
 		t.Fatal(err)
 	}
 	si := newSuiteIndex(db.Regions)
-	st := si.scheduleMP(&cmp.Cores, db.Regions, nil)
+	cyc, err := coreCycles(context.Background(), db, &cmp.Cores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := si.scheduleMP(&cmp.Cores, cyc, db.Regions, nil)
 	if st.Steps == 0 || st.Throughput <= 0 {
 		t.Fatal("schedule produced no steps")
 	}

@@ -44,13 +44,25 @@ func TestSuiteIndexShape(t *testing.T) {
 // fakeCandidate builds a candidate with uniform speedup/EDP values.
 func fakeCandidate(n int, speedup, edp, peak, area float64) *Candidate {
 	c := &Candidate{PeakW: peak, AreaMM2: area,
-		Speedup: make([]float64, n), NormEDP: make([]float64, n), M: make([]Metric, n)}
+		Speedup: make([]float64, n), NormEDP: make([]float64, n)}
 	for i := 0; i < n; i++ {
 		c.Speedup[i] = speedup
 		c.NormEDP[i] = edp
-		c.M[i] = Metric{Cycles: 1000 / speedup, Energy: edp}
 	}
 	return c
+}
+
+// fakeCycles gives each fake core the cycles its speedups imply against a
+// reference of 1000 cycles per region.
+func fakeCycles(cores *[4]*Candidate) *[4][]float64 {
+	var cyc [4][]float64
+	for k, c := range cores {
+		cyc[k] = make([]float64, len(c.Speedup))
+		for r, sp := range c.Speedup {
+			cyc[k][r] = 1000 / sp
+		}
+	}
+	return &cyc
 }
 
 func TestScoreMPUniformCores(t *testing.T) {
@@ -228,7 +240,7 @@ func TestScheduleMPCountsMigrations(t *testing.T) {
 	}
 	g := fakeCandidate(n, 1, 1, 10, 12)
 	cores := [4]*Candidate{a, b, g, g}
-	st := si.scheduleMP(&cores, regions, nil)
+	st := si.scheduleMP(&cores, fakeCycles(&cores), regions, nil)
 	if st.Migrations == 0 {
 		t.Error("alternating specialists must trigger migrations")
 	}

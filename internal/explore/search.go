@@ -349,13 +349,28 @@ func (si *suiteIndex) stepMax(c *Candidate, edp bool) float64 {
 	return total
 }
 
-// stepMaxes is stepMax of every candidate in cs, in order.
-func (si *suiteIndex) stepMaxes(cs []*Candidate, edp bool) []float64 {
+// stepMaxes is stepMax of every candidate in cs, in order, computed on the
+// par pool. A cancelled computation returns ctx's error.
+func (si *suiteIndex) stepMaxes(ctx context.Context, cs []*Candidate, edp bool) ([]float64, error) {
 	out := make([]float64, len(cs))
-	for i, c := range cs {
-		out[i] = si.stepMax(c, edp)
+	if err := forChunks(ctx, len(cs), func(i int) { out[i] = si.stepMax(cs[i], edp) }); err != nil {
+		return nil, err
 	}
-	return out
+	return out, nil
+}
+
+// chunkLen is how many consecutive indices one par task of forChunks runs.
+const chunkLen = 32
+
+// forChunks runs fn(i) for every i in [0, n) on the par pool, chunkLen
+// indices per task. fn must not depend on the other indices' calls.
+func forChunks(ctx context.Context, n int, fn func(i int)) error {
+	return par.ForEach(ctx, (n+chunkLen-1)/chunkLen, 0, func(c int) error {
+		for i := c * chunkLen; i < min(n, (c+1)*chunkLen); i++ {
+			fn(i)
+		}
+		return nil
+	})
 }
 
 // mpBound is the O(1) upper bound on the screen (and, within rounding, on
@@ -368,25 +383,18 @@ func (si *suiteIndex) mpBound(r, sm float64) float64 {
 // screenMP estimates scoreMP for the trial that puts c in the slot rest
 // was built for: per step, the best thread to run on c plus the best
 // assignment of the others. It equals the exact score up to rounding (see
-// screenTol), at 4 loads, 4 adds and 3 compares per step.
+// screenTol), at 4 loads, 4 adds and one branchless max per step. The max
+// is exact here: screened searches hold only finite values (screenSound),
+// and where max picks a different zero of a ±0 tie than compares would,
+// the sum, which starts at +0, cannot tell.
 func (si *suiteIndex) screenMP(c *Candidate, edp bool, rest [][4]float64) float64 {
 	v, sign := mpValues(c, edp)
 	rest = rest[:len(si.steps)]
 	total := 0.0
 	for i := range si.steps {
 		ph, r := &si.steps[i], &rest[i]
-		a, b := sign*v[ph[0]]+r[0], sign*v[ph[1]]+r[1]
-		x, y := sign*v[ph[2]]+r[2], sign*v[ph[3]]+r[3]
-		if b > a {
-			a = b
-		}
-		if y > x {
-			x = y
-		}
-		if x > a {
-			a = x
-		}
-		total += a
+		total += max(sign*v[ph[0]]+r[0], sign*v[ph[1]]+r[1],
+			sign*v[ph[2]]+r[2], sign*v[ph[3]]+r[3])
 	}
 	return total / 4 / float64(len(si.steps))
 }
@@ -450,8 +458,10 @@ func (si *suiteIndex) scoreSTSlot(c *Candidate, edp bool, restBest []float64) fl
 // to the lower index. An entry with a non-finite value neither dominates
 // nor is dominated. Every scorer is monotone in the slot's values (see the
 // skip in searchCounted), so a trial that puts j in a slot never scores
-// above the trial that puts k there.
-func dominators(cs []*Candidate, edp bool) []int32 {
+// above the trial that puts k there. No entry's result reads another's, so
+// the entries are filled on the par pool; a cancelled computation returns
+// ctx's error.
+func dominators(ctx context.Context, cs []*Candidate, edp bool) ([]int32, error) {
 	finite := make([]bool, len(cs))
 	for i, c := range cs {
 		v, _ := mpValues(c, edp)
@@ -459,12 +469,12 @@ func dominators(cs []*Candidate, edp bool) []int32 {
 	}
 	cost := func(k int32) float64 { return cs[k].PeakW + cs[k].AreaMM2/10 }
 	dom := make([]int32, len(cs))
-	for j, c := range cs {
+	err := forChunks(ctx, len(cs), func(j int) {
 		dom[j] = -1
 		if !finite[j] {
-			continue
+			return
 		}
-		vj, sign := mpValues(c, edp)
+		vj, sign := mpValues(cs[j], edp)
 	next:
 		for k := range int32(j) {
 			if !finite[k] || dom[j] >= 0 && !(cost(k) < cost(dom[j])) {
@@ -478,8 +488,11 @@ func dominators(cs []*Candidate, edp bool) []int32 {
 			}
 			dom[j] = k
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	return dom
+	return dom, nil
 }
 
 func (si *suiteIndex) score(cores *[4]*Candidate, obj Objective) float64 {
@@ -635,23 +648,45 @@ func prune(ctx context.Context, filtered []*Candidate, edp bool, maxCands int) (
 			perISAEff[k]++
 		}
 	}
-	// Region specialists: best 3 per region per criterion.
+	// Region specialists: best 3 per region per criterion. The regions are
+	// sorted on the par pool, each worker taking every w-th region with one
+	// scratch; every sort starts from ok's order and the kept set is a
+	// union, so it does not depend on the schedule.
 	nRegions := len(ok[0].Speedup)
-	per := make([]keyed, len(ok))
-	for r := 0; r < nRegions; r++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		for i, c := range ok {
-			v := c.Speedup[r]
-			if edp {
-				v = -c.NormEDP[r]
+	w := min(par.DefaultLimit(), nRegions)
+	tops := make([][3]*Candidate, nRegions)
+	err := par.ForEach(ctx, w, 0, func(t int) error {
+		per := make([]keyed, len(ok))
+		for r := t; r < nRegions; r += w {
+			// par checks ctx before the task's first region, so each
+			// region is checked once.
+			if r != t {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
 			}
-			per[i] = keyed{c, v}
+			for i, c := range ok {
+				v := c.Speedup[r]
+				if edp {
+					v = -c.NormEDP[r]
+				}
+				per[i] = keyed{c, v}
+			}
+			sortKeyedDesc(per)
+			for i := 0; i < len(tops[r]) && i < len(per); i++ {
+				tops[r][i] = per[i].c
+			}
 		}
-		sortKeyedDesc(per)
-		for i := 0; i < 3 && i < len(per); i++ {
-			keep[per[i].c] = true
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, top := range tops {
+		for _, c := range top {
+			if c != nil {
+				keep[c] = true
+			}
 		}
 	}
 	// The union of the utility head, the specialists, and the small cores
@@ -724,23 +759,33 @@ func (f *front) homScores(ctx context.Context, si *suiteIndex, obj Objective) ([
 }
 
 // stepMaxes returns every pool entry's stepMax under the front's edp,
-// computing them on the front's first screened search.
-func (f *front) stepMaxes(si *suiteIndex) []float64 {
+// computing them on the front's first screened search. A cancelled
+// computation returns ctx's error and stores nothing.
+func (f *front) stepMaxes(ctx context.Context, si *suiteIndex) ([]float64, error) {
 	if sm := f.loaded(&f.stepMax); sm != nil {
-		return sm
+		return sm, nil
 	}
-	return f.fill(&f.stepMax, si.stepMaxes(f.cands, f.edp))
+	sm, err := si.stepMaxes(ctx, f.cands, f.edp)
+	if err != nil {
+		return nil, err
+	}
+	return f.fill(&f.stepMax, sm), nil
 }
 
 // dominators returns dominators(f.cands, f.edp), computing it, under the
 // front's lock, on the front's first search that skips dominated trials.
-func (f *front) dominators() []int32 {
+// A cancelled computation returns ctx's error and stores nothing.
+func (f *front) dominators(ctx context.Context) ([]int32, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.dom == nil {
-		f.dom = dominators(f.cands, f.edp)
+		dom, err := dominators(ctx, f.cands, f.edp)
+		if err != nil {
+			return nil, err
+		}
+		f.dom = dom
 	}
-	return f.dom
+	return f.dom, nil
 }
 
 // frontKey buckets the stored fronts; within a bucket a front is found by
@@ -1053,10 +1098,14 @@ func searchCounted(ctx context.Context, spec SearchSpec, si *suiteIndex, fronts 
 	screen := !st && fronts.screenSound(ctx, si, spec.Candidates, edp)
 	pool := &climbPool{cands: cands}
 	if screen {
-		pool.stepMax = fr.stepMaxes(si)
+		if pool.stepMax, err = fr.stepMaxes(ctx, si); err != nil {
+			return CMP{}, searchCounts{}, err
+		}
 	}
 	if screen || st && si.stSkip {
-		pool.dom = fr.dominators()
+		if pool.dom, err = fr.dominators(ctx); err != nil {
+			return CMP{}, searchCounts{}, err
+		}
 	}
 
 	// scan runs one slot pass from cur over pool, using the caller's
@@ -1223,7 +1272,11 @@ func searchCounted(ctx context.Context, spec SearchSpec, si *suiteIndex, fronts 
 		}
 	}
 	if screen {
-		extended.stepMax = slices.Concat(pool.stepMax, si.stepMaxes(extended.cands[len(cands):], edp))
+		added, err := si.stepMaxes(ctx, extended.cands[len(cands):], edp)
+		if err != nil {
+			return CMP{}, searchCounts{}, err
+		}
+		extended.stepMax = slices.Concat(pool.stepMax, added)
 	}
 	best = climb(best, extended)
 	if err := ctx.Err(); err != nil {

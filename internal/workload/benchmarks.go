@@ -10,8 +10,13 @@ func region(weight float64, seed uint32, body func(g *gen) ir.VReg) Region {
 	return Region{
 		Weight: weight,
 		Build: func(width int) (*ir.Func, *mem.Memory, error) {
-			g := newGen("region", width, seed)
+			g := newGen("region", width, seed, true)
 			return g.finish(body(g))
+		},
+		code: func(width int) (*ir.Func, error) {
+			g := newGen("region", width, seed, false)
+			f, _, err := g.finish(body(g))
+			return f, err
 		},
 	}
 }

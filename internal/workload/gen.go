@@ -26,7 +26,9 @@ func (e *OverflowError) Error() string {
 // memory image, a bump allocator for data placement, and a deterministic
 // PRNG for data initialization.
 type gen struct {
-	b     *ir.Builder
+	b *ir.Builder
+	// m is nil when only the code is built (Region.Code): writes are
+	// dropped, everything else runs as in a full build.
 	m     *mem.Memory
 	width int
 	next  uint64
@@ -36,13 +38,24 @@ type gen struct {
 	err error
 }
 
-func newGen(name string, width int, seed uint32) *gen {
-	return &gen{
+func newGen(name string, width int, seed uint32, image bool) *gen {
+	g := &gen{
 		b:     ir.NewBuilder(name),
-		m:     mem.New(),
 		width: width,
 		next:  uint64(code.DataBase),
 		state: seed*2654435761 + 1,
+	}
+	if image {
+		g.m = mem.New()
+	}
+	return g
+}
+
+// write stores the size-byte value v at addr in the memory image, if one
+// is being built.
+func (g *gen) write(addr uint64, size int, v uint64) {
+	if g.m != nil {
+		g.m.Write(addr, size, v)
 	}
 }
 
@@ -73,7 +86,7 @@ func (g *gen) alloc(n uint64, align uint64) uint64 {
 func (g *gen) arrayI32(n int, f func(i int) uint32) uint64 {
 	a := g.alloc(uint64(n)*4, 64)
 	for i := 0; i < n; i++ {
-		g.m.Write(a+uint64(i)*4, 4, uint64(f(i)))
+		g.write(a+uint64(i)*4, 4, uint64(f(i)))
 	}
 	return a
 }
@@ -82,7 +95,7 @@ func (g *gen) arrayI32(n int, f func(i int) uint32) uint64 {
 func (g *gen) arrayF32(n int, f func(i int) float32) uint64 {
 	a := g.alloc(uint64(n)*4, 64)
 	for i := 0; i < n; i++ {
-		g.m.Write(a+uint64(i)*4, 4, uint64(math.Float32bits(f(i))))
+		g.write(a+uint64(i)*4, 4, uint64(math.Float32bits(f(i))))
 	}
 	return a
 }
@@ -91,7 +104,7 @@ func (g *gen) arrayF32(n int, f func(i int) float32) uint64 {
 func (g *gen) arrayF64(n int, f func(i int) float64) uint64 {
 	a := g.alloc(uint64(n)*8, 64)
 	for i := 0; i < n; i++ {
-		g.m.Write(a+uint64(i)*8, 8, math.Float64bits(f(i)))
+		g.write(a+uint64(i)*8, 8, math.Float64bits(f(i)))
 	}
 	return a
 }
@@ -100,7 +113,10 @@ func (g *gen) arrayF64(n int, f func(i int) float64) uint64 {
 func (g *gen) bytesArr(n int, f func(i int) byte) uint64 {
 	a := g.alloc(uint64(n), 64)
 	for i := 0; i < n; i++ {
-		g.m.Store8(a+uint64(i), f(i))
+		b := f(i)
+		if g.m != nil {
+			g.m.Store8(a+uint64(i), b)
+		}
 	}
 	return a
 }

@@ -246,9 +246,9 @@ func chaseKernel(g *gen, nodes int, steps int64, updateProb float64) ir.VReg {
 	for i := 0; i < nodes; i++ {
 		from := base + uint64(perm[i])*stride
 		to := base + uint64(perm[(i+1)%nodes])*stride
-		g.m.Write(from, pb, to)
-		g.m.Write(from+uint64(costOff), 4, uint64(g.rand()%1000))
-		g.m.Write(from+uint64(costOff)+4, 4, uint64(g.rand()%256))
+		g.write(from, pb, to)
+		g.write(from+uint64(costOff), 4, uint64(g.rand()%1000))
+		g.write(from+uint64(costOff)+4, 4, uint64(g.rand()%256))
 	}
 	p := b.Const(ir.Ptr, int64(base))
 	acc := b.Const(ir.I32, 0)
@@ -279,7 +279,7 @@ func scanKernel(g *gen, records int, iters int64, fieldOps int) ir.VReg {
 	base := g.alloc(uint64(records)*stride, 64)
 	for i := 0; i < records; i++ {
 		for f := 0; f < 4; f++ {
-			g.m.Write(base+uint64(i)*stride+uint64(f)*4, 4, uint64(g.rand()%4096))
+			g.write(base+uint64(i)*stride+uint64(f)*4, 4, uint64(g.rand()%4096))
 		}
 	}
 	pbase := b.Const(ir.Ptr, int64(base))

@@ -32,6 +32,18 @@ type Region struct {
 	// Build generates the region's IR and initial memory image. It fails
 	// (typed *OverflowError) if the generator exhausts the data region.
 	Build func(width int) (*ir.Func, *mem.Memory, error)
+	// code, when set, generates Build's IR without the memory image.
+	code func(width int) (*ir.Func, error)
+}
+
+// Code generates the region's IR exactly as Build does, without building
+// its memory image: for callers that compile a region they may never run.
+func (r Region) Code(width int) (*ir.Func, error) {
+	if r.code == nil {
+		f, _, err := r.Build(width)
+		return f, err
+	}
+	return r.code(width)
 }
 
 // Benchmark is a named sequence of regions.

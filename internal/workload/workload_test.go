@@ -215,3 +215,20 @@ func TestRegionByName(t *testing.T) {
 		t.Error("RegionByName found a region that does not exist")
 	}
 }
+
+// TestCodeMatchesBuild: Code generates, for every region and width, the IR
+// Build does, and fails where Build fails.
+func TestCodeMatchesBuild(t *testing.T) {
+	for _, r := range Regions() {
+		for _, width := range []int{32, 64} {
+			f, _, err := r.Build(width)
+			g, cerr := r.Code(width)
+			if (err == nil) != (cerr == nil) {
+				t.Fatalf("%s (w%d): Build error %v, Code error %v", r.Name, width, err, cerr)
+			}
+			if err == nil && f.String() != g.String() {
+				t.Errorf("%s (w%d): Code's IR differs from Build's", r.Name, width)
+			}
+		}
+	}
+}
