@@ -38,8 +38,8 @@ test:
 
 # Race-check the concurrent packages (worker pools, metrics counters,
 # the par.Memo singleflight under the profile, simulation and pass caches,
-# candidate cache, parallel search seeds, store appends and the store
-# circuit breaker). The leader/waiter tests then run again: the repeats
+# candidate cache, parallel search seeds, concurrent store Puts and the
+# server's reads of the DB's persist health). The leader/waiter tests then run again: the repeats
 # shake out interleavings one pass misses. The par.Memo tests run 20 more
 # times (about 1 s); the eval tests that stall a profile or simulation
 # leader 5 more times (about 1.3 s a round under -race, as they profile a
@@ -69,9 +69,10 @@ fault-smoke:
 	$(GO) test -run Fault -v ./internal/eval/ ./internal/explore/ ./internal/fault/ ./internal/cpu/
 
 # Crash-safety chaos suite: kill a store-writing child process at every
-# mutating operation (appends, fsyncs, compaction writes, renames) and
-# prove recovery — no acked-and-synced record lost, torn tails discarded,
-# reopen never fails. CHAOS_REPORT=<path> writes the recovery report JSON.
+# mutating operation of its Puts (temp writes, fsyncs, renames, directory
+# fsyncs) and prove recovery — no acknowledged record lost, no record
+# damaged, no temp left, reopen never fails. CHAOS_REPORT=<path> writes the
+# recovery report JSON.
 chaos:
 	$(GO) test -run 'TestChaos' -v ./internal/store/
 
@@ -139,50 +140,62 @@ bench-diff:
 	$(GO) run ./tools/benchdiff -baseline BENCH_baseline.json -threshold 0.15 /tmp/bench.txt
 
 # Boot the evaluation service on an ephemeral port with a checkpoint and a
-# profile store in a fresh directory, drive it with the closed-loop load
-# generator (its report goes to that directory) and gate on cache-hit rate
-# and 5xx count; then evaluate one point, shut down gracefully, reboot on
-# the same files and require that point to answer "cached":true, and a
-# config the load never requests (in-order, width 1) of the same ISA to
-# score anew: the rebooted server must run no simulation, so the exec stage
-# counter on /metrics, which the checkpoint carries across the reboot, must
-# read what it read before the shutdown — the CI serve-smoke job, locally.
+# profile-store directory in a fresh state directory, drive it with the
+# closed-loop load generator (its report goes to that directory) and gate
+# on cache-hit rate and 5xx count; then evaluate one point, shut down
+# gracefully, reboot on the same files and require that point to answer
+# "cached":true, and a config the load never requests (in-order, width 1)
+# of the same ISA to score anew: the rebooted server must run no
+# simulation, so the exec stage counter on /metrics, which the checkpoint
+# carries across the reboot, must read what it read before the shutdown.
+# A third boot on the store alone (no checkpoint, so every counter starts
+# at 0) must score another never-requested config (in-order, width 2)
+# "cached":false with the exec stage counter at 0: the store by itself
+# warm-starts the profile tier — the CI serve-smoke job, locally.
 serve-smoke:
 	$(GO) build -o /tmp/compisa-bin/ ./cmd/compose-serve ./cmd/compose-load
 	@rm -rf /tmp/compisa-bin/serve-state && mkdir -p /tmp/compisa-bin/serve-state
+	STATE=/tmp/compisa-bin/serve-state; \
 	boot() { \
-		/tmp/compisa-bin/compose-serve -addr 127.0.0.1:0 -regions 8 -warm \
-			-checkpoint /tmp/compisa-bin/serve-state/ckpt.json -store /tmp/compisa-bin/serve-state/profiles.log \
-			2>/tmp/compisa-bin/serve-state/$$1 & \
+		LOG=$$STATE/$$1; shift; \
+		/tmp/compisa-bin/compose-serve -addr 127.0.0.1:0 -regions 8 -store $$STATE/profiles "$$@" 2>$$LOG & \
 		SERVE_PID=$$!; ADDR=; \
 		for i in $$(seq 1 50); do \
-			ADDR=$$(sed -n 's/^listening on \(http:[^ ]*\).*/\1/p' /tmp/compisa-bin/serve-state/$$1); \
+			ADDR=$$(sed -n 's/^listening on \(http:[^ ]*\).*/\1/p' $$LOG); \
 			[ -n "$$ADDR" ] && curl -fsS "$$ADDR/healthz" >/dev/null 2>&1 && return 0; \
 			sleep 0.2; \
 		done; \
-		echo "compose-serve did not come up"; cat /tmp/compisa-bin/serve-state/$$1; kill $$SERVE_PID; return 1; \
+		echo "compose-serve did not come up"; cat $$LOG; kill $$SERVE_PID; return 1; \
 	}; \
 	point() { curl -fsS -X POST "$$ADDR/evaluate" -d '{"isa":"vendor:Alpha"}'; }; \
+	inorder() { curl -fsS -X POST "$$ADDR/evaluate" \
+		-d '{"isa":"vendor:Alpha","config":{"OoO":false,"Width":'$$1',"Predictor":1,"IQ":32,"ROB":64,"PRFInt":64,"PRFFP":16,"IntALU":1,"IntMul":1,"FPALU":1,"LSQ":16,"L1I":{"SizeKB":32,"Assoc":4},"L1D":{"SizeKB":32,"Assoc":4},"L2":{"SizeKB":4096,"Assoc":4,"Banks":4},"UopCache":false,"Fusion":true}}'; }; \
 	execs() { curl -fsS "$$ADDR/metrics" | sed -n 's/^compisa_eval_stage_total{stage="exec"} //p'; }; \
-	boot serve.log || exit 1; \
+	boot serve.log -checkpoint $$STATE/ckpt.json -warm || exit 1; \
 	/tmp/compisa-bin/compose-load -addr "$$ADDR" -requests 200 -concurrency 8 -points 3 -seed 7 \
-		-min-hit-rate 0.5 -max-5xx 0 -out /tmp/compisa-bin/serve-state/BENCH_serve.json; \
+		-min-hit-rate 0.5 -max-5xx 0 -out $$STATE/BENCH_serve.json; \
 	STATUS=$$?; point >/dev/null || STATUS=1; \
 	BEFORE=$$(execs); \
 	kill -TERM $$SERVE_PID; wait $$SERVE_PID || STATUS=1; \
 	[ $$STATUS = 0 ] || exit $$STATUS; \
-	boot reboot.log || exit 1; \
-	point >/tmp/compisa-bin/serve-state/point.json; \
-	curl -fsS -X POST "$$ADDR/evaluate" >/tmp/compisa-bin/serve-state/other.json \
-		-d '{"isa":"vendor:Alpha","config":{"OoO":false,"Width":1,"Predictor":1,"IQ":32,"ROB":64,"PRFInt":64,"PRFFP":16,"IntALU":1,"IntMul":1,"FPALU":1,"LSQ":16,"L1I":{"SizeKB":32,"Assoc":4},"L1D":{"SizeKB":32,"Assoc":4},"L2":{"SizeKB":4096,"Assoc":4,"Banks":4},"UopCache":false,"Fusion":true}}'; \
+	boot reboot.log -checkpoint $$STATE/ckpt.json || exit 1; \
+	point >$$STATE/point.json; \
+	inorder 1 >$$STATE/other.json; \
 	AFTER=$$(execs); \
 	kill -TERM $$SERVE_PID; wait $$SERVE_PID; \
-	grep -q '"cached":true' /tmp/compisa-bin/serve-state/point.json || { \
+	grep -q '"cached":true' $$STATE/point.json || { \
 		echo "the point evaluated before the reboot is not cached after it:"; \
-		cat /tmp/compisa-bin/serve-state/point.json /tmp/compisa-bin/serve-state/reboot.log; exit 1; }; \
-	[ -n "$$BEFORE" ] && [ "$$BEFORE" = "$$AFTER" ] && grep -q '"cached":false' /tmp/compisa-bin/serve-state/other.json || { \
+		cat $$STATE/point.json $$STATE/reboot.log; exit 1; }; \
+	[ -n "$$BEFORE" ] && [ "$$BEFORE" = "$$AFTER" ] && grep -q '"cached":false' $$STATE/other.json || { \
 		echo "the rebooted server simulated (exec stage $$BEFORE -> $$AFTER) or did not score the new config anew:"; \
-		cat /tmp/compisa-bin/serve-state/other.json /tmp/compisa-bin/serve-state/reboot.log; exit 1; }
+		cat $$STATE/other.json $$STATE/reboot.log; exit 1; }; \
+	boot storeonly.log || exit 1; \
+	inorder 2 >$$STATE/storeonly.json; \
+	STOREONLY=$$(execs); \
+	kill -TERM $$SERVE_PID; wait $$SERVE_PID; \
+	[ "$$STOREONLY" = 0 ] && grep -q '"cached":false' $$STATE/storeonly.json || { \
+		echo "the store-only boot simulated (exec stage $$STOREONLY) or did not score the new config anew:"; \
+		cat $$STATE/storeonly.json $$STATE/storeonly.log; exit 1; }
 
 # 30-second fuzz pass over the superset instruction codec (the CI fuzz
 # step, locally).

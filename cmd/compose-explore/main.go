@@ -11,9 +11,10 @@
 //	             frontier; an interrupted run resumes from where it
 //	             stopped. A corrupt file is quarantined to <path>.corrupt
 //	             and the run starts cold (-checkpoint-strict fails instead).
-//	-store       crash-safe append-only profile store: each profile set is
-//	             written through as it completes (durable mid-run, not only
-//	             at checkpoint boundaries) and reloaded at startup.
+//	-store       crash-safe profile store, a directory with one atomically
+//	             written file per ISA key: each profile set is written
+//	             through as it completes (durable mid-run, not only at
+//	             checkpoint boundaries) and reloaded at startup.
 //	-inject-*    deterministically inject evaluation faults to exercise
 //	             the retry/quarantine machinery.
 //	-stats       print evaluation-pipeline statistics on exit: per-stage
@@ -47,7 +48,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
 	checkpoint := flag.String("checkpoint", "", "checkpoint file: resume from it if present, save to it as searches complete")
 	checkpointStrict := flag.Bool("checkpoint-strict", false, "fail on a corrupt checkpoint instead of quarantining it and starting cold")
-	storePath := flag.String("store", "", "crash-safe profile store: reload profile sets from it, write each through as it completes")
+	storePath := flag.String("store", "", "crash-safe profile-store directory (one file per ISA key): reload profile sets from it, write each through as it completes")
 	injectRate := flag.Float64("inject-rate", 0, "fault injection rate in [0,1] (0 = no injection)")
 	injectSeed := flag.Uint64("inject-seed", 1, "fault injection seed (same seed => same faults)")
 	injectKinds := flag.String("inject-kinds", "", "comma-separated fault kinds to inject (compile,runaway,corrupt,slow,badcode); empty = all default kinds")
@@ -118,7 +119,6 @@ func main() {
 	err = explore.RunDurable(db, explore.Durability{
 		Checkpoint: *checkpoint, Strict: *checkpointStrict, Store: *storePath,
 	}, func(d *explore.Durable) error {
-		db.Persist = d.Persist
 		s, err := explore.NewSearcher(ctx, db)
 		if err != nil {
 			return err

@@ -17,12 +17,13 @@
 //	             boot) and save the (grown) caches on shutdown. A corrupt
 //	             checkpoint is quarantined to <path>.corrupt and the
 //	             server starts cold (-checkpoint-strict fails instead).
-//	-store       crash-safe append-only profile store: every profile set
-//	             is written through as it completes, and the profile tier
-//	             warm-starts from the log at boot, so any configuration of
-//	             a stored ISA is a score-only miss. Store failures never
-//	             fail serving — a circuit breaker degrades to memory-only
-//	             ( /healthz "degraded") and probes for recovery.
+//	-store       crash-safe profile store, a directory with one atomically
+//	             written file per ISA key: every profile set is written
+//	             through as it completes, and the profile tier warm-starts
+//	             from the directory at boot, so any configuration of a
+//	             stored ISA is a score-only miss. Store failures never fail
+//	             serving: the DB keeps the set in memory, and /healthz
+//	             reports "degraded" until a later write succeeds.
 //	-warm        compute the reference metrics in the background at boot,
 //	             so the first request doesn't pay for them.
 //	-regions     serve only the first N suite regions (CI smoke runs).
@@ -61,7 +62,7 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
 	checkpoint := flag.String("checkpoint", "", "checkpoint file: warm-start caches from it, save them back on shutdown")
 	checkpointStrict := flag.Bool("checkpoint-strict", false, "fail on a corrupt checkpoint instead of quarantining it and starting cold")
-	storePath := flag.String("store", "", "crash-safe profile store: warm-start from it, write each profile set through as it completes")
+	storePath := flag.String("store", "", "crash-safe profile-store directory (one file per ISA key): warm-start from it, write each profile set through as it completes")
 	regions := flag.Int("regions", 0, "serve only the first N suite regions (0 = full suite)")
 	warm := flag.Bool("warm", false, "compute reference metrics in the background at startup")
 	stats := flag.Bool("stats", false, "print evaluation pipeline statistics on exit")
@@ -102,22 +103,15 @@ func run(addr string, workers, queue int, timeout, drainTimeout time.Duration,
 	if workers <= 0 {
 		workers = par.DefaultLimit()
 	}
-	// The caches warm-start from the checkpoint and the store, and are
-	// checkpointed however serving ends.
+	// The caches warm-start from the checkpoint and the store, profile sets
+	// are written through to the store, and the caches are checkpointed
+	// however serving ends.
 	err := explore.RunDurable(db, explore.Durability{
 		Checkpoint: checkpoint, Strict: checkpointStrict, Store: storePath,
-	}, func(d *explore.Durable) error {
-		// A circuit breaker keeps runtime store failures away from the
-		// request path.
-		var breaker *serve.StoreBreaker
-		if d.Persist != nil {
-			breaker = serve.NewStoreBreaker(d.Persist, serve.BreakerConfig{Log: log.Printf})
-			db.Persist = breaker
-		}
+	}, func(*explore.Durable) error {
 		srv := serve.New(db, serve.Config{
 			Workers: workers, Queue: queue, Timeout: timeout,
 			EvalStats: &db.Stats,
-			Store:     breaker,
 			Log:       log.Printf,
 		})
 		srv.MarkEvaluated(db.CandidateKeys()...)

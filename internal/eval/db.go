@@ -76,7 +76,8 @@ type DB struct {
 	Stats Stats
 
 	// persistDown tracks the durable tier's health for edge-triggered
-	// logging (a dead disk must not flood the log per evaluation).
+	// logging (a dead disk must not flood the log per evaluation) and for
+	// PersistDegraded.
 	persistDown atomic.Bool
 
 	profileSets par.Memo[string, []*cpu.Profile] // ISA key -> Profiles' computation

@@ -16,11 +16,32 @@ import (
 //
 // A persist failure never fails the evaluation — the profiles are already
 // correct in memory; only their durability degraded. The DB counts the
-// failure (Stats.PersistErrors), logs the edge transitions, and keeps
-// serving. *store.Store is the production implementation;
-// serve.StoreBreaker wraps one with circuit breaking.
+// failure (Stats.PersistErrors), logs the edge transitions, reports them
+// through PersistDegraded, and keeps serving. A store writes at most one
+// record per ISA key per process, so a dead disk costs a few failed
+// writes, not a failing write per request. *store.Store, one atomically
+// written file per ISA key, is the production implementation.
 type Persister interface {
 	Put(key string, val []byte) error
+}
+
+// PersistDegraded reports whether the latest write-through failed: the DB
+// serves from memory while fresh profile sets are not durable. The next
+// successful write clears it.
+func (db *DB) PersistDegraded() bool { return db.persistDown.Load() }
+
+// WriteThrough persists the profile sets of keys held in the profile tier,
+// as if each had just been computed. A warm start from another source than
+// the store (a checkpoint) uses it to fill the store in.
+func (db *DB) WriteThrough(keys []string) {
+	for _, k := range keys {
+		db.mu.Lock()
+		ps := db.profiles[k]
+		db.mu.Unlock()
+		if ps != nil {
+			db.persist(k, ps)
+		}
+	}
 }
 
 // persist write-throughs one freshly computed profile set, with

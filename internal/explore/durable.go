@@ -1,15 +1,15 @@
-// The durable lifecycle of one run: the JSON checkpoint and the append-only
-// profile store behind a DB are opened, warm-started from, written
-// through and saved in one place, so compose-explore and compose-serve
-// share the wiring and every exit path saves and closes.
+// The durable lifecycle of one run: the JSON checkpoint and the profile
+// store behind a DB are opened, warm-started from, written through and
+// saved in one place, so compose-explore and compose-serve share the
+// wiring and every exit path saves.
 
 package explore
 
 import (
 	"context"
+	"slices"
 	"sync"
 
-	"compisa/internal/eval"
 	"compisa/internal/store"
 )
 
@@ -21,18 +21,15 @@ type Durability struct {
 	// Strict fails the open on a corrupt checkpoint instead of quarantining
 	// it to <Checkpoint>.corrupt and starting cold.
 	Strict bool
-	// Store is the append-only profile store: the profile tier warm-starts
-	// from it, and Durable.Persist writes profile sets through to it. A
-	// store that cannot open leaves the run memory-only.
+	// Store is the profile-store directory, one file per ISA key: the
+	// profile tier warm-starts from it, and RunDurable installs it as
+	// db.Persist, so every profile set is written through as it completes.
+	// A store that cannot open leaves the run memory-only.
 	Store string
 }
 
 // Durable is the open durable state RunDurable hands its body.
 type Durable struct {
-	// Persist writes profile sets through to the store; nil when no store
-	// is open. The caller installs it (or a wrapper) as db.Persist.
-	Persist eval.Persister
-
 	path     string
 	db       *DB
 	restored *CheckpointState
@@ -43,13 +40,13 @@ type Durable struct {
 }
 
 // RunDurable opens db's durable state, runs body, then saves the checkpoint
-// and closes the store whatever body returns. Opening restores the
-// checkpoint into db (a corrupt file is quarantined, or an error under
-// Strict, and then body does not run), warm-starts the profile tier from
-// the store, compacting away the records it cannot read, and then
-// re-scores the checkpoint's design points (no simulation). Restores,
-// degradations and saves are reported to db.Log. RunDurable returns body's
-// error.
+// whatever body returns. Opening restores the checkpoint into db (a
+// corrupt file is quarantined, or an error under Strict, and then body
+// does not run), installs the store as db.Persist and warm-starts the
+// profile tier from it, writes the checkpoint's profile sets the store
+// lacks through to it, and then re-scores the checkpoint's design points
+// (no simulation). Restores, degradations and saves are reported to db.Log.
+// RunDurable returns body's error.
 func RunDurable(db *DB, cfg Durability, body func(d *Durable) error) error {
 	logf := db.Log
 	if logf == nil {
@@ -63,44 +60,49 @@ func RunDurable(db *DB, cfg Durability, body func(d *Durable) error) error {
 		}
 		d.restored = st
 	}
+	var cs *store.Store
+	stored := map[string]bool{}
 	if cfg.Store != "" {
-		cs, err := store.Open(cfg.Store, store.Options{Log: db.Log})
-		if err != nil {
+		var err error
+		if cs, err = store.Open(cfg.Store, store.Options{Log: db.Log}); err != nil {
 			logf("[store %s unavailable, running memory-only: %v]", cfg.Store, err)
 		} else {
-			defer func() {
-				if err := cs.Close(); err != nil {
-					logf("store close: %v", err)
-				}
-			}()
-			loaded := 0
-			var skipped []string
-			err := cs.Range(func(key string, val []byte) error {
+			db.Persist = cs
+			loaded, unreadable := 0, 0
+			skipped, err := cs.Range(func(key string, val []byte) error {
+				// A record the warm start cannot import is skipped like a
+				// corrupt one.
 				if db.ImportRecord(val) != nil {
-					skipped = append(skipped, key)
+					unreadable++
 				} else {
+					stored[key] = true
 					loaded++
 				}
 				return nil
 			})
+			skipped += unreadable
 			if err != nil {
 				logf("[store warm-start: %v]", err)
-			} else if loaded > 0 || len(skipped) > 0 {
-				logf("[reloaded %d profile sets from store %s (%d skipped)]", loaded, cfg.Store, len(skipped))
+			} else if loaded > 0 || skipped > 0 {
+				logf("[reloaded %d profile sets from store %s (%d skipped)]", loaded, cfg.Store, skipped)
 			}
-			// A record the warm start cannot read, such as a candidate from
-			// a log the older candidate store wrote, would be scanned and
-			// skipped by every later open: rewrite the log without it.
-			if err == nil && len(skipped) > 0 {
-				if err := cs.Compact(skipped...); err != nil {
-					logf("[store compaction: %v]", err)
-				}
-			}
-			d.Persist = cs
 		}
 	}
 	if st := d.restored; st != nil {
 		db.Import(st.State)
+		var missing []string
+		for k := range st.Profiles {
+			if cs != nil && !stored[k] {
+				missing = append(missing, k)
+			}
+		}
+		if len(missing) > 0 {
+			// A run without the store (or an older store) wrote these:
+			// fill the store in, so a store-only run need not simulate them.
+			slices.Sort(missing)
+			logf("[writing %d profile sets restored from %s through to store %s]", len(missing), cfg.Checkpoint, cfg.Store)
+			db.WriteThrough(missing)
+		}
 		// With every profile source in, the re-score runs no simulation, so
 		// it is brief enough to need no deadline.
 		if err := db.Rescore(context.TODO(), st.Points); err != nil {
@@ -109,7 +111,6 @@ func RunDurable(db *DB, cfg Durability, body func(d *Durable) error) error {
 		logf("[resumed from %s: %d ISA profile sets, %d design points, %d searches]",
 			cfg.Checkpoint, len(st.Profiles), len(st.Points), len(st.Frontier))
 	}
-	// Deferred after the store's Close, so it runs before it.
 	defer func() {
 		if d.path != "" && d.save() {
 			logf("[checkpoint saved to %s]", d.path)

@@ -1,22 +1,22 @@
 // Tests for the durable lifecycle (RunDurable): checkpoint and store
-// round trip, corrupt checkpoints, an unopenable store, and the save and
-// close that follow a failing body.
+// round trip, a store filled in from a checkpoint, corrupt checkpoints, an
+// unopenable store, and the save that follows a failing body.
 
 package explore
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
-
-	"compisa/internal/store"
 )
 
 // logLines collects DB.Log output.
@@ -31,20 +31,24 @@ func (l *logLines) logf(format string, args ...any) {
 	l.lines = append(l.lines, fmt.Sprintf(format, args...))
 }
 
-func (l *logLines) has(sub string) bool {
+func (l *logLines) has(sub string) bool { return l.count(sub) > 0 }
+
+// count reports how many lines contain sub.
+func (l *logLines) count(sub string) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	n := 0
 	for _, line := range l.lines {
 		if strings.Contains(line, sub) {
-			return true
+			n++
 		}
 	}
-	return false
+	return n
 }
 
 func durableFiles(t *testing.T) Durability {
 	dir := t.TempDir()
-	return Durability{Checkpoint: filepath.Join(dir, "dse.ckpt"), Store: filepath.Join(dir, "cands.log")}
+	return Durability{Checkpoint: filepath.Join(dir, "dse.ckpt"), Store: filepath.Join(dir, "profiles")}
 }
 
 // loggedDB is smallDB(n, nil) logging to log.
@@ -55,10 +59,9 @@ func loggedDB(n int, log *logLines) *DB {
 }
 
 // durableSearch runs the test search the way compose-explore wires a run:
-// the store's persister on the DB and the Searcher resumed from d.
+// the Searcher resumed from d.
 func durableSearch(d *Durable, db *DB) (CMP, error) {
 	ctx := context.Background()
-	db.Persist = d.Persist
 	s, err := NewSearcher(ctx, db)
 	if err != nil {
 		return CMP{}, err
@@ -114,7 +117,6 @@ func TestDurableRoundTrip(t *testing.T) {
 			if got := len(db.CandidateKeys()); got != rescored {
 				t.Errorf("%s: restored %d candidates, want %d", name, got, rescored)
 			}
-			db.Persist = d.Persist
 			s, err := NewSearcher(context.Background(), db)
 			if err != nil {
 				return err
@@ -226,55 +228,48 @@ func TestDurableLegacyCandidates(t *testing.T) {
 	}
 }
 
-// TestDurableStaleRecordsCompacted: a candidate record, as the older
-// candidate store wrote them, is skipped by the warm start and compacted
-// away, so the next open skips nothing and reads a smaller log.
-func TestDurableStaleRecordsCompacted(t *testing.T) {
+// TestDurableCheckpointFillsStore: profile sets restored only from a
+// checkpoint, such as one written by a run without a store, are written
+// through to the store at open, once, so a later run on the store alone
+// needs no compile and no simulation.
+func TestDurableCheckpointFillsStore(t *testing.T) {
 	var log logLines
 	cfg := durableFiles(t)
-	cfg.Checkpoint = ""
-	open := func() {
-		t.Helper()
-		db := loggedDB(1, &log)
-		if err := RunDurable(db, cfg, func(d *Durable) error {
-			db.Persist = d.Persist
-			_, err := NewSearcher(context.Background(), db)
-			return err
-		}); err != nil {
+	ckptOnly := Durability{Checkpoint: cfg.Checkpoint}
+	db1 := loggedDB(3, &log)
+	if err := RunDurable(db1, ckptOnly, func(d *Durable) error {
+		_, err := durableSearch(d, db1)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sets := len(db1.Export().Profiles)
+	fill := fmt.Sprintf("[writing %d profile sets restored from %s through to store %s]", sets, cfg.Checkpoint, cfg.Store)
+	for _, want := range []int{1, 1} { // the second open finds them stored
+		if err := RunDurable(loggedDB(3, &log), cfg, func(*Durable) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
-	}
-	open() // persists the reference profile set
-	cs, err := store.Open(cfg.Store, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stale, err := json.Marshal(fakeCandidate(1, 1.5, 0.5, 6, 12))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cs.Put("legacy-candidate", stale); err != nil {
-		t.Fatal(err)
-	}
-	if err := cs.Close(); err != nil {
-		t.Fatal(err)
-	}
-	before, err := os.Stat(cfg.Store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, skipped := range []int{1, 0} {
-		open()
-		if !log.has(fmt.Sprintf("[reloaded 1 profile sets from store %s (%d skipped)]", cfg.Store, skipped)) {
-			t.Fatalf("open with %d stale records not logged: %q", skipped, log.lines)
+		if got := log.count("[writing "); got != want || !log.has(fill) {
+			t.Fatalf("%d write-through lines, want %d of %q: %q", got, want, fill, log.lines)
 		}
 	}
-	after, err := os.Stat(cfg.Store)
-	if err != nil {
+
+	db := loggedDB(3, &log)
+	if err := RunDurable(db, Durability{Store: cfg.Store}, func(*Durable) error {
+		s, err := NewSearcher(context.Background(), db)
+		if err != nil {
+			return err
+		}
+		_, err = s.Search(context.Background(), OrgCompositeFixed, ObjMPThroughput, Budget{AreaMM2: 64})
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if after.Size() >= before.Size() {
-		t.Errorf("log is %d bytes after the opens, %d before: the stale record was kept", after.Size(), before.Size())
+	if !log.has(fmt.Sprintf("[reloaded %d profile sets from store %s (0 skipped)]", sets, cfg.Store)) {
+		t.Errorf("store-only run did not reload the sets: %q", log.lines)
+	}
+	if n := db.Stats.Compiles.Load() + db.Stats.Execs.Load(); n != 0 {
+		t.Errorf("the store-only run compiled or simulated %d times", n)
 	}
 }
 
@@ -322,43 +317,64 @@ func TestDurableCorruptCheckpoint(t *testing.T) {
 	}
 }
 
-// TestDurableStoreUnavailable: a store that cannot open leaves the run
-// memory-only, with no persister and no error.
+// TestDurableStoreUnavailable: a store path that is a file, a foreign one
+// or a log the earlier single-file store wrote, cannot open: the run goes
+// memory-only, with no persister and no error, and the file is left as it
+// was.
 func TestDurableStoreUnavailable(t *testing.T) {
-	var log logLines
-	cfg := durableFiles(t)
-	cfg.Checkpoint = ""
-	if err := os.WriteFile(cfg.Store, []byte("not a candidate store\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ran := false
-	if err := RunDurable(loggedDB(1, &log), cfg, func(d *Durable) error {
-		ran = true
-		if d.Persist != nil {
-			t.Error("an unopenable store produced a persister")
+	for name, content := range map[string][]byte{
+		"foreign":    []byte("not a candidate store\n"),
+		"single-log": legacyLog("x86-16D-64W-P", []byte(`{"Profiles":{}}`)),
+	} {
+		var log logLines
+		cfg := durableFiles(t)
+		cfg.Checkpoint = ""
+		if err := os.WriteFile(cfg.Store, content, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	}); err != nil || !ran {
-		t.Fatalf("RunDurable = %v (body ran: %v), want a memory-only run", err, ran)
-	}
-	if !log.has("[store " + cfg.Store + " unavailable, running memory-only: ") {
-		t.Errorf("memory-only fallback not logged: %q", log.lines)
+		db := loggedDB(1, &log)
+		ran := false
+		if err := RunDurable(db, cfg, func(d *Durable) error {
+			ran = true
+			if db.Persist != nil {
+				t.Errorf("%s: an unopenable store produced a persister", name)
+			}
+			_, err := NewSearcher(context.Background(), db)
+			return err
+		}); err != nil || !ran {
+			t.Fatalf("%s: RunDurable = %v (body ran: %v), want a memory-only run", name, err, ran)
+		}
+		if !log.has("[store " + cfg.Store + " unavailable, running memory-only: ") {
+			t.Errorf("%s: memory-only fallback not logged: %q", name, log.lines)
+		}
+		if got, err := os.ReadFile(cfg.Store); err != nil || string(got) != string(content) {
+			t.Errorf("%s: the store path was altered: %v", name, err)
+		}
 	}
 }
 
+// legacyLog renders a one-record log as the earlier single-file store laid
+// it out: an 8-byte magic, then uint32le payloadLen | uint32le
+// crc32c(payload) | version(1) | uint32le keyLen | key | value.
+func legacyLog(key string, val []byte) []byte {
+	payload := binary.LittleEndian.AppendUint32([]byte{1}, uint32(len(key)))
+	payload = append(append(payload, key...), val...)
+	rec := binary.LittleEndian.AppendUint32([]byte("CPSTOR1\n"), uint32(len(payload)))
+	rec = binary.LittleEndian.AppendUint32(rec, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	return append(rec, payload...)
+}
+
 // TestDurableSavesOnError: a body that fails still gets its checkpoint saved
-// (frontier included) and its store closed, and RunDurable returns its error.
+// (frontier included), and RunDurable returns its error.
 func TestDurableSavesOnError(t *testing.T) {
 	var log logLines
 	cfg := durableFiles(t)
 	db := loggedDB(3, &log)
 	boom := errors.New("boom")
-	var cs *store.Store
 	err := RunDurable(db, cfg, func(d *Durable) error {
 		if _, err := durableSearch(d, db); err != nil {
 			return err
 		}
-		cs = d.Persist.(*store.Store)
 		// The search autosaved; only the exit save can write it again.
 		if err := os.Remove(cfg.Checkpoint); err != nil {
 			return err
@@ -375,8 +391,5 @@ func TestDurableSavesOnError(t *testing.T) {
 	if len(st.Frontier) != 1 || len(st.Points) != len(db.CandidateKeys()) {
 		t.Errorf("checkpoint holds %d searches and %d design points, want 1 and %d",
 			len(st.Frontier), len(st.Points), len(db.CandidateKeys()))
-	}
-	if err := cs.Put("k", nil); !errors.Is(err, store.ErrClosed) {
-		t.Errorf("store still open after a failing body: Put = %v", err)
 	}
 }

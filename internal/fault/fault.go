@@ -32,9 +32,9 @@ const (
 	// carries machine code illegal for its composite feature set
 	// (internal/check found violations before execution).
 	StageVerify
-	// StageStore covers durable-tier failures: the content-addressed
-	// profile store (internal/store) could not append, sync, or
-	// compact. Store faults never invalidate an in-memory evaluation —
+	// StageStore covers durable-tier failures: the profile store
+	// (internal/store) could not write, sync or rename a record file.
+	// Store faults never invalidate an in-memory evaluation —
 	// they degrade durability, so they are typically marked Transient
 	// (the disk may come back) and a serving layer answers from memory.
 	StageStore

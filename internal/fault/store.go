@@ -7,20 +7,24 @@ import (
 )
 
 // StoreOp identifies one mutating filesystem operation of the durable
-// profile store. The StoreInjector decides per operation, so a crash
-// point is "the Nth mutating operation since open" — a coordinate that is
-// stable across runs and lets the chaos harness sweep every phase of an
-// append or compaction deterministically.
+// profile store. Each Put is four of them, in order: the temp write, its
+// fsync, the rename and the directory fsync (see atomicfile). The
+// StoreInjector decides per operation, so a crash point is "the Nth
+// mutating operation since open" — a coordinate that is stable across runs
+// and lets the chaos harness sweep every step of every Put
+// deterministically.
 type StoreOp uint8
 
 const (
-	// OpWrite is one append of record bytes to the log.
+	// OpWrite is the write of a whole record file to its temp.
 	OpWrite StoreOp = iota
-	// OpSync is one fsync of the log file (the durability boundary).
+	// OpSync is the fsync of the temp (the record's contents durable).
 	OpSync
-	// OpRename is the atomic swap installing a compacted log.
+	// OpRename is the atomic swap installing the temp as the key's record
+	// file.
 	OpRename
-	// OpSyncDir is the directory fsync making a rename durable.
+	// OpSyncDir is the directory fsync making a rename (or the store
+	// directory's creation) durable.
 	OpSyncDir
 )
 
@@ -42,8 +46,8 @@ func (op StoreOp) String() string {
 //
 //   - CrashAt > 0 plants one deterministic crash: the Nth mutating store
 //     operation (1-based, counted across all ops) calls Exit mid-operation.
-//     The subprocess chaos harness sweeps N to cover every phase of the
-//     append and compaction paths.
+//     The subprocess chaos harness sweeps N to cover every step of every
+//     Put.
 //   - Rate > 0 injects recoverable operation errors (short write, write
 //     error, fsync error) pseudo-randomly per operation, derived only from
 //     (Seed, op sequence number) so runs with equal seeds fail identically.

@@ -72,14 +72,12 @@ type JobResponse struct {
 }
 
 // HealthResponse is the body answering GET /healthz. Status "degraded"
-// (store circuit not closed: evaluations serve from memory, durability is
-// impaired) still answers 200 — only "draining" is a 503.
+// (the latest profile-set write to the store failed: evaluations serve from
+// memory, durability is impaired) still answers 200 — only "draining" is a
+// 503.
 type HealthResponse struct {
 	Status  string  `json:"status"` // ok | degraded | draining
 	UptimeS float64 `json:"uptime_s"`
-	// Store is the durable tier's circuit state (closed | open | half-open)
-	// when a store is wired; empty otherwise.
-	Store string `json:"store,omitempty"`
 }
 
 // ErrorResponse is the uniform error body for request-level failures.

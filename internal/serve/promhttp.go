@@ -25,14 +25,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	pw.Gauge("compisa_serve_draining", "1 while the server is draining.", draining)
 
 	pw.Struct(&s.stats)
-	if b := s.cfg.Store; b != nil {
+	if p, ok := s.eng.(persistHealth); ok {
 		degraded := 0.0
-		if b.Degraded() {
+		if p.PersistDegraded() {
 			degraded = 1
 		}
 		pw.Gauge("compisa_serve_store_degraded",
-			"1 while the store circuit is not closed (serving memory-only).", degraded)
-		pw.Struct(b.Stats())
+			"1 while the latest profile-set write to the store failed (serving memory-only).", degraded)
 	}
 	if es := s.cfg.EvalStats; es != nil {
 		pw.Struct(es)

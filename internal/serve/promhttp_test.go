@@ -37,14 +37,13 @@ func fillStats(v any) {
 var uptimeSample = regexp.MustCompile(`(?m)^(compisa_serve_uptime_seconds) .*$`)
 
 // TestMetricsGolden pins the whole /metrics exposition, byte for byte, with
-// every eval, serve and breaker metric set to a fixed value: family names,
+// every eval and serve metric set to a fixed value: family names,
 // labels, help text, sample order and values are an external contract that
 // dashboards and alerts scrape.
 func TestMetricsGolden(t *testing.T) {
 	es := &eval.Stats{}
-	b := NewStoreBreaker(nil, BreakerConfig{})
-	s := New(&fakeEngine{}, Config{Workers: 1, EvalStats: es, Store: b})
-	for _, v := range []any{es, s.Stats(), b.Stats()} {
+	s := New(&fakeEngine{}, Config{Workers: 1, EvalStats: es})
+	for _, v := range []any{es, s.Stats()} {
 		fillStats(v)
 	}
 	rec := httptest.NewRecorder()

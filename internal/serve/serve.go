@@ -69,11 +69,6 @@ type Config struct {
 	// EvalStats, when set, exposes the evaluation pipeline's own counters
 	// and histograms on /metrics alongside the server's.
 	EvalStats *eval.Stats
-	// Store, when set, is the durable tier's circuit breaker; its state is
-	// surfaced on /healthz ("degraded" while the circuit is not closed) and
-	// /metrics. Serving never depends on it — a degraded store only means
-	// fresh profile sets are not being persisted.
-	Store *StoreBreaker
 	// Log, if set, receives serving events (rejections, faults, drain).
 	Log func(format string, args ...any)
 }
@@ -438,14 +433,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Status:  "ok",
 		UptimeS: time.Since(s.start).Seconds(),
 	}
-	if b := s.cfg.Store; b != nil {
-		h.Store = string(b.State())
-		if b.Degraded() {
-			// Degraded is still 200: the service answers evaluations from
-			// memory; only durability is impaired. Load balancers keep
-			// routing here, operators alert on the status string.
-			h.Status = "degraded"
-		}
+	if p, ok := s.eng.(persistHealth); ok && p.PersistDegraded() {
+		// Degraded is still 200: the service answers evaluations from
+		// memory; only durability is impaired. Load balancers keep
+		// routing here, operators alert on the status string.
+		h.Status = "degraded"
 	}
 	if s.Draining() {
 		h.Status = "draining"
@@ -482,3 +474,14 @@ func decodeJSON(r *http.Request, v any) error {
 }
 
 var _ Engine = (*eval.DB)(nil)
+
+// persistHealth is the side of an Engine that writes profile sets through
+// to a durable store (*eval.DB): while its latest write failed, /healthz
+// reports "degraded" and /metrics sets compisa_serve_store_degraded.
+// Serving never depends on it — a degraded store only means fresh profile
+// sets are not being persisted.
+type persistHealth interface {
+	PersistDegraded() bool
+}
+
+var _ persistHealth = (*eval.DB)(nil)

@@ -65,6 +65,10 @@ func (f *fakeEngine) Evaluate(ctx context.Context, dp eval.DesignPoint, ref []ev
 	}, nil
 }
 
+// PersistDegraded makes fakeEngine a persisting engine whose store is
+// always healthy, so /metrics carries the store gauge.
+func (f *fakeEngine) PersistDegraded() bool { return false }
+
 func isaKeys(t *testing.T, n int) []string {
 	t.Helper()
 	keys := eval.ChoiceKeys()
@@ -525,5 +529,93 @@ func TestMetricsExposeEveryEvalStat(t *testing.T) {
 		if evalLines(es) == zero {
 			t.Errorf("StatsSnapshot.%s does not reach /metrics", typ.Field(i).Name)
 		}
+	}
+}
+
+// flakyPersister fails every write while down.
+type flakyPersister struct {
+	mu   sync.Mutex
+	down bool
+}
+
+func (p *flakyPersister) Put(key string, val []byte) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.down {
+		return errors.New("disk on fire")
+	}
+	return nil
+}
+
+func (p *flakyPersister) setDown(down bool) {
+	p.mu.Lock()
+	p.down = down
+	p.mu.Unlock()
+}
+
+// TestServeWithStoreDown is the acceptance check for degraded-mode serving:
+// with the DB's durable tier hard-down, evaluation requests keep answering
+// 200 (never 5xx), /healthz reports status "degraded" and /metrics sets the
+// degraded gauge; the next profile set written once the store is back
+// clears both.
+func TestServeWithStoreDown(t *testing.T) {
+	p := &flakyPersister{down: true}
+	db := eval.NewDB()
+	db.Regions = db.Regions[:1]
+	db.Persist = p
+	s := New(db, Config{Workers: 2})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	health := func() (int, HealthResponse, string) {
+		t.Helper()
+		hr, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var h HealthResponse
+		if err := json.NewDecoder(hr.Body).Decode(&h); err != nil {
+			t.Fatal(err)
+		}
+		hr.Body.Close()
+		mr, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		mb, _ := io.ReadAll(mr.Body)
+		mr.Body.Close()
+		return hr.StatusCode, h, string(mb)
+	}
+	if _, h, _ := health(); h.Status != "ok" {
+		t.Fatalf("healthz before any write = %+v, want status ok", h)
+	}
+
+	keys := isaKeys(t, 4)
+	for i, key := range keys[:3] {
+		resp, body := postJSON(t, ts.URL+"/evaluate", EvaluateRequest{ISA: key})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("evaluate %d with store down: status %d, body %s", i, resp.StatusCode, body)
+		}
+	}
+	if db.Stats.PersistErrors.Load() == 0 {
+		t.Fatal("no profile-set write reached the failing store")
+	}
+	code, h, metrics := health()
+	if code != http.StatusOK || h.Status != "degraded" {
+		t.Fatalf("healthz with store down = %d %+v, want 200 and status degraded", code, h)
+	}
+	if !strings.Contains(metrics, "compisa_serve_store_degraded 1") {
+		t.Fatalf("metrics missing degraded gauge:\n%s", metrics)
+	}
+
+	// The store comes back: the next fresh profile set is written and the
+	// server is healthy again.
+	p.setDown(false)
+	if resp, body := postJSON(t, ts.URL+"/evaluate", EvaluateRequest{ISA: keys[3]}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("evaluate after recovery: status %d, body %s", resp.StatusCode, body)
+	}
+	code, h, metrics = health()
+	if code != http.StatusOK || h.Status != "ok" || !strings.Contains(metrics, "compisa_serve_store_degraded 0") {
+		t.Fatalf("healthz after recovery = %d %+v, want 200 and status ok with the gauge at 0", code, h)
 	}
 }

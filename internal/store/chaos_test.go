@@ -1,21 +1,21 @@
 // Chaos harness: prove the store's recovery invariants under real process
-// death. The parent (TestChaosRecovery) sweeps a crash point across every
-// mutating filesystem operation of a fixed workload; for each point it
+// death. The parent (TestChaosRecovery) plants a crash at every mutating
+// filesystem operation of a fixed workload in turn; for each point it
 // re-executes this test binary as a child (TestChaosChild) whose injector
-// kills the process mid-operation — torn half-written records, skipped
+// kills the process mid-operation — torn half-written temps, skipped
 // fsyncs, renames that never happen, directory syncs that never happen.
 //
 // The child journals every store mutation to a progress file ("try" before
-// the call, "ok" after a nil return). An acknowledged Put is a synced Put,
-// so the parent can replay the journal and assert the
-// three invariants the rest of the system builds on:
+// the call, "ok" after a nil return). An acknowledged Put is a durable Put,
+// so the parent can replay the journal and assert the invariants the rest
+// of the system builds on:
 //
 //  1. reopening after a crash never fails (recovery is total);
-//  2. every acknowledged (synced) record survives with its exact value —
-//     the only admissible other value is the single in-flight write the
-//     crash interrupted;
-//  3. the torn tail is discarded and nothing is quarantined (a kill tears
-//     only the tail; it never manufactures mid-log corruption).
+//  2. every acknowledged record survives with its exact value — the only
+//     admissible other value is the single in-flight write the crash
+//     interrupted;
+//  3. nothing is skipped (a kill never manufactures a corrupt record
+//     file), and no temp debris remains after the reopen.
 package store
 
 import (
@@ -36,12 +36,11 @@ const (
 	chaosChildEnv = "COMPISA_STORE_CHAOS_CHILD"
 	chaosCrashEnv = "COMPISA_STORE_CHAOS_CRASH_AT"
 	chaosDirEnv   = "COMPISA_STORE_CHAOS_DIR"
-	// chaosPoints is the number of seeded crash points the parent sweeps.
-	// The workload performs ~100 mutating ops, so every point below that
-	// kills the child somewhere real: header write, record appends, record
-	// fsyncs, compaction writes, the compaction rename, the directory
-	// sync, and the post-compaction appends.
-	chaosPoints = 64
+	// chaosPoints is the number of mutating operations in the workload:
+	// the directory's creation (one fsync of its parent) and 16 Puts of
+	// four operations each (temp write, temp fsync, rename, directory
+	// fsync). The parent plants a crash at every one of them.
+	chaosPoints = 1 + 16*4
 )
 
 // TestChaosChild is the subprocess body; it skips unless the parent set
@@ -77,7 +76,7 @@ func runChaosChild(dir string, crashAt int64) error {
 	if err != nil {
 		return err
 	}
-	s, err := Open(filepath.Join(dir, "points.log"), Options{FS: NewFaultFS(nil, inj)})
+	s, err := Open(filepath.Join(dir, "profiles"), Options{FS: NewFaultFS(inj)})
 	if err != nil {
 		return fmt.Errorf("open: %w", err)
 	}
@@ -89,46 +88,34 @@ func runChaosChild(dir string, crashAt int64) error {
 		journal("ok", key, val)
 		return nil
 	}
-	// Phase 1: fill the log.
+	// Phase 1: one record per key.
 	for i := 0; i < 12; i++ {
 		if err := put(fmt.Sprintf("key-%02d", i), fmt.Sprintf("v1-%02d", i)); err != nil {
 			return err
 		}
 	}
-	// Phase 2: overwrite a prefix (creates compaction garbage and tests
-	// last-write-wins across a crash).
+	// Phase 2: overwrite a prefix (last write wins across a crash, and a
+	// crash mid-overwrite must leave the previous record whole).
 	for i := 0; i < 4; i++ {
 		if err := put(fmt.Sprintf("key-%02d", i), fmt.Sprintf("v2-%02d", i)); err != nil {
 			return err
 		}
 	}
-	// Phase 3: compact (write-new + fsync + rename + dir fsync — four
-	// distinct crash phases).
-	journal("try", "compact", "-")
-	if err := s.Compact(); err != nil {
-		return err
+	if n := inj.Ops(); n != chaosPoints {
+		return fmt.Errorf("workload ran %d mutating operations, want chaosPoints = %d", n, chaosPoints)
 	}
-	journal("ok", "compact", "-")
-	// Phase 4: keep appending on the compacted log.
-	for i := 12; i < 16; i++ {
-		if err := put(fmt.Sprintf("key-%02d", i), fmt.Sprintf("v1-%02d", i)); err != nil {
-			return err
-		}
-	}
-	return s.Close()
+	return nil
 }
 
 // chaosOutcome is one crash point's verdict, serialized into the recovery
 // report artifact.
 type chaosOutcome struct {
-	CrashAt     int    `json:"crash_at"`
-	Crashed     bool   `json:"crashed"`
-	Records     int    `json:"records"`
-	Appends     int    `json:"appends"`
-	TornBytes   int64  `json:"torn_bytes"`
-	Quarantined int    `json:"quarantined"`
-	AckedPuts   int    `json:"acked_puts"`
-	Failure     string `json:"failure,omitempty"`
+	CrashAt   int    `json:"crash_at"`
+	Crashed   bool   `json:"crashed"`
+	Records   int    `json:"records"`
+	Skipped   int    `json:"skipped"`
+	AckedPuts int    `json:"acked_puts"`
+	Failure   string `json:"failure,omitempty"`
 }
 
 func TestChaosRecovery(t *testing.T) {
@@ -169,10 +156,10 @@ func TestChaosRecovery(t *testing.T) {
 		verifyChaosRecovery(t, dir, &o)
 		outcomes = append(outcomes, o)
 	}
-	// The sweep must actually have exercised crashes — if the workload
-	// shrank below the sweep range, the suite would silently weaken.
-	if crashed < 50 {
-		t.Errorf("only %d of %d points crashed the child; the chaos suite needs >= 50 real crash points (grow the workload)", crashed, chaosPoints)
+	// Every point must have killed the child: a point past the workload's
+	// last operation would pass without testing anything.
+	if crashed != chaosPoints {
+		t.Errorf("%d of %d points crashed the child, want all", crashed, chaosPoints)
 	}
 	writeChaosReport(t, outcomes)
 }
@@ -184,33 +171,40 @@ func verifyChaosRecovery(t *testing.T, dir string, o *chaosOutcome) {
 	acked, inflight := replayJournal(t, filepath.Join(dir, "progress.log"))
 	o.AckedPuts = len(acked)
 
-	s, err := Open(filepath.Join(dir, "points.log"), Options{})
+	storeDir := filepath.Join(dir, "profiles")
+	s, err := Open(storeDir, Options{})
 	if err != nil {
 		t.Errorf("crash point %d: reopen failed: %v (invariant: recovery is total)", o.CrashAt, err)
 		o.Failure = fmt.Sprintf("reopen: %v", err)
 		return
 	}
-	defer s.Close()
-	rec := s.Recovery()
-	o.Records, o.Appends = rec.Records, rec.Appends
-	o.TornBytes, o.Quarantined = rec.TruncatedBytes, rec.Quarantined
-	if rec.Quarantined != 0 {
-		t.Errorf("crash point %d: %d records quarantined; a kill must only tear the tail", o.CrashAt, rec.Quarantined)
-		o.Failure = "quarantined records after kill"
+	records := map[string]string{}
+	o.Skipped, err = s.Range(func(key string, val []byte) error {
+		records[key] = string(val)
+		return nil
+	})
+	o.Records = len(records)
+	if err != nil || o.Skipped != 0 {
+		t.Errorf("crash point %d: %d records skipped (%v); a kill must never damage a record file", o.CrashAt, o.Skipped, err)
+		o.Failure = "skipped records after kill"
+	}
+	if d := debris(t, storeDir); len(d) != 0 {
+		t.Errorf("crash point %d: %v left in the store after reopen", o.CrashAt, d)
+		o.Failure = "temp debris after reopen"
 	}
 	for key, want := range acked {
-		got, err := s.Get(key)
-		if err != nil {
-			t.Errorf("crash point %d: synced record %s lost: %v", o.CrashAt, key, err)
-			o.Failure = "synced record lost"
+		got, ok := records[key]
+		if !ok {
+			t.Errorf("crash point %d: acknowledged record %s lost", o.CrashAt, key)
+			o.Failure = "acknowledged record lost"
 			continue
 		}
-		if string(got) == want {
+		if got == want {
 			continue
 		}
 		// The only admissible deviation: the crash interrupted a later
-		// overwrite of this key whose bytes happened to land completely.
-		if try, ok := inflight[key]; ok && string(got) == try {
+		// overwrite of this key after its rename.
+		if try, ok := inflight[key]; ok && got == try {
 			continue
 		}
 		t.Errorf("crash point %d: %s = %q, want %q (or in-flight %q)", o.CrashAt, key, got, want, inflight[key])
@@ -225,8 +219,8 @@ func replayJournal(t *testing.T, path string) (acked, inflight map[string]string
 	acked, inflight = map[string]string{}, map[string]string{}
 	f, err := os.Open(path)
 	if err != nil {
-		// Crash before the first journal line (e.g. during the header
-		// write): nothing was acknowledged, nothing to check.
+		// Crash before the first journal line (while creating the store
+		// directory): nothing was acknowledged, nothing to check.
 		return acked, inflight
 	}
 	defer f.Close()
@@ -234,7 +228,7 @@ func replayJournal(t *testing.T, path string) (acked, inflight map[string]string
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
 		parts := strings.SplitN(sc.Text(), " ", 3)
-		if len(parts) != 3 || parts[1] == "compact" {
+		if len(parts) != 3 {
 			continue
 		}
 		phase, key, val := parts[0], parts[1], parts[2]
