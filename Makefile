@@ -64,7 +64,7 @@ cross-build:
 	GOOS=darwin GOARCH=arm64 $(GO) build ./...
 
 # Fault-tolerance smoke: the TestFault* suite exercises injection, retry,
-# quarantine, cancellation, determinism, and checkpoint/resume.
+# quarantine, cancellation, determinism, and save/resume through the store.
 fault-smoke:
 	$(GO) test -run Fault -v ./internal/eval/ ./internal/explore/ ./internal/fault/ ./internal/cpu/
 
@@ -139,26 +139,29 @@ bench-diff:
 	$(GO) test -bench . -benchtime 3x -benchmem -run '^$$' -timeout 30m | tee /tmp/bench.txt
 	$(GO) run ./tools/benchdiff -baseline BENCH_baseline.json -threshold 0.15 /tmp/bench.txt
 
-# Boot the evaluation service on an ephemeral port with a checkpoint and a
-# profile-store directory in a fresh state directory, drive it with the
-# closed-loop load generator (its report goes to that directory) and gate
-# on cache-hit rate and 5xx count; then evaluate one point, shut down
-# gracefully, reboot on the same files and require that point to answer
+# Boot the evaluation service on an ephemeral port on a fresh store
+# directory (with -stats, so its log ends with the pipeline statistics),
+# drive it with the closed-loop load generator (its report goes to the
+# state directory) and gate on cache-hit rate and 5xx count; scrape
+# /metrics and require the serving-layer families, each family's TYPE
+# header exactly once; then evaluate one point, shut down gracefully,
+# reboot on the same directory and require that point to answer
 # "cached":true, and a config the load never requests (in-order, width 1)
 # of the same ISA to score anew: the rebooted server must run no
-# simulation, so the exec stage counter on /metrics, which the checkpoint
+# simulation, so the exec stage counter on /metrics, which the run record
 # carries across the reboot, must read what it read before the shutdown.
-# A third boot on the store alone (no checkpoint, so every counter starts
-# at 0) must score another never-requested config (in-order, width 2)
-# "cached":false with the exec stage counter at 0: the store by itself
-# warm-starts the profile tier — the CI serve-smoke job, locally.
+# A third boot after deleting the run record (so every counter starts at
+# 0) must score another never-requested config (in-order, width 2)
+# "cached":false with the exec stage counter at 0: the profile-set records
+# by themselves warm-start the profile tier. CI's serve-smoke job runs
+# this target and uploads the state directory's reports and logs.
 serve-smoke:
 	$(GO) build -o /tmp/compisa-bin/ ./cmd/compose-serve ./cmd/compose-load
 	@rm -rf /tmp/compisa-bin/serve-state && mkdir -p /tmp/compisa-bin/serve-state
 	STATE=/tmp/compisa-bin/serve-state; \
 	boot() { \
 		LOG=$$STATE/$$1; shift; \
-		/tmp/compisa-bin/compose-serve -addr 127.0.0.1:0 -regions 8 -store $$STATE/profiles "$$@" 2>$$LOG & \
+		/tmp/compisa-bin/compose-serve -addr 127.0.0.1:0 -regions 8 -store $$STATE/store "$$@" 2>$$LOG & \
 		SERVE_PID=$$!; ADDR=; \
 		for i in $$(seq 1 50); do \
 			ADDR=$$(sed -n 's/^listening on \(http:[^ ]*\).*/\1/p' $$LOG); \
@@ -171,14 +174,20 @@ serve-smoke:
 	inorder() { curl -fsS -X POST "$$ADDR/evaluate" \
 		-d '{"isa":"vendor:Alpha","config":{"OoO":false,"Width":'$$1',"Predictor":1,"IQ":32,"ROB":64,"PRFInt":64,"PRFFP":16,"IntALU":1,"IntMul":1,"FPALU":1,"LSQ":16,"L1I":{"SizeKB":32,"Assoc":4},"L1D":{"SizeKB":32,"Assoc":4},"L2":{"SizeKB":4096,"Assoc":4,"Banks":4},"UopCache":false,"Fusion":true}}'; }; \
 	execs() { curl -fsS "$$ADDR/metrics" | sed -n 's/^compisa_eval_stage_total{stage="exec"} //p'; }; \
-	boot serve.log -checkpoint $$STATE/ckpt.json -warm || exit 1; \
+	boot serve.log -warm -stats || exit 1; \
 	/tmp/compisa-bin/compose-load -addr "$$ADDR" -requests 200 -concurrency 8 -points 3 -seed 7 \
 		-min-hit-rate 0.5 -max-5xx 0 -out $$STATE/BENCH_serve.json; \
-	STATUS=$$?; point >/dev/null || STATUS=1; \
+	STATUS=$$?; \
+	curl -fsS "$$ADDR/metrics" >$$STATE/metrics.txt || STATUS=1; \
+	grep -E 'serve_(evaluations|coalesced|cache_hits)_total' $$STATE/metrics.txt || { \
+		echo "/metrics lacks the serving-layer families"; STATUS=1; }; \
+	DUP=$$(grep '^# TYPE' $$STATE/metrics.txt | sort | uniq -d); \
+	[ -z "$$DUP" ] || { echo "duplicate metric families: $$DUP"; STATUS=1; }; \
+	point >/dev/null || STATUS=1; \
 	BEFORE=$$(execs); \
 	kill -TERM $$SERVE_PID; wait $$SERVE_PID || STATUS=1; \
 	[ $$STATUS = 0 ] || exit $$STATUS; \
-	boot reboot.log -checkpoint $$STATE/ckpt.json || exit 1; \
+	boot reboot.log || exit 1; \
 	point >$$STATE/point.json; \
 	inorder 1 >$$STATE/other.json; \
 	AFTER=$$(execs); \
@@ -189,6 +198,7 @@ serve-smoke:
 	[ -n "$$BEFORE" ] && [ "$$BEFORE" = "$$AFTER" ] && grep -q '"cached":false' $$STATE/other.json || { \
 		echo "the rebooted server simulated (exec stage $$BEFORE -> $$AFTER) or did not score the new config anew:"; \
 		cat $$STATE/other.json $$STATE/reboot.log; exit 1; }; \
+	rm $$STATE/store/run.rec || exit 1; \
 	boot storeonly.log || exit 1; \
 	inorder 2 >$$STATE/storeonly.json; \
 	STOREONLY=$$(execs); \

@@ -4,17 +4,16 @@
 //
 // Robustness controls:
 //
-//	-timeout     bounds the whole run; on expiry the run stops with a
-//	             saved checkpoint instead of hanging.
-//	-checkpoint  persists the profile sets, the evaluated design points
-//	             (re-scored from the profiles on resume) and the search
-//	             frontier; an interrupted run resumes from where it
-//	             stopped. A corrupt file is quarantined to <path>.corrupt
-//	             and the run starts cold (-checkpoint-strict fails instead).
-//	-store       crash-safe profile store, a directory with one atomically
-//	             written file per ISA key: each profile set is written
-//	             through as it completes (durable mid-run, not only at
-//	             checkpoint boundaries) and reloaded at startup.
+//	-timeout     bounds the whole run; on expiry the run stops with its
+//	             position saved to -store instead of hanging.
+//	-store       the run's one durable directory, one atomically written
+//	             record file per key: each profile set is written through
+//	             as it completes, and the run record (design points,
+//	             re-scored from the profiles on resume, stats and search
+//	             frontier) is rewritten after every search and experiment
+//	             and at exit. A rerun on the same directory resumes from
+//	             where the last one stopped; a damaged record is skipped
+//	             and rewritten by the next save.
 //	-inject-*    deterministically inject evaluation faults to exercise
 //	             the retry/quarantine machinery.
 //	-stats       print evaluation-pipeline statistics on exit: per-stage
@@ -46,9 +45,7 @@ import (
 func main() {
 	exp := flag.String("experiment", "all", "experiment to run ("+strings.Join(explore.ExperimentNames(), ", ")+", or all)")
 	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
-	checkpoint := flag.String("checkpoint", "", "checkpoint file: resume from it if present, save to it as searches complete")
-	checkpointStrict := flag.Bool("checkpoint-strict", false, "fail on a corrupt checkpoint instead of quarantining it and starting cold")
-	storePath := flag.String("store", "", "crash-safe profile-store directory (one file per ISA key): reload profile sets from it, write each through as it completes")
+	storePath := flag.String("store", "", "durable directory (one file per profile set, plus the run record): resume from it, write each profile set through as it completes and the run record as searches complete")
 	injectRate := flag.Float64("inject-rate", 0, "fault injection rate in [0,1] (0 = no injection)")
 	injectSeed := flag.Uint64("inject-seed", 1, "fault injection seed (same seed => same faults)")
 	injectKinds := flag.String("inject-kinds", "", "comma-separated fault kinds to inject (compile,runaway,corrupt,slow,badcode); empty = all default kinds")
@@ -114,11 +111,9 @@ func main() {
 		}
 	}
 
-	// The checkpoint is saved after every search and experiment, and once
-	// more however the run ends; the store writes profile sets through.
-	err = explore.RunDurable(db, explore.Durability{
-		Checkpoint: *checkpoint, Strict: *checkpointStrict, Store: *storePath,
-	}, func(d *explore.Durable) error {
+	// The store writes profile sets through; the run record is saved after
+	// every search and experiment, and once more however the run ends.
+	err = explore.RunDurable(db, *storePath, func(d *explore.Durable) error {
 		s, err := explore.NewSearcher(ctx, db)
 		if err != nil {
 			return err
@@ -130,7 +125,7 @@ func main() {
 			if err := e.Run(ctx, sess, os.Stdout); err != nil {
 				report()
 				if ctx.Err() != nil {
-					return fmt.Errorf("%s: interrupted (%w); checkpoint saved, rerun to resume", e.Name, err)
+					return fmt.Errorf("%s: interrupted (%w); rerun on the same -store to resume", e.Name, err)
 				}
 				return fmt.Errorf("%s: %w", e.Name, err)
 			}

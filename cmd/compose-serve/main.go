@@ -12,18 +12,15 @@
 //
 // Operational controls:
 //
-//	-checkpoint  warm-start from a compose-explore checkpoint (profile
-//	             sets, plus the evaluated design points, re-scored at
-//	             boot) and save the (grown) caches on shutdown. A corrupt
-//	             checkpoint is quarantined to <path>.corrupt and the
-//	             server starts cold (-checkpoint-strict fails instead).
-//	-store       crash-safe profile store, a directory with one atomically
-//	             written file per ISA key: every profile set is written
+//	-store       the service's one durable directory, one atomically
+//	             written record file per key: every profile set is written
 //	             through as it completes, and the profile tier warm-starts
 //	             from the directory at boot, so any configuration of a
-//	             stored ISA is a score-only miss. Store failures never fail
-//	             serving: the DB keeps the set in memory, and /healthz
-//	             reports "degraded" until a later write succeeds.
+//	             stored ISA is a score-only miss. The run record (evaluated
+//	             design points, re-scored at boot, and stats) is saved on
+//	             shutdown. Store failures never fail serving: the DB keeps
+//	             the set in memory, and /healthz reports "degraded" until a
+//	             later write succeeds.
 //	-warm        compute the reference metrics in the background at boot,
 //	             so the first request doesn't pay for them.
 //	-regions     serve only the first N suite regions (CI smoke runs).
@@ -32,7 +29,7 @@
 //	             production server never exposes debug handlers to clients.
 //
 // SIGTERM/SIGINT drains gracefully: in-flight requests complete, new ones
-// get 503 + Retry-After, then the caches are checkpointed.
+// get 503 + Retry-After, then the run record is saved to -store.
 package main
 
 import (
@@ -60,9 +57,7 @@ func main() {
 	queue := flag.Int("queue", 0, "max evaluations waiting for a worker before 429 (0 = 4x workers)")
 	timeout := flag.Duration("timeout", 2*time.Minute, "server-side deadline per design-point evaluation")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
-	checkpoint := flag.String("checkpoint", "", "checkpoint file: warm-start caches from it, save them back on shutdown")
-	checkpointStrict := flag.Bool("checkpoint-strict", false, "fail on a corrupt checkpoint instead of quarantining it and starting cold")
-	storePath := flag.String("store", "", "crash-safe profile-store directory (one file per ISA key): warm-start from it, write each profile set through as it completes")
+	storePath := flag.String("store", "", "durable directory (one file per profile set, plus the run record): warm-start from it, write each profile set through as it completes, save the run record on shutdown")
 	regions := flag.Int("regions", 0, "serve only the first N suite regions (0 = full suite)")
 	warm := flag.Bool("warm", false, "compute reference metrics in the background at startup")
 	stats := flag.Bool("stats", false, "print evaluation pipeline statistics on exit")
@@ -70,15 +65,14 @@ func main() {
 	flag.Parse()
 	log.SetFlags(0)
 
-	if err := run(*addr, *workers, *queue, *timeout, *drainTimeout, *checkpoint, *checkpointStrict,
+	if err := run(*addr, *workers, *queue, *timeout, *drainTimeout,
 		*storePath, *regions, *warm, *stats, *pprofAddr); err != nil {
 		log.Fatal(err)
 	}
 }
 
 func run(addr string, workers, queue int, timeout, drainTimeout time.Duration,
-	checkpoint string, checkpointStrict bool, storePath string,
-	regions int, warm, stats bool, pprofAddr string) error {
+	storePath string, regions int, warm, stats bool, pprofAddr string) error {
 	if pprofAddr != "" {
 		// The API server builds its own mux (serve.Handler), so the
 		// net/http/pprof handlers registered on the DefaultServeMux are
@@ -103,12 +97,9 @@ func run(addr string, workers, queue int, timeout, drainTimeout time.Duration,
 	if workers <= 0 {
 		workers = par.DefaultLimit()
 	}
-	// The caches warm-start from the checkpoint and the store, profile sets
-	// are written through to the store, and the caches are checkpointed
-	// however serving ends.
-	err := explore.RunDurable(db, explore.Durability{
-		Checkpoint: checkpoint, Strict: checkpointStrict, Store: storePath,
-	}, func(*explore.Durable) error {
+	// The caches warm-start from the store, profile sets are written
+	// through to it, and the run record is saved however serving ends.
+	err := explore.RunDurable(db, storePath, func(*explore.Durable) error {
 		srv := serve.New(db, serve.Config{
 			Workers: workers, Queue: queue, Timeout: timeout,
 			EvalStats: &db.Stats,

@@ -15,7 +15,7 @@
 // Skipping step 2 is the classic bug: rename-without-fsync can commit the
 // name before the data, leaving a zero-length or partial target after a
 // crash. Skipping step 4 can lose the rename itself, resurrecting the old
-// file — acceptable for caches, surprising for checkpoints.
+// file — acceptable for caches, surprising for a saved run.
 //
 // Every mutating step goes through the FS seam, so a fault-injecting FS can
 // tear the write, fail an fsync or kill the process at any step while the

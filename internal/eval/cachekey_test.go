@@ -23,7 +23,7 @@ func legacyCacheKey(d eval.DesignPoint) string {
 }
 
 // TestCacheKeyMatchesLegacyFormat: the key is a cross-process identity
-// (checkpoints and store logs written by older binaries must still hit), so
+// (runs saved by older binaries must still hit), so
 // every (choice, configuration) point of the exploration grid, plus the
 // reference core, must produce exactly the legacy bytes.
 func TestCacheKeyMatchesLegacyFormat(t *testing.T) {

@@ -59,11 +59,11 @@ func (d DesignPoint) String() string {
 // tier. cpu.CoreConfig.Name() abbreviates (it omits fields that are coupled
 // within the pruned 180-config space), so the key spells out every
 // configuration field instead — explicitly, field by field, rather than
-// through reflective formatting. The key is a cross-process identity:
-// checkpoints written by one binary (compose-explore) warm-start another
-// (compose-serve), so its derivation must depend only on field values —
-// never on map iteration, pointer formatting, or struct declaration order —
-// and any change to it must bump the checkpoint version.
+// through reflective formatting. A process that warm-starts from a saved
+// run (compose-explore's store directory opened by compose-serve) recomputes
+// the keys of the restored points and compares them with keys of requests,
+// so the derivation must depend only on field values — never on map
+// iteration, pointer formatting, or struct declaration order.
 func (d DesignPoint) CacheKey() string {
 	c := d.Cfg
 	b := make([]byte, 0, 192)

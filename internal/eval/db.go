@@ -41,8 +41,8 @@ import (
 //     organizations, or experiment drivers consume it. A candidate keeps
 //     only what searches and the serving layer read (scores, area, peak
 //     power); EachMetric rescores a point's full per-region metrics on
-//     demand. Only the profile tier is durable (Persister, State); a
-//     restart re-scores the points (Rescore).
+//     demand. Only the profile tier is durable (Persister); a restart
+//     re-scores the points a saved State lists (Rescore).
 //
 // Beside the tiers, each profile set's perfmodel scorers are built once
 // (scorers) and shared by every later score of that ISA.
@@ -136,7 +136,7 @@ func (db *DB) profilesOf(ctx context.Context, c ISAChoice, key string) ([]*cpu.P
 	// computes one.
 	ps, shared, err := db.profileSets.Do(ctx, key, func() ([]*cpu.Profile, error) {
 		db.mu.Lock()
-		ps, ok := db.profiles[key] // restored from a checkpoint
+		ps, ok := db.profiles[key] // restored from a store record
 		db.mu.Unlock()
 		if ok {
 			db.Stats.ProfileHits.Inc()

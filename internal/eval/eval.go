@@ -9,7 +9,7 @@
 //     configuration) design points against the reference core, with a
 //     memoized candidate cache so each of the 4680 design points is
 //     computed once and shared across budgets, organizations, experiment
-//     drivers, and (via the checkpoint) processes.
+//     drivers, and (re-scored from a saved run) processes.
 //
 // Both stages run on internal/par worker pools and are instrumented
 // through internal/metrics (DB.Stats).

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"encoding/json"
 	"math"
 	"reflect"
 	"runtime"
@@ -186,7 +187,7 @@ func TestCandidateFootprint(t *testing.T) {
 	ctx := context.Background()
 	small := smallDB(3, nil)
 	choices := []ISAChoice{X8664Choice(), injectable(t)}
-	st := State{Profiles: map[string][]*cpu.Profile{}}
+	rec := profileRecord{Profiles: map[string][]*cpu.Profile{}}
 	db := NewDB()
 	for _, c := range choices {
 		ps, err := small.Profiles(ctx, c)
@@ -197,9 +198,15 @@ func TestCandidateFootprint(t *testing.T) {
 		for r := range full {
 			full[r] = ps[r%len(ps)]
 		}
-		st.Profiles[c.Key()] = full
+		rec.Profiles[c.Key()] = full
 	}
-	db.Import(st)
+	data, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.ImportRecord(data); err != nil {
+		t.Fatal(err)
+	}
 	ref, err := db.ReferenceMetrics(ctx)
 	if err != nil {
 		t.Fatal(err)

@@ -11,12 +11,11 @@ import (
 )
 
 // TestCacheKeyStable pins the candidate-tier key format. The key is a
-// cross-process identity — checkpoints written by compose-explore must
-// warm-start compose-serve on another host — so its derivation may depend
-// only on field values (no map iteration, no pointer formatting, no
-// reflective struct dumps whose output shifts with declaration order). Any
-// intentional format change must update this golden and bump the
-// checkpoint version.
+// cross-process identity — a run saved by compose-explore must warm-start
+// compose-serve on another host — so its derivation may depend only on
+// field values (no map iteration, no pointer formatting, no reflective
+// struct dumps whose output shifts with declaration order). Any
+// intentional format change must update this golden.
 func TestCacheKeyStable(t *testing.T) {
 	dp := DesignPoint{ISA: X8664Choice(), Cfg: ReferenceConfig()}
 	const want = "x86-16D-64W-P|ooo=true,w=4,bp=T,iq=64,rob=128,prfi=192,prff=160,alu=6,mul=2,fpu=4,lsq=32,l1i=64k/4/0,l1d=64k/4/0,l2=8192k/8/4,uop=true,fuse=true"
@@ -24,7 +23,7 @@ func TestCacheKeyStable(t *testing.T) {
 		t.Errorf("CacheKey drifted:\n got %s\nwant %s", got, want)
 	}
 
-	// A JSON round trip (the checkpoint boundary) must preserve the key.
+	// A JSON round trip (the saved frontier's boundary) must preserve the key.
 	data, err := json.Marshal(dp)
 	if err != nil {
 		t.Fatal(err)
@@ -106,15 +105,18 @@ func TestChoiceIndex(t *testing.T) {
 	}
 }
 
-// TestStateCrossProcessRoundtrip drives the checkpoint warm-start path the
-// way two different binaries would: the state crosses a real JSON file (not
-// an in-memory Export/Import handoff), and the importing DB must re-score
+// TestStateCrossProcessRoundtrip drives the warm-start path the way two
+// different binaries would: the state crosses a real JSON file (not an
+// in-memory handoff), and the importing DB, its profile tier restored from
+// the profile-set records, must re-score
 // the reference metrics and the exported point without a single new
 // simulation, then serve the point without a new model evaluation — the
 // property compose-serve's warm start depends on.
 func TestStateCrossProcessRoundtrip(t *testing.T) {
 	ctx := context.Background()
 	db1 := smallDB(3, nil)
+	recs := &memPersister{}
+	db1.Persist = recs
 	ref, err := db1.ReferenceMetrics(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +146,8 @@ func TestStateCrossProcessRoundtrip(t *testing.T) {
 	}
 
 	db2 := smallDB(3, nil)
-	db2.Import(st)
+	recs.restore(t, db2)
+	db2.Stats.Merge(st.Stats)
 	if err := db2.Rescore(ctx, st.Points); err != nil {
 		t.Fatal(err)
 	}

@@ -9,10 +9,10 @@ import (
 )
 
 // Persister receives every completed profile set once, keyed by ISA key:
-// the write-through durability hook. The record is the one-ISA-key slice of
-// State (the set plus its quarantine entries) as JSON; ImportRecord reads it
-// back. Candidates, a ~10 µs function of a profile set and a configuration,
-// are never persisted.
+// the write-through durability hook. The record is a profileRecord (the set
+// plus its quarantine entries) as JSON; ImportRecord reads it back.
+// Candidates, a ~10 µs function of a profile set and a configuration, are
+// never persisted.
 //
 // A persist failure never fails the evaluation — the profiles are already
 // correct in memory; only their durability degraded. The DB counts the
@@ -30,18 +30,12 @@ type Persister interface {
 // successful write clears it.
 func (db *DB) PersistDegraded() bool { return db.persistDown.Load() }
 
-// WriteThrough persists the profile sets of keys held in the profile tier,
-// as if each had just been computed. A warm start from another source than
-// the store (a checkpoint) uses it to fill the store in.
-func (db *DB) WriteThrough(keys []string) {
-	for _, k := range keys {
-		db.mu.Lock()
-		ps := db.profiles[k]
-		db.mu.Unlock()
-		if ps != nil {
-			db.persist(k, ps)
-		}
-	}
+// profileRecord is one Persister record: one ISA key's profile set (nil
+// slot = quarantined) and the quarantine entries ("region|isaKey" →
+// failure reason) of its nil slots.
+type profileRecord struct {
+	Profiles   map[string][]*cpu.Profile `json:"profiles"`
+	Quarantine map[string]string         `json:"quarantine,omitempty"`
 }
 
 // persist write-throughs one freshly computed profile set, with
@@ -50,7 +44,7 @@ func (db *DB) persist(key string, ps []*cpu.Profile) {
 	if db.Persist == nil {
 		return
 	}
-	rec := State{Profiles: map[string][]*cpu.Profile{key: ps}, Quarantine: map[string]string{}}
+	rec := profileRecord{Profiles: map[string][]*cpu.Profile{key: ps}, Quarantine: map[string]string{}}
 	db.mu.Lock()
 	for i, p := range ps {
 		if p == nil {
@@ -76,18 +70,31 @@ func (db *DB) persist(key string, ps []*cpu.Profile) {
 	}
 }
 
-// ImportRecord warm-starts the profile tier from one Persister record
-// through Import and its shape checks. A value that is not a profile-set
-// record, such as a whole candidate from a log the older candidate store
-// wrote, is an error.
+// ImportRecord warm-starts the profile tier and the quarantine list from
+// one Persister record. Existing entries win, so a live computation is never
+// clobbered, and a profile set whose shape does not match the DB's region
+// suite is skipped (a record from a different suite cannot poison the
+// caches). A value that is not a profile-set record, such as a whole
+// candidate from a log the older candidate store wrote, is an error.
 func (db *DB) ImportRecord(val []byte) error {
-	var st State
-	if err := json.Unmarshal(val, &st); err != nil {
+	var rec profileRecord
+	if err := json.Unmarshal(val, &rec); err != nil {
 		return fmt.Errorf("eval: undecodable profile-set record: %w", err)
 	}
-	if len(st.Profiles) == 0 {
+	if len(rec.Profiles) == 0 {
 		return errors.New("eval: record holds no profile set")
 	}
-	db.Import(st)
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	for k, v := range rec.Profiles {
+		if _, ok := db.profiles[k]; !ok && len(v) == len(db.Regions) {
+			db.profiles[k] = v
+		}
+	}
+	for k, v := range rec.Quarantine {
+		if _, ok := db.quarantine[k]; !ok {
+			db.quarantine[k] = v
+		}
+	}
 	return nil
 }

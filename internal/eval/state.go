@@ -48,18 +48,15 @@ func (db *DB) Coverage() Coverage {
 	return cov
 }
 
-// State is the serializable slice of a DB: the profile tier, the quarantine
-// list, the candidate tier's design points and the pipeline stats. It is
-// what checkpoints persist; its one-ISA-key slice is a Persister record.
+// State is the run's position in a DB: the candidate tier's design points,
+// without their metrics (Rescore recomputes those), and the pipeline stats.
+// Profile sets are not part of it: each reaches the Persister as its own
+// record as it completes (see Persister).
 type State struct {
-	// Profiles maps ISA key → per-region profiles (nil slot = quarantined).
-	Profiles map[string][]*cpu.Profile `json:"profiles"`
-	// Quarantine maps "region|isaKey" → failure reason.
-	Quarantine map[string]string `json:"quarantine,omitempty"`
-	// Points lists the candidate tier's design points without their metrics
-	// (Rescore recomputes those).
-	Points []DesignPoint `json:"points,omitempty"`
-	// Stats accumulates pipeline statistics across checkpoint lineages.
+	// Points maps ISA key → the configurations of the candidate tier's
+	// design points of that ISA, in cache-key order.
+	Points map[string][]cpu.CoreConfig `json:"points,omitempty"`
+	// Stats accumulates pipeline statistics across resumed runs.
 	Stats StatsSnapshot `json:"stats,omitzero"`
 }
 
@@ -68,71 +65,44 @@ func (db *DB) StatsSnapshot() StatsSnapshot {
 	return db.Stats.Snapshot()
 }
 
-// Export copies the profile tier, the quarantine list, the candidate
-// tier's design points and the stats for checkpointing.
+// Export copies the candidate tier's design points, grouped per ISA key,
+// and the stats.
 func (db *DB) Export() State {
 	db.mu.Lock()
-	st := State{
-		Profiles:   make(map[string][]*cpu.Profile, len(db.profiles)),
-		Quarantine: make(map[string]string, len(db.quarantine)),
-		Points:     make([]DesignPoint, 0, len(db.cands)),
-	}
-	for k, v := range db.profiles {
-		st.Profiles[k] = v
-	}
-	for k, v := range db.quarantine {
-		st.Quarantine[k] = v
-	}
-	// Deterministic order keeps checkpoint files diffable.
 	keys := make([]string, 0, len(db.cands))
 	for k := range db.cands {
 		keys = append(keys, k)
 	}
+	// Deterministic order keeps saved states diffable.
 	sort.Strings(keys)
+	st := State{Points: map[string][]cpu.CoreConfig{}}
 	for _, k := range keys {
-		st.Points = append(st.Points, db.cands[k].DP)
+		dp := db.cands[k].DP
+		isaKey := dp.ISA.Key()
+		st.Points[isaKey] = append(st.Points[isaKey], dp.Cfg)
 	}
 	db.mu.Unlock()
 	st.Stats = db.StatsSnapshot()
 	return st
 }
 
-// Import seeds the profile tier and the quarantine list and merges the
-// stats into the live counters; Points are left to Rescore. Existing
-// entries win so a live computation is never clobbered, and profile sets
-// whose shape does not match the DB's region suite are skipped (a checkpoint
-// from a different suite cannot poison the caches).
-func (db *DB) Import(st State) {
-	db.mu.Lock()
-	for k, v := range st.Profiles {
-		if _, ok := db.profiles[k]; !ok && len(v) == len(db.Regions) {
-			db.profiles[k] = v
-		}
+// Rescore refills the candidate tier with pts (ISA key → configurations),
+// one EvaluateBatch per ISA against the DB's reference metrics; evaluation
+// is deterministic, so each point gets the candidate it had before a
+// restart. ISA keys that name no choice, and points whose profile set (or
+// the reference's) is not in the profile tier, are skipped, so Rescore
+// never simulates.
+func (db *DB) Rescore(ctx context.Context, pts map[string][]cpu.CoreConfig) error {
+	keys := make([]string, 0, len(pts))
+	for k := range pts {
+		keys = append(keys, k)
 	}
-	for k, v := range st.Quarantine {
-		if _, ok := db.quarantine[k]; !ok {
-			db.quarantine[k] = v
-		}
-	}
-	db.mu.Unlock()
-	db.Stats.Merge(st.Stats)
-}
-
-// Rescore refills the candidate tier with pts, one EvaluateBatch per ISA
-// against the DB's reference metrics; evaluation is deterministic, so each
-// point gets the candidate it had before a restart. Points whose profile
-// set (or the reference's) is not in the profile tier are skipped, so
-// Rescore never simulates.
-func (db *DB) Rescore(ctx context.Context, pts []DesignPoint) error {
-	cfgs := map[string][]cpu.CoreConfig{}
+	sort.Strings(keys)
 	var choices []ISAChoice
 	db.mu.Lock()
-	for _, dp := range pts {
-		if k := dp.ISA.Key(); db.profiles[k] != nil {
-			if cfgs[k] == nil {
-				choices = append(choices, dp.ISA)
-			}
-			cfgs[k] = append(cfgs[k], dp.Cfg)
+	for _, k := range keys {
+		if c, ok := ChoiceByKey(k); ok && db.profiles[k] != nil {
+			choices = append(choices, c)
 		}
 	}
 	haveRef := db.profiles[X8664Choice().Key()] != nil
@@ -145,13 +115,13 @@ func (db *DB) Rescore(ctx context.Context, pts []DesignPoint) error {
 		return err
 	}
 	_, err = par.Map(ctx, len(choices), 0, func(i int) ([]*Candidate, error) {
-		return db.EvaluateBatch(ctx, choices[i], cfgs[choices[i].Key()], ref)
+		return db.EvaluateBatch(ctx, choices[i], pts[choices[i].Key()], ref)
 	})
 	return err
 }
 
 // CandidateKeys returns the cache keys of every cached candidate, sorted.
-// A serving layer warm-started from a checkpoint uses them to account
+// A serving layer warm-started from a saved run uses them to account
 // requests for restored points as cache hits.
 func (db *DB) CandidateKeys() []string {
 	db.mu.Lock()

@@ -49,7 +49,7 @@ type Stats struct {
 }
 
 // StatsSnapshot is a point-in-time, serializable copy of Stats; it rides in
-// checkpoint files so pipeline statistics accumulate across resumed runs.
+// the saved run record so pipeline statistics accumulate across resumed runs.
 type StatsSnapshot struct {
 	Compiles        int64 `json:"compiles"`
 	Verifies        int64 `json:"verifies,omitempty"`
@@ -77,11 +77,11 @@ type StatsSnapshot struct {
 // Snapshot copies the current counters and histograms.
 func (s *Stats) Snapshot() StatsSnapshot { return metrics.Snapshot[StatsSnapshot](s) }
 
-// Merge adds a snapshot's counts into the live stats (checkpoint resume).
+// Merge adds a snapshot's counts into the live stats (a resumed run).
 func (s *Stats) Merge(sn StatsSnapshot) { metrics.Merge(s, sn) }
 
 // IsZero reports whether the snapshot records no activity at all (used to
-// keep empty stats out of checkpoint files).
+// keep empty stats out of saved run records).
 func (sn StatsSnapshot) IsZero() bool { return reflect.ValueOf(sn).IsZero() }
 
 // Format renders the snapshot for `compose-explore -stats`: per-stage

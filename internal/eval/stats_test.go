@@ -10,9 +10,9 @@ import (
 )
 
 // TestStatsSnapshotFieldsRoundTrip: every StatsSnapshot field, set alone,
-// makes the snapshot non-empty and survives both the checkpoint JSON
+// makes the snapshot non-empty and survives both the run record's JSON
 // encoding and Snapshot → Merge into fresh Stats → Snapshot. A field that
-// IsZero, Merge or Snapshot forgets is silently dropped from checkpoints.
+// IsZero, Merge or Snapshot forgets is silently dropped from saved runs.
 // The fields are walked by reflection, so one added later is covered
 // without editing the test.
 func TestStatsSnapshotFieldsRoundTrip(t *testing.T) {

@@ -1,22 +1,25 @@
-// Tests for the durable lifecycle (RunDurable): checkpoint and store
-// round trip, a store filled in from a checkpoint, corrupt checkpoints, an
-// unopenable store, and the save that follows a failing body.
+// Tests for the durable lifecycle (RunDurable): the store directory's round
+// trip, a run killed between profile-set writes and its next run-record
+// save, a run record with a flipped byte, an unopenable store, and the save
+// that follows a failing body.
 
 package explore
 
 import (
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"net/url"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+
+	"compisa/internal/store"
 )
 
 // logLines collects DB.Log output.
@@ -46,9 +49,55 @@ func (l *logLines) count(sub string) int {
 	return n
 }
 
-func durableFiles(t *testing.T) Durability {
-	dir := t.TempDir()
-	return Durability{Checkpoint: filepath.Join(dir, "dse.ckpt"), Store: filepath.Join(dir, "profiles")}
+// storeDir names a fresh, not yet created store directory.
+func storeDir(t *testing.T) string { return filepath.Join(t.TempDir(), "store") }
+
+// runFile is the path of dir's run-record file.
+func runFile(dir string) string { return filepath.Join(dir, url.QueryEscape(runKey)+".rec") }
+
+// readRunRecord decodes dir's run record.
+func readRunRecord(t *testing.T, dir string) *runRecord {
+	t.Helper()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec *runRecord
+	if _, err := st.Range(func(key string, val []byte) error {
+		if key == runKey {
+			rec, err = decodeRunRecord(val)
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if rec == nil {
+		t.Fatalf("%s holds no run record", dir)
+	}
+	return rec
+}
+
+// frame renders one record file in the store's framing with the given
+// payload version: an 8-byte magic, then uint32le payloadLen | uint32le
+// crc32c(payload) | version(1) | uint32le keyLen | key | value. The earlier
+// single-file store laid its log out the same way.
+func frame(version byte, key string, val []byte) []byte {
+	payload := binary.LittleEndian.AppendUint32([]byte{version}, uint32(len(key)))
+	payload = append(append(payload, key...), val...)
+	rec := binary.LittleEndian.AppendUint32([]byte("CPSTOR1\n"), uint32(len(payload)))
+	rec = binary.LittleEndian.AppendUint32(rec, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	return append(rec, payload...)
+}
+
+// plantRun writes data as dir's run-record file, creating dir.
+func plantRun(t *testing.T, dir string, data []byte) {
+	t.Helper()
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(runFile(dir), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // loggedDB is smallDB(n, nil) logging to log.
@@ -70,45 +119,42 @@ func durableSearch(d *Durable, db *DB) (CMP, error) {
 	return s.Search(ctx, OrgCompositeFixed, ObjMPThroughput, Budget{AreaMM2: 64})
 }
 
-// TestDurableRoundTrip: a run's checkpoint and store restore a second run's
-// profile sets and frontier without a simulation, its only model
-// evaluations the re-score of the checkpoint's points, after which the
-// search scores nothing anew. The store alone restores every profile set,
-// so even a configuration never evaluated before needs no compile and no
-// simulation.
+// TestDurableRoundTrip: a run's store directory restores a second run's
+// profile sets, design points, stats and frontier without a simulation, its
+// only model evaluations the re-score of the run record's points, after
+// which the search scores nothing anew. The profile records alone restore
+// every profile set, so even a configuration never evaluated before needs
+// no compile and no simulation.
 func TestDurableRoundTrip(t *testing.T) {
 	var log logLines
-	cfg := durableFiles(t)
+	dir := storeDir(t)
 	db1 := loggedDB(3, &log)
 	var want CMP
-	if err := RunDurable(db1, cfg, func(d *Durable) (err error) {
+	if err := RunDurable(db1, dir, func(d *Durable) (err error) {
 		want, err = durableSearch(d, db1)
 		return err
 	}); err != nil {
 		t.Fatal(err)
 	}
-	cands, sets := len(db1.CandidateKeys()), len(db1.Export().Profiles)
-	if cands == 0 || !log.has("[checkpoint saved to "+cfg.Checkpoint+"]") {
+	cands := len(db1.CandidateKeys())
+	if cands == 0 || !log.has("[run saved to store "+dir+"]") {
 		t.Fatalf("first run: %d candidates, log %q", cands, log.lines)
 	}
-	saved, err := LoadCheckpoint(cfg.Checkpoint)
-	if err != nil {
-		t.Fatal(err)
-	}
+	saved, sets := readRunRecord(t, dir), db1.Stats.Persisted.Load()
 	fresh := want.Cores[0].DP
 	fresh.Cfg.LSQ = 3
 	if slices.Contains(db1.CandidateKeys(), fresh.CacheKey()) {
 		t.Fatalf("%s was evaluated by the first run", fresh)
 	}
 
-	// check reopens on cfg, counting from the stats the files restore
+	// check reopens on dir, counting from the stats the run record restores
 	// (base): the open re-scores the rescored points and nothing else, the
 	// search over them scores nothing anew, and nothing compiles or
 	// simulates, the fresh configuration included.
-	check := func(name string, cfg Durability, base StatsSnapshot, frontier, rescored int) {
+	check := func(name string, base StatsSnapshot, frontier, rescored int) {
 		t.Helper()
 		db := loggedDB(3, &log)
-		if err := RunDurable(db, cfg, func(d *Durable) error {
+		if err := RunDurable(db, dir, func(d *Durable) error {
 			evals := db.Stats.ModelEvals.Load() - base.ModelEvals
 			if rescored > 0 && evals != int64(3*(rescored+1)) {
 				t.Errorf("%s: the open ran %d model evaluations, want the re-score of %d points and the reference",
@@ -151,66 +197,62 @@ func TestDurableRoundTrip(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
-	check("checkpoint and store", cfg, saved.Stats, 1, cands)
-	if !log.has(fmt.Sprintf("[resumed from %s: %d ISA profile sets, %d design points, 1 searches]", cfg.Checkpoint, sets, cands)) {
-		t.Errorf("second run did not report its checkpoint: %q", log.lines)
+	check("run record and profile records", saved.Stats, 1, cands)
+	reloaded := fmt.Sprintf("[reloaded %d profile sets from store %s (0 skipped)]", sets, dir)
+	if !log.has(reloaded) || !log.has(fmt.Sprintf("[resumed from store %s: %d design points, 1 searches]", dir, cands)) {
+		t.Errorf("second run did not report its store: %q", log.lines)
 	}
-	check("store only", Durability{Store: cfg.Store}, StatsSnapshot{}, 0, 0)
-	if !log.has(fmt.Sprintf("[reloaded %d profile sets from store %s (0 skipped)]", sets, cfg.Store)) {
+	if err := os.Remove(runFile(dir)); err != nil {
+		t.Fatal(err)
+	}
+	check("profile records only", StatsSnapshot{}, 0, 0)
+	if log.count(reloaded) != 2 {
 		t.Errorf("third run did not report its store: %q", log.lines)
 	}
 }
 
-// TestDurableLegacyCandidates: a version 4 checkpoint written while
-// candidates were still persisted carries "candidates" and "ref" blocks;
-// it loads with its profile sets and frontier restored and both blocks
-// ignored.
-func TestDurableLegacyCandidates(t *testing.T) {
+// TestDurableKilledBeforeRunSave: a run killed after some profile-set writes
+// and before its next run-record save leaves a run record that lacks those
+// sets' points; the next run resumes from the older run record with every
+// stored set, and evaluating the sets written after it compiles and
+// simulates nothing.
+func TestDurableKilledBeforeRunSave(t *testing.T) {
 	var log logLines
-	cfg := durableFiles(t)
-	cfg.Store = ""
+	dir := storeDir(t)
 	db1 := loggedDB(3, &log)
-	var cmp CMP
-	if err := RunDurable(db1, cfg, func(d *Durable) (err error) {
-		cmp, err = durableSearch(d, db1)
+	var older []byte
+	var vendorSets int
+	if err := RunDurable(db1, dir, func(d *Durable) (err error) {
+		// The search saves the run record as it completes.
+		if _, err := durableSearch(d, db1); err != nil {
+			return err
+		}
+		if older, err = os.ReadFile(runFile(dir)); err != nil {
+			return err
+		}
+		before := db1.Stats.Persisted.Load()
+		s, err := NewSearcher(context.Background(), db1)
+		if err != nil {
+			return err
+		}
+		_, err = s.Candidates(context.Background(), OrgHeteroVendor)
+		vendorSets = int(db1.Stats.Persisted.Load() - before)
 		return err
 	}); err != nil {
 		t.Fatal(err)
 	}
-	sets := len(db1.Export().Profiles)
-	ref, err := db1.ReferenceMetrics(context.Background())
-	if err != nil {
+	if vendorSets == 0 {
+		t.Fatal("the vendor candidates wrote no profile set")
+	}
+	// The kill: the disk holds every profile set written, and the run record
+	// as the search saved it, before the vendor candidates existed.
+	if err := os.WriteFile(runFile(dir), older, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(cfg.Checkpoint)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite the file the way the older writer laid it out: whole
-	// candidates and the reference metrics in place of the points.
-	var doc map[string]json.RawMessage
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	delete(doc, "points")
-	if doc["candidates"], err = json.Marshal(cmp.Cores); err != nil {
-		t.Fatal(err)
-	}
-	if doc["ref"], err = json.Marshal(ref); err != nil {
-		t.Fatal(err)
-	}
-	if data, err = json.Marshal(doc); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(cfg.Checkpoint, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	base := readRunRecord(t, dir).Stats
 
 	db := loggedDB(3, &log)
-	if err := RunDurable(db, cfg, func(d *Durable) error {
-		if n := len(db.CandidateKeys()); n != 0 {
-			t.Errorf("the legacy candidate block restored %d candidates", n)
-		}
+	if err := RunDurable(db, dir, func(d *Durable) error {
 		s, err := NewSearcher(context.Background(), db)
 		if err != nil {
 			return err
@@ -219,101 +261,67 @@ func TestDurableLegacyCandidates(t *testing.T) {
 		if got := len(s.exportFrontier()); got != 1 {
 			t.Errorf("restored %d searches, want 1", got)
 		}
+		if _, err := s.Candidates(context.Background(), OrgHeteroVendor); err != nil {
+			return err
+		}
+		if n := db.Stats.Compiles.Load() - base.Compiles + db.Stats.Execs.Load() - base.Execs; n != 0 {
+			t.Errorf("the resumed run compiled or simulated %d times", n)
+		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if !log.has(fmt.Sprintf("[resumed from %s: %d ISA profile sets, 0 design points, 1 searches]", cfg.Checkpoint, sets)) {
-		t.Errorf("legacy checkpoint not restored: %q", log.lines)
+	if n := db.Stats.Persisted.Load() - base.Persisted; n != 0 {
+		t.Errorf("the resumed run wrote %d profile sets anew", n)
+	}
+	if !log.has(fmt.Sprintf("[reloaded %d profile sets from store %s (0 skipped)]", int(db1.Stats.Persisted.Load()), dir)) {
+		t.Errorf("resumed run did not reload every stored set: %q", log.lines)
 	}
 }
 
-// TestDurableCheckpointFillsStore: profile sets restored only from a
-// checkpoint, such as one written by a run without a store, are written
-// through to the store at open, once, so a later run on the store alone
-// needs no compile and no simulation.
-func TestDurableCheckpointFillsStore(t *testing.T) {
+// TestDurableCorruptCheckpoint: a run record with one flipped byte is
+// skipped, counted and logged; the profile records still load, so the run
+// starts from them alone without a simulation, and the exit save heals the
+// record.
+func TestDurableCorruptCheckpoint(t *testing.T) {
 	var log logLines
-	cfg := durableFiles(t)
-	ckptOnly := Durability{Checkpoint: cfg.Checkpoint}
+	dir := storeDir(t)
 	db1 := loggedDB(3, &log)
-	if err := RunDurable(db1, ckptOnly, func(d *Durable) error {
+	if err := RunDurable(db1, dir, func(d *Durable) error {
 		_, err := durableSearch(d, db1)
 		return err
 	}); err != nil {
 		t.Fatal(err)
 	}
-	sets := len(db1.Export().Profiles)
-	fill := fmt.Sprintf("[writing %d profile sets restored from %s through to store %s]", sets, cfg.Checkpoint, cfg.Store)
-	for _, want := range []int{1, 1} { // the second open finds them stored
-		if err := RunDurable(loggedDB(3, &log), cfg, func(*Durable) error { return nil }); err != nil {
-			t.Fatal(err)
-		}
-		if got := log.count("[writing "); got != want || !log.has(fill) {
-			t.Fatalf("%d write-through lines, want %d of %q: %q", got, want, fill, log.lines)
-		}
+	sets := int(db1.Stats.Persisted.Load())
+	data, err := os.ReadFile(runFile(dir))
+	if err != nil {
+		t.Fatal(err)
 	}
+	data[len(data)/2] ^= 0x01
+	plantRun(t, dir, data)
 
 	db := loggedDB(3, &log)
-	if err := RunDurable(db, Durability{Store: cfg.Store}, func(*Durable) error {
-		s, err := NewSearcher(context.Background(), db)
-		if err != nil {
-			return err
+	if err := RunDurable(db, dir, func(d *Durable) error {
+		if n := len(db.CandidateKeys()); n != 0 {
+			t.Errorf("a damaged run record restored %d candidates", n)
 		}
-		_, err = s.Search(context.Background(), OrgCompositeFixed, ObjMPThroughput, Budget{AreaMM2: 64})
+		if !db.StatsSnapshot().IsZero() {
+			t.Errorf("a damaged run record restored stats %+v", db.StatsSnapshot())
+		}
+		_, err := durableSearch(d, db)
 		return err
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if !log.has(fmt.Sprintf("[reloaded %d profile sets from store %s (0 skipped)]", sets, cfg.Store)) {
-		t.Errorf("store-only run did not reload the sets: %q", log.lines)
+	if !log.has(fmt.Sprintf("[reloaded %d profile sets from store %s (1 skipped)]", sets, dir)) {
+		t.Errorf("the damaged run record was not counted: %q", log.lines)
 	}
 	if n := db.Stats.Compiles.Load() + db.Stats.Execs.Load(); n != 0 {
-		t.Errorf("the store-only run compiled or simulated %d times", n)
+		t.Errorf("the run on the profile records compiled or simulated %d times", n)
 	}
-}
-
-// TestDurableCorruptCheckpoint: a corrupt checkpoint is quarantined and the
-// run starts cold, or, under Strict, fails before its body runs.
-func TestDurableCorruptCheckpoint(t *testing.T) {
-	garbage := []byte(`{"version": 4, "profiles": {tru`)
-	var log logLines
-	cfg := durableFiles(t)
-	cfg.Store = ""
-	if err := os.WriteFile(cfg.Checkpoint, garbage, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	strict := cfg
-	strict.Strict = true
-	err := RunDurable(smallDB(1, nil), strict, func(*Durable) error {
-		t.Error("body ran on a corrupt checkpoint under Strict")
-		return nil
-	})
-	if !errors.Is(err, ErrCheckpointCorrupt) {
-		t.Fatalf("strict: %v, want ErrCheckpointCorrupt", err)
-	}
-	if data, err := os.ReadFile(cfg.Checkpoint); err != nil || string(data) != string(garbage) {
-		t.Fatalf("strict open touched the checkpoint: %v", err)
-	}
-
-	db := loggedDB(1, &log)
-	if err := RunDurable(db, cfg, func(*Durable) error {
-		if len(db.CandidateKeys()) != 0 {
-			t.Error("a quarantined checkpoint restored candidates")
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if data, err := os.ReadFile(cfg.Checkpoint + ".corrupt"); err != nil || string(data) != string(garbage) {
-		t.Fatalf("corrupt bytes not kept at %s.corrupt: %v", cfg.Checkpoint, err)
-	}
-	if !log.has("[corrupt checkpoint quarantined to " + cfg.Checkpoint + ".corrupt; starting cold]") {
-		t.Errorf("quarantine not logged: %q", log.lines)
-	}
-	if st, err := LoadCheckpoint(cfg.Checkpoint); err != nil || st == nil {
-		t.Fatalf("the exit save left no loadable checkpoint: %v", err)
+	if rec := readRunRecord(t, dir); len(rec.Frontier) != 1 {
+		t.Errorf("the healed run record holds %d searches, want 1", len(rec.Frontier))
 	}
 }
 
@@ -324,17 +332,16 @@ func TestDurableCorruptCheckpoint(t *testing.T) {
 func TestDurableStoreUnavailable(t *testing.T) {
 	for name, content := range map[string][]byte{
 		"foreign":    []byte("not a candidate store\n"),
-		"single-log": legacyLog("x86-16D-64W-P", []byte(`{"Profiles":{}}`)),
+		"single-log": frame(1, "x86-16D-64W-P", []byte(`{"Profiles":{}}`)),
 	} {
 		var log logLines
-		cfg := durableFiles(t)
-		cfg.Checkpoint = ""
-		if err := os.WriteFile(cfg.Store, content, 0o644); err != nil {
+		dir := storeDir(t)
+		if err := os.WriteFile(dir, content, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		db := loggedDB(1, &log)
 		ran := false
-		if err := RunDurable(db, cfg, func(d *Durable) error {
+		if err := RunDurable(db, dir, func(d *Durable) error {
 			ran = true
 			if db.Persist != nil {
 				t.Errorf("%s: an unopenable store produced a persister", name)
@@ -344,39 +351,28 @@ func TestDurableStoreUnavailable(t *testing.T) {
 		}); err != nil || !ran {
 			t.Fatalf("%s: RunDurable = %v (body ran: %v), want a memory-only run", name, err, ran)
 		}
-		if !log.has("[store " + cfg.Store + " unavailable, running memory-only: ") {
+		if !log.has("[store " + dir + " unavailable, running memory-only: ") {
 			t.Errorf("%s: memory-only fallback not logged: %q", name, log.lines)
 		}
-		if got, err := os.ReadFile(cfg.Store); err != nil || string(got) != string(content) {
+		if got, err := os.ReadFile(dir); err != nil || string(got) != string(content) {
 			t.Errorf("%s: the store path was altered: %v", name, err)
 		}
 	}
 }
 
-// legacyLog renders a one-record log as the earlier single-file store laid
-// it out: an 8-byte magic, then uint32le payloadLen | uint32le
-// crc32c(payload) | version(1) | uint32le keyLen | key | value.
-func legacyLog(key string, val []byte) []byte {
-	payload := binary.LittleEndian.AppendUint32([]byte{1}, uint32(len(key)))
-	payload = append(append(payload, key...), val...)
-	rec := binary.LittleEndian.AppendUint32([]byte("CPSTOR1\n"), uint32(len(payload)))
-	rec = binary.LittleEndian.AppendUint32(rec, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
-	return append(rec, payload...)
-}
-
-// TestDurableSavesOnError: a body that fails still gets its checkpoint saved
-// (frontier included), and RunDurable returns its error.
+// TestDurableSavesOnError: a body that fails still gets its run record
+// saved (frontier included), and RunDurable returns its error.
 func TestDurableSavesOnError(t *testing.T) {
 	var log logLines
-	cfg := durableFiles(t)
+	dir := storeDir(t)
 	db := loggedDB(3, &log)
 	boom := errors.New("boom")
-	err := RunDurable(db, cfg, func(d *Durable) error {
+	err := RunDurable(db, dir, func(d *Durable) error {
 		if _, err := durableSearch(d, db); err != nil {
 			return err
 		}
 		// The search autosaved; only the exit save can write it again.
-		if err := os.Remove(cfg.Checkpoint); err != nil {
+		if err := os.Remove(runFile(dir)); err != nil {
 			return err
 		}
 		return boom
@@ -384,12 +380,13 @@ func TestDurableSavesOnError(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("RunDurable = %v, want the body's error", err)
 	}
-	st, err := LoadCheckpoint(cfg.Checkpoint)
-	if err != nil || st == nil {
-		t.Fatalf("no checkpoint after a failing body: %v", err)
+	rec := readRunRecord(t, dir)
+	points := 0
+	for _, cfgs := range rec.Points {
+		points += len(cfgs)
 	}
-	if len(st.Frontier) != 1 || len(st.Points) != len(db.CandidateKeys()) {
-		t.Errorf("checkpoint holds %d searches and %d design points, want 1 and %d",
-			len(st.Frontier), len(st.Points), len(db.CandidateKeys()))
+	if len(rec.Frontier) != 1 || points != len(db.CandidateKeys()) {
+		t.Errorf("run record holds %d searches and %d design points, want 1 and %d",
+			len(rec.Frontier), points, len(db.CandidateKeys()))
 	}
 }

@@ -12,7 +12,7 @@ import (
 
 // Aliases into the evaluation layer. These are aliases, not definitions:
 // an explore.DB is an eval.DB, so the two layers share one identity and
-// checkpoints restore across them without conversion.
+// saved runs restore across them without conversion.
 type (
 	DB              = eval.DB
 	Stats           = eval.Stats

@@ -1,5 +1,5 @@
-// Integration-level fault-tolerance tests: search, checkpoint, and
-// cancellation behavior under injection. The pipeline-level fault tests
+// Integration-level fault-tolerance tests: search, save/resume through the
+// store directory, and cancellation behavior under injection. The pipeline-level fault tests
 // (retry, quarantine, degradation, singleflight) live with the evaluation
 // layer in internal/eval.
 
@@ -60,81 +60,77 @@ func TestFaultCancelMidSearch(t *testing.T) {
 	}
 }
 
-// TestFaultCheckpointRoundtrip: a faulty run checkpointed to disk restores
-// into a fresh DB/Searcher (with no injector at all) and reproduces the same
-// search result and coverage without recomputation.
+// TestFaultCheckpointRoundtrip: a faulty run saved to a store directory
+// restores into a fresh DB/Searcher (with no injector at all) and
+// reproduces the same search result and coverage without recomputation.
 func TestFaultCheckpointRoundtrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "dse.ckpt")
+	dir := filepath.Join(t.TempDir(), "store")
 	in := injector(t, fault.Config{Seed: 9, Rate: 0.4, Kinds: []fault.Kind{fault.KindCompile}})
 	db1 := smallDB(3, in)
 	ctx := context.Background()
-	s1, err := NewSearcher(ctx, db1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	budget := Budget{AreaMM2: 64}
-	cmp1, err := s1.Search(ctx, OrgCompositeFixed, ObjMPThroughput, budget)
-	if err != nil {
+	var cmp1 CMP
+	if err := RunDurable(db1, dir, func(d *Durable) error {
+		s1, err := NewSearcher(ctx, db1)
+		if err != nil {
+			return err
+		}
+		d.Resume(s1)
+		cmp1, err = s1.Search(ctx, OrgCompositeFixed, ObjMPThroughput, budget)
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveCheckpoint(path, Snapshot(db1, s1)); err != nil {
-		t.Fatal(err)
+	if len(db1.Coverage().Quarantined) == 0 {
+		t.Fatal("the faulty run quarantined nothing")
 	}
 
-	st, err := LoadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
+	rec := readRunRecord(t, dir)
+	if len(rec.Points) == 0 {
+		t.Fatal("run record should carry the candidate tier's design points")
 	}
-	if st == nil {
-		t.Fatal("saved checkpoint reported missing")
-	}
-	if st.Version != checkpointVersion {
-		t.Fatalf("checkpoint version %d, want %d", st.Version, checkpointVersion)
-	}
-	if len(st.Points) == 0 {
-		t.Fatal("checkpoint should carry the candidate tier's design points")
-	}
-	if st.Stats.IsZero() {
-		t.Fatal("checkpoint should carry pipeline stats")
+	if rec.Stats.IsZero() {
+		t.Fatal("run record should carry pipeline stats")
 	}
 	// The resumed run injects nothing: only the restored state can reproduce
 	// the faulty run's quarantines and scores.
 	db2 := smallDB(3, nil)
-	db2.Import(st.State)
-	if err := db2.Rescore(ctx, st.Points); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := NewSearcher(ctx, db2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.RestoreSearcher(s2)
-	// Re-scored candidates satisfy the resumed search without scoring anew,
-	// and nothing simulates.
-	evalsAfterRestore := db2.Stats.ModelEvals.Load()
-	cmp2, err := s2.Search(ctx, OrgCompositeFixed, ObjMPThroughput, budget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := db2.Stats.ModelEvals.Load(); got != evalsAfterRestore {
-		t.Errorf("resumed search re-scored design points: ModelEvals %d -> %d", evalsAfterRestore, got)
-	}
-	if got := db2.Stats.Execs.Load(); got != st.Stats.Execs {
-		t.Errorf("resumed run simulated %d times", got-st.Stats.Execs)
-	}
-	if cmp1.Score != cmp2.Score {
-		t.Errorf("resumed score %v != original %v", cmp2.Score, cmp1.Score)
-	}
-	for i := range cmp1.Cores {
-		if cmp1.Cores[i].DP.String() != cmp2.Cores[i].DP.String() {
-			t.Errorf("core %d: resumed %s != original %s", i, cmp2.Cores[i].DP, cmp1.Cores[i].DP)
+	if err := RunDurable(db2, dir, func(d *Durable) error {
+		s2, err := NewSearcher(ctx, db2)
+		if err != nil {
+			return err
 		}
+		d.Resume(s2)
+		// Re-scored candidates satisfy the resumed search without scoring
+		// anew, and nothing simulates.
+		evalsAfterRestore := db2.Stats.ModelEvals.Load()
+		cmp2, err := s2.Search(ctx, OrgCompositeFixed, ObjMPThroughput, budget)
+		if err != nil {
+			return err
+		}
+		if got := db2.Stats.ModelEvals.Load(); got != evalsAfterRestore {
+			t.Errorf("resumed search re-scored design points: ModelEvals %d -> %d", evalsAfterRestore, got)
+		}
+		if got := db2.Stats.Execs.Load(); got != rec.Stats.Execs {
+			t.Errorf("resumed run simulated %d times", got-rec.Stats.Execs)
+		}
+		if cmp1.Score != cmp2.Score {
+			t.Errorf("resumed score %v != original %v", cmp2.Score, cmp1.Score)
+		}
+		for i := range cmp1.Cores {
+			if cmp1.Cores[i].DP.String() != cmp2.Cores[i].DP.String() {
+				t.Errorf("core %d: resumed %s != original %s", i, cmp2.Cores[i].DP, cmp1.Cores[i].DP)
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	if a, b := db1.Coverage().String(), db2.Coverage().String(); a != b {
 		t.Errorf("resumed coverage %s != original %s", b, a)
 	}
-	if _, err := LoadCheckpoint(filepath.Join(t.TempDir(), "absent.ckpt")); err != nil {
-		t.Errorf("missing checkpoint should be a silent empty state, got %v", err)
+	if err := RunDurable(smallDB(3, nil), filepath.Join(t.TempDir(), "absent"), func(*Durable) error { return nil }); err != nil {
+		t.Errorf("a missing store directory should be a silent empty state, got %v", err)
 	}
 }
 

@@ -65,12 +65,12 @@ func (o Organization) Choices() []ISAChoice {
 }
 
 // Searcher runs organization-level searches with candidate caching and a
-// checkpointable frontier of completed searches.
+// resumable frontier of completed searches.
 type Searcher struct {
 	DB  *DB
 	ref []Metric
 	// OnSearchDone, if set, runs after every newly completed (not resumed)
-	// search — the driver hooks checkpoint autosave here.
+	// search — the driver hooks the run record's autosave here.
 	OnSearchDone func()
 
 	// si indexes the suite for scoring; fronts memoizes the budget-
@@ -81,7 +81,7 @@ type Searcher struct {
 	mu sync.Mutex
 	// cands caches evaluated candidates per organization choice-set key.
 	cands map[Organization][]*Candidate
-	// frontier records completed searches for checkpoint/resume.
+	// frontier records completed searches for save/resume.
 	frontier map[string]SavedSearch
 }
 
@@ -131,7 +131,7 @@ func searchKey(org Organization, obj Objective, b Budget, constraint string) str
 
 // Search finds the organization's (locally) optimal CMP for an objective
 // under a budget. A search already in the frontier (restored from a
-// checkpoint or completed earlier this run) is rebuilt from its saved design
+// saved run or completed earlier this run) is rebuilt from its saved design
 // points instead of re-searched.
 func (s *Searcher) Search(ctx context.Context, org Organization, obj Objective, b Budget) (CMP, error) {
 	return s.search(ctx, org, obj, b, "", nil)
@@ -139,7 +139,7 @@ func (s *Searcher) Search(ctx context.Context, org Organization, obj Objective, 
 
 // SearchConstrained runs a composite-full search restricted by a candidate
 // constraint (Figure 9's feature-sensitivity analysis). The name identifies
-// the constraint in the checkpoint frontier; an empty name disables frontier
+// the constraint in the saved frontier; an empty name disables frontier
 // caching for the search (anonymous constraints are not resumable).
 func (s *Searcher) SearchConstrained(ctx context.Context, obj Objective, b Budget, name string, constraint func(*Candidate) bool) (CMP, error) {
 	return s.search(ctx, OrgCompositeFull, obj, b, name, constraint)
@@ -212,7 +212,7 @@ func (s *Searcher) record(key string, cmp CMP) {
 	}
 }
 
-// exportFrontier copies the frontier for checkpointing.
+// exportFrontier copies the frontier for the run record.
 func (s *Searcher) exportFrontier() map[string]SavedSearch {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -223,7 +223,7 @@ func (s *Searcher) exportFrontier() map[string]SavedSearch {
 	return out
 }
 
-// importFrontier seeds the frontier from a checkpoint; existing entries win.
+// importFrontier seeds the frontier from a saved run; existing entries win.
 func (s *Searcher) importFrontier(frontier map[string]SavedSearch) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -1,14 +1,9 @@
-// Tests for cross-search candidate reuse (the candidate cache tier) and
-// checkpoint format versioning.
+// Tests for cross-search candidate reuse (the candidate cache tier).
 
 package explore
 
 import (
 	"context"
-	"errors"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -44,40 +39,5 @@ func TestCandidateReuseAcrossSearchers(t *testing.T) {
 	}
 	if db.Stats.CandidateHits.Load() == 0 {
 		t.Error("second searcher recorded no candidate-cache hits")
-	}
-}
-
-// TestCheckpointStaleVersions: pre-v3 checkpoints carry the old map-shaped
-// profile schema (made incompatible by the SoA profile arrays), and v3
-// checkpoints carry vendor design points scaled by the analytic CodeDensity
-// traits that the measured target backends replaced — all are rejected as
-// corrupt (and so quarantined by RecoverCheckpoint, starting the run cold)
-// rather than half-migrated. Unknown future versions are rejected the same
-// way.
-func TestCheckpointLegacyV1(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		data string
-	}{
-		{"v1", `{"version":1,"profiles":{}}`},
-		{"v2", `{"version":2,"profiles":{}}`},
-		{"v3", `{"version":3,"profiles":{}}`},
-		{"future", `{"version":99,"profiles":{}}`},
-	} {
-		path := filepath.Join(t.TempDir(), tc.name+".ckpt")
-		if err := os.WriteFile(path, []byte(tc.data), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := LoadCheckpoint(path); err == nil ||
-			!strings.Contains(err.Error(), "version") || !errors.Is(err, ErrCheckpointCorrupt) {
-			t.Fatalf("%s checkpoint must be rejected as corrupt with a version error, got %v", tc.name, err)
-		}
-		st, quarantined, err := RecoverCheckpoint(path)
-		if err != nil || st != nil {
-			t.Fatalf("%s: recover = (%v, %v), want cold start", tc.name, st, err)
-		}
-		if quarantined != path+".corrupt" {
-			t.Fatalf("%s: quarantined to %q, want %q", tc.name, quarantined, path+".corrupt")
-		}
 	}
 }

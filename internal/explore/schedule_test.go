@@ -151,7 +151,7 @@ func TestBudgetString(t *testing.T) {
 	}
 }
 
-// TestSearchKeyStrings pins the frontier keys checkpoints already store:
+// TestSearchKeyStrings pins the frontier keys saved runs already store:
 // single-cap and unlimited budgets must keep resolving to the same entries.
 // Only a budget with both caps gets a key of its own.
 func TestSearchKeyStrings(t *testing.T) {

@@ -22,7 +22,7 @@ type Budget struct {
 
 // String names the budget; the searcher's frontier keys embed it, so two
 // budgets that differ in either cap must print differently. Single-cap and
-// unlimited budgets keep the forms checkpoints already store.
+// unlimited budgets keep the forms saved run records already store.
 func (b Budget) String() string {
 	switch {
 	case b.PeakW > 0 && b.AreaMM2 > 0:

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"compisa/internal/metrics"
+	"compisa/internal/store"
 )
 
 // fillStats gives every Counter and Histogram field of s a value derived
@@ -31,23 +32,32 @@ func fillStats(s *Stats) {
 }
 
 // TestStatsOutputsGolden pins the two persistent renderings of a fixed
-// Stats: the checkpoint JSON written by Export → SaveCheckpoint (only the
-// current checkpointVersion loads, so a layout change needs a version bump)
-// and the -stats text layout.
+// Stats: the run record RunDurable saves to the store (its stats block must
+// keep decoding across releases; see TestLoadCheckpointWithoutSimStats) and
+// the -stats text layout.
 func TestStatsOutputsGolden(t *testing.T) {
 	db := NewDB()
 	fillStats(&db.Stats)
 
-	path := filepath.Join(t.TempDir(), "ckpt.json")
-	if err := SaveCheckpoint(path, Snapshot(db, nil)); err != nil {
+	dir := filepath.Join(t.TempDir(), "store")
+	if err := RunDurable(db, dir, func(*Durable) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(path)
+	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var got []byte
+	if _, err := st.Range(func(key string, val []byte) error {
+		if key == runKey {
+			got = val
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct{ file, got string }{
-		{"testdata/checkpoint_stats.golden.json", string(got)},
+		{"testdata/run_stats.golden.json", string(got)},
 		{"testdata/stats_format.golden", db.StatsSnapshot().Format()},
 	} {
 		want, err := os.ReadFile(tc.file)

@@ -187,7 +187,7 @@ func TestNames(t *testing.T) {
 
 // TestShortNameMatchesSprintf: ShortName spells every feature set the
 // exploration names exactly as the Sprintf form it replaced, so cache,
-// checkpoint and store keys built from it do not move.
+// saved-run and store keys built from it do not move.
 func TestShortNameMatchesSprintf(t *testing.T) {
 	sets := append(Derive(), XIzedFixedSets()...)
 	for _, v := range VendorISAs() {

@@ -3,7 +3,7 @@
 // histograms. Both are safe for concurrent use, cheap enough to sit on hot
 // paths (one atomic add per event), and snapshot into plain serializable
 // values so pipeline statistics can be printed (`compose-explore -stats`)
-// and carried across checkpoint/resume.
+// and carried across a saved and resumed run.
 //
 // A stats struct declares each metric once, as a Counter or Histogram field
 // tagged with its Prometheus family (metric), help text (help) and optional
@@ -85,7 +85,7 @@ func (h *Histogram) Observe(d time.Duration) {
 func (h *Histogram) Since(start time.Time) { h.Observe(time.Since(start)) }
 
 // HistogramSnapshot is a point-in-time copy of a histogram, serializable
-// for -stats output and checkpoint files.
+// for -stats output and saved run records.
 type HistogramSnapshot struct {
 	Count int64 `json:"count"`
 	SumNS int64 `json:"sum_ns"`
@@ -110,7 +110,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Merge adds a snapshot's counts into the histogram (checkpoint resume
+// Merge adds a snapshot's counts into the histogram (a resumed run
 // accumulates the prior run's statistics this way). Buckets past the last
 // fold into the overflow bucket, so the buckets still sum to the count.
 func (h *Histogram) Merge(s HistogramSnapshot) {

@@ -114,7 +114,7 @@ func TestHistogramMergeAndJSON(t *testing.T) {
 	b.Observe(time.Millisecond)
 
 	// Snapshot → JSON → snapshot → merge must preserve counts (the
-	// checkpoint roundtrip path).
+	// saved-run roundtrip path).
 	data, err := json.Marshal(a.Snapshot())
 	if err != nil {
 		t.Fatal(err)

@@ -58,7 +58,7 @@ func Snapshot[S any](live any) S {
 }
 
 // Merge adds snapshot struct sn into the same-named metric fields of the
-// struct live points to (checkpoint resume).
+// struct live points to (a resumed run).
 func Merge(live, sn any) {
 	for _, f := range fields(live, reflect.ValueOf(sn)) {
 		switch m := f.m.(type) {

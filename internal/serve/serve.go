@@ -13,7 +13,8 @@
 //     over eval's candidate cache, so a thundering herd costs one scoring
 //     pass;
 //   - evaluation: the shared eval.DB — both cache tiers, warm-startable
-//     from a compose-explore checkpoint — under a server-side deadline
+//     from a store directory compose-explore or an earlier boot wrote —
+//     under a server-side deadline
 //     detached from any individual caller;
 //   - degradation: evaluation faults map onto typed HTTP statuses
 //     (fault.HTTPStatus) with Retry-After hints for transient ones, and a
@@ -148,7 +149,7 @@ func New(eng Engine, cfg Config) *Server {
 func (s *Server) Stats() *Stats { return &s.stats }
 
 // MarkEvaluated records design-point cache keys as already evaluated, so a
-// server warm-started from a checkpoint accounts requests for restored
+// server warm-started from a saved run accounts requests for restored
 // points as cache hits (eval.DB.CandidateKeys supplies the keys).
 func (s *Server) MarkEvaluated(keys ...string) {
 	s.mu.Lock()
