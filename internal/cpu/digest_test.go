@@ -71,18 +71,21 @@ func hashEvent(h hash.Hash64, ev *Event) {
 	h.Write(b[:])
 }
 
-// profileRun executes a predecoded program under the pooled profiler and
-// returns the run's outcome, its event-stream hash, and the encoded profile.
-// Finish runs even after a budget abort: the profile of the consumed prefix
-// is pinned too.
+// profileRun executes a predecoded program under the pooled profiler,
+// through the batch sink and buffer CollectProfileOpts uses, and returns the
+// run's outcome, its event-stream hash, and the encoded profile. Finish runs
+// even after a budget abort: the profile of the consumed prefix is pinned
+// too.
 func profileRun(t *testing.T, pd *Predecoded, m *mem.Memory, opts RunOptions) (res ExecResult, evHash uint64, prof *Profile, cpf []byte, err error) {
 	t.Helper()
 	pr := newProfiler(pd, m.Pages()*mem.PageSize/8)
 	defer pr.release()
 	h := fnv.New64a()
-	res, err = RunPredecoded(pd, NewState(m), opts, func(ev *Event) {
-		hashEvent(h, ev)
-		pr.Consume(ev)
+	res, err = pr.run(NewState(m), opts, func(evs []Event) {
+		for i := range evs {
+			hashEvent(h, &evs[i])
+		}
+		pr.consumeBatch(evs)
 	})
 	prof = pr.Finish()
 	cpf, merr := prof.MarshalBinary()
@@ -147,6 +150,38 @@ func TestCellDigests(t *testing.T) {
 	if !t.Failed() {
 		golden.Check(t, "cells.golden", slices.Concat(lines...), testing.Short())
 	}
+}
+
+// fullRunBudget is the watchdog budget the sweep runs regions under
+// (eval.MaxRegionInstrs).
+const fullRunBudget = 40_000_000
+
+// TestProfileFullRunDigest pins whole-region profiles, each region run to its
+// RET under the sweep's budget: six regions of different character (pointer
+// chasing, register pressure, irregular branches, vector code) on the
+// smallest microx86 set, x86-64 and the superset. cells.golden covers every
+// cell but stops at cellBudget instructions; this table covers everything
+// the profiler computes over a complete run, the same cpf1 bytes the sweep
+// scores, so it pins the profiler model itself.
+func TestProfileFullRunDigest(t *testing.T) {
+	sets := []isa.FeatureSet{isa.MicroX86Min, isa.X8664, isa.Superset}
+	names := []string{"astar.3", "bzip2.3", "gobmk.0", "hmmer.0", "lbm.0", "mcf.0"}
+	var lines []string
+	for _, fs := range sets {
+		for _, name := range names {
+			r, ok := workload.RegionByName(name)
+			if !ok {
+				t.Fatalf("no region %s", name)
+			}
+			prog, m := buildRegion(t, r, fs, &isa.X86Target)
+			res, evHash, _, cpf, err := profileRun(t, Predecode(prog), m, RunOptions{MaxInstrs: fullRunBudget})
+			if err != nil {
+				t.Fatalf("%s %s: %v", fs.ShortName(), name, err)
+			}
+			lines = append(lines, fs.ShortName()+" "+name+"\t"+profileDigest(cpf, evHash, res, err))
+		}
+	}
+	golden.Check(t, "profiles.golden", lines, false)
 }
 
 // l2SplitKernel crosses the boundary between the two L2 options, which the

@@ -483,21 +483,74 @@ func stepVRSUM(st *State, in *code.Instr, ev *Event, addrMask uint64, idx int) (
 	return idx + 1, nil
 }
 
+// eventBatch is how many events the run loop buffers before it hands them
+// to its sink: large enough that a call per batch is noise next to the
+// events' own cost, small enough (8 KB of Events) to stay in L1 between the
+// executor writing a batch and the consumer reading it.
+const eventBatch = 256
+
 // RunPredecoded is the table-driven run loop over a predecoded program. It
 // reads instruction length, micro-op count, and handler from the predecode
 // arrays instead of recomputing them per dynamic instruction; the digests
-// under testdata/ pin its event stream and results cell by cell.
+// under testdata/ pin its event stream and results cell by cell. consume
+// (which may be nil) sees every event in program order, one call each, and
+// all of them before RunPredecoded returns. The events reach it in batches,
+// so it must not read st, which runs ahead of the event it is handed, nor
+// expect opts.Interrupt to run after the events executed before the poll.
 func RunPredecoded(pd *Predecoded, st *State, opts RunOptions, consume func(*Event)) (ExecResult, error) {
+	if consume == nil {
+		return runBatched(pd, st, opts, make([]Event, 1), nil)
+	}
+	return runBatched(pd, st, opts, make([]Event, eventBatch), func(evs []Event) {
+		for i := range evs {
+			consume(&evs[i])
+		}
+	})
+}
+
+// offerJIT offers the execution to the native-code engine opts.JIT. If the
+// engine takes it, the events it streams reach sink through buf, flushed
+// before offerJIT returns, as runBatched delivers them. The inner options
+// drop the runner so deoptimized interpreter steps (and the
+// full-interpreter fallback on bailout) cannot recurse. It is a function
+// of its own because a closure in runBatched capturing the loop's pending
+// count would move that count to the heap for the whole loop.
+func offerJIT(pd *Predecoded, st *State, opts RunOptions, buf []Event, sink func([]Event)) (ExecResult, bool, error) {
+	inner := opts
+	inner.JIT = nil
+	var consume func(*Event)
+	pending := 0
+	if sink != nil {
+		consume = func(ev *Event) {
+			buf[pending] = *ev
+			if pending++; pending == len(buf) {
+				sink(buf)
+				pending = 0
+			}
+		}
+	}
+	res, ok, err := opts.JIT.RunJIT(pd, st, inner, consume)
+	if pending > 0 {
+		sink(buf[:pending])
+	}
+	return res, ok, err
+}
+
+// runBatched is the interpreter loop. It writes each executed event into
+// buf and hands buf to sink whenever it fills; on every way out (RET, the
+// budget, an out-of-range PC, a failed step or decode, a failed Interrupt)
+// it first hands sink the pending events, so when it returns the consumer
+// has seen exactly the events executed. A nil sink delivers nothing and
+// reuses buf[0]. An execution opts.JIT takes reaches sink through the same
+// buffer.
+func runBatched(pd *Predecoded, st *State, opts RunOptions, buf []Event, sink func([]Event)) (ExecResult, error) {
 	if opts.JIT != nil {
-		// Offer the execution to the native-code engine. The inner options
-		// drop the runner so deoptimized interpreter steps (and the
-		// full-interpreter fallback on bailout) cannot recurse.
-		inner := opts
-		inner.JIT = nil
-		if res, ok, err := opts.JIT.RunJIT(pd, st, inner, consume); ok {
+		if res, ok, err := offerJIT(pd, st, opts, buf, sink); ok {
 			return res, err
 		}
 	}
+	pending := 0  // events in buf not yet handed to sink
+	ev := &buf[0] // the slot of the next event, buf[pending]
 	var res ExecResult
 	p := pd.P
 	InstallPool(p, st.Mem)
@@ -512,18 +565,21 @@ func RunPredecoded(pd *Predecoded, st *State, opts RunOptions, consume func(*Eve
 	nextPoll := stride
 	idx := 0
 	n := len(p.Instrs)
-	var ev Event
+	var err error
 	for {
 		if idx < 0 || idx >= n {
-			return res, fmt.Errorf("cpu: %s: pc %d: %w", p.Name, idx, ErrPCOutOfRange)
+			err = fmt.Errorf("cpu: %s: pc %d: %w", p.Name, idx, ErrPCOutOfRange)
+			break
 		}
 		if res.Instrs >= opts.MaxInstrs {
-			return res, fmt.Errorf("cpu: %s after %d instructions: %w", p.Name, opts.MaxInstrs, ErrInstrBudget)
+			err = fmt.Errorf("cpu: %s after %d instructions: %w", p.Name, opts.MaxInstrs, ErrInstrBudget)
+			break
 		}
 		if opts.Interrupt != nil && res.Instrs >= nextPoll {
 			nextPoll = res.Instrs + stride
-			if err := opts.Interrupt(); err != nil {
-				return res, fmt.Errorf("cpu: %s: %w: %w", p.Name, ErrInterrupted, err)
+			if ierr := opts.Interrupt(); ierr != nil {
+				err = fmt.Errorf("cpu: %s: %w: %w", p.Name, ErrInterrupted, ierr)
+				break
 			}
 		}
 		in := &p.Instrs[idx]
@@ -531,7 +587,7 @@ func RunPredecoded(pd *Predecoded, st *State, opts RunOptions, consume func(*Eve
 		nuops := pd.nuops[idx]
 		res.Uops += int64(nuops)
 
-		ev = Event{Idx: int32(idx), PC: p.PC[idx], Len: pd.len[idx], Uops: nuops}
+		*ev = Event{Idx: int32(idx), PC: p.PC[idx], Len: pd.len[idx], Uops: nuops}
 
 		// Predication gate.
 		active := true
@@ -548,21 +604,20 @@ func RunPredecoded(pd *Predecoded, st *State, opts RunOptions, consume func(*Eve
 		if active {
 			fn := pd.step[idx]
 			if fn == nil {
-				return res, fmt.Errorf("cpu: op %d: %w", uint8(in.Op), ErrUnimplementedOp)
+				err = fmt.Errorf("cpu: op %d: %w", uint8(in.Op), ErrUnimplementedOp)
+				break
 			}
-			var err error
-			next, err = fn(st, in, &ev, addrMask, idx)
-			if err != nil {
-				return res, err
+			if next, err = fn(st, in, ev, addrMask, idx); err != nil {
+				break
 			}
 			if in.Op == code.RET {
 				res.Ret = ev.MemAddr // stashed return value
 				ev.MemAddr, ev.MemSz = 0, 0
 				ev.Taken = true
-				if consume != nil {
-					consume(&ev)
+				if sink != nil {
+					pending++
 				}
-				return res, nil
+				break
 			}
 		}
 		if in.Op == code.JCC {
@@ -577,9 +632,17 @@ func RunPredecoded(pd *Predecoded, st *State, opts RunOptions, consume func(*Eve
 		if ev.IsStore {
 			res.Stores++
 		}
-		if consume != nil {
-			consume(&ev)
+		if sink != nil {
+			if pending++; pending == len(buf) {
+				sink(buf)
+				pending = 0
+			}
+			ev = &buf[pending]
 		}
 		idx = next
 	}
+	if pending > 0 {
+		sink(buf[:pending])
+	}
+	return res, err
 }

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"sync"
+	"time"
 
 	"compisa/internal/code"
 	"compisa/internal/isa"
@@ -111,28 +112,44 @@ var (
 	L2Options  = [2]CacheCfg{L2Cfg4M, L2Cfg8M}
 )
 
-// Timestamp-lane layout of the flat profiler: one lane per ILP window, one
-// for the strict in-order chain, one for the real-latency chain. All lane
-// state (register ready times, granule store times) lives in fixed-size
-// [numLanes]int64 rows, replacing the per-window slices and the
-// map[uint64][]int64 of the legacy profiler.
+// Timestamp-lane layout of the flat profiler: one lane per ILP window, then
+// one for the strict in-order chain and, last, one for the real-latency
+// chain on the reference hierarchy. All lane state (register ready times,
+// granule store times) lives in fixed-size [numLanes]int64 rows, replacing
+// the per-window slices and the map[uint64][]int64 of the legacy profiler.
 const (
 	numLanes  = NumILPWindows + 2
-	laneInOrd = NumILPWindows     // strict in-order chain
-	laneReal  = NumILPWindows + 1 // real-latency chain (reference hierarchy)
+	laneInOrd = NumILPWindows // strict in-order chain
 
 	ringRealLen = 128 // real chain models a 128-uop window
-	ringRealOff = 496 // 16+32+64+128+256
-	ringTotal   = ringRealOff + ringRealLen
 )
 
 // lanes is one timestamp per lane.
 type lanes = [numLanes]int64
 
-// ringOff[i] is the offset of window i's completion ring inside the
-// concatenated ring array; the ring length is ILPWindows[i] (a power of
-// two, so position is seq & (len-1)).
-var ringOff = [NumILPWindows]int{0, 16, 48, 112, 240}
+// setLanes stores one completion timestamp per lane into row.
+func setLanes(row *lanes, c0, c1, c2, c3, c4, c5, c6 int64) {
+	row[0], row[1], row[2], row[3], row[4], row[5], row[6] = c0, c1, c2, c3, c4, c5, c6
+}
+
+// ilpRings holds the completion ring of every windowed lane: the ring of
+// window i is ILPWindows[i] micro-ops long (TestILPRingsMatchWindows pins
+// the sizes), the real chain's ringRealLen. A micro-op's slot is its
+// sequence number modulo the ring length; fixed-size arrays indexed with
+// constant masks need no bounds checks.
+type ilpRings struct {
+	w16  [16]int64
+	w32  [32]int64
+	w64  [64]int64
+	w128 [128]int64
+	w256 [256]int64
+	real [ringRealLen]int64
+}
+
+// windows returns the windowed lanes' rings, indexed like ILPWindows.
+func (r *ilpRings) windows() [NumILPWindows][]int64 {
+	return [NumILPWindows][]int64{r.w16[:], r.w32[:], r.w64[:], r.w128[:], r.w256[:]}
+}
 
 // classLat is latOf per micro-op class.
 var classLat = func() (t [NumUopClasses]int64) {
@@ -172,7 +189,7 @@ type profiler struct {
 
 	// ILP tracking, one timestamp lane per window + in-order + real.
 	regReady [numDeps]lanes
-	rings    [ringTotal]int64
+	rings    ilpRings
 	gran     *granTab // store completion per 8-byte granule, per lane
 
 	inorderT   int64
@@ -182,6 +199,11 @@ type profiler struct {
 	prevCmp    bool
 	prevIdx    int32
 	lastLat    int64 // data-access latency on the reference hierarchy
+
+	// busy is the time spent consuming events (consumeBatch).
+	busy time.Duration
+	// batch is the run loop's event buffer (see runBatched).
+	batch [eventBatch]Event
 }
 
 // l2Stack is the geometry of the per-(i, d) L2 stack: the widest option
@@ -223,7 +245,7 @@ func newProfiler(pd *Predecoded, granHint int) *profiler {
 		pr.uc.Reset()
 		pr.gran.reset()
 		clear(pr.regReady[:])
-		clear(pr.rings[:])
+		pr.rings = ilpRings{}
 		pr.lastFetchLine = 0
 		pr.inorderT, pr.seq, pr.totalLen = 0, 0, 0
 		pr.mispredict = [NumPredictors]int64{}
@@ -231,6 +253,7 @@ func newProfiler(pd *Predecoded, granHint int) *profiler {
 	}
 	pr.missPos = [2]int64{-1 << 40, -1 << 40}
 	pr.missGrp = [2]int64{}
+	pr.busy = 0
 	pr.pd = pd
 	pr.prof = &Profile{
 		Name:          pd.P.Name,
@@ -249,8 +272,19 @@ func (pr *profiler) release() {
 	profilerPool.Put(pr)
 }
 
-// Consume feeds one executed instruction.
-func (pr *profiler) Consume(ev *Event) {
+// consumeBatch is the run loop's sink: it feeds a batch of executed events,
+// in program order, and adds the time it took to pr.busy, with one pair of
+// clock reads per batch.
+func (pr *profiler) consumeBatch(evs []Event) {
+	start := time.Now()
+	for i := range evs {
+		pr.consume(&evs[i])
+	}
+	pr.busy += time.Since(start)
+}
+
+// consume feeds one executed instruction.
+func (pr *profiler) consume(ev *Event) {
 	pd := pr.pd
 	pf := pd.pflags[ev.Idx]
 	prof := pr.prof
@@ -375,56 +409,55 @@ func (pr *profiler) Consume(ev *Event) {
 				}
 			}
 		}
-		// Operand-ready time per lane. A dep's lanes are one row of
-		// regReady, so one pass per source folds all seven lanes at once;
-		// lanes touch disjoint state, so reading them all before any lane
-		// writes is equivalent to the per-lane interleaving.
-		var tl, comp lanes
-		tl[laneInOrd] = pr.inorderT // in-order chain starts at program order
+		// Operand-ready time per lane, folded in locals: t0..t4 are the
+		// windows' lanes, t5 the in-order chain (which starts at program
+		// order), t6 the real-latency chain. A dep's lanes are one row of
+		// regReady; lanes touch disjoint state, so reading them all before
+		// any lane writes is equivalent to the per-lane interleaving.
+		t0, t1, t2, t3, t4, t5, t6 := int64(0), int64(0), int64(0), int64(0), int64(0), pr.inorderT, int64(0)
 		for _, src := range tm.srcs[:tm.nsrcs] {
-			row := &pr.regReady[src]
-			for ln := range tl {
-				tl[ln] = max(tl[ln], row[ln])
-			}
+			r := &pr.regReady[src]
+			t0, t1, t2, t3 = max(t0, r[0]), max(t1, r[1]), max(t2, r[2]), max(t3, r[3])
+			t4, t5, t6 = max(t4, r[4]), max(t5, r[5]), max(t6, r[6])
 		}
 		if memTracked && isLoad {
-			for _, ch := range chunks[:ngran] {
-				for ln := range tl {
-					tl[ln] = max(tl[ln], ch[ln])
-				}
+			for _, r := range chunks[:ngran] {
+				t0, t1, t2, t3 = max(t0, r[0]), max(t1, r[1]), max(t2, r[2]), max(t3, r[3])
+				t4, t5, t6 = max(t4, r[4]), max(t5, r[5]), max(t6, r[6])
 			}
 		}
-		for wi := 0; wi < NumILPWindows; wi++ {
-			// Window constraint: the uop W back must have completed.
-			slot := ringOff[wi] + int(pr.seq&int64(ILPWindows[wi]-1))
-			c := max(tl[wi], pr.rings[slot]) + lat
-			pr.rings[slot] = c
-			comp[wi] = c
-		}
+		// Window constraint: the uop W back must have completed.
+		s, rg := uint64(pr.seq), &pr.rings
+		c0 := max(t0, rg.w16[s%16]) + lat
+		rg.w16[s%16] = c0
+		c1 := max(t1, rg.w32[s%32]) + lat
+		rg.w32[s%32] = c1
+		c2 := max(t2, rg.w64[s%64]) + lat
+		rg.w64[s%64] = c2
+		c3 := max(t3, rg.w128[s%128]) + lat
+		rg.w128[s%128] = c3
+		c4 := max(t4, rg.w256[s%256]) + lat
+		rg.w256[s%256] = c4
 		// Strict in-order issue (scoreboard): ready ∩ program order.
-		comp[laneInOrd] = tl[laneInOrd] + lat
-		pr.inorderT = tl[laneInOrd] // next uop may issue same cycle (width modeled later)
+		c5 := t5 + lat
+		pr.inorderT = t5 // next uop may issue same cycle (width modeled later)
 		// Real-latency chain at a 128-uop window on the reference
 		// hierarchy, for the dependence-aware memory-overlap measure.
-		{
-			rlat := lat
-			if isLoad && !ev.PredOff {
-				rlat = pr.lastLat
-			}
-			slot := ringRealOff + int(pr.seq&(ringRealLen-1))
-			c := max(tl[laneReal], pr.rings[slot]) + rlat
-			pr.rings[slot] = c
-			comp[laneReal] = c
+		rlat := lat
+		if isLoad && !ev.PredOff {
+			rlat = pr.lastLat
 		}
+		c6 := max(t6, rg.real[s%ringRealLen]) + rlat
+		rg.real[s%ringRealLen] = c6
 		if tm.dst >= 0 {
-			pr.regReady[tm.dst] = comp
+			setLanes(&pr.regReady[tm.dst], c0, c1, c2, c3, c4, c5, c6)
 		}
 		if tm.dstFlag {
-			pr.regReady[depFlags] = comp
+			setLanes(&pr.regReady[depFlags], c0, c1, c2, c3, c4, c5, c6)
 		}
 		if memTracked && isStore {
 			for _, ch := range chunks[:ngran] {
-				*ch = comp
+				setLanes(ch, c0, c1, c2, c3, c4, c5, c6)
 			}
 		}
 		pr.seq++
@@ -492,10 +525,10 @@ func (pr *profiler) Finish() *Profile {
 		}
 		prof.MispredictRate[k] = rate
 	}
-	for wi := range ILPWindows {
+	for wi, ring := range pr.rings.windows() {
 		// Completion horizon = max entry in the ring.
 		maxT := int64(1)
-		for _, t := range pr.rings[ringOff[wi] : ringOff[wi]+ILPWindows[wi]] {
+		for _, t := range ring {
 			if t > maxT {
 				maxT = t
 			}
@@ -516,7 +549,7 @@ func (pr *profiler) Finish() *Profile {
 	// Memory-overlap measurement: real-latency horizon minus the fixed-L1
 	// horizon of the same (128-uop) window.
 	realMax := int64(1)
-	for _, t := range pr.rings[ringRealOff : ringRealOff+ringRealLen] {
+	for _, t := range pr.rings.real {
 		if t > realMax {
 			realMax = t
 		}
@@ -556,14 +589,28 @@ func CollectProfile(p *code.Program, m *mem.Memory, maxInstrs int64) (*Profile, 
 // CollectProfileOpts is CollectProfile with watchdog and interrupt control,
 // so profile collection honors deadlines and cancellation mid-execution.
 func CollectProfileOpts(p *code.Program, m *mem.Memory, opts RunOptions) (*Profile, ExecResult, error) {
+	prof, res, _, err := CollectProfileTimed(p, m, opts)
+	return prof, res, err
+}
+
+// CollectProfileTimed is CollectProfileOpts that also returns the
+// profiler's share of the run: the time spent consuming events, timed per
+// batch. The rest of the run is functional execution and setup.
+func CollectProfileTimed(p *code.Program, m *mem.Memory, opts RunOptions) (*Profile, ExecResult, time.Duration, error) {
 	pd := Predecode(p)
 	granHint := m.Pages() * mem.PageSize / 8
 	pr := newProfiler(pd, granHint)
 	defer pr.release()
-	st := NewState(m)
-	res, err := RunPredecoded(pd, st, opts, pr.Consume)
+	res, err := pr.run(NewState(m), opts, pr.consumeBatch)
 	if err != nil {
-		return nil, res, err
+		return nil, res, pr.busy, err
 	}
-	return pr.Finish(), res, nil
+	return pr.Finish(), res, pr.busy, nil
+}
+
+// run executes pr's program from st, handing every batch of events to sink
+// through pr's buffer. sink is pr.consumeBatch, or a wrapper around it
+// that also observes the events.
+func (pr *profiler) run(st *State, opts RunOptions, sink func([]Event)) (ExecResult, error) {
+	return runBatched(pr.pd, st, opts, pr.batch[:], sink)
 }

@@ -392,21 +392,23 @@ func (db *DB) simulate(ctx context.Context, key simKey, prog *code.Program, r wo
 }
 
 // exec runs one functional simulation of prog, compiled from region r
-// built at width, with profiling; Execs and ExecTime count only these real
-// runs. ExecTime includes building the region again for its initial memory
-// image, which compile leaves out.
+// built at width, with profiling; Execs, ExecTime and ProfileTime count only
+// these real runs. ExecTime includes generating the region's initial memory
+// image, which compile leaves out; ProfileTime is the profiler's share of
+// ExecTime.
 func (db *DB) exec(prog *code.Program, r workload.Region, width int, ropts cpu.RunOptions) (*cpu.Profile, error) {
 	start := time.Now()
 	db.Stats.Execs.Inc()
-	_, m, err := r.Build(width)
+	m, err := r.Image(width)
 	if err != nil {
 		return nil, err
 	}
-	p, _, err := cpu.CollectProfileOpts(prog, m, ropts)
+	p, _, busy, err := cpu.CollectProfileTimed(prog, m, ropts)
 	if err != nil {
 		return nil, err
 	}
 	db.Stats.ExecTime.Since(start)
+	db.Stats.ProfileTime.Observe(busy)
 	return p, nil
 }
 

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -146,8 +147,10 @@ func TestStateRoundtrip(t *testing.T) {
 	if len(db2.CandidateKeys()) != 1 {
 		t.Fatalf("rescored %d candidates, want 1", len(db2.CandidateKeys()))
 	}
-	if got := db2.Stats.Execs.Load(); got != st.Stats.Execs {
-		t.Errorf("the re-score simulated %d times", got-st.Stats.Execs)
+	// The re-score restores: the stats are the exported ones, to the
+	// count and the histogram bucket.
+	if got := db2.Stats.Snapshot(); !reflect.DeepEqual(got, st.Stats) {
+		t.Errorf("the re-score moved the restored stats:\n got %+v\nwant %+v", got, st.Stats)
 	}
 	// The re-scored candidate serves Evaluate without recomputation.
 	ref2, err := db2.ReferenceMetrics(ctx)

@@ -55,6 +55,13 @@ func (c *Candidate) MeanSpeedup() float64 {
 // reference ISA is injection-exempt, and any failure here is fatal because
 // every normalized metric depends on it.
 func (db *DB) ReferenceMetrics(ctx context.Context) ([]Metric, error) {
+	return db.reference(ctx, true)
+}
+
+// reference is ReferenceMetrics; with count unset its first computation
+// counts nothing in db.Stats and reads the reference profile set from the
+// profile tier only (see Rescore).
+func (db *DB) reference(ctx context.Context, count bool) ([]Metric, error) {
 	db.mu.Lock()
 	ref := db.ref
 	db.mu.Unlock()
@@ -62,13 +69,15 @@ func (db *DB) ReferenceMetrics(ctx context.Context) ([]Metric, error) {
 		return ref, nil
 	}
 	dp := DesignPoint{ISA: X8664Choice(), Cfg: ReferenceConfig()}
-	s, err := db.scorers(ctx, dp.ISA)
+	s, err := db.scorers(ctx, dp.ISA, count)
 	if err != nil {
 		return nil, err
 	}
 	m := make([]Metric, len(db.Regions))
 	err = db.score(s, dp, nil, true, func(r int, x Metric, _ power.EnergyResult, _ error) {
-		db.tally(dp, r, nil)
+		if count {
+			db.tally(dp, r, nil)
+		}
 		m[r] = x
 	})
 	if err != nil {
@@ -112,7 +121,7 @@ func (db *DB) rescore(ctx context.Context, dp DesignPoint, energy bool, each fun
 	s := db.scorerSets[dp.ISA.Key()]
 	db.mu.Unlock()
 	if s == nil {
-		if s, err = db.scorers(ctx, dp.ISA); err != nil {
+		if s, err = db.scorers(ctx, dp.ISA, true); err != nil {
 			return err
 		}
 	}
@@ -133,11 +142,24 @@ type scorerSet struct {
 
 // scorers returns choice's scorer set, fetching the profile set through
 // Profiles (so profile hits and misses count as before) and building the
-// scorers on the set's first use. Concurrent first uses may each build a
-// set; they are equal, and the first one stored is kept.
-func (db *DB) scorers(ctx context.Context, choice ISAChoice) (*scorerSet, error) {
+// scorers on the set's first use. With count unset it counts nothing and
+// takes the profile set from the profile tier, failing if it is not there.
+// Concurrent first uses may each build a set; they are equal, and the first
+// one stored is kept.
+func (db *DB) scorers(ctx context.Context, choice ISAChoice, count bool) (*scorerSet, error) {
 	key := choice.Key()
-	ps, err := db.profilesOf(ctx, choice, key)
+	var ps []*cpu.Profile
+	var err error
+	if count {
+		ps, err = db.profilesOf(ctx, choice, key)
+	} else {
+		db.mu.Lock()
+		ps = db.profiles[key]
+		db.mu.Unlock()
+		if ps == nil {
+			err = fmt.Errorf("eval: no profile set for %s in the profile tier", key)
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -269,6 +291,13 @@ func (db *DB) Evaluate(ctx context.Context, dp DesignPoint, ref []Metric) (*Cand
 // composition from perfmodel.Cycles, power.Energy and the normalization
 // formulas. The returned slice is indexed like cfgs.
 func (db *DB) EvaluateBatch(ctx context.Context, choice ISAChoice, cfgs []cpu.CoreConfig, ref []Metric) ([]*Candidate, error) {
+	return db.evaluateBatch(ctx, choice, cfgs, ref, true)
+}
+
+// evaluateBatch is EvaluateBatch; with count unset it counts nothing in
+// db.Stats (cache outcomes, model evaluations, degraded regions, model
+// time), logs nothing and scores from the profile tier alone (see Rescore).
+func (db *DB) evaluateBatch(ctx context.Context, choice ISAChoice, cfgs []cpu.CoreConfig, ref []Metric, count bool) ([]*Candidate, error) {
 	out := make([]*Candidate, len(cfgs))
 	cacheable := db.isOwnRef(ref)
 	var keys []string
@@ -289,8 +318,10 @@ func (db *DB) EvaluateBatch(ctx context.Context, choice ISAChoice, cfgs []cpu.Co
 			}
 		}
 		db.mu.Unlock()
-		db.Stats.CandidateHits.Add(int64(len(cfgs) - len(missing)))
-		db.Stats.CandidateMisses.Add(int64(len(missing)))
+		if count {
+			db.Stats.CandidateHits.Add(int64(len(cfgs) - len(missing)))
+			db.Stats.CandidateMisses.Add(int64(len(missing)))
+		}
 		if len(missing) == 0 {
 			return out, nil
 		}
@@ -300,7 +331,7 @@ func (db *DB) EvaluateBatch(ctx context.Context, choice ISAChoice, cfgs []cpu.Co
 		}
 	}
 
-	s, err := db.scorers(ctx, choice)
+	s, err := db.scorers(ctx, choice, count)
 	if err != nil {
 		return nil, err
 	}
@@ -317,7 +348,9 @@ func (db *DB) EvaluateBatch(ctx context.Context, choice ISAChoice, cfgs []cpu.Co
 			Degraded: make([]bool, n),
 		}
 		err := db.score(s, dp, ref, true, func(r int, m Metric, _ power.EnergyResult, err error) {
-			db.tally(dp, r, err)
+			if count {
+				db.tally(dp, r, err)
+			}
 			switch {
 			case err != nil:
 				c.Degraded[r] = true
@@ -344,7 +377,9 @@ func (db *DB) EvaluateBatch(ctx context.Context, choice ISAChoice, cfgs []cpu.Co
 		}
 		out[i] = c
 	}
-	db.Stats.ModelTime.Since(modelStart)
+	if count {
+		db.Stats.ModelTime.Since(modelStart)
+	}
 	return out, nil
 }
 

@@ -89,8 +89,15 @@ func TestSimTierSharedProfilesMatchOwnSimulation(t *testing.T) {
 	if db.Stats.SimHits.Load() == 0 {
 		t.Fatal("no simulation was shared between ISA choices")
 	}
-	if execs, misses := db.Stats.Execs.Load(), db.Stats.SimMisses.Load(); execs != misses {
+	execs := db.Stats.Execs.Load()
+	if misses := db.Stats.SimMisses.Load(); execs != misses {
 		t.Errorf("Execs = %d, want one per simulation-tier miss (%d)", execs, misses)
+	}
+	// The profile stage is the profiler's share of every real run.
+	exec, prof := db.Stats.ExecTime.Snapshot(), db.Stats.ProfileTime.Snapshot()
+	if prof.Count != execs || prof.SumNS <= 0 || prof.SumNS > exec.SumNS {
+		t.Errorf("profile stage %d runs, %v; want %d runs, positive and within exec's %v",
+			prof.Count, prof.Sum(), execs, exec.Sum())
 	}
 	cells := int64(len(choices) * len(db.Regions))
 	if n := db.Stats.SimHits.Load() + db.Stats.SimMisses.Load(); n != cells {

@@ -87,11 +87,13 @@ func (db *DB) Export() State {
 }
 
 // Rescore refills the candidate tier with pts (ISA key → configurations),
-// one EvaluateBatch per ISA against the DB's reference metrics; evaluation
-// is deterministic, so each point gets the candidate it had before a
-// restart. ISA keys that name no choice, and points whose profile set (or
-// the reference's) is not in the profile tier, are skipped, so Rescore
-// never simulates.
+// one batch per ISA against the DB's reference metrics; evaluation is
+// deterministic, so each point gets the candidate it had before a restart.
+// ISA keys that name no choice, and points whose profile set (or the
+// reference's) is not in the profile tier, are skipped, so Rescore never
+// simulates. Like ImportRecord it restores rather than evaluates: it counts
+// nothing in db.Stats, whose restored snapshot already counts the work that
+// scored these points.
 func (db *DB) Rescore(ctx context.Context, pts map[string][]cpu.CoreConfig) error {
 	keys := make([]string, 0, len(pts))
 	for k := range pts {
@@ -110,12 +112,12 @@ func (db *DB) Rescore(ctx context.Context, pts map[string][]cpu.CoreConfig) erro
 	if !haveRef || len(choices) == 0 {
 		return nil
 	}
-	ref, err := db.ReferenceMetrics(ctx)
+	ref, err := db.reference(ctx, false)
 	if err != nil {
 		return err
 	}
 	_, err = par.Map(ctx, len(choices), 0, func(i int) ([]*Candidate, error) {
-		return db.EvaluateBatch(ctx, choices[i], pts[choices[i].Key()], ref)
+		return db.evaluateBatch(ctx, choices[i], pts[choices[i].Key()], ref, false)
 	})
 	return err
 }

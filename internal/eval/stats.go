@@ -41,10 +41,12 @@ type Stats struct {
 	// profile set).
 	Persisted     metrics.Counter `metric:"compisa_eval_persisted_total" help:"Profile sets written through to the durable store."`
 	PersistErrors metrics.Counter `metric:"compisa_eval_persist_errors_total" help:"Profile-set write-throughs that failed."`
-	// Stage timings (ModelTime: one per candidate, all regions).
+	// Stage timings (ProfileTime: the profiler's share of each exec;
+	// ModelTime: one per candidate, all regions).
 	CompileTime metrics.Histogram `metric:"compisa_eval_stage_duration_seconds" labels:"stage=compile" help:"Stage timings."`
 	VerifyTime  metrics.Histogram `metric:"compisa_eval_stage_duration_seconds" labels:"stage=verify" help:"Stage timings."`
 	ExecTime    metrics.Histogram `metric:"compisa_eval_stage_duration_seconds" labels:"stage=exec" help:"Stage timings."`
+	ProfileTime metrics.Histogram `metric:"compisa_eval_stage_duration_seconds" labels:"stage=profile" help:"Stage timings."`
 	ModelTime   metrics.Histogram `metric:"compisa_eval_stage_duration_seconds" labels:"stage=model" help:"Stage timings."`
 }
 
@@ -71,6 +73,7 @@ type StatsSnapshot struct {
 	CompileTime metrics.HistogramSnapshot `json:"compile_time"`
 	VerifyTime  metrics.HistogramSnapshot `json:"verify_time,omitempty"`
 	ExecTime    metrics.HistogramSnapshot `json:"exec_time"`
+	ProfileTime metrics.HistogramSnapshot `json:"profile_time,omitzero"`
 	ModelTime   metrics.HistogramSnapshot `json:"model_time"`
 }
 
@@ -95,6 +98,7 @@ func (sn StatsSnapshot) Format() string {
 			sn.Verifies, sn.VerifyTime, sn.VerifyFindings)
 	}
 	fmt.Fprintf(&sb, "  exec stage:       %8d runs     %s\n", sn.Execs, sn.ExecTime)
+	fmt.Fprintf(&sb, "  profile stage:    %8d runs     %s  (within exec)\n", sn.ProfileTime.Count, sn.ProfileTime)
 	fmt.Fprintf(&sb, "  model stage:      %8d evals    %s\n", sn.ModelEvals, sn.ModelTime)
 	fmt.Fprintf(&sb, "  profile cache:    %8d hits %8d misses  (%s hit rate)\n",
 		sn.ProfileHits, sn.ProfileMisses, metrics.Rate(sn.ProfileHits, sn.ProfileMisses))

@@ -5,6 +5,8 @@ package ir
 type Builder struct {
 	F   *Func
 	Cur *Block
+	// discard drops every emitted instruction (see NewDiscardBuilder).
+	discard bool
 }
 
 // NewBuilder returns a builder positioned at a fresh entry block.
@@ -14,6 +16,15 @@ func NewBuilder(name string) *Builder {
 	return &Builder{F: f, Cur: b}
 }
 
+// NewDiscardBuilder returns a builder that allocates registers and blocks
+// exactly as NewBuilder's does but drops every instruction, for running a
+// generator only for its other effects (a workload region's memory image).
+func NewDiscardBuilder(name string) *Builder {
+	b := NewBuilder(name)
+	b.discard = true
+	return b
+}
+
 // Block creates a new block without switching to it.
 func (b *Builder) Block(name string) *Block { return b.F.NewBlock(name) }
 
@@ -21,7 +32,9 @@ func (b *Builder) Block(name string) *Block { return b.F.NewBlock(name) }
 func (b *Builder) SetBlock(blk *Block) { b.Cur = blk }
 
 func (b *Builder) emit(in Instr) VReg {
-	b.Cur.Instrs = append(b.Cur.Instrs, in)
+	if !b.discard {
+		b.Cur.Instrs = append(b.Cur.Instrs, in)
+	}
 	return in.Dst
 }
 

@@ -127,6 +127,20 @@ func (m *Memory) Write128(addr uint64, lo, hi uint64) {
 // Pages returns the number of resident pages (for tests and stats).
 func (m *Memory) Pages() int { return len(m.pages) }
 
+// Equal reports whether m and o have the same resident pages holding the
+// same bytes.
+func (m *Memory) Equal(o *Memory) bool {
+	if len(m.pages) != len(o.pages) {
+		return false
+	}
+	for base, p := range m.pages {
+		if q := o.pages[base]; q == nil || *p != *q {
+			return false
+		}
+	}
+	return true
+}
+
 // Alias maps the address range [base, base+len(buf)) onto buf: every page in
 // the range becomes a view into buf, so reads and writes through Memory and
 // direct accesses to buf observe the same bytes. Existing page contents are

@@ -10,13 +10,18 @@ func region(weight float64, seed uint32, body func(g *gen) ir.VReg) Region {
 	return Region{
 		Weight: weight,
 		Build: func(width int) (*ir.Func, *mem.Memory, error) {
-			g := newGen("region", width, seed, true)
+			g := newGen("region", width, seed, true, true)
 			return g.finish(body(g))
 		},
 		code: func(width int) (*ir.Func, error) {
-			g := newGen("region", width, seed, false)
+			g := newGen("region", width, seed, true, false)
 			f, _, err := g.finish(body(g))
 			return f, err
+		},
+		image: func(width int) (*mem.Memory, error) {
+			g := newGen("region", width, seed, false, true)
+			_, m, err := g.finish(body(g))
+			return m, err
 		},
 	}
 }

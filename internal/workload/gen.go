@@ -26,6 +26,8 @@ func (e *OverflowError) Error() string {
 // memory image, a bump allocator for data placement, and a deterministic
 // PRNG for data initialization.
 type gen struct {
+	// b drops its instructions when only the image is built
+	// (Region.Image); everything else runs as in a full build.
 	b *ir.Builder
 	// m is nil when only the code is built (Region.Code): writes are
 	// dropped, everything else runs as in a full build.
@@ -38,9 +40,15 @@ type gen struct {
 	err error
 }
 
-func newGen(name string, width int, seed uint32, image bool) *gen {
+// newGen starts a generator that builds the region's IR if buildIR is set
+// and its memory image if image is set.
+func newGen(name string, width int, seed uint32, buildIR, image bool) *gen {
+	newBuilder := ir.NewBuilder
+	if !buildIR {
+		newBuilder = ir.NewDiscardBuilder
+	}
 	g := &gen{
-		b:     ir.NewBuilder(name),
+		b:     newBuilder(name),
 		width: width,
 		next:  uint64(code.DataBase),
 		state: seed*2654435761 + 1,

@@ -34,6 +34,8 @@ type Region struct {
 	Build func(width int) (*ir.Func, *mem.Memory, error)
 	// code, when set, generates Build's IR without the memory image.
 	code func(width int) (*ir.Func, error)
+	// image, when set, generates Build's memory image without the IR.
+	image func(width int) (*mem.Memory, error)
 }
 
 // Code generates the region's IR exactly as Build does, without building
@@ -44,6 +46,16 @@ func (r Region) Code(width int) (*ir.Func, error) {
 		return f, err
 	}
 	return r.code(width)
+}
+
+// Image generates the region's initial memory image exactly as Build does,
+// without keeping its IR: for callers that run code compiled earlier.
+func (r Region) Image(width int) (*mem.Memory, error) {
+	if r.image == nil {
+		_, m, err := r.Build(width)
+		return m, err
+	}
+	return r.image(width)
 }
 
 // Benchmark is a named sequence of regions.

@@ -216,6 +216,23 @@ func TestRegionByName(t *testing.T) {
 	}
 }
 
+// TestImageMatchesBuild: Image generates, for every region and width, the
+// memory image Build does, byte for byte, and fails where Build fails.
+func TestImageMatchesBuild(t *testing.T) {
+	for _, r := range Regions() {
+		for _, width := range []int{32, 64} {
+			_, want, err := r.Build(width)
+			got, ierr := r.Image(width)
+			if (err == nil) != (ierr == nil) {
+				t.Fatalf("%s (w%d): Build error %v, Image error %v", r.Name, width, err, ierr)
+			}
+			if err == nil && !got.Equal(want) {
+				t.Errorf("%s (w%d): Image's memory differs from Build's (%d vs %d pages)", r.Name, width, got.Pages(), want.Pages())
+			}
+		}
+	}
+}
+
 // TestCodeMatchesBuild: Code generates, for every region and width, the IR
 // Build does, and fails where Build fails.
 func TestCodeMatchesBuild(t *testing.T) {
