@@ -389,10 +389,9 @@ func BenchmarkJITCompile(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyzeRegion measures the analysis engine (CFG recovery,
-// dominators, natural loops, both abstract interpretations, Facts
-// derivation) over one compiled region — the cost eval pays per (region,
-// ISA) pair when verification is enabled.
+// BenchmarkAnalyzeRegion measures check.Analyze (CFG recovery, dataflow,
+// both abstract interpretations and every rule) over one compiled region —
+// the cost eval pays per (region, ISA) pair when verification is enabled.
 func BenchmarkAnalyzeRegion(b *testing.B) {
 	var reg workload.Region
 	for _, r := range workload.Regions() {
@@ -413,9 +412,6 @@ func BenchmarkAnalyzeRegion(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if rep := check.Analyze(prog); len(rep.Findings) != 0 {
 			b.Fatalf("clean region produced findings: %v", rep.Findings)
-		}
-		if _, err := check.ComputeFacts(prog); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -13,7 +13,6 @@
 //	compose-lint -region sjeng.0 -fs ux86-8D-32W-P
 //	compose-lint -rules depth,udef       # restrict the rule set
 //	compose-lint -mutate -seed 7         # mutation-detection matrix
-//	compose-lint -facts -region hmmer.0  # analysis-engine Facts as JSON
 //	compose-lint -json > findings.json
 //
 // Exit status: 0 when every analyzed program is clean (or, under -mutate,
@@ -46,7 +45,6 @@ func main() {
 	rules := flag.String("rules", "", "comma-separated rule IDs to run (default: all)")
 	compact := flag.Bool("compact", false, "lay programs out under the compact superset encoding")
 	mutate := flag.Bool("mutate", false, "run the seeded mutation harness and report detection power")
-	facts := flag.Bool("facts", false, "emit the analysis engine's per-region Facts (loops, dominators, guards, consts) as JSON")
 	seed := flag.Uint64("seed", 1, "mutation seed (with -mutate)")
 	jsonOut := flag.Bool("json", false, "emit findings as JSON")
 	quiet := flag.Bool("quiet", false, "print only the summary line")
@@ -111,9 +109,6 @@ func main() {
 
 	if *mutate {
 		os.Exit(runMutate(regions, sets, *target, *seed, *compact, *jsonOut, *quiet))
-	}
-	if *facts {
-		os.Exit(runFacts(regions, sets, *target, *compact))
 	}
 	os.Exit(runLint(regions, sets, ruleIDs, *target, *compact, *jsonOut, *quiet))
 }
@@ -207,36 +202,6 @@ func runLint(regions []workload.Region, sets []isa.FeatureSet, ruleIDs []string,
 			programs, len(sets), len(regions), findings)
 	}
 	if findings > 0 {
-		return 1
-	}
-	return 0
-}
-
-// runFacts prints the analysis engine's Facts for every selected (feature
-// set, region) pair as a JSON array. The encoding is deliberately map-free
-// and the iteration order fixed, so the output is byte-identical across
-// runs — downstream consumers may cache and diff it.
-func runFacts(regions []workload.Region, sets []isa.FeatureSet, target string, compact bool) int {
-	var all []*check.Facts
-	for _, fs := range sets {
-		for _, r := range regions {
-			prog, err := compile(r, fs, target, compact)
-			if err != nil {
-				log.Println(err)
-				return 1
-			}
-			f, err := check.ComputeFacts(prog)
-			if err != nil {
-				log.Println(err)
-				return 1
-			}
-			all = append(all, f)
-		}
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(all); err != nil {
-		log.Println(err)
 		return 1
 	}
 	return 0

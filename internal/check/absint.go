@@ -3,8 +3,8 @@ package check
 // Abstract interpretation over the recovered CFG. The framework is a small
 // worklist fixpoint engine parameterized by a lattice; it is instantiated
 // twice in this package: constant/value-range propagation (constDomain,
-// feeding the branch/memrange/deadblock rules and the Facts artifact) and
-// must-reaching spill stores (spillMustDomain, feeding the stackjoin rule).
+// feeding the branch/memrange/deadblock rules) and must-reaching spill
+// stores (spillMustDomain, feeding the stackjoin rule).
 //
 // Termination argument: states are joined monotonically (JoinInto only
 // moves up the lattice and reports whether anything changed), every chain
@@ -46,13 +46,14 @@ type lattice[S any] interface {
 	Transfer(s S, idx int, in *code.Instr)
 }
 
-// interpret runs the worklist fixpoint and returns the per-block in-states
-// plus a has-state mask (false for blocks never reached: unreachable
-// blocks, or everything when the program is empty). Out-states are not
-// returned; rules re-run Transfer from a copy of the in-state when they
-// need mid-block facts. A block's out-state is allocated on its first
+// interpret runs the worklist fixpoint, sweeping the reachable blocks in
+// the given reverse postorder, and returns the per-block in-states plus a
+// has-state mask (false for blocks never reached: unreachable blocks, or
+// everything when the program is empty). Out-states are not returned;
+// rules re-run Transfer from a copy of the in-state when they need
+// mid-block facts. A block's out-state is allocated on its first
 // visit and overwritten in place on every later one.
-func interpret[S any](p *code.Program, g *CFG, d *DomTree, lat lattice[S]) ([]S, []bool) {
+func interpret[S any](p *code.Program, g *CFG, rpo []int, lat lattice[S]) ([]S, []bool) {
 	nb := len(g.Blocks)
 	ins := make([]S, nb)
 	hasIn := make([]bool, nb)
@@ -76,7 +77,7 @@ func interpret[S any](p *code.Program, g *CFG, d *DomTree, lat lattice[S]) ([]S,
 	flow(0)
 	for changed := true; changed; {
 		changed = false
-		for _, b := range d.rpo {
+		for _, b := range rpo {
 			if b == 0 && len(g.Blocks[0].Preds) == 0 {
 				continue // entry state is fixed when nothing loops back
 			}

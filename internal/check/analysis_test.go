@@ -1,8 +1,7 @@
 package check
 
 import (
-	"bytes"
-	"encoding/json"
+	"slices"
 	"testing"
 	"time"
 
@@ -13,36 +12,9 @@ import (
 // cycles, self-loops, empty programs, RET-shadowed blocks, and a kilo-block
 // chain as a linearity canary.
 
-func TestDominatorsDiamond(t *testing.T) {
-	g := recoverCFG(diamond(t))
-	if len(g.Blocks) != 3 {
-		t.Fatalf("diamond recovered %d blocks, want 3", len(g.Blocks))
-	}
-	d := g.Dominators()
-	if d.Idom[0] != 0 || d.Idom[1] != 0 || d.Idom[2] != 0 {
-		t.Errorf("idoms = %v, want entry dominating both arms and the join", d.Idom)
-	}
-	if d.Depth[0] != 0 || d.Depth[1] != 1 || d.Depth[2] != 1 {
-		t.Errorf("dom depths = %v, want [0 1 1]", d.Depth)
-	}
-	// The taken arm's frontier is the join; the join has none.
-	if len(d.Frontier[1]) != 1 || d.Frontier[1][0] != 2 {
-		t.Errorf("frontier of arm = %v, want [2]", d.Frontier[1])
-	}
-	if len(d.Frontier[2]) != 0 {
-		t.Errorf("frontier of join = %v, want empty", d.Frontier[2])
-	}
-	if !d.Dominates(0, 2) || d.Dominates(1, 2) || !d.Dominates(1, 1) {
-		t.Error("Dominates: want entry ≫ join, arm not ≫ join, arm ≫ itself")
-	}
-	if li := g.Loops(d); len(li.Loops) != 0 || li.Irreducible {
-		t.Errorf("diamond has no loops, got %+v", li)
-	}
-}
-
 // twoEntryCycle builds the canonical irreducible region: the entry branches
 // into the middle of a cycle A⇄B, so neither cycle block dominates the
-// other and no natural loop exists.
+// other.
 func twoEntryCycle(t *testing.T) *code.Program {
 	return build(t, permissive,
 		ldData(1),
@@ -62,28 +34,15 @@ func twoEntryCycle(t *testing.T) *code.Program {
 func TestIrreducibleTwoEntryCycle(t *testing.T) {
 	p := twoEntryCycle(t)
 	g := recoverCFG(p)
-	d := g.Dominators()
-	li := g.Loops(d)
-	if !li.Irreducible {
-		t.Fatal("two-entry cycle not flagged irreducible")
+	a, b := g.BlockOf(3), g.BlockOf(5)
+	if !slices.Contains(g.Blocks[a].Preds, 0) || !slices.Contains(g.Blocks[b].Preds, 0) ||
+		!slices.Contains(g.Blocks[a].Preds, b) || !slices.Contains(g.Blocks[b].Preds, a) {
+		t.Fatalf("blocks %d/%d are not a cycle entered at both ends: %+v", a, b, g.Blocks)
 	}
-	if len(li.Loops) != 0 {
-		t.Errorf("irreducible cycle produced %d natural loops, want 0", len(li.Loops))
-	}
-	if len(li.IrreducibleEdges) == 0 {
-		t.Fatal("no irreducible edges recorded")
-	}
-	for _, e := range li.IrreducibleEdges {
-		if d.Dominates(e[1], e[0]) {
-			t.Errorf("edge %v recorded irreducible but head dominates tail", e)
-		}
-	}
-	f, err := ComputeFacts(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !f.Irreducible || len(f.Loops) != 0 {
-		t.Errorf("Facts: Irreducible=%v Loops=%d, want true/0", f.Irreducible, len(f.Loops))
+	// The fixpoint must terminate on the multi-entry cycle, and the clean
+	// program must stay finding-free.
+	if rep := Analyze(p); len(rep.Findings) != 0 {
+		t.Errorf("irreducible cycle produced findings: %v", rep.Findings)
 	}
 }
 
@@ -99,27 +58,21 @@ func selfLoop(t *testing.T) *code.Program {
 	)
 }
 
-func TestSelfLoopTripCount(t *testing.T) {
+// TestCountedSelfLoop: the constant domain widens the induction register
+// over the loop's ten trips instead of calling the exit branch constant,
+// so the clean counted loop is finding-free.
+func TestCountedSelfLoop(t *testing.T) {
 	p := selfLoop(t)
-	g := recoverCFG(p)
-	d := g.Dominators()
-	li := g.Loops(d)
-	if li.Irreducible {
-		t.Fatal("self-loop flagged irreducible")
+	a := newAnalysis(p)
+	if a.cfgErr != nil {
+		t.Fatal(a.cfgErr)
 	}
-	if len(li.Loops) != 1 {
-		t.Fatalf("got %d loops, want 1", len(li.Loops))
+	loop := a.cfg.BlockOf(1)
+	if !slices.Contains(a.cfg.Blocks[loop].Succs, loop) {
+		t.Fatalf("block %d is not a self-loop: %+v", loop, a.cfg.Blocks)
 	}
-	l := li.Loops[0]
-	if len(l.Blocks) != 1 || l.Header != l.Latches[0] || l.Depth != 1 {
-		t.Errorf("self-loop shape = %+v, want single block == header == latch at depth 1", l)
-	}
-	f, err := ComputeFacts(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Loops) != 1 || f.Loops[0].TripCount != 10 {
-		t.Fatalf("Facts loops = %+v, want one loop with TripCount 10", f.Loops)
+	if k := a.branchFacts()[loop]; k != branchUnknown {
+		t.Errorf("counted loop's exit branch classified %d, want unknown", k)
 	}
 	if rep := Analyze(p); len(rep.Findings) != 0 {
 		t.Errorf("clean counted loop produced findings: %v", rep.Findings)
@@ -128,9 +81,6 @@ func TestSelfLoopTripCount(t *testing.T) {
 
 func TestEmptyProgram(t *testing.T) {
 	p := &code.Program{Name: "empty", FS: permissive}
-	if _, err := ComputeFacts(p); err == nil {
-		t.Error("ComputeFacts on empty program: want error, got nil")
-	}
 	rep := Analyze(p) // must classify, not panic
 	if len(rep.Findings) == 0 {
 		t.Error("Analyze on empty program: want structural finding")
@@ -158,21 +108,9 @@ func TestRETShadowedBlock(t *testing.T) {
 			t.Errorf("unexpected rule %q fired on shadowed code: %s", f.Rule, f.Detail)
 		}
 	}
-	fx, err := ComputeFacts(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shadowed := false
-	for _, b := range fx.Blocks {
-		if b.Start == 2 {
-			shadowed = true
-			if b.Reachable || b.Idom != -1 {
-				t.Errorf("shadowed block facts = %+v, want unreachable with Idom -1", b)
-			}
-		}
-	}
-	if !shadowed {
-		t.Error("no block starting at the shadowed instruction")
+	g := recoverCFG(p)
+	if b := g.Blocks[g.BlockOf(2)]; b.Start != 2 || b.Reachable {
+		t.Errorf("shadowed block = %+v, want an unreachable block starting at the shadowed instruction", b)
 	}
 }
 
@@ -190,25 +128,25 @@ func chain(t *testing.T, n int) *code.Program {
 
 func TestKiloBlockChain(t *testing.T) {
 	const n = 1000
+	p := chain(t, n)
 	start := time.Now()
-	g := recoverCFG(chain(t, n))
-	d := g.Dominators()
-	li := g.Loops(d)
+	rep := Analyze(p)
 	elapsed := time.Since(start)
-	if len(g.Blocks) != n {
-		t.Fatalf("chain recovered %d blocks, want %d", len(g.Blocks), n)
+	if len(rep.Findings) != 0 {
+		t.Errorf("clean chain produced findings: %v", rep.Findings[0])
 	}
-	for i := 1; i < n; i++ {
-		if d.Idom[i] != i-1 || d.Depth[i] != i {
-			t.Fatalf("block %d: idom=%d depth=%d, want %d/%d", i, d.Idom[i], d.Depth[i], i-1, i)
+	a := newAnalysis(p)
+	if len(a.cfg.Blocks) != n {
+		t.Fatalf("chain recovered %d blocks, want %d", len(a.cfg.Blocks), n)
+	}
+	for i, b := range a.reversePostorder() {
+		if b != i {
+			t.Fatalf("reverse postorder[%d] = %d, want the chain order", i, b)
 		}
 	}
-	if len(li.Loops) != 0 || li.Irreducible {
-		t.Errorf("chain loop info = %+v, want none", li)
-	}
-	// A linear pass clears 1000 blocks in well under a millisecond; this
-	// bound only trips if someone regresses to a quadratic-or-worse
-	// algorithm (the CHK iteration converging per-block, say).
+	// A linear pass clears 1000 blocks in milliseconds; this bound only
+	// trips if someone regresses to a quadratic-or-worse algorithm (a
+	// fixpoint sweep converging one block per pass, say).
 	if elapsed > 3*time.Second {
 		t.Errorf("1000-block chain took %v — analysis is no longer linear-ish", elapsed)
 	}
@@ -217,38 +155,10 @@ func TestKiloBlockChain(t *testing.T) {
 	}
 	// Long mode: 20x the blocks with the same generous budget, so even a
 	// mildly super-linear implementation surfaces before users feel it.
+	p = chain(t, 20*n)
 	start = time.Now()
-	g = recoverCFG(chain(t, 20*n))
-	g.Loops(g.Dominators())
+	Analyze(p)
 	if elapsed = time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("20k-block chain took %v — analysis is super-linear", elapsed)
-	}
-}
-
-// TestFactsJSONDeterminismUnit: two independent analyses of the same
-// program must marshal to identical bytes (the eval-layer test covers
-// compiled regions; this pins the hand-built corner shapes too).
-func TestFactsJSONDeterminismUnit(t *testing.T) {
-	for _, mk := range []func(*testing.T) *code.Program{diamond, twoEntryCycle, selfLoop} {
-		p1, p2 := mk(t), mk(t)
-		f1, err := ComputeFacts(p1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f2, err := ComputeFacts(p2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		j1, err := json.Marshal(f1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		j2, err := json.Marshal(f2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(j1, j2) {
-			t.Errorf("%s: Facts JSON differs across runs:\n%s\n%s", p1.Name, j1, j2)
-		}
 	}
 }

@@ -108,3 +108,35 @@ func recoverCFG(p *code.Program) *CFG {
 	}
 	return g
 }
+
+// postorder computes a postorder numbering of the reachable subgraph with
+// an iterative DFS (explicit stack: no recursion, so kilo-block chains are
+// fine).
+func (g *CFG) postorder() []int {
+	if len(g.Blocks) == 0 {
+		return nil
+	}
+	type frame struct {
+		b    int
+		next int // next successor index to visit
+	}
+	seen := make([]bool, len(g.Blocks))
+	order := make([]int, 0, len(g.Blocks))
+	stack := []frame{{b: 0}}
+	seen[0] = true
+	for len(stack) > 0 {
+		f := &stack[len(stack)-1]
+		if f.next < len(g.Blocks[f.b].Succs) {
+			s := g.Blocks[f.b].Succs[f.next]
+			f.next++
+			if !seen[s] {
+				seen[s] = true
+				stack = append(stack, frame{b: s})
+			}
+			continue
+		}
+		order = append(order, f.b)
+		stack = stack[:len(stack)-1]
+	}
+	return order
+}

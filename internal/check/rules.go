@@ -2,6 +2,7 @@ package check
 
 import (
 	"fmt"
+	"slices"
 
 	"compisa/internal/code"
 	"compisa/internal/isa"
@@ -21,8 +22,8 @@ const (
 	RuleUDef       = "udef"       // use of a never-written machine resource
 	RuleEncode     = "encode"     // encode → ILD-decode round-trip agreement
 
-	// Rules powered by the analysis engine (dominators + abstract
-	// interpretation; see dom.go and absint.go).
+	// Rules powered by the analysis engine (abstract interpretation; see
+	// absint.go).
 	RuleDeadBlock = "deadblock" // unreachable or provably-dead blocks
 	RuleBranch    = "branch"    // provably always- or never-taken conditional branches
 	RuleMemRange  = "memrange"  // statically out-of-range memory accesses
@@ -68,7 +69,7 @@ var ruleRegistry = []Rule{
 	{ID: RuleComplexity, Desc: "memory-operand folding only under full x86", Check: checkComplexity},
 	{ID: RuleImm, Desc: "immediate and operand-size ranges", Check: checkImm},
 	{ID: RuleStruct, Desc: "operand-shape invariants", Check: checkStruct},
-	{ID: RuleStack, Desc: "spill refills dominated by spill stores", NeedsCFG: true, Check: checkStack},
+	{ID: RuleStack, Desc: "spill refills reached by a spill store on some path", NeedsCFG: true, Check: checkStack},
 	{ID: RuleUDef, Desc: "no use of a never-written register or flag", NeedsCFG: true, Check: checkUDef},
 	{ID: RuleEncode, Desc: "encode → ILD-decode round trip agrees with layout", Check: checkEncode},
 	{ID: RuleDeadBlock, Desc: "no unreachable or provably dead blocks", NeedsCFG: true, Check: checkDeadBlock},
@@ -88,8 +89,7 @@ type analysis struct {
 	defsIn     []BitSet
 	liveInSets []BitSet
 
-	dom   *DomTree
-	loops *LoopInfo
+	rpo []int
 
 	constDom *constDomain
 	constIn  []*constState
@@ -105,21 +105,14 @@ type analysis struct {
 	mustIn     []*spillMustState
 }
 
-// domTree lazily builds the dominator tree (CFG recovery must have
-// succeeded; callers are NeedsCFG rules or facts).
-func (a *analysis) domTree() *DomTree {
-	if a.dom == nil {
-		a.dom = a.cfg.Dominators()
+// reversePostorder lazily orders the reachable blocks in reverse
+// postorder (CFG recovery must have succeeded; callers are NeedsCFG rules).
+func (a *analysis) reversePostorder() []int {
+	if a.rpo == nil {
+		a.rpo = a.cfg.postorder()
+		slices.Reverse(a.rpo)
 	}
-	return a.dom
-}
-
-// loopInfo lazily builds the natural-loop decomposition.
-func (a *analysis) loopInfo() *LoopInfo {
-	if a.loops == nil {
-		a.loops = a.cfg.Loops(a.domTree())
-	}
-	return a.loops
+	return a.rpo
 }
 
 // constStates lazily runs the constant/value-range interpretation and
@@ -127,7 +120,7 @@ func (a *analysis) loopInfo() *LoopInfo {
 func (a *analysis) constStates() []*constState {
 	if a.constDom == nil {
 		a.constDom = newConstDomain(a.p)
-		a.constIn, _ = interpret(a.p, a.cfg, a.domTree(), a.constDom)
+		a.constIn, _ = interpret(a.p, a.cfg, a.reversePostorder(), a.constDom)
 	}
 	return a.constIn
 }
@@ -194,7 +187,7 @@ func (a *analysis) spillMayStoredIn() []BitSet {
 func (a *analysis) spillMustStoredIn() []*spillMustState {
 	if a.mustIn == nil {
 		dom := &spillMustDomain{slots: a.spillSlots()}
-		a.mustIn, _ = interpret(a.p, a.cfg, a.domTree(), dom)
+		a.mustIn, _ = interpret(a.p, a.cfg, a.reversePostorder(), dom)
 	}
 	return a.mustIn
 }

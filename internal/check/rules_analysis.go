@@ -1,12 +1,12 @@
 package check
 
-// The rules in this file are powered by the analysis engine (dominators in
-// dom.go, abstract interpretation in absint.go) rather than by per-
-// instruction shape checks: dead blocks, provably constant branches,
-// statically out-of-range memory accesses, redundant spill/reload pairs,
-// and stack-height mismatches at join points. They only report facts that
-// are provable in the abstract semantics, which mirrors the executor
-// exactly, so clean compiler output stays finding-free.
+// The rules in this file are powered by the analysis engine (abstract
+// interpretation in absint.go) rather than by per-instruction shape
+// checks: dead blocks, provably constant branches, statically out-of-range
+// memory accesses, redundant spill/reload pairs, and stack-height
+// mismatches at join points. They only report facts that are provable in
+// the abstract semantics, which mirrors the executor exactly, so clean
+// compiler output stays finding-free.
 
 import (
 	"fmt"

@@ -5,9 +5,9 @@
 // sequence on every run — the exact bug class PR 6 caught at runtime in
 // the vectorizer, where splat instructions were inserted into the loop
 // preheader in map order and recompiles emitted different programs. In a
-// pipeline whose artifacts are content-addressed (profile codec, Facts
-// JSON, design-point store), any such loop is a determinism landmine, so
-// the pass runs repo-wide in `make lint` and CI.
+// pipeline whose artifacts are content-addressed (profile codec,
+// design-point store), any such loop is a determinism landmine, so the
+// pass runs repo-wide in `make lint` and CI.
 //
 // The pass is intentionally syntactic (stdlib go/parser only, no type
 // information), like faultwrap: a variable counts as a map when the
