@@ -1,6 +1,10 @@
 GO ?= go
 
-.PHONY: check build vet vettool lint test race fault-smoke chaos conformance bench bench-smoke \
+# This file is the one definition of every gate: each step of
+# .github/workflows/ci.yml runs `make <target>`, and `make lint` fails when
+# a step there runs anything else.
+
+.PHONY: check build vet vettool lint test race chaos conformance bench bench-smoke bench-golden \
 	bench-e2e bench-e2e-search bench-e2e-smoke rerun-identical bench-baseline bench-diff serve-smoke fuzz cover jit-diff cross-build
 
 build:
@@ -9,13 +13,21 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Static analysis beyond go vet: gofmt must list no file; the repo-local
-# multichecker (faultwrap error-chain preservation + mapdeterminism
-# map-order leaks) always runs; staticcheck runs when installed (CI installs
-# it; containers without network skip it). CI additionally drives the same
-# multichecker through `go vet -vettool` (see vettool target) for
-# build-graph-accurate file sets.
+# Static analysis beyond go vet: every `run:` step of ci.yml must be a make
+# command (the staticcheck install aside), so no gate is defined outside
+# this file; gofmt must list no file; the repo-local multichecker
+# (faultwrap error-chain preservation + mapdeterminism map-order leaks)
+# always runs; staticcheck runs when installed (CI installs it; containers
+# without network skip it). CI's lint job also drives the same multichecker
+# through `go vet -vettool` (see vettool target) for build-graph-accurate
+# file sets.
 lint: vet
+	@bad=$$(sed -n -E 's/^[[:space:]]*(- )?run:[[:space:]]*//p' .github/workflows/ci.yml | \
+		grep -v -E '^make( |$$)|^go install honnef\.co/go/tools/cmd/staticcheck@latest$$'); \
+	if [ -n "$$bad" ]; then \
+		echo ".github/workflows/ci.yml runs steps that are not make targets (define the gate here and call make):"; \
+		echo "$$bad"; exit 1; \
+	fi
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists files that need formatting (run gofmt -w on them):"; \
 		echo "$$unformatted"; exit 1; \
@@ -50,42 +62,45 @@ race:
 	$(GO) test -race -count=20 -run '^TestMemo' ./internal/par/
 	$(GO) test -race -count=5 -run 'Singleflight|LeaderCanceled' ./internal/eval/
 
-# The JIT equivalence gate, locally (the CI jit-differential job): the
-# native executor must match the interpreter byte for byte across the
-# full region matrix and every deopt guard — under the race detector,
-# since one engine may be shared across concurrent workers.
+# The JIT equivalence gate (the CI jit-differential job): the native
+# executor must match the interpreter byte for byte across the full region
+# matrix and every deopt guard — under the race detector, since one engine
+# may be shared across concurrent workers — then a 30-second pass of the
+# differential fuzzer.
 jit-diff:
-	$(GO) test -race ./internal/jit/
+	$(GO) test -race -v ./internal/jit/
+	$(GO) test -fuzz 'FuzzJITDifferential' -fuzztime 30s -run '^$$' ./internal/jit/
 
-# Prove platforms without the native emitter still build (the CI
+# Prove platforms without the native emitter still build and vet (the CI
 # cross-build job): these link the pure-Go JIT fallback.
 cross-build:
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
+	GOOS=linux GOARCH=arm64 $(GO) vet ./...
 	GOOS=darwin GOARCH=arm64 $(GO) build ./...
-
-# Fault-tolerance smoke: the TestFault* suite exercises injection, retry,
-# quarantine, cancellation, determinism, and save/resume through the store.
-fault-smoke:
-	$(GO) test -run Fault -v ./internal/eval/ ./internal/explore/ ./internal/fault/ ./internal/cpu/
+	GOOS=darwin GOARCH=arm64 $(GO) vet ./...
 
 # Crash-safety chaos suite: kill a store-writing child process at every
 # mutating operation of its Puts (temp writes, fsyncs, renames, directory
 # fsyncs) and prove recovery — no acknowledged record lost, no record
-# damaged, no temp left, reopen never fails. CHAOS_REPORT=<path> writes the
-# recovery report JSON.
+# damaged, no temp left, reopen never fails. CHAOS_REPORT=<absolute path>
+# writes the recovery report JSON (the CI chaos job uploads it on failure).
 chaos:
 	$(GO) test -run 'TestChaos' -v ./internal/store/
 
-# Conformance smoke: prove the compiler emits only feature-set-legal code
-# (zero findings over 26 feature sets x 49 regions, plain and compact
-# encodings) and that the verifier catches every seeded mutation class.
+# Conformance (the CI conformance job): prove the compiler emits only
+# feature-set-legal code (zero findings over 26 feature sets x 49 regions,
+# plain and compact encodings, x86 and alpha64), that the verifier catches
+# every seeded mutation class, and that Verify agrees with Analyze. The
+# x86 findings and mutation reports land as JSON in
+# /tmp/compisa-bin/conformance, which CI uploads.
 conformance:
-	$(GO) run ./cmd/compose-lint -quiet
+	@mkdir -p /tmp/compisa-bin/conformance
+	$(GO) test -run 'TestMutationDetection|TestCleanCompilerOutput|TestVerifyMatchesAnalyze' -v ./internal/check/
+	$(GO) run ./cmd/compose-lint -json >/tmp/compisa-bin/conformance/compose-lint-findings.json
 	$(GO) run ./cmd/compose-lint -quiet -compact
 	$(GO) run ./cmd/compose-lint -quiet -target alpha64
-	$(GO) run ./cmd/compose-lint -mutate -quiet -region hmmer.0
 	$(GO) run ./cmd/compose-lint -mutate -quiet -region hmmer.0 -target alpha64
-	$(GO) test -run 'TestMutationDetection|TestCleanCompilerOutput' ./internal/check/
+	$(GO) run ./cmd/compose-lint -mutate -json -region hmmer.0 >/tmp/compisa-bin/conformance/compose-lint-mutation.json
 
 bench:
 	$(GO) test -bench=. -benchmem
@@ -95,19 +110,19 @@ bench:
 bench-smoke:
 	$(GO) test -bench 'Fig5' -benchtime 1x -run '^$$'
 
-# One full pass of the end-to-end cold sweep (the CI bench-golden job):
+# One full pass of the end-to-end cold sweep (a step of bench-golden):
 # fails unless every profile's cpf1 digest and every candidate's digest
 # match bench/golden.json.
 bench-e2e:
 	bash bench/run.sh --workload sweep-cold --seed 1 --seconds 1
 
 # One cold sweep plus one pass of the 80 fig5/fig7a/fig8a CMP searches (a
-# step of the CI bench-golden job): fails unless the profile, candidate and
-# search digests all match bench/golden.json.
+# step of bench-golden): fails unless the profile, candidate and search
+# digests all match bench/golden.json.
 bench-e2e-search:
 	bash bench/run.sh --workload search-mp --seed 1 --seconds 1
 
-# The benchmark's own tests (a step of the CI bench-golden job): all three
+# The benchmark's own tests (a step of bench-golden): all three
 # workloads, serve-mixed over loopback included, on 3 regions (~17 s), each
 # run twice to the same digests, with serve-mixed checking every reply and
 # re-evaluating a sample of them on a fresh DB.
@@ -115,7 +130,7 @@ bench-e2e-smoke:
 	cd bench && $(GO) test ./...
 
 # Every experiment at the default GOMAXPROCS and on one processor (a step of
-# the CI bench-golden job): the tables must be byte-identical, since the
+# bench-golden): the tables must be byte-identical, since the
 # DB's simulation tier is shared by parallel workers in any interleaving.
 # Figure 15 run alone must also print exactly the tail of the full run: alone
 # it computes the Figure 14 costs itself, in the full run it reuses them.
@@ -127,17 +142,35 @@ rerun-identical:
 	/tmp/compisa-bin/compose-explore -experiment fig15 >/tmp/compisa-bin/fig15.out
 	tail -c $$(wc -c </tmp/compisa-bin/fig15.out) /tmp/compisa-bin/all.out | cmp - /tmp/compisa-bin/fig15.out
 
+# The CI bench-golden job: the cold sweep and the CMP searches against
+# bench/golden.json at the default GOMAXPROCS and again on one processor
+# (ISA keys that compile a region identically share one simulation, and
+# parallel climbs share each search's pass memo, so no leader/follower
+# interleaving may move a digest), then rerun-identical and the benchmark's
+# own tests.
+bench-golden:
+	$(MAKE) bench-e2e
+	GOMAXPROCS=1 $(MAKE) bench-e2e
+	$(MAKE) bench-e2e-search
+	GOMAXPROCS=1 $(MAKE) bench-e2e-search
+	$(MAKE) rerun-identical bench-e2e-smoke
+
 # Refresh the committed benchmark baseline (run this when a change is
 # intentionally slower, and say so in the commit).
 bench-baseline:
-	$(GO) test -bench . -benchtime 3x -benchmem -run '^$$' -timeout 30m | tee /tmp/bench.txt
-	$(GO) run ./tools/benchdiff -write -baseline BENCH_baseline.json /tmp/bench.txt
+	@mkdir -p /tmp/compisa-bin/bench
+	$(GO) test -bench . -benchtime 3x -benchmem -run '^$$' -timeout 30m | tee /tmp/compisa-bin/bench/bench.txt
+	$(GO) run ./tools/benchdiff -write -baseline BENCH_baseline.json /tmp/compisa-bin/bench/bench.txt
 
 # Compare a fresh benchmark run against the committed baseline (the CI
-# bench-regression gate, locally). -benchmem feeds the allocs/op gate.
+# bench-regression job). -benchmem feeds the allocs/op gate, and
+# -require-baseline fails on any benchmark the baseline lacks. The run and
+# the comparison land in /tmp/compisa-bin/bench, which CI uploads.
 bench-diff:
-	$(GO) test -bench . -benchtime 3x -benchmem -run '^$$' -timeout 30m | tee /tmp/bench.txt
-	$(GO) run ./tools/benchdiff -baseline BENCH_baseline.json -threshold 0.15 /tmp/bench.txt
+	@mkdir -p /tmp/compisa-bin/bench
+	$(GO) test -bench . -benchtime 3x -benchmem -run '^$$' -timeout 30m | tee /tmp/compisa-bin/bench/bench.txt
+	$(GO) run ./tools/benchdiff -baseline BENCH_baseline.json -threshold 0.15 -require-baseline \
+		-out /tmp/compisa-bin/bench/bench-new.json /tmp/compisa-bin/bench/bench.txt
 
 # Boot the evaluation service on an ephemeral port on a fresh store
 # directory (with -stats, so its log ends with the pipeline statistics),
@@ -207,14 +240,18 @@ serve-smoke:
 		echo "the store-only boot simulated (exec stage $$STOREONLY) or did not score the new config anew:"; \
 		cat $$STATE/storeonly.json $$STATE/storeonly.log; exit 1; }
 
-# 30-second fuzz pass over the superset instruction codec (the CI fuzz
-# step, locally).
+# 30-second fuzz passes over the superset instruction codec, x86 and
+# alpha64 (steps of check).
 fuzz:
 	$(GO) test -fuzz 'FuzzEncodeDecodeVerify$$' -fuzztime 30s -run '^$$' ./internal/encoding/
 	$(GO) test -fuzz 'FuzzEncodeDecodeVerifyAlpha64$$' -fuzztime 30s -run '^$$' ./internal/encoding/
 
+# The whole test suite, once, with a coverage profile (a step of check; CI
+# uploads coverage.out): the per-cell digest tests and the TestFault* suite
+# run here too.
 cover:
-	$(GO) test -coverprofile=coverage.out ./internal/...
+	$(GO) test -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -1
 
-check: lint build test race fault-smoke chaos
+# The CI check job.
+check: build cover race fuzz

@@ -5,9 +5,10 @@
 // of sweep clients would.
 //
 // It reports throughput, client-side latency percentiles, per-status
-// counts, and the cache-hit rate as JSON (the BENCH_serve.json artifact),
-// and doubles as a CI gate: -min-hit-rate and -max-5xx turn quality floors
-// into a non-zero exit status.
+// counts, and the cache-hit rate as JSON (-out; `make serve-smoke` writes
+// it to its state directory and CI uploads it), and doubles as a CI gate:
+// -min-hit-rate and -max-5xx turn quality floors into a non-zero exit
+// status.
 package main
 
 import (
@@ -107,8 +108,8 @@ func main() {
 	}
 	data = append(data, '\n')
 	if *out != "" {
-		// Atomic+durable: a CI kill mid-write must not leave a torn
-		// BENCH_serve.json for the regression gate to choke on.
+		// Atomic+durable: a kill mid-write leaves the old report or the
+		// new one, never a torn one.
 		if err := atomicfile.WriteFile(*out, data, 0o644); err != nil {
 			log.Fatal(err)
 		}

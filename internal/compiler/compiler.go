@@ -38,11 +38,6 @@ type Options struct {
 	// folding off, load/store-only addressing, and fixed-width immediates
 	// built by ld-imm splitting.
 	Target string
-	// FaultHook, if non-nil, is consulted before compilation; a non-nil
-	// return aborts the compile with that error. The exploration layer
-	// uses it to inject compile failures through the real pipeline so
-	// recovery paths stay exercised.
-	FaultHook func() error
 	// Verify selects whether the emitted program is gated through the
 	// internal/check conformance verifier before being returned.
 	Verify VerifyMode
@@ -71,11 +66,6 @@ func stripNops(mf *mFunc) {
 func Compile(f *ir.Func, fs isa.FeatureSet, opts Options) (*code.Program, error) {
 	if err := fs.Validate(); err != nil {
 		return nil, err
-	}
-	if opts.FaultHook != nil {
-		if err := opts.FaultHook(); err != nil {
-			return nil, fmt.Errorf("compile %s for %s: %w", f.Name, fs.ShortName(), err)
-		}
 	}
 	tgt, err := isa.ResolveTarget(opts.Target)
 	if err != nil {

@@ -329,6 +329,9 @@ func (db *DB) compile(r workload.Region, c ISAChoice, d fault.Decision) (*code.P
 	if err != nil {
 		return nil, err
 	}
+	if d.Kind == fault.KindCompile {
+		return nil, fmt.Errorf("compile %s for %s: %w", f.Name, c.FS.ShortName(), d.Errorf())
+	}
 	// The pipeline has its own verification stage (with fault
 	// classification and stats); skip the compiler's internal gate so the
 	// work isn't done twice and failures carry the right stage.
@@ -339,9 +342,6 @@ func (db *DB) compile(r workload.Region, c ISAChoice, d fault.Decision) (*code.P
 		// behavior are measured from the target's encoder instead of being
 		// scaled by the analytic CodeDensity fallback in vendorAdjust.
 		copts.Target = c.Vendor.Target
-	}
-	if d.Kind == fault.KindCompile {
-		copts.FaultHook = func() error { return d.Errorf() }
 	}
 	prog, err := compiler.Compile(f, c.FS, copts)
 	if err != nil {

@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -69,6 +70,13 @@ func TestFaultCompileQuarantine(t *testing.T) {
 		}
 		if !strings.Contains(q.Reason, "compile") {
 			t.Errorf("reason %q should identify the compile stage", q.Reason)
+		}
+		// The stage's wrapping, then the compile's own: "compile <IR
+		// function> for <feature set>: <injected fault>".
+		prefix := fmt.Sprintf("compile %s for %s: compile ", q.Region, c.Key())
+		suffix := fmt.Sprintf(" for %s: %v", c.FS.ShortName(), fault.Decision{Kind: fault.KindCompile}.Errorf())
+		if !strings.HasPrefix(q.Reason, prefix) || !strings.HasSuffix(q.Reason, suffix) {
+			t.Errorf("reason %q should read %q<function>%q", q.Reason, prefix, suffix)
 		}
 	}
 	if got := db.Stats.Quarantines.Load(); got != 3 {

@@ -166,7 +166,7 @@ func (s *Searcher) search(ctx context.Context, org Organization, obj Objective, 
 		Homogeneous: org == OrgHomogeneous,
 		Constraint:  constraint,
 	}
-	cmp, _, _, err := searchWith(ctx, spec, s.si, s.fronts)
+	cmp, _, err := searchCounted(ctx, spec, s.si, s.fronts)
 	if err != nil {
 		return CMP{}, fmt.Errorf("%v under %s: %w", org, b, err)
 	}

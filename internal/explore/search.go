@@ -936,22 +936,8 @@ type passKey struct {
 // Cancellation of ctx aborts the climb promptly (the check sits inside the
 // per-candidate scoring loops) and returns ctx.Err().
 func Search(ctx context.Context, spec SearchSpec, regions []workload.Region) (CMP, error) {
-	cmp, _, _, err := search(ctx, spec, regions)
+	cmp, _, err := searchCounted(ctx, spec, newSuiteIndex(regions), newFrontMemo())
 	return cmp, err
-}
-
-// search is Search that also reports how many slot passes its climbs
-// scanned and how many they took from the pass memo instead.
-func search(ctx context.Context, spec SearchSpec, regions []workload.Region) (cmp CMP, passesRun, passesReused int64, err error) {
-	return searchWith(ctx, spec, newSuiteIndex(regions), newFrontMemo())
-}
-
-// searchWith is search over the suite si, taking the search's front from
-// fronts. Only the front is shared: the seeding, climbs, pass memo and
-// polish pass are the search's own.
-func searchWith(ctx context.Context, spec SearchSpec, si *suiteIndex, fronts *frontMemo) (cmp CMP, passesRun, passesReused int64, err error) {
-	cmp, n, err := searchCounted(ctx, spec, si, fronts)
-	return cmp, n.passesRun, n.passesReused, err
 }
 
 // searchCounts is the work of one search's climbs: the slot passes they
@@ -963,7 +949,10 @@ type searchCounts struct {
 	skipped, screened, exact int64
 }
 
-// searchCounted is searchWith that also counts its climbs' trials.
+// searchCounted is Search over the suite si, taking the search's front from
+// fronts, that also counts its climbs' passes and trials. Only the front is
+// shared: the seeding, climbs, pass memo and polish pass are the search's
+// own.
 func searchCounted(ctx context.Context, spec SearchSpec, si *suiteIndex, fronts *frontMemo) (CMP, searchCounts, error) {
 	ok := survivors(spec)
 	if len(ok) == 0 {

@@ -182,16 +182,16 @@ func TestSearchPassMemo(t *testing.T) {
 	spec := SearchSpec{Candidates: cs, Budget: Budget{AreaMM2: 48}, Objective: ObjMPThroughput}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var got [2]CMP
-	var run, reused [2]int64
+	var n [2]searchCounts
 	for i, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
-		got[i], run[i], reused[i], err = search(context.Background(), spec, s.DB.Regions)
+		got[i], n[i], err = searchCounted(context.Background(), spec, newSuiteIndex(s.DB.Regions), newFrontMemo())
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("GOMAXPROCS=%d: %d passes scanned, %d reused", procs, run[i], reused[i])
+		t.Logf("GOMAXPROCS=%d: %d passes scanned, %d reused", procs, n[i].passesRun, n[i].passesReused)
 	}
-	if reused[0] == 0 {
+	if n[0].passesReused == 0 {
 		t.Error("no pass was reused: the memo is vacuous")
 	}
 	if got[0].Cores != got[1].Cores || math.Float64bits(got[0].Score) != math.Float64bits(got[1].Score) {
@@ -199,8 +199,9 @@ func TestSearchPassMemo(t *testing.T) {
 	}
 	// Every distinct pass is scanned exactly once, so the counts do not
 	// depend on which climb reaches a pass first.
-	if run[0] != run[1] || reused[0] != reused[1] {
-		t.Errorf("pass counts differ: %d+%d on one processor, %d+%d on four", run[0], reused[0], run[1], reused[1])
+	if n[0].passesRun != n[1].passesRun || n[0].passesReused != n[1].passesReused {
+		t.Errorf("pass counts differ: %d+%d on one processor, %d+%d on four",
+			n[0].passesRun, n[0].passesReused, n[1].passesRun, n[1].passesReused)
 	}
 }
 
@@ -296,7 +297,7 @@ func TestSearchFrontMemo(t *testing.T) {
 			if reversed {
 				i = len(cases) - 1 - j
 			}
-			cmp, _, _, err := searchWith(context.Background(), cases[i].spec, si, fm)
+			cmp, _, err := searchCounted(context.Background(), cases[i].spec, si, fm)
 			if err != nil {
 				t.Fatalf("%s: %v", cases[i].key, err)
 			}
@@ -366,7 +367,7 @@ func TestSearchCancelledPassNotReused(t *testing.T) {
 
 			cancelShared := func(n int64) {
 				t.Helper()
-				if _, _, _, err := searchWith(newCancelAfter(t, n), tc.spec, si, fm); !errors.Is(err, context.Canceled) {
+				if _, _, err := searchCounted(newCancelAfter(t, n), tc.spec, si, fm); !errors.Is(err, context.Canceled) {
 					t.Fatalf("%s: search through the shared memo cancelled at check %d returned %v, want context.Canceled", tc.key, n, err)
 				}
 				checkFrontMemo(t, fm, si, cands)
@@ -393,7 +394,7 @@ func TestSearchCancelledPassNotReused(t *testing.T) {
 			}
 			cancelShared(half.n)
 		}
-		cmp, _, _, err := searchWith(context.Background(), tc.spec, si, fm)
+		cmp, _, err := searchCounted(context.Background(), tc.spec, si, fm)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.key, err)
 		}

@@ -14,10 +14,6 @@ import (
 	"compisa/internal/mem"
 )
 
-// chunkCap bounds how many instructions one native entry may retire; it is
-// also the capacity of the pooled event buffer (32 bytes per slot).
-const chunkCap = 8192
-
 var eventPool = sync.Pool{New: func() any {
 	b := make([]cpu.Event, chunkCap)
 	return &b

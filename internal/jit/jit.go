@@ -35,6 +35,12 @@ import (
 	"compisa/internal/cpu"
 )
 
+// chunkCap bounds how many instructions one native entry may retire; it is
+// also the capacity of the native engine's pooled event buffer (32 bytes
+// per slot). It is declared on every platform because the tests size their
+// budgets by it.
+const chunkCap = 8192
+
 // Config tunes an Engine. The zero value is ready to use.
 type Config struct {
 	// Threshold is the number of RunJIT offers for a given program before
