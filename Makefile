@@ -1,11 +1,12 @@
 GO ?= go
 
 # This file is the one definition of every gate: each step of
-# .github/workflows/ci.yml runs `make <target>`, and `make lint` fails when
-# a step there runs anything else.
+# .github/workflows/ci.yml and nightly.yml runs `make <target>`, and
+# `make lint` fails when a step there runs anything else.
 
-.PHONY: check build vet vettool lint test race chaos conformance bench bench-smoke bench-golden \
-	bench-e2e bench-e2e-search bench-e2e-smoke rerun-identical bench-baseline bench-diff serve-smoke fuzz cover jit-diff cross-build
+.PHONY: check build vet lint test race chaos conformance bench bench-smoke bench-golden \
+	bench-e2e bench-e2e-search bench-e2e-smoke rerun-identical bench-baseline bench-diff serve-smoke fuzz cover jit-diff cross-build \
+	nightly-fuzz-encode-x86 nightly-fuzz-encode-alpha64 nightly-fuzz-jit nightly-chaos
 
 build:
 	$(GO) build ./...
@@ -13,19 +14,19 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Static analysis beyond go vet: every `run:` step of ci.yml must be a make
-# command (the staticcheck install aside), so no gate is defined outside
-# this file; gofmt must list no file; the repo-local multichecker
-# (faultwrap error-chain preservation + mapdeterminism map-order leaks)
-# always runs; staticcheck runs when installed (CI installs it; containers
-# without network skip it). CI's lint job also drives the same multichecker
-# through `go vet -vettool` (see vettool target) for build-graph-accurate
-# file sets.
+# Static analysis beyond go vet: every `run:` step of ci.yml and nightly.yml
+# must be a make command (the staticcheck install aside), so no gate is
+# defined outside this file; gofmt must list no file; the repo-local
+# multichecker (faultwrap error-chain preservation + mapdeterminism
+# map-order leaks) always runs, over every .go file outside testdata, vendor
+# and dot directories, build-tagged files and the nested bench module
+# included; staticcheck runs when installed (CI installs it; containers
+# without network skip it).
 lint: vet
-	@bad=$$(sed -n -E 's/^[[:space:]]*(- )?run:[[:space:]]*//p' .github/workflows/ci.yml | \
+	@bad=$$(sed -n -E 's/^[[:space:]]*(- )?run:[[:space:]]*//p' .github/workflows/ci.yml .github/workflows/nightly.yml | \
 		grep -v -E '^make( |$$)|^go install honnef\.co/go/tools/cmd/staticcheck@latest$$'); \
 	if [ -n "$$bad" ]; then \
-		echo ".github/workflows/ci.yml runs steps that are not make targets (define the gate here and call make):"; \
+		echo ".github/workflows runs steps that are not make targets (define the gate here and call make):"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
@@ -38,12 +39,6 @@ lint: vet
 	else \
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
-
-# Run the repo-local analyzers the way CI does: as a go vet tool, so the
-# analyzed file set is exactly what the build graph compiles.
-vettool:
-	$(GO) build -o /tmp/compisa-bin/compisa-vet ./tools/analyzers/cmd/vet
-	$(GO) vet -vettool=/tmp/compisa-bin/compisa-vet ./...
 
 test:
 	$(GO) test ./...
@@ -86,6 +81,21 @@ cross-build:
 # writes the recovery report JSON (the CI chaos job uploads it on failure).
 chaos:
 	$(GO) test -run 'TestChaos' -v ./internal/store/
+
+# The nightly workflow's depth: the chaos suite repeated five times with
+# fresh schedules, and each fuzz target of the push-time gates run for 10
+# minutes instead of 30 seconds (one target per nightly matrix leg).
+nightly-chaos:
+	$(GO) test -run 'TestChaos' -count=5 -v ./internal/store/
+
+nightly-fuzz-encode-x86:
+	$(GO) test -fuzz 'FuzzEncodeDecodeVerify$$' -fuzztime 10m -run '^$$' ./internal/encoding/
+
+nightly-fuzz-encode-alpha64:
+	$(GO) test -fuzz 'FuzzEncodeDecodeVerifyAlpha64$$' -fuzztime 10m -run '^$$' ./internal/encoding/
+
+nightly-fuzz-jit:
+	$(GO) test -fuzz 'FuzzJITDifferential' -fuzztime 10m -run '^$$' ./internal/jit/
 
 # Conformance (the CI conformance job): prove the compiler emits only
 # feature-set-legal code (zero findings over 26 feature sets x 49 regions,

@@ -10,10 +10,10 @@
 //	             record file per key: each profile set is written through
 //	             as it completes, and the run record (design points,
 //	             re-scored from the profiles on resume, stats and search
-//	             frontier) is rewritten after every search and experiment
-//	             and at exit. A rerun on the same directory resumes from
-//	             where the last one stopped; a damaged record is skipped
-//	             and rewritten by the next save.
+//	             frontier) is rewritten after every experiment and at
+//	             exit. A rerun on the same directory resumes from where
+//	             the last one stopped; a damaged record is skipped and
+//	             rewritten by the next save.
 //	-inject-*    deterministically inject evaluation faults to exercise
 //	             the retry/quarantine machinery.
 //	-stats       print evaluation-pipeline statistics on exit: per-stage
@@ -45,7 +45,7 @@ import (
 func main() {
 	exp := flag.String("experiment", "all", "experiment to run ("+strings.Join(explore.ExperimentNames(), ", ")+", or all)")
 	timeout := flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
-	storePath := flag.String("store", "", "durable directory (one file per profile set, plus the run record): resume from it, write each profile set through as it completes and the run record as searches complete")
+	storePath := flag.String("store", "", "durable directory (one file per profile set, plus the run record): resume from it, write each profile set through as it completes and the run record after each experiment and at exit")
 	injectRate := flag.Float64("inject-rate", 0, "fault injection rate in [0,1] (0 = no injection)")
 	injectSeed := flag.Uint64("inject-seed", 1, "fault injection seed (same seed => same faults)")
 	injectKinds := flag.String("inject-kinds", "", "comma-separated fault kinds to inject (compile,runaway,corrupt,slow,badcode); empty = all default kinds")
@@ -112,7 +112,7 @@ func main() {
 	}
 
 	// The store writes profile sets through; the run record is saved after
-	// every search and experiment, and once more however the run ends.
+	// every experiment, and once more however the run ends.
 	err = explore.RunDurable(db, *storePath, func(d *explore.Durable) error {
 		s, err := explore.NewSearcher(ctx, db)
 		if err != nil {

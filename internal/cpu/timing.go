@@ -90,11 +90,6 @@ type ringEnt struct {
 	issue  int64
 }
 
-// NewTiming builds a timing simulator for the program on the given core.
-func NewTiming(p *code.Program, cfg CoreConfig) *Timing {
-	return newTimingPre(Predecode(p), cfg)
-}
-
 // newTimingPre builds a timing simulator over an existing predecode, so
 // RunTimed shares one Predecoded between executor and timing walk.
 func newTimingPre(pd *Predecoded, cfg CoreConfig) *Timing {

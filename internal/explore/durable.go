@@ -5,9 +5,13 @@
 // record per profile set, keyed by ISA key and written through by the DB as
 // each set completes, and one run record (runKey): the candidate tier's
 // design points, the pipeline stats and the search frontier, rewritten at
-// every Durable.Save. Every record shares the store's framing, checksum and
-// version gate, so a damaged run record is skipped and counted like any
-// other, and the run resumes from the profile records alone.
+// every Durable.Save: compose-explore's after each experiment, and
+// RunDurable's at exit. A hard kill therefore loses no simulation, only the
+// searches of the experiment it interrupts, which a resume recomputes from
+// the restored profile sets and design points. Every record shares the
+// store's framing, checksum and version gate, so a damaged run record is
+// skipped and counted like any other, and the run resumes from the profile
+// records alone.
 
 package explore
 
@@ -152,19 +156,19 @@ func (d *Durable) open(dir string) error {
 	return nil
 }
 
-// Resume seeds s's search frontier from the restored run record, includes
-// the frontier in every later save and saves after each newly completed
-// search (replacing s.OnSearchDone).
+// Resume seeds s's search frontier from the restored run record and
+// includes s's frontier in every later save.
 func (d *Durable) Resume(s *Searcher) {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	s.importFrontier(d.frontier)
 	d.s, d.frontier = s, nil
-	d.mu.Unlock()
-	s.OnSearchDone = d.Save
 }
 
-// Save writes the run record now (a no-op without a store). A failed save
-// is logged, not returned: the run goes on and the next save retries.
+// Save writes the run record now (a no-op without a store); the driver
+// calls it where the run changes phase, and RunDurable once more at exit.
+// A failed save is logged, not returned: the run goes on and the next save
+// retries.
 func (d *Durable) Save() { d.save() }
 
 // save reports whether it wrote the run record.

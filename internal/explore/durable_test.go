@@ -1,7 +1,7 @@
 // Tests for the durable lifecycle (RunDurable): the store directory's round
 // trip, a run killed between profile-set writes and its next run-record
-// save, a run record with a flipped byte, an unopenable store, and the save
-// that follows a failing body.
+// save, a run record with a flipped byte, an unopenable store, when the run
+// record is written, and the save that follows a failing body.
 
 package explore
 
@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -222,10 +223,11 @@ func TestDurableKilledBeforeRunSave(t *testing.T) {
 	var older []byte
 	var vendorSets int
 	if err := RunDurable(db1, dir, func(d *Durable) (err error) {
-		// The search saves the run record as it completes.
+		// The search ends a phase of the run, as an experiment does.
 		if _, err := durableSearch(d, db1); err != nil {
 			return err
 		}
+		d.Save()
 		if older, err = os.ReadFile(runFile(dir)); err != nil {
 			return err
 		}
@@ -244,7 +246,7 @@ func TestDurableKilledBeforeRunSave(t *testing.T) {
 		t.Fatal("the vendor candidates wrote no profile set")
 	}
 	// The kill: the disk holds every profile set written, and the run record
-	// as the search saved it, before the vendor candidates existed.
+	// as saved after the search, before the vendor candidates existed.
 	if err := os.WriteFile(runFile(dir), older, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -359,6 +361,45 @@ func TestDurableStoreUnavailable(t *testing.T) {
 	}
 }
 
+// TestDurableSaveCadence: a completed search reaches the on-disk run
+// record only at the next Durable.Save, not as it completes, and the exit
+// save writes the searches completed since.
+func TestDurableSaveCadence(t *testing.T) {
+	var log logLines
+	dir := storeDir(t)
+	db := loggedDB(3, &log)
+	ctx := context.Background()
+	if err := RunDurable(db, dir, func(d *Durable) error {
+		s, err := NewSearcher(ctx, db)
+		if err != nil {
+			return err
+		}
+		d.Resume(s)
+		if _, err := s.Search(ctx, OrgCompositeFixed, ObjMPThroughput, Budget{AreaMM2: 64}); err != nil {
+			return err
+		}
+		if _, err := os.Stat(runFile(dir)); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("a completed search wrote the run record before Save (stat: %v)", err)
+		}
+		d.Save()
+		if n := len(readRunRecord(t, dir).Frontier); n != 1 {
+			t.Errorf("Save wrote %d searches, want 1", n)
+		}
+		if _, err := s.Search(ctx, OrgCompositeFixed, ObjMPThroughput, Budget{AreaMM2: 48}); err != nil {
+			return err
+		}
+		if n := len(readRunRecord(t, dir).Frontier); n != 1 {
+			t.Errorf("a completed search rewrote the run record: %d searches, want 1", n)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(readRunRecord(t, dir).Frontier); n != 2 {
+		t.Errorf("the exit save wrote %d searches, want 2", n)
+	}
+}
+
 // TestDurableSavesOnError: a body that fails still gets its run record
 // saved (frontier included), and RunDurable returns its error.
 func TestDurableSavesOnError(t *testing.T) {
@@ -368,10 +409,6 @@ func TestDurableSavesOnError(t *testing.T) {
 	boom := errors.New("boom")
 	err := RunDurable(db, dir, func(d *Durable) error {
 		if _, err := durableSearch(d, db); err != nil {
-			return err
-		}
-		// The search autosaved; only the exit save can write it again.
-		if err := os.Remove(runFile(dir)); err != nil {
 			return err
 		}
 		return boom

@@ -69,9 +69,6 @@ func (o Organization) Choices() []ISAChoice {
 type Searcher struct {
 	DB  *DB
 	ref []Metric
-	// OnSearchDone, if set, runs after every newly completed (not resumed)
-	// search — the driver hooks the run record's autosave here.
-	OnSearchDone func()
 
 	// si indexes the suite for scoring; fronts memoizes the budget-
 	// independent front of every search run here (see frontMemo).
@@ -205,11 +202,7 @@ func (s *Searcher) record(key string, cmp CMP) {
 	}
 	s.mu.Lock()
 	s.frontier[key] = SavedSearch{Score: cmp.Score, Points: pts}
-	done := s.OnSearchDone
 	s.mu.Unlock()
-	if done != nil {
-		done()
-	}
 }
 
 // exportFrontier copies the frontier for the run record.

@@ -51,12 +51,6 @@ type Target struct {
 	// widest signed memory displacement.
 	ImmBits  int
 	DispBits int
-
-	// DensityVsX86 is the analytic code-density ratio versus the x86
-	// encoding, retained ONLY as a documented fallback for vendor ISAs that
-	// have no real backend yet (Thumb); targets with a backend get measured
-	// code bytes instead.
-	DensityVsX86 float64
 }
 
 // X86Target is the default variable-length x86 superset encoding
@@ -75,7 +69,6 @@ var X86Target = Target{
 	Predication:   true,
 	ImmBits:       32,
 	DispBits:      32,
-	DensityVsX86:  1.0,
 }
 
 // Alpha64Target is the fixed-length 32-bit RISC encoding standing in for the
@@ -97,7 +90,6 @@ var Alpha64Target = Target{
 	Predication:   false,
 	ImmBits:       16,
 	DispBits:      12,
-	DensityVsX86:  1.05,
 }
 
 var targets = []*Target{&X86Target, &Alpha64Target}

@@ -84,12 +84,3 @@ func Cycles(p *cpu.Profile, cfg cpu.CoreConfig) (Result, error) {
 	}
 	return s.Cycles(cfg)
 }
-
-// IPC is a convenience: profiled micro-ops per predicted cycle.
-func IPC(p *cpu.Profile, cfg cpu.CoreConfig) (float64, error) {
-	r, err := Cycles(p, cfg)
-	if err != nil {
-		return 0, err
-	}
-	return float64(p.Uops) / r.Cycles, nil
-}

@@ -1,35 +1,26 @@
 // Command vet is the repository's multichecker: it runs every repo-local
-// analyzer (faultwrap, mapdeterminism) over Go source, in either of two
-// modes.
-//
-// Standalone, walking files and directories directly (no go/packages, no
-// type checking — both analyzers are purely syntactic):
+// analyzer (faultwrap, mapdeterminism) over Go source, walking files and
+// directories directly (no go/packages, no type checking — both analyzers
+// are purely syntactic):
 //
 //	go run ./tools/analyzers/cmd/vet ./...
 //	go run ./tools/analyzers/cmd/vet internal/eval tools/benchdiff/main.go
 //
-// Or as a vettool, speaking enough of the cmd/go unitchecker protocol
-// (-V=full version handshake, -flags enumeration, per-package vet.cfg
-// invocation) for `go vet -vettool` to drive it with full build-graph
-// awareness:
-//
-//	go build -o /tmp/compisa-vet ./tools/analyzers/cmd/vet
-//	go vet -vettool=/tmp/compisa-vet ./...
+// A dir/... walk reads every .go file outside testdata, vendor and dot
+// directories, whatever its build tags and whichever module holds it, so
+// it covers files a build-graph driver such as `go vet` skips (the
+// non-amd64 JIT fallback, the nested bench module).
 //
 // Diagnostics go to stderr as file:line:col: [analyzer] message. Exit
-// status: 0 clean, 1 (standalone) or 2 (vettool) on findings, 2 on usage
-// or parse errors.
+// status: 0 clean, 1 on findings, 2 on usage or parse errors.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -59,24 +50,8 @@ func runAnalyzers(fset *token.FileSet, f *ast.File) []diagnostic {
 }
 
 func main() {
-	// The unitchecker handshake must be handled before flag.Parse would
-	// reject cmd/go's probing flags.
-	for _, arg := range os.Args[1:] {
-		switch {
-		case arg == "-V=full" || arg == "--V=full":
-			// cmd/go fingerprints vettools by the trailing buildID= token
-			// (cache invalidation when the tool binary changes), so hash
-			// the executable itself, as x/tools' unitchecker does.
-			fmt.Printf("%s version devel buildID=%s\n", os.Args[0], selfHash())
-			return
-		case arg == "-flags" || arg == "--flags":
-			// No analyzer flags are exposed; cmd/go requires valid JSON.
-			fmt.Println("[]")
-			return
-		}
-	}
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: vet [files, dirs, dir/... patterns] | vet <path>/vet.cfg\n")
+		fmt.Fprintf(os.Stderr, "usage: vet [files, dirs, dir/... patterns]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -84,34 +59,12 @@ func main() {
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(unitcheck(args[0]))
-	}
-	os.Exit(standalone(args))
+	os.Exit(run(args))
 }
 
-// selfHash fingerprints the running executable for the -V=full handshake;
-// any stable token suffices when the binary cannot be read.
-func selfHash() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "unknown"
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return "unknown"
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "unknown"
-	}
-	return fmt.Sprintf("%x", h.Sum(nil))
-}
-
-// standalone walks the argument files/dirs/... patterns, printing findings
-// to stderr; exit 1 when any are reported.
-func standalone(args []string) int {
+// run walks the argument files/dirs/... patterns, printing findings to
+// stderr; exit 1 when any are reported.
+func run(args []string) int {
 	fset := token.NewFileSet()
 	var diags []diagnostic
 	for _, arg := range args {
@@ -122,18 +75,14 @@ func standalone(args []string) int {
 		}
 		diags = append(diags, ds...)
 	}
-	report(diags)
+	for _, d := range diags {
+		fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", d.pos, d.analyzer, d.msg)
+	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "vet: %d finding(s)\n", len(diags))
 		return 1
 	}
 	return 0
-}
-
-func report(diags []diagnostic) {
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", d.pos, d.analyzer, d.msg)
-	}
 }
 
 // checkPath analyzes one argument: a file, a directory, or a recursive
@@ -191,65 +140,4 @@ func checkFile(fset *token.FileSet, path string) ([]diagnostic, error) {
 		return nil, err
 	}
 	return runAnalyzers(fset, f), nil
-}
-
-// vetConfig is the subset of cmd/go's vet.cfg this tool consumes; the
-// full config carries type-checking inputs (ImportMap, PackageFile) that
-// purely syntactic analyzers never need.
-type vetConfig struct {
-	ID         string
-	Dir        string
-	GoFiles    []string
-	VetxOnly   bool
-	VetxOutput string
-	Succeed    bool `json:"SucceedOnTypecheckFailure"`
-}
-
-// unitcheck runs one per-package unitchecker invocation: parse the
-// package's files, report diagnostics to stderr, and write the (empty)
-// facts file cmd/go expects at VetxOutput. Exit 2 signals findings, the
-// unitchecker convention.
-func unitcheck(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "vet: %v\n", err)
-		return 2
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "vet: %s: %v\n", cfgPath, err)
-		return 2
-	}
-	// Dependencies are analyzed only for facts; these analyzers produce
-	// none, so an empty vetx file satisfies the protocol.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fmt.Fprintf(os.Stderr, "vet: %v\n", err)
-			return 2
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	fset := token.NewFileSet()
-	var diags []diagnostic
-	for _, gf := range cfg.GoFiles {
-		if !filepath.IsAbs(gf) && cfg.Dir != "" {
-			gf = filepath.Join(cfg.Dir, gf)
-		}
-		f, err := parser.ParseFile(fset, gf, nil, parser.SkipObjectResolution)
-		if err != nil {
-			if cfg.Succeed {
-				continue
-			}
-			fmt.Fprintf(os.Stderr, "vet: %v\n", err)
-			return 2
-		}
-		diags = append(diags, runAnalyzers(fset, f)...)
-	}
-	report(diags)
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
 }
