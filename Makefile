@@ -4,7 +4,7 @@ GO ?= go
 # .github/workflows/ci.yml and nightly.yml runs `make <target>`, and
 # `make lint` fails when a step there runs anything else.
 
-.PHONY: check build vet lint test race chaos conformance bench bench-smoke bench-golden \
+.PHONY: check build vet lint test race chaos conformance bench bench-golden \
 	bench-e2e bench-e2e-search bench-e2e-smoke rerun-identical bench-baseline bench-diff serve-smoke fuzz cover jit-diff cross-build \
 	nightly-fuzz-encode-x86 nightly-fuzz-encode-alpha64 nightly-fuzz-jit nightly-chaos
 
@@ -114,11 +114,6 @@ conformance:
 
 bench:
 	$(GO) test -bench=. -benchmem
-
-# One cheap end-to-end benchmark iteration: catches pipeline regressions
-# that unit tests miss without paying for the full bench sweep.
-bench-smoke:
-	$(GO) test -bench 'Fig5' -benchtime 1x -run '^$$'
 
 # One full pass of the end-to-end cold sweep (a step of bench-golden):
 # fails unless every profile's cpf1 digest and every candidate's digest
@@ -257,7 +252,8 @@ fuzz:
 	$(GO) test -fuzz 'FuzzEncodeDecodeVerifyAlpha64$$' -fuzztime 30s -run '^$$' ./internal/encoding/
 
 # The whole test suite, once, with a coverage profile (a step of check; CI
-# uploads coverage.out): the per-cell digest tests and the TestFault* suite
+# uploads coverage.out): the per-cell digest tests, the TestFault* suite and
+# TestReadmeCommands, which runs every command of README.md's marked block,
 # run here too.
 cover:
 	$(GO) test -coverprofile=coverage.out ./...

@@ -38,6 +38,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	tgt, err := isa.ResolveTarget(*target)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	reg, ok := workload.RegionByName(*region)
 	if !ok {
@@ -57,10 +61,6 @@ func main() {
 		log.Fatal(err)
 	}
 	st := prog.Stats
-	tgt, err := isa.ResolveTarget(*target)
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Printf("code: %d instructions, %d bytes (%s encoding)\n", len(prog.Instrs), prog.Size, tgt.Name)
 	fmt.Printf("stats: %d spill stores, %d refill loads, %d remats, %d if-conversions,\n",
 		st.SpillStores, st.RefillLoads, st.Remats, st.IfConversions)

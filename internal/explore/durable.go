@@ -4,18 +4,19 @@
 // saves. The directory is the run's only durable state. It holds one
 // record per profile set, keyed by ISA key and written through by the DB as
 // each set completes, and one run record (runKey): the candidate tier's
-// design points, the pipeline stats and the search frontier, rewritten at
-// every Durable.Save: compose-explore's after each experiment, and
-// RunDurable's at exit. A hard kill therefore loses no simulation, only the
-// searches of the experiment it interrupts, which a resume recomputes from
-// the restored profile sets and design points. Every record shares the
-// store's framing, checksum and version gate, so a damaged run record is
-// skipped and counted like any other, and the run resumes from the profile
-// records alone.
+// design points, the pipeline stats and the search frontier, rewritten by
+// every Durable.Save that changes it: compose-explore's after each
+// experiment, and RunDurable's at exit. A hard kill therefore loses no
+// simulation, only the searches of the experiment it interrupts, which a
+// resume recomputes from the restored profile sets and design points.
+// Every record shares the store's framing, checksum and version gate, so a
+// damaged run record is skipped and counted like any other, and the run
+// resumes from the profile records alone.
 
 package explore
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -69,6 +70,9 @@ type Durable struct {
 	// frontier is the restored search frontier, saved as it was until
 	// Resume hands it to a Searcher.
 	frontier map[string]SavedSearch
+	// saved is the run record this Durable last wrote; a save that would
+	// write the same bytes again writes nothing.
+	saved []byte
 }
 
 // RunDurable opens db's durable state in the store directory dir (none
@@ -165,13 +169,14 @@ func (d *Durable) Resume(s *Searcher) {
 	d.s, d.frontier = s, nil
 }
 
-// Save writes the run record now (a no-op without a store); the driver
-// calls it where the run changes phase, and RunDurable once more at exit.
-// A failed save is logged, not returned: the run goes on and the next save
+// Save writes the run record now (a no-op without a store, or when the
+// record is unchanged since this Durable last wrote it); the driver calls
+// it where the run changes phase, and RunDurable once more at exit. A
+// failed save is logged, not returned: the run goes on and the next save
 // retries.
 func (d *Durable) Save() { d.save() }
 
-// save reports whether it wrote the run record.
+// save reports whether the store holds the current run record.
 func (d *Durable) save() bool {
 	if d.st == nil {
 		return false
@@ -183,6 +188,9 @@ func (d *Durable) save() bool {
 		rec.Frontier = d.s.exportFrontier()
 	}
 	data, err := json.Marshal(rec)
+	if err == nil && bytes.Equal(data, d.saved) {
+		return true
+	}
 	if err == nil {
 		err = d.st.Put(runKey, data)
 	}
@@ -190,5 +198,6 @@ func (d *Durable) save() bool {
 		d.logf("store: save run record: %v", err)
 		return false
 	}
+	d.saved = data
 	return true
 }

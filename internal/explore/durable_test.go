@@ -362,8 +362,9 @@ func TestDurableStoreUnavailable(t *testing.T) {
 }
 
 // TestDurableSaveCadence: a completed search reaches the on-disk run
-// record only at the next Durable.Save, not as it completes, and the exit
-// save writes the searches completed since.
+// record only at the next Durable.Save, not as it completes; the exit save
+// writes the searches completed since, and nothing when the record is
+// unchanged since the last save.
 func TestDurableSaveCadence(t *testing.T) {
 	var log logLines
 	dir := storeDir(t)
@@ -397,6 +398,20 @@ func TestDurableSaveCadence(t *testing.T) {
 	}
 	if n := len(readRunRecord(t, dir).Frontier); n != 2 {
 		t.Errorf("the exit save wrote %d searches, want 2", n)
+	}
+	// A run whose last Save left nothing to change: the exit save writes
+	// nothing, so run.rec is still the file that Save renamed into place.
+	var saved os.FileInfo
+	if err := RunDurable(loggedDB(3, &log), dir, func(d *Durable) error {
+		d.Save()
+		var err error
+		saved, err = os.Stat(runFile(dir))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if now, err := os.Stat(runFile(dir)); err != nil || !os.SameFile(saved, now) {
+		t.Errorf("the exit save rewrote an unchanged run record (stat: %v)", err)
 	}
 }
 
