@@ -126,36 +126,13 @@ func constIval(c uint64) ival { return ival{c, c} }
 
 // sizedTop is the interval of every value representable at operand size sz
 // (what a masked write can produce).
-func sizedTop(sz uint8) ival { return ival{0, szMask(sz)} }
+func sizedTop(sz uint8) ival { return ival{0, code.SzMask(sz)} }
 
-// szMask mirrors cpu.szMask.
-func szMask(sz uint8) uint64 {
-	switch sz {
-	case 1:
-		return 0xff
-	case 4:
-		return math.MaxUint32
-	default:
-		return math.MaxUint64
-	}
-}
-
-func signBit(v uint64, sz uint8) bool {
-	switch sz {
-	case 1:
-		return v&0x80 != 0
-	case 4:
-		return v&0x8000_0000 != 0
-	default:
-		return v&(1<<63) != 0
-	}
-}
-
-// maskIval is the abstract counterpart of v & szMask(sz): exact when the
+// maskIval is the abstract counterpart of v & code.SzMask(sz): exact when the
 // whole interval fits under the mask, the full masked range otherwise
 // (masking wraps, so a straddling interval loses its ordering).
 func maskIval(v ival, sz uint8) ival {
-	if m := szMask(sz); v.Hi > m {
+	if m := code.SzMask(sz); v.Hi > m {
 		return ival{0, m}
 	}
 	return v
@@ -196,79 +173,16 @@ func joinIval(a, b ival) ival {
 	return a
 }
 
-// absFlags is the abstract condition-code state: either fully known (the
-// four booleans) or unknown. Flags become known only when a flag-writing
-// instruction runs unpredicated with fully constant operands.
+// absFlags is the abstract condition-code state: f when known is set,
+// unknown otherwise. Flags become known only when a flag-writing
+// instruction runs unpredicated with fully constant operands, and then they
+// are computed by code's flag functions, the ones the executor runs.
 type absFlags struct {
-	known          bool
-	zf, sf, of, cf bool
+	known bool
+	f     code.Flags
 }
 
-// The three flag formulas replicate cpu.State.setAddFlags / setSubFlags /
-// setLogicFlags exactly; the rules' claims about branch outcomes are only
-// as good as this mirror.
-func addFlags(a, b, r uint64, carryIn bool, sz uint8) absFlags {
-	m := szMask(sz)
-	a, b, r = a&m, b&m, r&m
-	f := absFlags{known: true, zf: r == 0, sf: signBit(r, sz)}
-	cin := uint64(0)
-	if carryIn {
-		cin = 1
-	}
-	if sz == 8 {
-		s1 := a + b
-		f.cf = s1 < a || s1+cin < s1
-	} else {
-		f.cf = (a+b+cin)&^m != 0
-	}
-	f.of = signBit(^(a^b)&(a^r), sz)
-	return f
-}
-
-func subFlags(a, b, r uint64, borrowIn bool, sz uint8) absFlags {
-	m := szMask(sz)
-	a, b, r = a&m, b&m, r&m
-	f := absFlags{known: true, zf: r == 0, sf: signBit(r, sz)}
-	if borrowIn {
-		f.cf = a <= b
-	} else {
-		f.cf = a < b
-	}
-	f.of = signBit((a^b)&(a^r), sz)
-	return f
-}
-
-func logicFlags(r uint64, sz uint8) absFlags {
-	r &= szMask(sz)
-	return absFlags{known: true, zf: r == 0, sf: signBit(r, sz)}
-}
-
-// condFlags mirrors cpu.State.cond over known flags.
-func condFlags(f absFlags, cc code.CC) bool {
-	switch cc {
-	case code.CCEQ:
-		return f.zf
-	case code.CCNE:
-		return !f.zf
-	case code.CCLT:
-		return f.sf != f.of
-	case code.CCGE:
-		return f.sf == f.of
-	case code.CCLE:
-		return f.zf || f.sf != f.of
-	case code.CCGT:
-		return !f.zf && f.sf == f.of
-	case code.CCB:
-		return f.cf
-	case code.CCAE:
-		return !f.cf
-	case code.CCBE:
-		return f.cf || f.zf
-	case code.CCA:
-		return !f.cf && !f.zf
-	}
-	return false
-}
+func knownFlags(f code.Flags) absFlags { return absFlags{known: true, f: f} }
 
 // constState is the constant/value-range abstract state: one interval per
 // integer register plus the flags. FP/SIMD registers are not tracked (no
@@ -382,7 +296,7 @@ func (d *constDomain) absEA(s *constState, m code.Mem) ival {
 func (d *constDomain) intOp2(s *constState, in *code.Instr) ival {
 	switch {
 	case in.HasImm:
-		return constIval(uint64(in.Imm) & szMask(in.Sz))
+		return constIval(uint64(in.Imm) & code.SzMask(in.Sz))
 	case in.MemSrcALU():
 		return sizedTop(in.Sz)
 	default:
@@ -409,7 +323,7 @@ func (d *constDomain) Transfer(s *constState, idx int, in *code.Instr) {
 	switch in.Op {
 	case code.MOV:
 		if in.HasImm {
-			s.setReg(in.Dst, constIval(uint64(in.Imm)&szMask(sz)))
+			s.setReg(in.Dst, constIval(uint64(in.Imm)&code.SzMask(sz)))
 		} else {
 			s.setReg(in.Dst, maskIval(s.getReg(in.Src1), sz))
 		}
@@ -441,16 +355,16 @@ func (d *constDomain) Transfer(s *constState, idx int, in *code.Instr) {
 		b := d.intOp2(s, in)
 		if in.Op == code.ADD && a.isConst() && b.isConst() {
 			r := a.Lo + b.Lo
-			s.flags = addFlags(a.Lo, b.Lo, r, false, sz)
-			s.setReg(in.Dst, constIval(r&szMask(sz)))
+			s.flags = knownFlags(code.AddFlags(a.Lo, b.Lo, r, false, sz))
+			s.setReg(in.Dst, constIval(r&code.SzMask(sz)))
 		} else if in.Op == code.ADC && a.isConst() && b.isConst() && s.flags.known {
-			cin := s.flags.cf
+			cin := s.flags.f.CF
 			r := a.Lo + b.Lo
 			if cin {
 				r++
 			}
-			s.flags = addFlags(a.Lo, b.Lo, r, cin, sz)
-			s.setReg(in.Dst, constIval(r&szMask(sz)))
+			s.flags = knownFlags(code.AddFlags(a.Lo, b.Lo, r, cin, sz))
+			s.setReg(in.Dst, constIval(r&code.SzMask(sz)))
 		} else {
 			s.setReg(in.Dst, maskIval(addIval(a, b), sz))
 			s.flags = absFlags{}
@@ -461,16 +375,16 @@ func (d *constDomain) Transfer(s *constState, idx int, in *code.Instr) {
 		b := d.intOp2(s, in)
 		if in.Op == code.SUB && a.isConst() && b.isConst() {
 			r := a.Lo - b.Lo
-			s.flags = subFlags(a.Lo, b.Lo, r, false, sz)
-			s.setReg(in.Dst, constIval(r&szMask(sz)))
+			s.flags = knownFlags(code.SubFlags(a.Lo, b.Lo, r, false, sz))
+			s.setReg(in.Dst, constIval(r&code.SzMask(sz)))
 		} else if in.Op == code.SBB && a.isConst() && b.isConst() && s.flags.known {
-			bin := s.flags.cf
+			bin := s.flags.f.CF
 			r := a.Lo - b.Lo
 			if bin {
 				r--
 			}
-			s.flags = subFlags(a.Lo, b.Lo, r, bin, sz)
-			s.setReg(in.Dst, constIval(r&szMask(sz)))
+			s.flags = knownFlags(code.SubFlags(a.Lo, b.Lo, r, bin, sz))
+			s.setReg(in.Dst, constIval(r&code.SzMask(sz)))
 		} else {
 			s.setReg(in.Dst, maskIval(subIval(a, b), sz))
 			s.flags = absFlags{}
@@ -480,8 +394,8 @@ func (d *constDomain) Transfer(s *constState, idx int, in *code.Instr) {
 		a := maskIval(s.getReg(in.Src1), sz)
 		b := d.intOp2(s, in)
 		if a.isConst() && b.isConst() {
-			r := (a.Lo * b.Lo) & szMask(sz)
-			s.flags = logicFlags(r, sz) // the executor models IMUL this way
+			r := (a.Lo * b.Lo) & code.SzMask(sz)
+			s.flags = knownFlags(code.LogicFlags(r, sz)) // the executor models IMUL this way
 			s.setReg(in.Dst, constIval(r))
 		} else {
 			s.setReg(in.Dst, sizedTop(sz))
@@ -501,8 +415,8 @@ func (d *constDomain) Transfer(s *constState, idx int, in *code.Instr) {
 			default:
 				r = a.Lo ^ b.Lo
 			}
-			r &= szMask(sz)
-			s.flags = logicFlags(r, sz)
+			r &= code.SzMask(sz)
+			s.flags = knownFlags(code.LogicFlags(r, sz))
 			s.setReg(in.Dst, constIval(r))
 		} else {
 			if in.Op == code.AND {
@@ -536,8 +450,8 @@ func (d *constDomain) Transfer(s *constState, idx int, in *code.Instr) {
 					r = uint64(int64(a.Lo) >> k)
 				}
 			}
-			r &= szMask(sz)
-			s.flags = logicFlags(r, sz)
+			r &= code.SzMask(sz)
+			s.flags = knownFlags(code.LogicFlags(r, sz))
 			s.setReg(in.Dst, constIval(r))
 		case in.Op == code.SHR:
 			s.setReg(in.Dst, ival{a.Lo >> k, a.Hi >> k})
@@ -551,7 +465,7 @@ func (d *constDomain) Transfer(s *constState, idx int, in *code.Instr) {
 		a := maskIval(s.getReg(in.Src1), sz)
 		b := d.intOp2(s, in)
 		if a.isConst() && b.isConst() {
-			s.flags = subFlags(a.Lo, b.Lo, a.Lo-b.Lo, false, sz)
+			s.flags = knownFlags(code.SubFlags(a.Lo, b.Lo, a.Lo-b.Lo, false, sz))
 		} else {
 			s.flags = absFlags{}
 		}
@@ -560,7 +474,7 @@ func (d *constDomain) Transfer(s *constState, idx int, in *code.Instr) {
 		a := maskIval(s.getReg(in.Src1), sz)
 		b := d.intOp2(s, in)
 		if a.isConst() && b.isConst() {
-			s.flags = logicFlags(a.Lo&b.Lo, sz)
+			s.flags = knownFlags(code.LogicFlags(a.Lo&b.Lo, sz))
 		} else {
 			s.flags = absFlags{}
 		}
@@ -568,7 +482,7 @@ func (d *constDomain) Transfer(s *constState, idx int, in *code.Instr) {
 	case code.SETCC:
 		if s.flags.known {
 			var v uint64
-			if condFlags(s.flags, in.CC) {
+			if s.flags.f.Cond(in.CC) {
 				v = 1
 			}
 			s.setReg(in.Dst, constIval(v))
@@ -584,7 +498,7 @@ func (d *constDomain) Transfer(s *constState, idx int, in *code.Instr) {
 			v = maskIval(s.getReg(in.Src1), sz)
 		}
 		if s.flags.known {
-			if condFlags(s.flags, in.CC) {
+			if s.flags.f.Cond(in.CC) {
 				s.setReg(in.Dst, v)
 			}
 		} else {

@@ -12,8 +12,15 @@
 // branch targets and layout PCs, runs forward/backward dataflow (reaching
 // definitions and spill-slot reaching stores) over it, and applies a
 // registry of per-feature-set conformance rules, including an
-// encode→decode round trip through the real encoder and
-// instruction-length decoder.
+// encode→decode round trip through the target's real encoder and decoder.
+//
+// The constant domain that proves branches constant (absint.go) computes
+// widths and flags with code's SzMask, AddFlags, SubFlags, LogicFlags and
+// Flags.Cond, the functions the executor runs, so its verdicts cannot drift
+// from execution. The use/def model in ops.go is the exception: it is
+// derived independently from the executor's semantics, and a test compares
+// it with code's operand-class table, so the verifier cross-checks the
+// representation rather than trusting it.
 //
 // Diagnostics are structured (Finding{Rule, PC, Instr, Severity, Detail})
 // so tests and the compose-lint CLI can assert on exact rule hits. The

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"compisa/internal/check"
+	"compisa/internal/code"
 	"compisa/internal/compiler"
 	"compisa/internal/isa"
 	"compisa/internal/workload"
@@ -45,8 +46,33 @@ func TestCleanCompilerOutput(t *testing.T) {
 				if len(rep.Findings) != 0 {
 					t.Errorf("%s: %d finding(s) on clean output:\n%s", r.Name, len(rep.Findings), rep.String())
 				}
+				checkOperandClasses(t, prog)
 			}
 		})
+	}
+}
+
+// checkOperandClasses asserts that the compiler names a register only in
+// an operand slot its op uses, per the code table: a Dst only on an op that
+// writes a register (IntDst or IsFP; CMP, TEST, FCMP, ST, FST, VST and the
+// branches carry NoReg), no register source on FLD and VLD, which read only
+// their address, and no second source on CVTIF. Every layer that reads the
+// table for these ops (the timing model's destinations, the translator's
+// write-back, IntRegs) relies on it.
+func checkOperandClasses(t *testing.T, p *code.Program) {
+	t.Helper()
+	for i := range p.Instrs {
+		in := &p.Instrs[i]
+		bad := in.Dst != code.NoReg && !in.Op.IntDst() && !in.Op.IsFP()
+		switch in.Op {
+		case code.FLD, code.VLD:
+			bad = bad || in.Src1 != code.NoReg || in.Src2 != code.NoReg
+		case code.CVTIF:
+			bad = bad || in.Src2 != code.NoReg
+		}
+		if bad {
+			t.Errorf("%s[%d] %s: register in an operand slot the op does not use", p.Name, i, code.FormatInstr(in))
+		}
 	}
 }
 
@@ -91,6 +117,7 @@ func TestCleanCompilerOutputAlpha64(t *testing.T) {
 				if len(rep.Findings) != 0 {
 					t.Errorf("%s: %d finding(s) on clean alpha64 output:\n%s", r.Name, len(rep.Findings), rep.String())
 				}
+				checkOperandClasses(t, prog)
 			}
 		})
 	}

@@ -5,9 +5,10 @@ import "compisa/internal/code"
 // The dataflow analyses track abstract machine resources: the 64 integer
 // registers, the 16 FP/SIMD registers, and the condition flags, each mapped
 // to one bit position. The use/def model below is derived independently
-// from the executor's semantics (internal/cpu.step), NOT from the
-// code.Instr helper methods — the verifier cross-checks the representation
-// rather than trusting it.
+// from the executor's semantics (internal/cpu's step functions), NOT from
+// code's operand-class table (Op.FPSources, Op.IntDst, Op.IsFP) or the
+// code.Instr helper methods; TestOpsModelMatchesCodeTable compares the two,
+// so the verifier cross-checks the representation rather than trusting it.
 const (
 	resIntBase = 0  // r0..r63
 	resFPBase  = 64 // x0..x15
@@ -44,7 +45,7 @@ func itoa(n int) string {
 	return string(buf[i:])
 }
 
-// fpSrcOps lists ops whose Src1/Src2 registers live in the FP file.
+// fpSrc reports whether the op's Src1/Src2 registers live in the FP file.
 func fpSrc(op code.Op) bool {
 	switch op {
 	case code.FMOV, code.FST, code.VST, code.FADD, code.FSUB, code.FMUL,

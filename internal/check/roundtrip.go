@@ -7,12 +7,16 @@ import (
 	"compisa/internal/encoding"
 )
 
-// checkEncode is the translation-validation rule: every instruction must
-// encode (via the real encoder) into exactly the bytes the layout claims,
-// and the instruction-length decoder must parse those bytes back to the
-// same boundary. The whole image is then re-scanned with the ILD's
-// instruction-marker unit and its boundaries compared against the layout
-// PCs — disagreement means the fetch/decode models are simulating a
+// checkEncode is the translation-validation rule, one for every target:
+// every instruction must encode through the program's coder into exactly
+// the bytes the layout claims, and the coder's length decoder must parse
+// those bytes back to the same boundary. Where one decode step recovers the
+// whole instruction (encoding.InstrDecoder), the decoded instruction must
+// also equal the canonical normalization of the original. The whole image
+// is then split into instructions the way the target's fetch stage splits
+// it — the ILD's instruction-marker scan on x86, the fixed stride on
+// one-step-decode targets — and those boundaries compared against the
+// layout PCs: disagreement means the fetch/decode models are simulating a
 // different program than the one that executes.
 func checkEncode(a *analysis) []Finding {
 	p := a.p
@@ -20,33 +24,40 @@ func checkEncode(a *analysis) []Finding {
 		return []Finding{{Rule: RuleEncode, Index: -1, Severity: SevError,
 			Detail: fmt.Sprintf("program has no layout (%d PCs for %d instructions)", len(p.PC), len(p.Instrs))}}
 	}
-	if p.Target != "" {
-		return checkEncodeTarget(a)
-	}
+	c := encoding.ForProgram(p)
+	dec, _ := c.(encoding.InstrDecoder)
 	var out []Finding
-	ild := encoding.NewILD(p.CompactEncoding)
 	img := make([]byte, 0, p.Size)
 	imgOK := true
 	for i := range p.Instrs {
 		in := &p.Instrs[i]
-		want := encoding.Length(p, i)
-		b, err := encoding.EncodeInstr(in, want, p.CompactEncoding)
+		b, err := c.EncodeInstr(in, encoding.Length(p, i), p.CompactEncoding)
 		if err != nil {
 			out = append(out, a.finding(RuleEncode, i, fmt.Sprintf("encode: %v", err)))
 			imgOK = false
 			continue
 		}
-		n, err := ild.DecodeLength(b)
+		n, err := c.DecodeLength(b, p.CompactEncoding)
 		if err != nil {
-			out = append(out, a.finding(RuleEncode, i, fmt.Sprintf("ILD decode: %v", err)))
+			out = append(out, a.finding(RuleEncode, i, fmt.Sprintf("decode: %v", err)))
 			imgOK = false
 			continue
 		}
 		if n != len(b) {
 			out = append(out, a.finding(RuleEncode, i,
-				fmt.Sprintf("ILD decodes %d bytes where the encoder emitted %d", n, len(b))))
+				fmt.Sprintf("decoder claims %d bytes where the encoder emitted %d", n, len(b))))
 			imgOK = false
 			continue
+		}
+		if dec != nil {
+			got, err := dec.DecodeInstr(b)
+			if err != nil {
+				out = append(out, a.finding(RuleEncode, i, fmt.Sprintf("instruction decode: %v", err)))
+			} else if want := dec.Normalize(in); got != want {
+				out = append(out, a.finding(RuleEncode, i,
+					fmt.Sprintf("decode round trip disagrees: got %s want %s",
+						code.FormatInstr(&got), code.FormatInstr(&want))))
+			}
 		}
 		img = append(img, b...)
 	}
@@ -58,79 +69,22 @@ func checkEncode(a *analysis) []Finding {
 			Detail: fmt.Sprintf("image is %d bytes but layout claims %d", len(img), p.Size)})
 		return out
 	}
-	mark, err := ild.Mark(img)
+	bounds, err := c.Boundaries(img, p.CompactEncoding)
 	if err != nil {
 		out = append(out, Finding{Rule: RuleEncode, Index: -1, Severity: SevError,
-			Detail: fmt.Sprintf("instruction-marker scan failed: %v", err)})
+			Detail: fmt.Sprintf("boundary scan failed: %v", err)})
 		return out
 	}
-	if len(mark.Boundaries) != len(p.Instrs) {
+	if len(bounds) != len(p.Instrs) {
 		out = append(out, Finding{Rule: RuleEncode, Index: -1, Severity: SevError,
-			Detail: fmt.Sprintf("marker found %d instructions, layout has %d", len(mark.Boundaries), len(p.Instrs))})
+			Detail: fmt.Sprintf("boundary scan found %d instructions, layout has %d", len(bounds), len(p.Instrs))})
 		return out
 	}
-	for i, off := range mark.Boundaries {
+	for i, off := range bounds {
 		if uint32(off) != p.PC[i]-p.Base {
 			out = append(out, a.finding(RuleEncode, i,
-				fmt.Sprintf("marker boundary %#x disagrees with layout PC offset %#x", off, p.PC[i]-p.Base)))
+				fmt.Sprintf("boundary %#x disagrees with layout PC offset %#x", off, p.PC[i]-p.Base)))
 		}
-	}
-	return out
-}
-
-// checkEncodeTarget is the non-x86 variant of the round-trip rule: every
-// instruction must encode through the target's coder into the bytes the
-// layout claims, the one-step length decode must agree, and — for targets
-// whose single decode step recovers the whole instruction — the decoded
-// instruction must equal the canonical normalization of the original. For
-// fixed-length targets the layout itself is also checked against the fixed
-// stride, which is what the paper's one-step-decode fetch model assumes.
-func checkEncodeTarget(a *analysis) []Finding {
-	p := a.p
-	c := encoding.ForProgram(p)
-	dec, _ := c.(encoding.InstrDecoder)
-	stride := c.Target().FixedLen
-	var out []Finding
-	total := 0
-	for i := range p.Instrs {
-		in := &p.Instrs[i]
-		if stride != 0 && p.PC[i]-p.Base != uint32(stride*i) {
-			out = append(out, a.finding(RuleEncode, i,
-				fmt.Sprintf("layout PC offset %#x off the fixed %d-byte stride", p.PC[i]-p.Base, stride)))
-		}
-		want := encoding.Length(p, i)
-		b, err := c.EncodeInstr(in, want, p.CompactEncoding)
-		if err != nil {
-			out = append(out, a.finding(RuleEncode, i, fmt.Sprintf("encode: %v", err)))
-			continue
-		}
-		total += len(b)
-		n, err := c.DecodeLength(b, p.CompactEncoding)
-		if err != nil {
-			out = append(out, a.finding(RuleEncode, i, fmt.Sprintf("decode: %v", err)))
-			continue
-		}
-		if n != len(b) {
-			out = append(out, a.finding(RuleEncode, i,
-				fmt.Sprintf("decoder claims %d bytes where the encoder emitted %d", n, len(b))))
-			continue
-		}
-		if dec != nil {
-			got, err := dec.DecodeInstr(b)
-			if err != nil {
-				out = append(out, a.finding(RuleEncode, i, fmt.Sprintf("instruction decode: %v", err)))
-				continue
-			}
-			if want := dec.Normalize(in); got != want {
-				out = append(out, a.finding(RuleEncode, i,
-					fmt.Sprintf("decode round trip disagrees: got %s want %s",
-						code.FormatInstr(&got), code.FormatInstr(&want))))
-			}
-		}
-	}
-	if total > 0 && total != p.Size {
-		out = append(out, Finding{Rule: RuleEncode, Index: -1, Severity: SevError,
-			Detail: fmt.Sprintf("image is %d bytes but layout claims %d", total, p.Size)})
 	}
 	return out
 }

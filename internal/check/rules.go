@@ -71,7 +71,7 @@ var ruleRegistry = []Rule{
 	{ID: RuleStruct, Desc: "operand-shape invariants", Check: checkStruct},
 	{ID: RuleStack, Desc: "spill refills reached by a spill store on some path", NeedsCFG: true, Check: checkStack},
 	{ID: RuleUDef, Desc: "no use of a never-written register or flag", NeedsCFG: true, Check: checkUDef},
-	{ID: RuleEncode, Desc: "encode → ILD-decode round trip agrees with layout", Check: checkEncode},
+	{ID: RuleEncode, Desc: "encode → decode round trip agrees with layout", Check: checkEncode},
 	{ID: RuleDeadBlock, Desc: "no unreachable or provably dead blocks", NeedsCFG: true, Check: checkDeadBlock},
 	{ID: RuleBranch, Desc: "no provably constant conditional branches", NeedsCFG: true, Check: checkBranch},
 	{ID: RuleMemRange, Desc: "memory accesses stay inside the legal address windows", NeedsCFG: true, Check: checkMemRange},

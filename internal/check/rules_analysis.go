@@ -5,8 +5,9 @@ package check
 // checks: dead blocks, provably constant branches, statically out-of-range
 // memory accesses, redundant spill/reload pairs, and stack-height
 // mismatches at join points. They only report facts that are provable in
-// the abstract semantics, which mirrors the executor exactly, so clean
-// compiler output stays finding-free.
+// the abstract semantics, whose flag and width functions are the
+// executor's own (internal/code), so clean compiler output stays
+// finding-free.
 
 import (
 	"fmt"
@@ -50,7 +51,7 @@ func (a *analysis) branchFacts() []int8 {
 		if !st.flags.known {
 			continue
 		}
-		if condFlags(st.flags, last.CC) {
+		if st.flags.f.Cond(last.CC) {
 			kinds[bi] = branchAlways
 		} else {
 			kinds[bi] = branchNever

@@ -105,28 +105,6 @@ func intWidthBound(in *code.Instr) int {
 	}
 }
 
-// intDefReg returns the integer register in defines, or NoReg.
-func intDefReg(in *code.Instr) code.Reg {
-	switch in.Op {
-	case code.MOV, code.MOVSX, code.LEA, code.LD, code.ADD, code.ADC,
-		code.SUB, code.SBB, code.IMUL, code.AND, code.OR, code.XOR,
-		code.SHL, code.SHR, code.SAR, code.SETCC, code.CMOVCC, code.CVTFI:
-		return in.Dst
-	}
-	return code.NoReg
-}
-
-// fpDefReg returns the FP register in defines, or NoReg.
-func fpDefReg(in *code.Instr) code.Reg {
-	switch in.Op {
-	case code.FMOV, code.FADD, code.FSUB, code.FMUL, code.FDIV, code.CVTIF,
-		code.FLD, code.VLD, code.VADDF, code.VSUBF, code.VMULF, code.VADDI,
-		code.VSUBI, code.VMULI, code.VSPLAT, code.VRSUM:
-		return in.Dst
-	}
-	return code.NoReg
-}
-
 // fpLane1Zero reports whether an unpredicated def by in leaves the upper
 // vector lane zero (scalar FP results are written as {value, 0}); FMOV
 // copies both lanes, so it propagates the source's property.
@@ -211,7 +189,7 @@ func RedundantSpillReloads(win []code.Instr) []int {
 			}
 		}
 
-		if r := intDefReg(in); r != code.NoReg {
+		if r := in.Dst; in.Op.IntDst() && r != code.NoReg {
 			dropReg(r)
 			b := intWidthBound(in)
 			if in.Op == code.MOV && !in.Predicated() && !in.HasImm && intW[in.Src1].known && intW[in.Src1].bits < b {
@@ -227,7 +205,7 @@ func RedundantSpillReloads(win []code.Instr) []int {
 				intW[r] = widthFact{known: true, bits: b}
 			}
 		}
-		if r := fpDefReg(in); r != code.NoReg {
+		if r := in.Dst; in.Op.IsFP() && r != code.NoReg {
 			dropReg(r)
 			src := fpW[in.Src1]
 			zero, known := fpLane1Zero(in, src.lane0, src.known)

@@ -106,11 +106,40 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
-// IsFP reports whether the destination register (if any) is an FP/SIMD
-// register.
+// The methods below are the superset ISA's one table of operand classes:
+// the compiler, executor, timing model, verifier and translator all read
+// them, so every layer agrees on what each op reads and writes.
+
+// IsFP reports whether the op writes its destination register Dst, and
+// that register is an FP/SIMD register.
 func (o Op) IsFP() bool {
 	switch o {
 	case FMOV, FLD, FADD, FSUB, FMUL, FDIV, CVTIF, VLD, VADDF, VSUBF, VMULF, VADDI, VSUBI, VMULI, VSPLAT, VRSUM:
+		return true
+	}
+	return false
+}
+
+// IntDst reports whether the op writes its destination register Dst, and
+// that register is an integer register. An op for which neither IntDst nor
+// IsFP holds writes no register (CMP, TEST and FCMP write only the flags);
+// the compiler and the translator leave its Dst at NoReg.
+func (o Op) IntDst() bool {
+	switch o {
+	case MOV, MOVSX, LEA, LD, ADD, SUB, IMUL, AND, OR, XOR, SHL, SHR, SAR, ADC, SBB,
+		SETCC, CMOVCC, CVTFI:
+		return true
+	}
+	return false
+}
+
+// FPSources reports whether the op's register sources Src1 and Src2 are
+// FP/SIMD registers; otherwise they are integer registers (CVTIF converts
+// an integer source). Address and predicate registers are always integer.
+func (o Op) FPSources() bool {
+	switch o {
+	case FMOV, FST, VST, FADD, FSUB, FMUL, FDIV, FCMP, CVTFI,
+		VADDF, VSUBF, VMULF, VADDI, VSUBI, VMULI, VSPLAT, VRSUM:
 		return true
 	}
 	return false
@@ -200,6 +229,109 @@ func (c CC) Negate() CC {
 	return c
 }
 
+// Flags is the x86 condition-code state. Its functions below are the one
+// definition of the superset ISA's flag semantics: the executor keeps a
+// Flags as architectural state and the verifier's constant domain computes
+// one from constant operands, so a branch the verifier proves constant goes
+// the way the executor takes it.
+type Flags struct {
+	ZF, SF, OF, CF bool
+}
+
+// SzMask returns the mask of an operand of sz bytes: 1 and 4 bytes mask
+// to their width, every other size to 64 bits.
+func SzMask(sz uint8) uint64 {
+	switch sz {
+	case 1:
+		return 0xff
+	case 4:
+		return 0xffff_ffff
+	default:
+		return 1<<64 - 1
+	}
+}
+
+// signBit reports whether v's sign bit at operand size sz is set.
+func signBit(v uint64, sz uint8) bool {
+	switch sz {
+	case 1:
+		return v&0x80 != 0
+	case 4:
+		return v&0x8000_0000 != 0
+	default:
+		return v&(1<<63) != 0
+	}
+}
+
+// AddFlags returns the flags of r = a + b (+ carryIn) at width sz.
+func AddFlags(a, b, r uint64, carryIn bool, sz uint8) Flags {
+	m := SzMask(sz)
+	a, b, r = a&m, b&m, r&m
+	f := Flags{ZF: r == 0, SF: signBit(r, sz)}
+	cin := uint64(0)
+	if carryIn {
+		cin = 1
+	}
+	if sz == 8 {
+		s1 := a + b
+		f.CF = s1 < a || s1+cin < s1
+	} else {
+		f.CF = (a+b+cin)&^m != 0
+	}
+	// Classic hardware formula; exact including carry-in.
+	f.OF = signBit(^(a^b)&(a^r), sz)
+	return f
+}
+
+// SubFlags returns the flags of r = a - b (- borrowIn) at width sz.
+func SubFlags(a, b, r uint64, borrowIn bool, sz uint8) Flags {
+	m := SzMask(sz)
+	a, b, r = a&m, b&m, r&m
+	f := Flags{ZF: r == 0, SF: signBit(r, sz)}
+	if borrowIn {
+		f.CF = a <= b // borrows iff a < b + 1
+	} else {
+		f.CF = a < b
+	}
+	// Classic hardware formula; exact including borrow-in.
+	f.OF = signBit((a^b)&(a^r), sz)
+	return f
+}
+
+// LogicFlags returns the flags of a logic or shift result r at width sz:
+// ZF and SF from r, CF and OF clear. IMUL sets its flags this way too.
+func LogicFlags(r uint64, sz uint8) Flags {
+	r &= SzMask(sz)
+	return Flags{ZF: r == 0, SF: signBit(r, sz)}
+}
+
+// Cond evaluates condition code cc against the flags.
+func (f Flags) Cond(cc CC) bool {
+	switch cc {
+	case CCEQ:
+		return f.ZF
+	case CCNE:
+		return !f.ZF
+	case CCLT:
+		return f.SF != f.OF
+	case CCGE:
+		return f.SF == f.OF
+	case CCLE:
+		return f.ZF || f.SF != f.OF
+	case CCGT:
+		return !f.ZF && f.SF == f.OF
+	case CCB:
+		return f.CF
+	case CCAE:
+		return !f.CF
+	case CCBE:
+		return f.CF || f.ZF
+	case CCA:
+		return !f.CF && !f.ZF
+	}
+	return false
+}
+
 // Mem is a base + index*scale + disp memory operand. Base/Index are integer
 // registers; Index may be NoReg. Scale is 1, 2, 4, or 8.
 type Mem struct {
@@ -269,21 +401,10 @@ func (in *Instr) NumUops() int {
 // IntRegs appends every integer register the instruction references
 // (including predicate and address registers) to dst.
 func (in *Instr) IntRegs(dst []Reg) []Reg {
-	fp := in.Op.IsFP()
-	if in.Dst != NoReg && !fp {
+	if in.Dst != NoReg && !in.Op.IsFP() {
 		dst = append(dst, in.Dst)
 	}
-	// Src registers share the class of the op except for cross-class
-	// converts and FP stores, whose sources are handled explicitly.
-	switch in.Op {
-	case CVTIF:
-		if in.Src1 != NoReg {
-			dst = append(dst, in.Src1)
-		}
-	case FST, VST, FMOV, FLD, VLD, FADD, FSUB, FMUL, FDIV, FCMP, CVTFI,
-		VADDF, VSUBF, VMULF, VADDI, VSUBI, VMULI, VSPLAT, VRSUM:
-		// FP-class sources; no integer sources besides address/pred.
-	default:
+	if !in.Op.FPSources() {
 		if in.Src1 != NoReg {
 			dst = append(dst, in.Src1)
 		}
@@ -310,8 +431,7 @@ func (in *Instr) FPRegs(dst []Reg) []Reg {
 	if in.Op.IsFP() && in.Dst != NoReg {
 		dst = append(dst, in.Dst)
 	}
-	switch in.Op {
-	case FMOV, FADD, FSUB, FMUL, FDIV, FCMP, CVTFI, VADDF, VSUBF, VMULF, VADDI, VSUBI, VMULI, VSPLAT, VRSUM, FST, VST:
+	if in.Op.FPSources() {
 		if in.Src1 != NoReg {
 			dst = append(dst, in.Src1)
 		}

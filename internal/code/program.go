@@ -117,7 +117,7 @@ func FormatInstr(in *Instr) string {
 		fmt.Fprintf(&sb, ".%d", in.Sz)
 	}
 	regName := func(r Reg) string {
-		if in.Op.IsFP() || in.Op == FST || in.Op == VST || in.Op == FCMP {
+		if in.Op.FPSources() {
 			return fmt.Sprintf("x%d", r)
 		}
 		return fmt.Sprintf("r%d", r)

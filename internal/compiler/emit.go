@@ -243,17 +243,8 @@ func (e *emitter) emitInstr(in *mInstr) error {
 	}
 
 	// 3. Source registers by class.
-	fpSrc := func() bool {
-		switch in.Op {
-		case code.FST, code.VST, code.FMOV, code.FADD, code.FSUB, code.FMUL,
-			code.FDIV, code.FCMP, code.CVTFI, code.VADDF, code.VSUBF,
-			code.VMULF, code.VADDI, code.VSUBI, code.VMULI, code.VSPLAT, code.VRSUM:
-			return true
-		}
-		return false
-	}()
 	mapSrc := func(v vreg) (code.Reg, error) {
-		if fpSrc {
+		if in.Op.FPSources() {
 			return mapFP(v)
 		}
 		return mapInt(v)

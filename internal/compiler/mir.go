@@ -59,27 +59,12 @@ func (in *mInstr) predicated() bool { return in.Pred != noVR }
 
 // uses calls f for every register the instruction reads, with its class.
 func (in *mInstr) uses(f func(r vreg, fp bool)) {
-	switch in.Op {
-	case code.CVTIF:
-		if in.Src1 != noVR {
-			f(in.Src1, false)
-		}
-	case code.FST, code.VST, code.FMOV, code.FADD, code.FSUB, code.FMUL,
-		code.FDIV, code.FCMP, code.CVTFI, code.VADDF, code.VSUBF, code.VMULF,
-		code.VADDI, code.VSUBI, code.VMULI, code.VSPLAT, code.VRSUM:
-		if in.Src1 != noVR {
-			f(in.Src1, true)
-		}
-		if in.Src2 != noVR {
-			f(in.Src2, true)
-		}
-	default:
-		if in.Src1 != noVR {
-			f(in.Src1, false)
-		}
-		if in.Src2 != noVR {
-			f(in.Src2, false)
-		}
+	fp := in.Op.FPSources()
+	if in.Src1 != noVR {
+		f(in.Src1, fp)
+	}
+	if in.Src2 != noVR {
+		f(in.Src2, fp)
 	}
 	if in.HasMem {
 		if in.MemBase != noVR {
@@ -103,11 +88,10 @@ func (in *mInstr) uses(f func(r vreg, fp bool)) {
 
 // def returns the written register and its class, or noVR.
 func (in *mInstr) def() (vreg, bool) {
-	switch in.Op {
-	case code.ST, code.FST, code.VST, code.CMP, code.TEST, code.NOP, code.FCMP:
-		return noVR, false
+	if fp := in.Op.IsFP(); fp || in.Op.IntDst() {
+		return in.Dst, fp
 	}
-	return in.Dst, in.Op.IsFP()
+	return noVR, false
 }
 
 // hasSideEffect reports whether DCE must keep the instruction regardless of

@@ -410,7 +410,8 @@ func TestExecCorpusDigest(t *testing.T) {
 		st := NewState(mem.New())
 		res, err := RunPredecoded(Predecode(p), st, opts, func(ev *Event) { hashEvent(h, ev) })
 		sh := fnv.New64a()
-		fmt.Fprintf(sh, "%v %v %+v", st.Int, st.FP, st.Flags)
+		f := st.Flags
+		fmt.Fprintf(sh, "%v %v {zf:%v sf:%v of:%v cf:%v}", st.Int, st.FP, f.ZF, f.SF, f.OF, f.CF)
 		lines = append(lines, fmt.Sprintf("prog%03d\tev=%016x state=%016x %+v err=%q",
 			i, h.Sum64(), sh.Sum64(), res, errString(err)))
 	}

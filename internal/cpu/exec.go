@@ -66,16 +66,11 @@ type ExecResult struct {
 	PredOff  int64 // predicated-off instructions
 }
 
-// flags is the condition-code state.
-type flags struct {
-	zf, sf, of, cf bool
-}
-
 // State is the architectural state of a composite-ISA core.
 type State struct {
 	Int   [64]uint64
 	FP    [16][2]uint64
-	Flags flags
+	Flags code.Flags
 	Mem   *mem.Memory
 }
 
@@ -125,107 +120,7 @@ func RunOpts(p *code.Program, st *State, opts RunOptions, consume func(*Event)) 
 // writeInt stores v into an integer register honoring x86 width semantics:
 // 32-bit (and narrower) writes zero-extend into the full register.
 func (st *State) writeInt(r code.Reg, v uint64, sz uint8) {
-	switch sz {
-	case 1:
-		v &= 0xff
-	case 4:
-		v &= math.MaxUint32
-	}
-	st.Int[r] = v
-}
-
-func szMask(sz uint8) uint64 {
-	switch sz {
-	case 1:
-		return 0xff
-	case 4:
-		return math.MaxUint32
-	default:
-		return math.MaxUint64
-	}
-}
-
-func signBit(v uint64, sz uint8) bool {
-	switch sz {
-	case 1:
-		return v&0x80 != 0
-	case 4:
-		return v&0x8000_0000 != 0
-	default:
-		return v&(1<<63) != 0
-	}
-}
-
-// setAddFlags sets flags for r = a + b (+carry) at width sz.
-func (st *State) setAddFlags(a, b, r uint64, carryIn bool, sz uint8) {
-	m := szMask(sz)
-	a, b, r = a&m, b&m, r&m
-	st.Flags.zf = r == 0
-	st.Flags.sf = signBit(r, sz)
-	cin := uint64(0)
-	if carryIn {
-		cin = 1
-	}
-	if sz == 8 {
-		s1 := a + b
-		st.Flags.cf = s1 < a || s1+cin < s1
-	} else {
-		st.Flags.cf = (a+b+cin)&^m != 0
-	}
-	// Classic hardware formula; exact including carry-in.
-	st.Flags.of = signBit(^(a^b)&(a^r), sz)
-}
-
-// setSubFlags sets flags for r = a - b (-borrow) at width sz.
-func (st *State) setSubFlags(a, b, r uint64, borrowIn bool, sz uint8) {
-	m := szMask(sz)
-	a, b, r = a&m, b&m, r&m
-	st.Flags.zf = r == 0
-	st.Flags.sf = signBit(r, sz)
-	if borrowIn {
-		st.Flags.cf = a <= b // borrows iff a < b + 1
-	} else {
-		st.Flags.cf = a < b
-	}
-	// Classic hardware formula; exact including borrow-in.
-	st.Flags.of = signBit((a^b)&(a^r), sz)
-}
-
-func (st *State) setLogicFlags(r uint64, sz uint8) {
-	m := szMask(sz)
-	r &= m
-	st.Flags.zf = r == 0
-	st.Flags.sf = signBit(r, sz)
-	st.Flags.cf = false
-	st.Flags.of = false
-}
-
-// cond evaluates an x86 condition code against the flags.
-func (st *State) cond(cc code.CC) bool {
-	f := st.Flags
-	switch cc {
-	case code.CCEQ:
-		return f.zf
-	case code.CCNE:
-		return !f.zf
-	case code.CCLT:
-		return f.sf != f.of
-	case code.CCGE:
-		return f.sf == f.of
-	case code.CCLE:
-		return f.zf || f.sf != f.of
-	case code.CCGT:
-		return !f.zf && f.sf == f.of
-	case code.CCB:
-		return f.cf
-	case code.CCAE:
-		return !f.cf
-	case code.CCBE:
-		return f.cf || f.zf
-	case code.CCA:
-		return !f.cf && !f.zf
-	}
-	return false
+	st.Int[r] = v & code.SzMask(sz)
 }
 
 // ea computes the effective address of a memory operand.

@@ -68,13 +68,13 @@ func init() {
 func (st *State) intOp2(in *code.Instr, ev *Event, addrMask uint64, sz uint8) uint64 {
 	switch {
 	case in.HasImm:
-		return uint64(in.Imm) & szMask(sz)
+		return uint64(in.Imm) & code.SzMask(sz)
 	case in.MemSrcALU():
 		a := st.ea(in.Mem, addrMask)
 		ev.MemAddr, ev.MemSz, ev.IsLoad = a, sz, true
 		return st.Mem.Read(a, int(sz))
 	default:
-		return st.Int[in.Src2] & szMask(sz)
+		return st.Int[in.Src2] & code.SzMask(sz)
 	}
 }
 
@@ -102,7 +102,7 @@ func stepMOV(st *State, in *code.Instr, ev *Event, addrMask uint64, idx int) (in
 	} else {
 		v = st.Int[in.Src1]
 	}
-	st.writeInt(in.Dst, v&szMask(in.Sz), in.Sz)
+	st.writeInt(in.Dst, v&code.SzMask(in.Sz), in.Sz)
 	return idx + 1, nil
 }
 
@@ -134,115 +134,115 @@ func stepST(st *State, in *code.Instr, ev *Event, addrMask uint64, idx int) (int
 
 func stepADD(st *State, in *code.Instr, ev *Event, addrMask uint64, idx int) (int, error) {
 	sz := in.Sz
-	a := st.Int[in.Src1] & szMask(sz)
+	a := st.Int[in.Src1] & code.SzMask(sz)
 	b := st.intOp2(in, ev, addrMask, sz)
 	r := a + b
-	st.setAddFlags(a, b, r, false, sz)
-	st.writeInt(in.Dst, r&szMask(sz), sz)
+	st.Flags = code.AddFlags(a, b, r, false, sz)
+	st.writeInt(in.Dst, r&code.SzMask(sz), sz)
 	return idx + 1, nil
 }
 
 func stepADC(st *State, in *code.Instr, ev *Event, addrMask uint64, idx int) (int, error) {
 	sz := in.Sz
-	a := st.Int[in.Src1] & szMask(sz)
+	a := st.Int[in.Src1] & code.SzMask(sz)
 	b := st.intOp2(in, ev, addrMask, sz)
-	cin := st.Flags.cf
+	cin := st.Flags.CF
 	r := a + b
 	if cin {
 		r++
 	}
-	st.setAddFlags(a, b, r, cin, sz)
-	st.writeInt(in.Dst, r&szMask(sz), sz)
+	st.Flags = code.AddFlags(a, b, r, cin, sz)
+	st.writeInt(in.Dst, r&code.SzMask(sz), sz)
 	return idx + 1, nil
 }
 
 func stepSUB(st *State, in *code.Instr, ev *Event, addrMask uint64, idx int) (int, error) {
 	sz := in.Sz
-	a := st.Int[in.Src1] & szMask(sz)
+	a := st.Int[in.Src1] & code.SzMask(sz)
 	b := st.intOp2(in, ev, addrMask, sz)
 	r := a - b
-	st.setSubFlags(a, b, r, false, sz)
-	st.writeInt(in.Dst, r&szMask(sz), sz)
+	st.Flags = code.SubFlags(a, b, r, false, sz)
+	st.writeInt(in.Dst, r&code.SzMask(sz), sz)
 	return idx + 1, nil
 }
 
 func stepSBB(st *State, in *code.Instr, ev *Event, addrMask uint64, idx int) (int, error) {
 	sz := in.Sz
-	a := st.Int[in.Src1] & szMask(sz)
+	a := st.Int[in.Src1] & code.SzMask(sz)
 	b := st.intOp2(in, ev, addrMask, sz)
-	bin := st.Flags.cf
+	bin := st.Flags.CF
 	r := a - b
 	if bin {
 		r--
 	}
-	st.setSubFlags(a, b, r, bin, sz)
-	st.writeInt(in.Dst, r&szMask(sz), sz)
+	st.Flags = code.SubFlags(a, b, r, bin, sz)
+	st.writeInt(in.Dst, r&code.SzMask(sz), sz)
 	return idx + 1, nil
 }
 
 func stepIMUL(st *State, in *code.Instr, ev *Event, addrMask uint64, idx int) (int, error) {
 	sz := in.Sz
-	a := st.Int[in.Src1] & szMask(sz)
+	a := st.Int[in.Src1] & code.SzMask(sz)
 	b := st.intOp2(in, ev, addrMask, sz)
-	r := (a * b) & szMask(sz)
+	r := (a * b) & code.SzMask(sz)
 	// x86 IMUL leaves ZF/SF undefined and sets CF/OF on overflow;
 	// nothing downstream consumes them in generated code.
-	st.setLogicFlags(r, sz)
+	st.Flags = code.LogicFlags(r, sz)
 	st.writeInt(in.Dst, r, sz)
 	return idx + 1, nil
 }
 
 func stepAND(st *State, in *code.Instr, ev *Event, addrMask uint64, idx int) (int, error) {
 	sz := in.Sz
-	a := st.Int[in.Src1] & szMask(sz)
+	a := st.Int[in.Src1] & code.SzMask(sz)
 	b := st.intOp2(in, ev, addrMask, sz)
 	r := a & b
-	st.setLogicFlags(r, sz)
+	st.Flags = code.LogicFlags(r, sz)
 	st.writeInt(in.Dst, r, sz)
 	return idx + 1, nil
 }
 
 func stepOR(st *State, in *code.Instr, ev *Event, addrMask uint64, idx int) (int, error) {
 	sz := in.Sz
-	a := st.Int[in.Src1] & szMask(sz)
+	a := st.Int[in.Src1] & code.SzMask(sz)
 	b := st.intOp2(in, ev, addrMask, sz)
 	r := a | b
-	st.setLogicFlags(r, sz)
+	st.Flags = code.LogicFlags(r, sz)
 	st.writeInt(in.Dst, r, sz)
 	return idx + 1, nil
 }
 
 func stepXOR(st *State, in *code.Instr, ev *Event, addrMask uint64, idx int) (int, error) {
 	sz := in.Sz
-	a := st.Int[in.Src1] & szMask(sz)
+	a := st.Int[in.Src1] & code.SzMask(sz)
 	b := st.intOp2(in, ev, addrMask, sz)
 	r := a ^ b
-	st.setLogicFlags(r, sz)
+	st.Flags = code.LogicFlags(r, sz)
 	st.writeInt(in.Dst, r, sz)
 	return idx + 1, nil
 }
 
 func stepSHL(st *State, in *code.Instr, ev *Event, addrMask uint64, idx int) (int, error) {
 	sz := in.Sz
-	a := st.Int[in.Src1] & szMask(sz)
-	r := (a << uint(in.Imm)) & szMask(sz)
-	st.setLogicFlags(r, sz)
+	a := st.Int[in.Src1] & code.SzMask(sz)
+	r := (a << uint(in.Imm)) & code.SzMask(sz)
+	st.Flags = code.LogicFlags(r, sz)
 	st.writeInt(in.Dst, r, sz)
 	return idx + 1, nil
 }
 
 func stepSHR(st *State, in *code.Instr, ev *Event, addrMask uint64, idx int) (int, error) {
 	sz := in.Sz
-	a := st.Int[in.Src1] & szMask(sz)
-	r := (a >> uint(in.Imm)) & szMask(sz)
-	st.setLogicFlags(r, sz)
+	a := st.Int[in.Src1] & code.SzMask(sz)
+	r := (a >> uint(in.Imm)) & code.SzMask(sz)
+	st.Flags = code.LogicFlags(r, sz)
 	st.writeInt(in.Dst, r, sz)
 	return idx + 1, nil
 }
 
 func stepSAR(st *State, in *code.Instr, ev *Event, addrMask uint64, idx int) (int, error) {
 	sz := in.Sz
-	a := st.Int[in.Src1] & szMask(sz)
+	a := st.Int[in.Src1] & code.SzMask(sz)
 	k := uint(in.Imm)
 	var r uint64
 	if sz == 4 {
@@ -250,31 +250,31 @@ func stepSAR(st *State, in *code.Instr, ev *Event, addrMask uint64, idx int) (in
 	} else {
 		r = uint64(int64(a) >> k)
 	}
-	r &= szMask(sz)
-	st.setLogicFlags(r, sz)
+	r &= code.SzMask(sz)
+	st.Flags = code.LogicFlags(r, sz)
 	st.writeInt(in.Dst, r, sz)
 	return idx + 1, nil
 }
 
 func stepCMP(st *State, in *code.Instr, ev *Event, addrMask uint64, idx int) (int, error) {
 	sz := in.Sz
-	a := st.Int[in.Src1] & szMask(sz)
+	a := st.Int[in.Src1] & code.SzMask(sz)
 	b := st.intOp2(in, ev, addrMask, sz)
-	st.setSubFlags(a, b, a-b, false, sz)
+	st.Flags = code.SubFlags(a, b, a-b, false, sz)
 	return idx + 1, nil
 }
 
 func stepTEST(st *State, in *code.Instr, ev *Event, addrMask uint64, idx int) (int, error) {
 	sz := in.Sz
-	a := st.Int[in.Src1] & szMask(sz)
+	a := st.Int[in.Src1] & code.SzMask(sz)
 	b := st.intOp2(in, ev, addrMask, sz)
-	st.setLogicFlags(a&b, sz)
+	st.Flags = code.LogicFlags(a&b, sz)
 	return idx + 1, nil
 }
 
 func stepSETCC(st *State, in *code.Instr, ev *Event, addrMask uint64, idx int) (int, error) {
 	var v uint64
-	if st.cond(in.CC) {
+	if st.Flags.Cond(in.CC) {
 		v = 1
 	}
 	st.writeInt(in.Dst, v, 4)
@@ -290,16 +290,16 @@ func stepCMOVCC(st *State, in *code.Instr, ev *Event, addrMask uint64, idx int) 
 		ev.MemAddr, ev.MemSz, ev.IsLoad = a, sz, true
 		v = st.Mem.Read(a, int(sz))
 	} else {
-		v = st.Int[in.Src1] & szMask(sz)
+		v = st.Int[in.Src1] & code.SzMask(sz)
 	}
-	if st.cond(in.CC) {
+	if st.Flags.Cond(in.CC) {
 		st.writeInt(in.Dst, v, sz)
 	}
 	return idx + 1, nil
 }
 
 func stepJCC(st *State, in *code.Instr, ev *Event, addrMask uint64, idx int) (int, error) {
-	if st.cond(in.CC) {
+	if st.Flags.Cond(in.CC) {
 		ev.Taken = true
 		return int(in.Target), nil
 	}
@@ -387,7 +387,7 @@ func stepFCMP(st *State, in *code.Instr, ev *Event, addrMask uint64, idx int) (i
 		x, y = f64of(st.FP[in.Src1][0]), f64of(st.FP[in.Src2][0])
 	}
 	// UCOMISS/SD: ZF = equal, CF = below; SF/OF cleared.
-	st.Flags = flags{zf: x == y, cf: x < y}
+	st.Flags = code.Flags{ZF: x == y, CF: x < y}
 	return idx + 1, nil
 }
 
@@ -498,19 +498,31 @@ const eventBatch = 256
 // so it must not read st, which runs ahead of the event it is handed, nor
 // expect opts.Interrupt to run after the events executed before the poll.
 func RunPredecoded(pd *Predecoded, st *State, opts RunOptions, consume func(*Event)) (ExecResult, error) {
-	if consume == nil {
-		return runBatched(pd, st, opts, make([]Event, 1), nil)
-	}
-	return runBatched(pd, st, opts, make([]Event, eventBatch), func(evs []Event) {
-		for i := range evs {
-			consume(&evs[i])
+	if jit := opts.JIT; jit != nil {
+		// The engine gets the caller's consumer as it is: with none, it
+		// runs its module that records no events. The inner options drop
+		// the runner, so neither its deoptimized steps nor the interpreter
+		// below after a bailout offer the execution again.
+		opts.JIT = nil
+		if res, ok, err := jit.RunJIT(pd, st, opts, consume); ok {
+			return res, err
 		}
-	})
+	}
+	sink := func([]Event) {}
+	if consume != nil {
+		sink = func(evs []Event) {
+			for i := range evs {
+				consume(&evs[i])
+			}
+		}
+	}
+	return runBatched(pd, st, opts, make([]Event, eventBatch), sink)
 }
 
-// offerJIT offers the execution to the native-code engine opts.JIT. If the
-// engine takes it, the events it streams reach sink through buf, flushed
-// before offerJIT returns, as runBatched delivers them. The inner options
+// offerJIT offers the execution to the native-code engine opts.JIT on the
+// profiler's path (RunPredecoded offers it the caller's consumer itself).
+// If the engine takes it, the events it streams reach sink through buf,
+// flushed before offerJIT returns, as runBatched delivers them. The inner options
 // drop the runner so deoptimized interpreter steps (and the
 // full-interpreter fallback on bailout) cannot recurse. It is a function
 // of its own because a closure in runBatched capturing the loop's pending
@@ -518,15 +530,12 @@ func RunPredecoded(pd *Predecoded, st *State, opts RunOptions, consume func(*Eve
 func offerJIT(pd *Predecoded, st *State, opts RunOptions, buf []Event, sink func([]Event)) (ExecResult, bool, error) {
 	inner := opts
 	inner.JIT = nil
-	var consume func(*Event)
 	pending := 0
-	if sink != nil {
-		consume = func(ev *Event) {
-			buf[pending] = *ev
-			if pending++; pending == len(buf) {
-				sink(buf)
-				pending = 0
-			}
+	consume := func(ev *Event) {
+		buf[pending] = *ev
+		if pending++; pending == len(buf) {
+			sink(buf)
+			pending = 0
 		}
 	}
 	res, ok, err := opts.JIT.RunJIT(pd, st, inner, consume)
@@ -540,9 +549,8 @@ func offerJIT(pd *Predecoded, st *State, opts RunOptions, buf []Event, sink func
 // buf and hands buf to sink whenever it fills; on every way out (RET, the
 // budget, an out-of-range PC, a failed step or decode, a failed Interrupt)
 // it first hands sink the pending events, so when it returns the consumer
-// has seen exactly the events executed. A nil sink delivers nothing and
-// reuses buf[0]. An execution opts.JIT takes reaches sink through the same
-// buffer.
+// has seen exactly the events executed. An execution opts.JIT takes
+// reaches sink through the same buffer.
 func runBatched(pd *Predecoded, st *State, opts RunOptions, buf []Event, sink func([]Event)) (ExecResult, error) {
 	if opts.JIT != nil {
 		if res, ok, err := offerJIT(pd, st, opts, buf, sink); ok {
@@ -614,9 +622,7 @@ func runBatched(pd *Predecoded, st *State, opts RunOptions, buf []Event, sink fu
 				res.Ret = ev.MemAddr // stashed return value
 				ev.MemAddr, ev.MemSz = 0, 0
 				ev.Taken = true
-				if sink != nil {
-					pending++
-				}
+				pending++
 				break
 			}
 		}
@@ -632,13 +638,11 @@ func runBatched(pd *Predecoded, st *State, opts RunOptions, buf []Event, sink fu
 		if ev.IsStore {
 			res.Stores++
 		}
-		if sink != nil {
-			if pending++; pending == len(buf) {
-				sink(buf)
-				pending = 0
-			}
-			ev = &buf[pending]
+		if pending++; pending == len(buf) {
+			sink(buf)
+			pending = 0
 		}
+		ev = &buf[pending]
 		idx = next
 	}
 	if pending > 0 {

@@ -77,16 +77,3 @@ func (pd *Predecoded) UopCount(i int) uint8 { return pd.nuops[i] }
 // handler; executing an instruction without one fails with
 // ErrUnimplementedOp on both paths.
 func (pd *Predecoded) Interpretable(i int) bool { return pd.step[i] != nil }
-
-// CondFlags returns the architectural condition flags (ZF, SF, OF, CF).
-// Exported for the JIT driver, which materializes flags outside State while
-// native code runs.
-func (st *State) CondFlags() (zf, sf, of, cf bool) {
-	f := st.Flags
-	return f.zf, f.sf, f.of, f.cf
-}
-
-// SetCondFlags replaces the architectural condition flags.
-func (st *State) SetCondFlags(zf, sf, of, cf bool) {
-	st.Flags = flags{zf: zf, sf: sf, of: of, cf: cf}
-}

@@ -163,18 +163,12 @@ func expand(in *code.Instr, ev *Event, buf []uopSpec) []uopSpec {
 			u.nsrcs++
 		}
 	}
-	fp := in.Op.IsFP()
 	mainDst := int16(-1)
 	if in.Dst != code.NoReg {
-		switch in.Op {
-		case code.ST, code.FST, code.VST, code.CMP, code.TEST, code.FCMP,
-			code.JCC, code.JMP, code.RET:
-		default:
-			if fp {
-				mainDst = depFP(in.Dst)
-			} else {
-				mainDst = depInt(in.Dst)
-			}
+		if in.Op.IsFP() {
+			mainDst = depFP(in.Dst)
+		} else if in.Op.IntDst() {
+			mainDst = depInt(in.Dst)
 		}
 	}
 
@@ -213,25 +207,15 @@ func expand(in *code.Instr, ev *Event, buf []uopSpec) []uopSpec {
 	}
 
 	// Register sources.
-	switch in.Op {
-	case code.CVTIF:
-		addSrc(&main, depInt(in.Src1))
-	case code.FST, code.VST, code.FMOV, code.FADD, code.FSUB, code.FMUL,
-		code.FDIV, code.FCMP, code.CVTFI, code.VADDF, code.VSUBF, code.VMULF,
-		code.VADDI, code.VSUBI, code.VMULI, code.VSPLAT, code.VRSUM:
-		if in.Src1 != code.NoReg {
-			addSrc(&main, depFP(in.Src1))
-		}
-		if in.Src2 != code.NoReg {
-			addSrc(&main, depFP(in.Src2))
-		}
-	default:
-		if in.Src1 != code.NoReg {
-			addSrc(&main, depInt(in.Src1))
-		}
-		if in.Src2 != code.NoReg {
-			addSrc(&main, depInt(in.Src2))
-		}
+	dep := depInt
+	if in.Op.FPSources() {
+		dep = depFP
+	}
+	if in.Src1 != code.NoReg {
+		addSrc(&main, dep(in.Src1))
+	}
+	if in.Src2 != code.NoReg {
+		addSrc(&main, dep(in.Src2))
 	}
 	if in.Op.ReadsFlags() {
 		addSrc(&main, depFlags)

@@ -432,5 +432,16 @@ func (alpha64Coder) DecodeInstr(buf []byte) (code.Instr, error) {
 
 func (alpha64Coder) Normalize(in *code.Instr) code.Instr { return Alpha64Normalize(in) }
 
+func (alpha64Coder) Boundaries(img []byte, compact bool) ([]int, error) {
+	if len(img)%alpha64WordLen != 0 {
+		return nil, fmt.Errorf("alpha64: %d-byte image is not a whole number of %d-byte words", len(img), alpha64WordLen)
+	}
+	b := make([]int, len(img)/alpha64WordLen)
+	for i := range b {
+		b[i] = alpha64WordLen * i
+	}
+	return b, nil
+}
+
 func (alpha64Coder) InstrLen(p *code.Program, i int) int { return alpha64WordLen }
 func (alpha64Coder) MaxLen() int                         { return alpha64WordLen }

@@ -27,6 +27,11 @@ type Coder interface {
 	InstrLen(p *code.Program, i int) int
 	// MaxLen bounds any encodable instruction's length.
 	MaxLen() int
+	// Boundaries returns the byte offset of every instruction start in a
+	// code image, found the way the target's fetch stage finds them: the
+	// ILD's instruction-marker scan on x86, the fixed stride on
+	// fixed-length targets.
+	Boundaries(img []byte, compact bool) ([]int, error)
 }
 
 // InstrDecoder is implemented by targets whose single decode step recovers
@@ -51,6 +56,13 @@ func (x86Coder) EncodeInstr(in *code.Instr, length int, compact bool) ([]byte, e
 }
 func (x86Coder) DecodeLength(buf []byte, compact bool) (int, error) {
 	return NewILD(compact).DecodeLength(buf)
+}
+func (x86Coder) Boundaries(img []byte, compact bool) ([]int, error) {
+	m, err := NewILD(compact).Mark(img)
+	if err != nil {
+		return nil, err
+	}
+	return m.Boundaries, nil
 }
 
 var (

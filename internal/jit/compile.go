@@ -4,7 +4,6 @@ package jit
 
 import (
 	"fmt"
-	"math"
 
 	"compisa/internal/code"
 	"compisa/internal/cpu"
@@ -49,17 +48,6 @@ type emitter struct {
 	static  []bool
 	width32 bool
 	events  bool // record event slots (false: tally counters only)
-}
-
-func szMaskOf(sz uint8) uint64 {
-	switch sz {
-	case 1:
-		return 0xff
-	case 4:
-		return math.MaxUint32
-	default:
-		return math.MaxUint64
-	}
 }
 
 func aluWidth(sz uint8) opsz {
@@ -436,7 +424,7 @@ func (e *emitter) storeSized(sz uint8, src gpr) {
 func (e *emitter) intOp2(i int, in *code.Instr) {
 	switch {
 	case in.HasImm:
-		e.a.movRI(rcx, uint64(in.Imm)&szMaskOf(in.Sz))
+		e.a.movRI(rcx, uint64(in.Imm)&code.SzMask(in.Sz))
 	case in.MemSrcALU():
 		e.emitEA(in.Mem)
 		e.translate(i)
@@ -461,7 +449,7 @@ func (e *emitter) ofD() int32 { return ctxOff.flags + 2 }
 func (e *emitter) cfD() int32 { return ctxOff.flags + 3 }
 
 // flagsHW captures the hardware flags of the last flag-setting op into the
-// guest flag bytes (matching setAddFlags/setSubFlags exactly, since those
+// guest flag bytes (matching code.AddFlags/SubFlags exactly, since those
 // replicate hardware formulas).
 func (e *emitter) flagsHW() {
 	e.a.setccM(hwE, rbp, e.zfD())
@@ -471,7 +459,7 @@ func (e *emitter) flagsHW() {
 }
 
 // logicFlags sets guest flags from the value in rax at width sz with
-// CF=OF=0 (the interpreter's setLogicFlags): a TEST refreshes ZF/SF and
+// CF=OF=0 (code.LogicFlags): a TEST refreshes ZF/SF and
 // clears CF/OF in one go.
 func (e *emitter) logicFlags(sz uint8) {
 	e.a.testRR(aluWidth(sz), rax, rax)
@@ -518,7 +506,7 @@ func (e *emitter) condToAL(cc code.CC) {
 		a.aluRM(opOR, sz8b, rax, rbp, e.zfD())
 		xor1()
 	default:
-		// Unknown condition: the interpreter's cond() returns false.
+		// Unknown condition: code.Flags.Cond returns false.
 		a.aluRR(opXOR, sz32, rax, rax)
 	}
 }
@@ -665,7 +653,7 @@ func (e *emitter) emitBody(i int, in *code.Instr) {
 
 	case code.MOV:
 		if in.HasImm {
-			a.movRI(rax, uint64(in.Imm)&szMaskOf(sz))
+			a.movRI(rax, uint64(in.Imm)&code.SzMask(sz))
 		} else {
 			e.loadInt(rax, in.Src1)
 			e.maskTo(sz, rax)
@@ -730,7 +718,7 @@ func (e *emitter) emitBody(i int, in *code.Instr) {
 		default:
 			a.aluRR(opXOR, w, rax, rcx)
 		}
-		// Logic ops clear hardware CF/OF, matching setLogicFlags.
+		// Logic ops clear hardware CF/OF, matching code.LogicFlags.
 		e.flagsHW()
 		e.writeIntResult(in.Dst, sz)
 
@@ -743,11 +731,11 @@ func (e *emitter) emitBody(i int, in *code.Instr) {
 		default:
 			// sz 1 and 4 both compute in 32 bits on zero-extended
 			// operands; the low sz bytes match the interpreter's
-			// (a*b)&szMask.
+			// (a*b)&code.SzMask.
 			a.imulRR(sz32, rax, rcx)
 		}
 		e.maskTo(sz, rax)
-		e.logicFlags(sz) // IMUL's real CF/OF differ; the oracle uses setLogicFlags
+		e.logicFlags(sz) // IMUL's real CF/OF differ; the oracle uses code.LogicFlags
 		e.writeIntResult(in.Dst, sz)
 
 	case code.SHL, code.SHR, code.SAR:

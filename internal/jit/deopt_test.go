@@ -45,7 +45,7 @@ func TestJITDeoptGuards(t *testing.T) {
 		check func(t *testing.T, before, after Snapshot, errJ error)
 	}{
 		{
-			// szMask(2) quirk: 16-bit ALU has no template, so every
+			// code.SzMask(2) quirk: 16-bit ALU has no template, so every
 			// iteration deopts through the unsupported-opcode guard and
 			// resumes natively.
 			name: "unsupported operand shape",

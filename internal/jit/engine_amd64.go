@@ -152,12 +152,12 @@ func b2u(b bool) byte {
 }
 
 func flagsToCtx(st *cpu.State, ctx *jitCtx) {
-	zf, sf, of, cf := st.CondFlags()
-	ctx.flags = [4]byte{b2u(zf), b2u(sf), b2u(of), b2u(cf)}
+	f := st.Flags
+	ctx.flags = [4]byte{b2u(f.ZF), b2u(f.SF), b2u(f.OF), b2u(f.CF)}
 }
 
 func flagsToState(ctx *jitCtx, st *cpu.State) {
-	st.SetCondFlags(ctx.flags[0] != 0, ctx.flags[1] != 0, ctx.flags[2] != 0, ctx.flags[3] != 0)
+	st.Flags = code.Flags{ZF: ctx.flags[0] != 0, SF: ctx.flags[1] != 0, OF: ctx.flags[2] != 0, CF: ctx.flags[3] != 0}
 }
 
 // compile ensures pd's module is resident, without executing anything. It

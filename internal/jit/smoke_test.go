@@ -107,10 +107,8 @@ func checkSame(t testing.TB, resI, resJ cpu.ExecResult, evI, evJ []cpu.Event, st
 	if stI.FP != stJ.FP {
 		t.Fatal("fp state mismatch")
 	}
-	zi, si, oi, ci := stI.CondFlags()
-	zj, sj, oj, cj := stJ.CondFlags()
-	if zi != zj || si != sj || oi != oj || ci != cj {
-		t.Fatalf("flag mismatch: interp %v%v%v%v, jit %v%v%v%v", zi, si, oi, ci, zj, sj, oj, cj)
+	if stI.Flags != stJ.Flags {
+		t.Fatalf("flag mismatch: interp %+v, jit %+v", stI.Flags, stJ.Flags)
 	}
 }
 

@@ -3,6 +3,7 @@ package migrate
 import (
 	"testing"
 
+	"compisa/internal/code"
 	"compisa/internal/compiler"
 	"compisa/internal/cpu"
 	"compisa/internal/isa"
@@ -52,6 +53,15 @@ func TestFuzzTranslateRandomPrograms(t *testing.T) {
 				trans, err := Translate(prog, dst)
 				if err != nil {
 					t.Fatalf("seed %d %s->%s: %v", seed, src.ShortName(), dst.ShortName(), err)
+				}
+				// lowerDepth writes a remapped register back only when the
+				// code table says the op writes it, so no translated op may
+				// carry a Dst it does not write.
+				for j := range trans.Instrs {
+					if in := &trans.Instrs[j]; in.Dst != code.NoReg && !in.Op.IntDst() && !in.Op.IsFP() {
+						t.Errorf("seed %d %s->%s: [%d] %s carries a Dst it does not write",
+							seed, src.ShortName(), dst.ShortName(), j, code.FormatInstr(in))
+					}
 				}
 				_, m2, err := r.Build(src.Width)
 				if err != nil {

@@ -177,7 +177,7 @@ func absMem(disp int32) code.Mem {
 }
 
 // scratchPicker selects architectural registers not referenced by an
-// instruction, lowest first, bounded by depth.
+// instruction, lowest first, strictly below depth.
 func scratchPicker(in *code.Instr, depth int) func() (code.Reg, error) {
 	used := map[code.Reg]bool{}
 	var regs []code.Reg

@@ -72,8 +72,9 @@ func (w *widener) instr(idx int) error {
 	in := w.p.Instrs[idx]
 	rw := w.rw
 	// FP-family and 32-bit instructions run unchanged; SSE scalar doubles
-	// (FLD/FST/FADD... with Sz 8) are legal on 32-bit cores.
-	if in.Sz != 8 || in.Op.IsFP() || in.Op == code.FST || in.Op == code.VST || in.Op == code.FCMP || in.Op == code.CVTFI {
+	// (FLD/FST/FADD... with Sz 8) are legal on 32-bit cores. An op whose
+	// destination or sources are FP registers sizes FP data.
+	if in.Sz != 8 || in.Op.IsFP() || in.Op.FPSources() {
 		rw.push(in)
 		return nil
 	}
@@ -481,9 +482,8 @@ func lowerDepth(p *code.Program, depth int) (*code.Program, error) {
 		if len(fpHigh) > 0 {
 			return nil, fmt.Errorf("lowerDepth %s[%d]: fp register above target file", p.Name, i)
 		}
-		pick := scratchPickerLow(&in, depth)
+		pick := scratchPicker(&in, depth)
 		sub := map[code.Reg]code.Reg{}
-		written := writesReg(&in)
 		var restores []func()
 		for k, h := range high {
 			s, err := pick()
@@ -502,8 +502,9 @@ func lowerDepth(p *code.Program, depth int) (*code.Program, error) {
 			ld.Dst = s
 			ld.HasMem, ld.Mem = true, absMem(ctxAddr(h))
 			rw.push(ld)
+			writesH := in.Op.IntDst() && in.Dst == h
 			restores = append(restores, func() {
-				if written == h {
+				if writesH {
 					st := ci(code.ST, uint8(p.FS.Width/8))
 					st.Src1 = s
 					st.HasMem, st.Mem = true, absMem(ctxAddr(h))
@@ -525,7 +526,7 @@ func lowerDepth(p *code.Program, depth int) (*code.Program, error) {
 		if out.Dst != code.NoReg && !out.Op.IsFP() {
 			out.Dst = remap(out.Dst)
 		}
-		if !srcIsFP(out.Op) {
+		if !out.Op.FPSources() {
 			if out.Src1 != code.NoReg {
 				out.Src1 = remap(out.Src1)
 			}
@@ -568,50 +569,4 @@ func lowerDepth(p *code.Program, depth int) (*code.Program, error) {
 		}
 	}
 	return rw.finish(fs, fmt.Sprintf("+d%d", depth))
-}
-
-// writesReg returns the integer register the instruction writes, or NoReg.
-func writesReg(in *code.Instr) code.Reg {
-	if in.Op.IsFP() {
-		return code.NoReg
-	}
-	switch in.Op {
-	case code.ST, code.FST, code.VST, code.CMP, code.TEST, code.JCC, code.JMP, code.RET, code.NOP:
-		return code.NoReg
-	}
-	return in.Dst
-}
-
-// srcIsFP reports whether Src1/Src2 are FP-class for the op.
-func srcIsFP(op code.Op) bool {
-	switch op {
-	case code.FST, code.VST, code.FMOV, code.FADD, code.FSUB, code.FMUL,
-		code.FDIV, code.FCMP, code.CVTFI, code.VADDF, code.VSUBF, code.VMULF,
-		code.VADDI, code.VSUBI, code.VMULI, code.VSPLAT, code.VRSUM:
-		return true
-	}
-	return false
-}
-
-// scratchPickerLow picks scratch registers strictly below depth, skipping
-// registers the instruction references.
-func scratchPickerLow(in *code.Instr, depth int) func() (code.Reg, error) {
-	used := map[code.Reg]bool{}
-	var regs []code.Reg
-	regs = in.IntRegs(regs)
-	for _, r := range regs {
-		used[r] = true
-	}
-	next := code.Reg(0)
-	return func() (code.Reg, error) {
-		for int(next) < depth {
-			r := next
-			next++
-			if !used[r] {
-				used[r] = true
-				return r, nil
-			}
-		}
-		return 0, fmt.Errorf("no low scratch register below depth %d", depth)
-	}
 }
