@@ -136,7 +136,10 @@ bench-e2e-smoke:
 
 # Every experiment at the default GOMAXPROCS and on one processor (a step of
 # bench-golden): the tables must be byte-identical, since the
-# DB's simulation tier is shared by parallel workers in any interleaving.
+# DB's simulation tier is shared by parallel workers in any interleaving,
+# and their SHA-256 must equal testdata/experiment-all.sha256, so an output
+# change both runs share fails too (a change that moves the tables on
+# purpose writes the new digest there).
 # Figure 15 run alone must also print exactly the tail of the full run: alone
 # it computes the Figure 14 costs itself, in the full run it reuses them.
 rerun-identical:
@@ -144,6 +147,11 @@ rerun-identical:
 	/tmp/compisa-bin/compose-explore -experiment all >/tmp/compisa-bin/all.out
 	GOMAXPROCS=1 /tmp/compisa-bin/compose-explore -experiment all >/tmp/compisa-bin/all.gomaxprocs1.out
 	cmp /tmp/compisa-bin/all.out /tmp/compisa-bin/all.gomaxprocs1.out
+	@got=$$(sha256sum </tmp/compisa-bin/all.out | cut -d' ' -f1); want=$$(cat testdata/experiment-all.sha256); \
+	if [ "$$got" != "$$want" ]; then \
+		echo "-experiment all stdout has SHA-256 $$got, testdata/experiment-all.sha256 holds $$want"; \
+		echo "(if the tables moved on purpose, write the new digest to testdata/experiment-all.sha256)"; exit 1; \
+	fi
 	/tmp/compisa-bin/compose-explore -experiment fig15 >/tmp/compisa-bin/fig15.out
 	tail -c $$(wc -c </tmp/compisa-bin/fig15.out) /tmp/compisa-bin/all.out | cmp - /tmp/compisa-bin/fig15.out
 

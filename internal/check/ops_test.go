@@ -35,6 +35,19 @@ func TestOpsModelMatchesCodeTable(t *testing.T) {
 	}
 }
 
+// TestFPDataMatchesOperandClasses pins the one "8-byte FP data" predicate
+// that Program.Validate and the width rule share to the operand classes:
+// an op sizes FP data exactly when it writes an FP register or reads FP
+// sources, VST (16 bytes, no 8-byte form) aside.
+func TestFPDataMatchesOperandClasses(t *testing.T) {
+	for o := 0; o < 256; o++ {
+		op := code.Op(o)
+		if got, want := op.FPData(), (op.IsFP() || op.FPSources()) && op != code.VST; got != want {
+			t.Errorf("%v: FPData %v, want IsFP || FPSources minus VST = %v", op, got, want)
+		}
+	}
+}
+
 // TestBranchVerdictMatchesExecution pins the contract between the constant
 // domain and the executor: when a flag-setting op with constant operands
 // feeds a JCC, the branch rule proves the branch always or never taken,

@@ -305,13 +305,7 @@ func checkWidth(a *analysis) []Finding {
 	var out []Finding
 	for i := range a.p.Instrs {
 		in := &a.p.Instrs[i]
-		if in.Sz != 8 || in.Op.IsFP() {
-			continue
-		}
-		switch in.Op {
-		case code.FST, code.FCMP, code.CVTFI:
-			// 8-byte scalar FP data is legal on 32-bit cores (SSE).
-		default:
+		if in.Sz == 8 && !in.Op.FPData() {
 			out = append(out, a.finding(RuleWidth, i, "64-bit integer operation on a 32-bit feature set"))
 		}
 	}

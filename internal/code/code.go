@@ -145,6 +145,19 @@ func (o Op) FPSources() bool {
 	return false
 }
 
+// FPData reports whether an 8-byte operand size on the op sizes FP data,
+// which 32-bit feature sets hold in SSE registers: the ops that write an
+// FP/SIMD register, and the scalar ops that read one as data (FST, FCMP,
+// CVTFI). VST moves 16 bytes and has no 8-byte form. An 8-byte size on any
+// other op is a 64-bit integer operation.
+func (o Op) FPData() bool {
+	switch o {
+	case FST, FCMP, CVTFI:
+		return true
+	}
+	return o.IsFP()
+}
+
 // IsVector reports whether the op is a 128-bit packed SSE operation.
 func (o Op) IsVector() bool { return o >= VLD }
 

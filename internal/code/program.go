@@ -192,14 +192,9 @@ func (p *Program) Validate() error {
 					p.Name, i, FormatInstr(in), r, fs.FPRegs())
 			}
 		}
-		if in.Sz == 8 && !in.Op.IsFP() && fs.Width == 32 {
-			switch in.Op {
-			case FST, FCMP, CVTFI:
-				// 8-byte FP scalar data is fine on 32-bit cores (SSE).
-			default:
-				return fmt.Errorf("%s[%d] %s: 64-bit integer operation on 32-bit feature set",
-					p.Name, i, FormatInstr(in))
-			}
+		if in.Sz == 8 && !in.Op.FPData() && fs.Width == 32 {
+			return fmt.Errorf("%s[%d] %s: 64-bit integer operation on 32-bit feature set",
+				p.Name, i, FormatInstr(in))
 		}
 		if in.MemSrcALU() && fs.Complexity == isa.MicroX86 {
 			return fmt.Errorf("%s[%d] %s: memory-operand ALU op under microx86",

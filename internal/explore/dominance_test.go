@@ -7,6 +7,7 @@ package explore
 import (
 	"context"
 	"math"
+	"math/rand"
 	"runtime"
 	"slices"
 	"strings"
@@ -220,11 +221,14 @@ func TestSearchDominanceRealSuite(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("objective %d, GOMAXPROCS=%d: %d passes, %d trials skipped, %d screened, %d scored",
-				obj, procs, n[i].passesRun, n[i].skipped, n[i].screened, n[i].exact)
+			t.Logf("objective %d, GOMAXPROCS=%d: %d passes, %d trials skipped, %d screened, %d scored, %d accepted",
+				obj, procs, n[i].passesRun, n[i].skipped, n[i].screened, n[i].exact, n[i].accepted)
 		}
 		if n[0].skipped == 0 {
 			t.Errorf("objective %d: no trial was skipped: the skip is vacuous", obj)
+		}
+		if obj == ObjMPThroughput && n[0].exact != n[0].accepted {
+			t.Errorf("objective %d: %d trials scored exactly, %d accepted: the screen passed ties", obj, n[0].exact, n[0].accepted)
 		}
 		if !sameCMP(got[0], got[1]) || n[0] != n[1] {
 			t.Errorf("objective %d: GOMAXPROCS=1 found %v (%v, %+v), GOMAXPROCS=4 %v (%v, %+v)",
@@ -237,6 +241,68 @@ func TestSearchDominanceRealSuite(t *testing.T) {
 		t.Logf("objective %d without the skip: %d screened, %d scored", obj, m.screened, m.exact)
 		if !sameCMP(got[0], want) {
 			t.Errorf("objective %d: skipping search found %v (%v), non-skipping %v (%v)", obj, got[0].Cores, got[0].Score, want.Cores, want.Score)
+		}
+	}
+}
+
+// TestSearchScreenRejectsTies: in a pool of two candidates with identical
+// values every trial ties its climb point. Such a tie clears the floor the
+// constant screenTol ceiling would set, but not the floor of the search's
+// own tolerance, so the search screens trials and scores none exactly.
+// Over the MP-throughput fixture searches whose tolerance is below the
+// 1e-12 acceptance epsilon, every exact score is an accepted trial.
+func TestSearchScreenRejectsTies(t *testing.T) {
+	ctx := context.Background()
+	regions := workload.Regions()
+	si := newSuiteIndex(regions)
+	choices := CompositeChoices()
+	a := scaledCandidate(randomCandidate(rand.New(rand.NewSource(3)), len(regions), false), 0.5, 1)
+	twin := scaledCandidate(a, 1, 1.2)
+	a.DP.ISA, twin.DP.ISA = choices[0], choices[1]
+	spec := SearchSpec{Candidates: []*Candidate{a, twin}, Objective: ObjMPThroughput}
+	tol, ok := si.screenSound(spec.Candidates, false)
+	if !ok {
+		t.Fatal("the twins' search is not screened")
+	}
+	cur := [4]*Candidate{a, a, twin, twin}
+	score := si.scoreMP(&cur, false)
+	rest := make([][4]float64, len(si.steps))
+	for slot := range cur {
+		si.restTable(&cur, slot, false, rest)
+		for _, c := range spec.Candidates {
+			trial := cur
+			trial[slot] = c
+			if s := si.scoreMP(&trial, false); math.Float64bits(s) != math.Float64bits(score) {
+				t.Fatalf("slot %d: trial scores %v, climb point %v: not a tie", slot, s, score)
+			}
+			screen := si.screenMP(c, false, rest)
+			if !(screen > score+1e-12-screenTol) || screen > score+1e-12-tol {
+				t.Errorf("slot %d: tie screens %v against floors %v (screenTol) and %v (tolerance %g)",
+					slot, screen, score+1e-12-screenTol, score+1e-12-tol, tol)
+			}
+		}
+	}
+	_, n, err := searchCounted(ctx, spec, si, newFrontMemo())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.screened == 0 || n.exact != 0 || n.accepted != 0 {
+		t.Errorf("twins: %d screened, %d scored, %d accepted; want ties screened and none scored", n.screened, n.exact, n.accepted)
+	}
+
+	cands := searchFixtureCands(len(regions))
+	for _, tc := range searchFixtureCases(cands) {
+		tol, ok := si.screenSound(tc.spec.Candidates, false)
+		if tc.spec.Objective != ObjMPThroughput || tc.spec.Homogeneous || !ok || tol >= 1e-12 {
+			continue
+		}
+		_, n, err := searchCounted(ctx, tc.spec, si, newFrontMemo())
+		if err != nil {
+			t.Fatalf("%s: %v", tc.key, err)
+		}
+		t.Logf("%s: tolerance %g, %d screened, %d scored, %d accepted", tc.key, tol, n.screened, n.exact, n.accepted)
+		if n.screened == 0 || n.exact != n.accepted {
+			t.Errorf("%s: %d trials scored exactly, %d accepted", tc.key, n.exact, n.accepted)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -342,10 +343,11 @@ func TestScoreMPMatchesReference(t *testing.T) {
 }
 
 // TestScreenSoundness: the screen is within rounding of the exact score —
-// at least 1000x below screenTol — and the O(1) bound is at least the
-// screen, within the derived rounding term. Neither ever discards a trial
-// the exact acceptance test would take, even one that clears it by the
-// least representable margin.
+// at least 100x below the tolerance screenSound returns — and the O(1)
+// bound is at least the screen, within the derived rounding term. Neither
+// ever discards a trial the exact acceptance test would take, even one that
+// clears it by the least representable margin, and on throughput values
+// the screen rejects every exact tie.
 func TestScreenSoundness(t *testing.T) {
 	regions := workload.Regions()
 	si := newSuiteIndex(regions)
@@ -358,9 +360,9 @@ func TestScreenSoundness(t *testing.T) {
 		pool = append(pool, randomCandidate(rng, n, i%4 == 0))
 	}
 	rest := make([][4]float64, len(si.steps))
-	maxErr, maxOver := 0.0, 0.0
 	for _, edp := range []bool{false, true} {
-		if !si.screenSound(pool, edp) {
+		tol, ok := si.screenSound(pool, edp)
+		if !ok {
 			t.Fatalf("edp=%v: screen must be sound for bounded finite values", edp)
 		}
 		vmax := 0.0
@@ -370,12 +372,17 @@ func TestScreenSoundness(t *testing.T) {
 				vmax = math.Max(vmax, math.Abs(v))
 			}
 		}
+		if want := 2 * (2*steps + 8) * u * (vmax + 1e-12); tol != want {
+			t.Fatalf("edp=%v: tolerance %g, want 2·(2n+8)·u·(V+1e-12) = %g", edp, tol, want)
+		}
 		// Screen and bound are each within (n+4)·u·V of their real values,
 		// and the real bound is at least the real screen.
 		slack := 2 * (steps + 4) * u * vmax
+		maxErr, maxOver := 0.0, 0.0
 		for trial := 0; trial < 8; trial++ {
 			cur := [4]*Candidate{pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))],
 				pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]}
+			curScore := si.scoreMP(&cur, edp)
 			for slot := 0; slot < 4; slot++ {
 				restMax := si.restTable(&cur, slot, edp, rest)
 				for _, c := range pool {
@@ -394,49 +401,71 @@ func TestScreenSoundness(t *testing.T) {
 					for !(exact > best+1e-12) {
 						best = math.Nextafter(best, math.Inf(-1))
 					}
-					if !(screen > best+1e-12-screenTol) {
-						t.Fatalf("screen %v discards a trial scoring %v over incumbent %v", screen, exact, best)
+					if !(screen > best+1e-12-tol) {
+						t.Fatalf("edp=%v: screen %v discards a trial scoring %v over incumbent %v", edp, screen, exact, best)
 					}
-					if !(bound > best+1e-12-screenTol) {
-						t.Fatalf("bound %v discards a trial scoring %v over incumbent %v", bound, exact, best)
+					if !(bound > best+1e-12-tol) {
+						t.Fatalf("edp=%v: bound %v discards a trial scoring %v over incumbent %v", edp, bound, exact, best)
 					}
+				}
+				// The trial that keeps the slot's core ties the climb point.
+				if screen := si.screenMP(cur[slot], edp, rest); !edp && screen > curScore+1e-12-tol {
+					t.Errorf("screen %v passes the exact tie at %v (floor %v)", screen, curScore, curScore+1e-12-tol)
 				}
 			}
 		}
+		if maxErr*100 > tol {
+			t.Errorf("edp=%v: max |screen - exact| = %g, want <= tol/100 = %g", edp, maxErr, tol/100)
+		}
+		t.Logf("edp=%v: tol %g, max |screen - exact| = %g, max screen - bound = %g over %d steps",
+			edp, tol, maxErr, maxOver, len(si.steps))
 	}
-	if maxErr*1000 > screenTol {
-		t.Errorf("max |screen - exact| = %g, want <= screenTol/1000 = %g", maxErr, screenTol/1000)
-	}
-	t.Logf("max |screen - exact| = %g, max screen - bound = %g over %d steps", maxErr, maxOver, len(si.steps))
 
 	// Non-finite or huge values disable screening.
 	bad := randomCandidate(rng, n, false)
 	for _, v := range []float64{math.NaN(), math.Inf(1), 1e300} {
 		bad.Speedup[3], bad.NormEDP[3] = v, v
 		for _, edp := range []bool{false, true} {
-			if si.screenSound([]*Candidate{pool[0], bad}, edp) {
+			if _, ok := si.screenSound([]*Candidate{pool[0], bad}, edp); ok {
 				t.Errorf("value %v (edp=%v) must disable screening", v, edp)
 			}
 		}
 	}
-	// screenSound admits exactly the values for which screen and bound each
-	// stay within half of screenTol of the exact score, 4·(n+4)·u·V ≤
-	// screenTol, so it rejects every range where the bound's own rounding,
-	// (n+3)·u·V, reaches screenTol.
-	vcrit := screenTol / (4 * (steps + 4) * u)
+	// screenSound admits exactly the values whose tolerance stays within
+	// the screenTol ceiling, 2·(2n+8)·u·(V+1e-12) ≤ screenTol, so it rejects
+	// every range where the bound's own rounding, (n+3)·u·V, reaches
+	// screenTol; the tolerance it returns does not fall as V grows, and a
+	// suite of zeros still gets one above the floor's rounding.
+	vcrit := screenTol/(2*(2*steps+8)*u) - 1e-12
+	zero, probe := fakeCandidate(n, 0, 0, 1, 1), fakeCandidate(n, 0, 0, 1, 1)
+	prev := -1.0
 	for _, tc := range []struct {
 		v    float64
 		want bool
 	}{
+		{0, true},
+		{1e-300, true},
+		{1, true},
 		{0.99 * vcrit, true},
 		{1.01 * vcrit, false},
 		{screenTol / ((steps + 3) * u), false},
 	} {
-		bad.Speedup[3], bad.NormEDP[3] = tc.v, tc.v
+		probe.Speedup[3], probe.NormEDP[3] = tc.v, tc.v
+		cs := []*Candidate{zero, probe}
 		for _, edp := range []bool{false, true} {
-			if got := si.screenSound([]*Candidate{pool[0], bad}, edp); got != tc.want {
-				t.Errorf("value %g (edp=%v): screenSound = %v, want %v", tc.v, edp, got, tc.want)
+			tol, ok := si.screenSound(cs, edp)
+			if ok != tc.want {
+				t.Errorf("value %g (edp=%v): screenSound = %v, want %v", tc.v, edp, ok, tc.want)
 			}
+			if ok && !(tol >= prev) {
+				t.Errorf("value %g (edp=%v): tolerance %g below the previous case's %g", tc.v, edp, tol, prev)
+			}
+			if ok && !(tol >= 2*u*1e-12) {
+				t.Errorf("value %g (edp=%v): tolerance %g below the floor's rounding %g", tc.v, edp, tol, 2*u*1e-12)
+			}
+		}
+		if tol, ok := si.screenSound(cs, false); ok {
+			prev = tol
 		}
 	}
 }
@@ -549,6 +578,48 @@ func TestSortFuncMatchesSortSlice(t *testing.T) {
 	}
 }
 
+// TestInsertTopMatchesStableSort: prune's region-specialist selection keeps
+// exactly the head of a stable descending sort, on tie-heavy keys (both
+// zeros and both infinities among them) and on continuous ones.
+func TestInsertTopMatchesStableSort(t *testing.T) {
+	levels := []float64{1, 0.5, 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1)}
+	lengths := []int{0, 1, 2, 3, 4, 5, 11, 49, 200, 777}
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		for _, n := range lengths {
+			ks := make([]keyed, n)
+			for i := range ks {
+				k := rng.Float64()
+				if seed%2 == 0 {
+					k = levels[rng.Intn(len(levels))]
+				}
+				ks[i] = keyed{&Candidate{}, k}
+			}
+			var top [3]keyed
+			m := 0
+			for _, k := range ks {
+				m = insertTop(&top, m, k)
+			}
+			want := slices.Clone(ks)
+			sort.SliceStable(want, func(i, j int) bool { return want[i].k > want[j].k })
+			if m != min(n, len(top)) {
+				t.Fatalf("seed %d, n=%d: %d kept, want %d", seed, n, m, min(n, len(top)))
+			}
+			for i := range m {
+				if top[i].c != want[i].c {
+					t.Fatalf("seed %d, n=%d: entry %d differs from the stable sort's", seed, n, i)
+				}
+			}
+		}
+	}
+}
+
+// screenOK is si.screenSound's verdict alone.
+func screenOK(si *suiteIndex, cs []*Candidate, edp bool) bool {
+	_, ok := si.screenSound(cs, edp)
+	return ok
+}
+
 // TestSearchScreenedMatchesExact runs small synthetic searches for every
 // objective, two at a time, so concurrent climbs share the step table
 // while each uses its own rest-table scratch (make race covers it). A
@@ -575,7 +646,7 @@ func TestSearchScreenedMatchesExact(t *testing.T) {
 		exactSpec := spec
 		exactSpec.Candidates = append(append([]*Candidate{}, cands...), poison)
 		if si := newSuiteIndex(regions); !obj.SingleThread() &&
-			(!si.screenSound(spec.Candidates, obj == ObjMPEDP) || si.screenSound(exactSpec.Candidates, obj == ObjMPEDP)) {
+			(!screenOK(si, spec.Candidates, obj == ObjMPEDP) || screenOK(si, exactSpec.Candidates, obj == ObjMPEDP)) {
 			t.Fatal("the poison candidate must be what turns screening off")
 		}
 		var got [2]CMP

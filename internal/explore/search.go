@@ -80,7 +80,8 @@ func (c CMP) TotalArea() float64 {
 }
 
 // suiteIndex caches the benchmark/region structure used by the schedulers.
-// It is immutable after construction, so concurrent climbs share it.
+// Apart from its scratch pool it is immutable after construction, so
+// concurrent climbs share it.
 type suiteIndex struct {
 	benchRegions [][]int     // per benchmark: flattened region indices
 	weights      [][]float64 // per benchmark: region weights
@@ -96,6 +97,30 @@ type suiteIndex struct {
 	// makes scoreSTSlot monotone in the slot's values: single-thread passes
 	// skip dominated trials (see dominators) only then.
 	stSkip bool
+	// scratch holds *climbScratch buffers of this suite's shape, reused by
+	// climbs and scoreST instead of allocated per call.
+	scratch sync.Pool
+}
+
+// climbScratch is the scratch of one climb or scoreST call: the rest table
+// of screened passes (nil until a screened climb takes it) and the
+// rest-best of single-thread ones.
+type climbScratch struct {
+	rest     [][4]float64
+	restBest []float64
+}
+
+// getScratch takes a climbScratch from the pool, or makes one, with a rest
+// table when rest is set; the caller puts it back when done.
+func (si *suiteIndex) getScratch(rest bool) *climbScratch {
+	sc, _ := si.scratch.Get().(*climbScratch)
+	if sc == nil {
+		sc = &climbScratch{restBest: make([]float64, si.nRegions)}
+	}
+	if rest && sc.rest == nil {
+		sc.rest = make([][4]float64, len(si.steps))
+	}
+	return sc
 }
 
 func newSuiteIndex(regions []workload.Region) *suiteIndex {
@@ -243,18 +268,19 @@ func (si *suiteIndex) scoreMP(cores *[4]*Candidate, edp bool) float64 {
 	return total / float64(len(si.steps))
 }
 
-// screenTol bounds how far screenMP, and the O(1) bound ahead of it, may
-// fall below scoreMP. Let V bound |value| over the cores and n =
-// len(steps), with unit roundoff u = 2^-53. Per step, both screen and
-// exact take the maximum over the same 24 real four-term sums, each
-// computed by recursive summation (the screen as ((x+y)+z)+w over rest's
-// three terms and the candidate's), so each computed sum is within γ3·4V
-// of its real value and the two maxima differ by at most 8γ3·V; after the
-// exact /4 (the screen scales its total instead, which rounds
-// identically), 2γ3·V. Accumulating n such terms errs by at most
-// γ(n-1)·nV on each side, and the final /n adds a relative u to each.
-// Altogether each side is within (n+4)·u·V of its real value, and
-// |screen − exact| ≤ (2n+8)·u·V.
+// screenTol caps the tolerance screenSound proves for a search: how far
+// screenMP, and the O(1) bound ahead of it, may fall below scoreMP, plus
+// the rounding of the floor they are compared with. Let V bound |value|
+// over the cores and n = len(steps), with unit roundoff u = 2^-53. Per
+// step, both screen and exact take the maximum over the same 24 real
+// four-term sums, each computed by recursive summation (the screen as
+// ((x+y)+z)+w over rest's three terms and the candidate's), so each
+// computed sum is within γ3·4V of its real value and the two maxima differ
+// by at most 8γ3·V; after the exact /4 (the screen scales its total
+// instead, which rounds identically), 2γ3·V. Accumulating n such terms
+// errs by at most γ(n-1)·nV on each side, and the final /n adds a relative
+// u to each. Altogether each side is within (n+4)·u·V of its real value,
+// and |screen − exact| ≤ (2n+8)·u·V.
 //
 // The bound: per step, max_th(v[th] + rest[th]) ≤ max_th v[th] + max_th
 // rest[th], so (R + stepMax)/4n is at least the real exact score, where
@@ -266,38 +292,40 @@ func (si *suiteIndex) scoreMP(cores *[4]*Candidate, edp bool) float64 {
 // (n+3)·u·V, inside the same (n+4)·u·V per side, so the computed bound
 // too is at least exact − (2n+8)·u·V.
 //
-// Setting the rejection threshold screenTol below the exact acceptance
-// threshold therefore never discards an accepted trial, by bound or by
-// screen, as long as twice (2n+8)·u·V stays below screenTol (the other
-// half absorbs the rounding of the threshold itself); screenSound checks
-// this per search. On the suite (n = 520 steps, speedups below 2,
-// normalized EDPs below 130) (2n+8)·u·V is at most 2.4e-13 for throughput
-// and 1.5e-11 for EDP, and the bound's own term at most 1.2e-13 and
-// 7.6e-12, all well inside 1e-9.
+// A climb rejects a trial, by bound or by screen, at or below the floor
+// (best + 1e-12) − tol, with tol = 2·(2n+8)·u·(V + 1e-12). One half of tol
+// covers the error above. The other half covers the floor's own rounding:
+// |best| ≤ V, so the floor rounds by at most u·(V + 1e-12 + tol), and by at
+// most one subnormal spacing per operation where values are tiny. So
+// neither ever discards a trial the exact test s > best + 1e-12 accepts.
+// An exact tie, s = best, screens within (2n+8)·u·V of best, below a floor
+// that sits 1e-12 − tol above it whenever tol < 1e-12 − (2n+8)·u·V: on the
+// suite (n = 520 steps, speedups below 2, normalized EDPs below 130) tol
+// is at most 4.7e-13 for throughput, whose ties therefore never reach the
+// exact scorer, and 3.0e-11 for EDP, whose ties still do.
 const screenTol = 1e-9
 
-// screenSound reports whether screening is exact enough for a search over
-// cs: every value finite and the screenTol bound met for both the screen
-// and the O(1) bound. Otherwise the search scores every trial exactly.
-func (si *suiteIndex) screenSound(cs []*Candidate, edp bool) bool {
+// screenSound returns the tolerance tol (see screenTol) of a search over
+// cs, and whether screening is exact enough for it: every value finite and
+// tol within screenTol, which also keeps every sum far from overflow.
+// Otherwise the search scores every trial exactly.
+func (si *suiteIndex) screenSound(cs []*Candidate, edp bool) (tol float64, ok bool) {
 	if len(si.steps) == 0 {
-		return false
+		return 0, false
 	}
 	vmax := 0.0
 	for _, c := range cs {
 		vals, _ := mpValues(c, edp)
 		for _, v := range vals {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return false
+				return 0, false
 			}
 			vmax = math.Max(vmax, math.Abs(v))
 		}
 	}
 	const u = 0x1p-53
-	// scoreMP, screenMP and the bound are each within side of their real
-	// values, so screen and bound are each within 2·side of the exact score.
-	side := (float64(len(si.steps)) + 4) * u * vmax
-	return 2*(2*side) <= screenTol
+	tol = 2 * (2*float64(len(si.steps)) + 8) * u * (vmax + 1e-12)
+	return tol, tol <= screenTol
 }
 
 // otherThreads lists, per thread, the three other threads.
@@ -404,9 +432,10 @@ func (si *suiteIndex) screenMP(c *Candidate, edp bool, rest [][4]float64) float6
 // scorer with cores 0-2 as the rest and core 3 in the slot, which compares
 // the four cores in exactly the order of a walk over all of them.
 func (si *suiteIndex) scoreST(cores *[4]*Candidate, edp bool) float64 {
-	restBest := make([]float64, si.nRegions)
-	si.stRestBest(cores, 3, edp, restBest)
-	return si.scoreSTSlot(cores[3], edp, restBest)
+	sc := si.getScratch(false)
+	defer si.scratch.Put(sc)
+	si.stRestBest(cores, 3, edp, sc.restBest)
+	return si.scoreSTSlot(cores[3], edp, sc.restBest)
 }
 
 // stRestBest fills restBest[r] with the best single-thread value at region
@@ -648,45 +677,23 @@ func prune(ctx context.Context, filtered []*Candidate, edp bool, maxCands int) (
 			perISAEff[k]++
 		}
 	}
-	// Region specialists: best 3 per region per criterion. The regions are
-	// sorted on the par pool, each worker taking every w-th region with one
-	// scratch; every sort starts from ok's order and the kept set is a
-	// union, so it does not depend on the schedule.
-	nRegions := len(ok[0].Speedup)
-	w := min(par.DefaultLimit(), nRegions)
-	tops := make([][3]*Candidate, nRegions)
-	err := par.ForEach(ctx, w, 0, func(t int) error {
-		per := make([]keyed, len(ok))
-		for r := t; r < nRegions; r += w {
-			// par checks ctx before the task's first region, so each
-			// region is checked once.
-			if r != t {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			for i, c := range ok {
-				v := c.Speedup[r]
-				if edp {
-					v = -c.NormEDP[r]
-				}
-				per[i] = keyed{c, v}
-			}
-			sortKeyedDesc(per)
-			for i := 0; i < len(tops[r]) && i < len(per); i++ {
-				tops[r][i] = per[i].c
-			}
+	// Region specialists: the best 3 per region, ties going to the earlier
+	// candidate in ok's order, by one linear selection per region.
+	for r := range len(ok[0].Speedup) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, top := range tops {
-		for _, c := range top {
-			if c != nil {
-				keep[c] = true
+		var top [3]keyed
+		n := 0
+		for _, c := range ok {
+			v := c.Speedup[r]
+			if edp {
+				v = -c.NormEDP[r]
 			}
+			n = insertTop(&top, n, keyed{c, v})
+		}
+		for _, t := range top[:n] {
+			keep[t.c] = true
 		}
 	}
 	// The union of the utility head, the specialists, and the small cores
@@ -805,6 +812,12 @@ type soundKey struct {
 	edp bool
 }
 
+// soundVerdict is screenSound's result for one candidate slice and edp.
+type soundVerdict struct {
+	tol float64
+	ok  bool
+}
+
 // frontMemo holds the fronts, and the screenSound verdicts, of the
 // searches run over one suite. A front is stored only once fully built, so
 // a search cancelled while building one leaves nothing behind. Its size is
@@ -813,7 +826,7 @@ type soundKey struct {
 type frontMemo struct {
 	mu     sync.Mutex
 	fronts map[frontKey][]*front
-	sound  par.Memo[soundKey, bool]
+	sound  par.Memo[soundKey, soundVerdict]
 	hits   atomic.Int64 // fronts returned by an earlier search's build
 }
 
@@ -860,12 +873,15 @@ func (m *frontMemo) front(ctx context.Context, ok []*Candidate, edp bool, maxCan
 // screenSound is si.screenSound(cs, edp), computed once per non-empty
 // candidate slice and edp. Candidate slices are never modified once built,
 // and the key's pointer into cs keeps its backing array from being reused.
-// A caller whose ctx ends while it waits gets false: its search is being
-// cut short anyway.
-func (m *frontMemo) screenSound(ctx context.Context, si *suiteIndex, cs []*Candidate, edp bool) bool {
+// A caller whose ctx ends while it waits gets ok = false: its search is
+// being cut short anyway.
+func (m *frontMemo) screenSound(ctx context.Context, si *suiteIndex, cs []*Candidate, edp bool) (tol float64, ok bool) {
 	k := soundKey{cs: &cs[0], n: len(cs), edp: edp}
-	v, _, err := m.sound.Do(ctx, k, func() (bool, error) { return si.screenSound(cs, edp), nil })
-	return err == nil && v
+	v, _, err := m.sound.Do(ctx, k, func() (soundVerdict, error) {
+		tol, ok := si.screenSound(cs, edp)
+		return soundVerdict{tol, ok}, nil
+	})
+	return v.tol, err == nil && v.ok
 }
 
 // descending is a slices.SortFunc comparison that orders a before b iff
@@ -890,6 +906,26 @@ type keyed struct {
 // sort.Slice with ks[i].k > ks[j].k (see descending), ties included.
 func sortKeyedDesc(ks []keyed) {
 	slices.SortFunc(ks, func(a, b keyed) int { return descending(a.k, b.k) })
+}
+
+// insertTop adds k to top[:n], the best entries seen so far in descending
+// key order, and returns the new count. k goes after every entry whose key
+// it does not exceed, so top[:n] stays the head of a stable descending sort
+// of the entries seen, ties in the order they were seen.
+func insertTop(top *[3]keyed, n int, k keyed) int {
+	i := n
+	for i > 0 && k.k > top[i-1].k {
+		i--
+	}
+	if i == len(top) {
+		return n
+	}
+	if n < len(top) {
+		n++
+	}
+	copy(top[i+1:n], top[i:n-1])
+	top[i] = k
+	return n
 }
 
 // sortByKeyDesc sorts cs by descending key, computing each candidate's key
@@ -920,9 +956,10 @@ type climbPool struct {
 // passKey identifies one slot pass of a climb: the climb point's ordered
 // cores and the bits of its score, the slot, and the pool. The pass's
 // result is a pure function of the key: its acceptance floor is the score
-// (plus the fixed epsilon and screenTol), its rest table or rest-best is
-// built from the cores, and it walks the pool in a fixed order. With the
-// score in the key this holds whatever path scored the climb point.
+// (plus the fixed epsilon, less the search's tolerance), its rest table or
+// rest-best is built from the cores, and it walks the pool in a fixed
+// order. With the score in the key this holds whatever path scored the
+// climb point.
 type passKey struct {
 	cores [4]*Candidate
 	score uint64
@@ -942,11 +979,11 @@ func Search(ctx context.Context, spec SearchSpec, regions []workload.Region) (CM
 
 // searchCounts is the work of one search's climbs: the slot passes they
 // scanned and took from the pass memo, and, over the scanned passes, the
-// feasible trials skipped as dominated, screened (screenMP) and scored
-// exactly (scoreMP or scoreSTSlot).
+// feasible trials skipped as dominated, screened (screenMP), scored exactly
+// (scoreMP or scoreSTSlot) and accepted.
 type searchCounts struct {
-	passesRun, passesReused  int64
-	skipped, screened, exact int64
+	passesRun, passesReused            int64
+	skipped, screened, exact, accepted int64
 }
 
 // searchCounted is Search over the suite si, taking the search's front from
@@ -1082,9 +1119,14 @@ func searchCounted(ctx context.Context, spec SearchSpec, si *suiteIndex, fronts 
 	// skip it when it is dominated (see scan), then reject it on the screen
 	// against the rest table of its (climb point, slot), and score exactly
 	// only the trials that could clear the acceptance test (see
-	// screenTol). Single-thread climbs skip dominated trials and score the
-	// others against the best of the other three cores per region.
-	screen := !st && fronts.screenSound(ctx, si, spec.Candidates, edp)
+	// screenTol) at the search's tolerance tol. Single-thread climbs skip
+	// dominated trials and score the others against the best of the other
+	// three cores per region.
+	var tol float64
+	screen := false
+	if !st {
+		tol, screen = fronts.screenSound(ctx, si, spec.Candidates, edp)
+	}
 	pool := &climbPool{cands: cands}
 	if screen {
 		if pool.stepMax, err = fr.stepMaxes(ctx, si); err != nil {
@@ -1100,15 +1142,15 @@ func searchCounted(ctx context.Context, spec SearchSpec, si *suiteIndex, fronts 
 	// scan runs one slot pass from cur over pool, using the caller's
 	// scratch, and returns the climb point it ends on and the pass's trial
 	// counts, or ctx's error when ctx cut it short.
-	scan := func(cur CMP, slot int, pool *climbPool, rest [][4]float64, restBest []float64) (CMP, searchCounts, error) {
+	scan := func(cur CMP, slot int, pool *climbPool, sc *climbScratch) (CMP, searchCounts, error) {
 		best := cur
 		var n searchCounts
 		var restMax float64
 		switch {
 		case screen:
-			restMax = si.restTable(&cur.Cores, slot, edp, rest)
+			restMax = si.restTable(&cur.Cores, slot, edp, sc.rest)
 		case st:
-			si.stRestBest(&cur.Cores, slot, edp, restBest)
+			si.stRestBest(&cur.Cores, slot, edp, sc.restBest)
 		}
 		// Dominance skip: trial j is never accepted when an earlier pool
 		// entry k = dom[j], whose values are at least j's at every region,
@@ -1136,7 +1178,7 @@ func searchCounted(ctx context.Context, spec SearchSpec, si *suiteIndex, fronts 
 			var s float64
 			switch {
 			case screen:
-				floor := best.Score + 1e-12 - screenTol
+				floor := best.Score + 1e-12 - tol
 				if si.mpBound(restMax, pool.stepMax[j]) <= floor {
 					continue
 				}
@@ -1145,7 +1187,7 @@ func searchCounted(ctx context.Context, spec SearchSpec, si *suiteIndex, fronts 
 					continue
 				}
 				n.screened++
-				if si.screenMP(c, edp, rest) <= floor {
+				if si.screenMP(c, edp, sc.rest) <= floor {
 					continue
 				}
 				n.exact++
@@ -1156,12 +1198,13 @@ func searchCounted(ctx context.Context, spec SearchSpec, si *suiteIndex, fronts 
 					continue
 				}
 				n.exact++
-				s = si.scoreSTSlot(c, edp, restBest)
+				s = si.scoreSTSlot(c, edp, sc.restBest)
 			default:
 				n.exact++
 				s = si.scoreMP(&trial, edp)
 			}
 			if s > best.Score+1e-12 {
+				n.accepted++
 				best = CMP{Cores: trial, Score: s}
 			}
 		}
@@ -1178,27 +1221,22 @@ func searchCounted(ctx context.Context, spec SearchSpec, si *suiteIndex, fronts 
 	var counts searchCounts
 	climb := func(seed CMP, pool *climbPool) CMP {
 		best := seed
-		var rest [][4]float64
-		var restBest []float64
-		switch {
-		case screen:
-			rest = make([][4]float64, len(si.steps))
-		case st:
-			restBest = make([]float64, si.nRegions)
-		}
+		sc := si.getScratch(screen)
+		defer si.scratch.Put(sc)
 		for iter := 0; iter < 12; iter++ {
 			improved := false
 			for slot := 0; slot < 4; slot++ {
 				cur := best
 				k := passKey{cores: cur.Cores, score: math.Float64bits(cur.Score), slot: slot, pool: pool}
 				end, shared, err := passes.Do(ctx, k, func() (CMP, error) {
-					end, n, err := scan(cur, slot, pool, rest, restBest)
+					end, n, err := scan(cur, slot, pool, sc)
 					if err == nil {
 						mu.Lock()
 						counts.passesRun++
 						counts.skipped += n.skipped
 						counts.screened += n.screened
 						counts.exact += n.exact
+						counts.accepted += n.accepted
 						mu.Unlock()
 					}
 					return end, err

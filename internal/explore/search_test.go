@@ -265,13 +265,13 @@ func checkFrontMemo(t *testing.T, fm *frontMemo, si *suiteIndex, cands []*Candid
 				continue
 			}
 			probed[k] = true
-			v, stored, _ := fm.sound.Do(context.Background(), k, func() (bool, error) { return false, errProbe })
+			v, stored, _ := fm.sound.Do(context.Background(), k, func() (soundVerdict, error) { return soundVerdict{}, errProbe })
 			if !stored {
 				continue
 			}
 			found++
-			if v != si.screenSound(cs, edp) {
-				t.Errorf("stored screenSound verdict %v (edp=%v, %d candidates) is stale", v, edp, len(cs))
+			if tol, ok := si.screenSound(cs, edp); v != (soundVerdict{tol, ok}) {
+				t.Errorf("stored screenSound verdict %+v (edp=%v, %d candidates) is stale", v, edp, len(cs))
 			}
 		}
 	}
